@@ -31,6 +31,7 @@ from .io import (
 )
 from .matching import FlipChoice, find_crossings
 from .potentials import (
+    PotentialInvariantError,
     decrement_audit,
     phi_lines,
     phi_lines_bound,
@@ -42,6 +43,7 @@ from .potentials import (
 from .render import instance_svg, trace_frame_svg
 from .search import (
     EnumerationCapExceeded,
+    FlipGraphCycleError,
     SearchLimits,
     SearchLimitsExceeded,
     Strategy,
@@ -282,6 +284,8 @@ def cmd_sweep(args) -> int:
             )
             try:
                 rows.append(_sweep_row(args.family, n, param, args, limits))
+            except (PotentialInvariantError, FlipGraphCycleError):
+                raise  # corrupted state, never a per-instance result
             except Exception as exc:  # per-instance failures stay in-row
                 row = {c: "" for c in SWEEP_COLUMNS}
                 row.update(

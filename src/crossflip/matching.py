@@ -105,12 +105,7 @@ def find_crossings(ps: PointSet, m: Matching) -> list[CrossingPair]:
 
 
 def is_noncrossing(ps: PointSet, m: Matching) -> bool:
-    pairs = m.pairs
-    for i in range(len(pairs)):
-        for j in range(i + 1, len(pairs)):
-            if segments_properly_cross(ps, pairs[i], pairs[j]):
-                return False
-    return True
+    return not find_crossings(ps, m)
 
 
 def crossings_after_flip(
@@ -218,16 +213,24 @@ def _check_live(ps: PointSet, m: Matching, crossing: CrossingPair) -> None:
         raise FlipError(f"segments {e1} and {e2} do not cross")
 
 
+def _flipped(
+    ps: PointSet, m: Matching, crossing: CrossingPair, choice: FlipChoice
+) -> tuple[Matching, tuple[Segment, Segment]]:
+    """The one flip primitive: the successor matching and the two segments
+    the flip adds. Raises FlipError for a stale or corrupt crossing."""
+    _check_live(ps, m, crossing)
+    added = reconnection_pairs(ps, crossing, choice)
+    e1, e2 = crossing
+    return Matching(tuple(sorted(
+        [p for p in m.pairs if p != e1 and p != e2] + list(added)
+    ))), added
+
+
 def apply_flip(
     ps: PointSet, m: Matching, crossing: CrossingPair, choice: FlipChoice
 ) -> Matching:
     """The successor matching, without building a record."""
-    _check_live(ps, m, crossing)
-    added = reconnection_pairs(ps, crossing, choice)
-    gone = set(crossing)
-    return Matching(tuple(sorted(
-        [p for p in m.pairs if p not in gone] + list(added)
-    )))
+    return _flipped(ps, m, crossing, choice)[0]
 
 
 def flip(
@@ -242,20 +245,13 @@ def flip(
     Raises FlipError when ``crossing`` is stale (not in ``m``) or corrupt
     (its segments do not cross).
     """
-    _check_live(ps, m, crossing)
-    added = reconnection_pairs(ps, crossing, choice)
-    gone = set(crossing)
-    new = Matching(tuple(sorted(
-        [p for p in m.pairs if p not in gone] + list(added)
-    )))
-    length_before = total_length(ps, m)
-    length_after = total_length(ps, new)
+    new, added = _flipped(ps, m, crossing, choice)
     record = FlipRecord(
         crossing=crossing,
         choice=choice,
         added=added,
-        length_before=length_before,
-        length_after=length_after,
+        length_before=total_length(ps, m),
+        length_after=total_length(ps, new),
         crossings_after=len(find_crossings(ps, new)) if count_crossings else None,
     )
     return new, record
@@ -285,13 +281,12 @@ def replay(ps: PointSet, initial: Matching, records) -> Matching:
     m = initial
     for i, rec in enumerate(records):
         try:
-            _check_live(ps, m, rec.crossing)
+            new, added = _flipped(ps, m, rec.crossing, rec.choice)
         except FlipError as exc:
             raise ReplayError(i, str(exc)) from exc
-        added = reconnection_pairs(ps, rec.crossing, rec.choice)
         if added != rec.added:
             raise ReplayError(
                 i, f"recorded segments {rec.added} differ from reconnection {added}"
             )
-        m = apply_flip(ps, m, rec.crossing, rec.choice)
+        m = new
     return m

@@ -2,10 +2,26 @@
 
 The flip graph on a point set has one node per perfect matching and one edge
 per (crossing, reconnection choice); it is acyclic because total segment
-length strictly decreases along every edge. Longest runs are computed by
-memoized depth-first search over that DAG (with on-stack revisits treated as
-fatal corruption, not as a result), shortest runs by breadth-first search
-with canonical tie-breaking so witnesses are reproducible.
+length strictly decreases along every edge.
+
+Exact search runs on an int kernel of the point set (``_FlipGraph``).
+The C(2n, 2) segments get ids in lexicographic (a, b) order, so a matching is
+an int with n bits set, read in ascending order as ``Matching.pairs``. Each
+segment has a bitset of the higher-id segments it properly crosses, and each
+crossing pair the XOR masks of reconnections A and B. The successors of M are
+``M ^ mask`` by ascending lower segment, then higher segment, A before B: the
+canonical order of ``successors``. One memoized iterative post-order DFS
+(``_Search``) gives f = 1 + max and h = 1 + min over successors; an on-stack
+revisit is fatal. ``shortest_flip_sequence`` keeps a BFS over the same ints,
+whose early exit beats a full DAG pass on one instance.
+
+Witnesses are pinned: the f witness takes the first successor in canonical
+order attaining the max; the h witness is the lexicographically first
+shortest move sequence in canonical order, which BFS with first-discovery
+parents and the DFS's first successor attaining the min both yield. Each is
+rebuilt through the checked ``trace_from_moves``. ``SearchLimits`` hold per
+public call: one deadline and one state count, the clock read on every DFS
+step and every BFS expansion.
 """
 
 from __future__ import annotations
@@ -13,11 +29,10 @@ from __future__ import annotations
 import dataclasses
 import random
 import time
-from collections import deque
 from dataclasses import dataclass
 
 from .generators import Instance, two_line_permutation
-from .geometry import PointSet, seg
+from .geometry import PointSet, seg, segments_properly_cross
 from .matching import (
     CrossingPair,
     FlipChoice,
@@ -30,6 +45,7 @@ from .matching import (
     find_crossings,
     flip,
     is_noncrossing,
+    reconnection_pairs,
     trace_from_moves,
 )
 from .potentials import phi_lines, phi_vertical, x_ranks
@@ -48,8 +64,9 @@ class SearchLimitsExceeded(RuntimeError):
                  best_bound: int | None = None):
         super().__init__(message)
         self.states_expanded = states_expanded
-        #: For longest-run searches: a certified lower bound on the true
-        #: value, never the value itself.
+        #: A certified lower bound on the value searched for (the longest
+        #: run, the shortest run, or the largest longest run of an
+        #: enumeration), never the value itself.
         self.best_bound = best_bound
 
 
@@ -63,6 +80,9 @@ class StrategyNotApplicableError(RuntimeError):
 
 @dataclass(frozen=True)
 class SearchLimits:
+    """Limits of one public search call. A state at edge distance d from
+    the start is generated only when d < max_depth."""
+
     max_states: int = 10_000_000
     max_depth: int = 100_000
     time_budget: float = 60.0
@@ -84,84 +104,250 @@ def successors(
     return out
 
 
-def _longest_value(ps: PointSet, start: Matching, limits: SearchLimits,
-                   memo: dict, stats: dict) -> int:
-    """Longest-run value of ``start`` via iterative post-order DFS.
+class _Rows(dict):
+    """A dict that fills a missing key with ``fill(key)``."""
 
-    ``memo`` maps a canonical matching to (value, best move); sharing it
-    across start matchings makes whole-enumeration sweeps near-linear in the
-    number of distinct matchings.
-    """
-    start_key = start.pairs
-    if start_key in memo:
-        return memo[start_key][0]
-    deadline = time.monotonic() + limits.time_budget
-    on_stack = {start_key}
-    # frame: [matching, successors, next index, best value, best move]
-    stack = [[start, successors(ps, start), 0, 0, None]]
-    stats["expanded"] += 1
-    while stack:
-        frame = stack[-1]
-        succ = frame[1]
-        idx = frame[2]
-        if idx < len(succ):
-            crossing, choice, child = succ[idx]
-            child_key = child.pairs
-            hit = memo.get(child_key)
-            if hit is not None:
-                v = hit[0] + 1
-                if v > frame[3]:
-                    frame[3] = v
-                    frame[4] = (crossing, choice)
-                frame[2] += 1
-            elif child_key in on_stack:
-                raise FlipGraphCycleError(
-                    f"matching revisited on the DFS stack: {child_key}"
-                )
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        self[key] = value = self.fill(key)
+        return value
+
+
+class _FlipGraph:
+    """The int kernel of one point set (see the module docstring).
+
+    A segment's crossing row and the masks of its crossings are computed on
+    first use, so a search pays C(2n, 2) crossing tests only per segment it
+    reaches, never for the whole point set up front."""
+
+    def __init__(self, ps: PointSet):
+        self.ps = ps
+        m = len(ps)
+        self.segs = [(a, b) for a in range(m) for b in range(a + 1, m)]
+        self.bit = {s: 1 << k for k, s in enumerate(self.segs)}
+        #: a segment's bit -> bitset of the higher segments it crosses
+        self.cross = _Rows(self._row)
+        #: a crossing pair's two bits -> (XOR mask of choice A, of choice B)
+        self.recon: dict[int, tuple[int, int]] = {}
+
+    def _row(self, lo: int) -> int:
+        ps, bit = self.ps, self.bit
+        k = lo.bit_length() - 1
+        s = self.segs[k]
+        row = 0
+        for t in self.segs[k + 1:]:
+            if t[0] in s or t[1] in s or not segments_properly_cross(ps, s, t):
+                continue
+            row |= bit[t]
+            # choices A and B are the two other pairings of the four
+            # endpoints; reconnection_pairs says which one is A
+            (a, b), (c, d) = s, t
+            one = bit[seg(a, c)] | bit[seg(b, d)]
+            other = bit[seg(a, d)] | bit[seg(b, c)]
+            e1, e2 = reconnection_pairs(ps, (s, t), FlipChoice.RECONNECT_A)
+            if bit[e1] | bit[e2] != one:
+                one, other = other, one
+            pair = lo | bit[t]
+            self.recon[pair] = (pair | one, pair | other)
+        return row
+
+    def encode(self, m: Matching) -> int:
+        return sum(map(self.bit.__getitem__, m.pairs))
+
+    def children(self, key: int) -> list[int]:
+        """The successors of ``key`` in canonical order."""
+        cross, recon = self.cross, self.recon
+        out = []
+        rest = key
+        while rest:
+            lo = rest & -rest
+            rest ^= lo
+            crossed = cross[lo] & key
+            while crossed:
+                hi = crossed & -crossed
+                crossed ^= hi
+                mask_a, mask_b = recon[lo | hi]
+                out.append(key ^ mask_a)
+                out.append(key ^ mask_b)
+        return out
+
+    def move(self, key: int, child: int) -> tuple[CrossingPair, FlipChoice]:
+        """The (crossing, choice) that turns ``key`` into its successor
+        ``child``."""
+        mask = key ^ child
+        pair = mask & key
+        lo = pair & -pair
+        crossing = (self.segs[lo.bit_length() - 1],
+                    self.segs[(pair ^ lo).bit_length() - 1])
+        if self.recon[pair][0] == mask:
+            return crossing, FlipChoice.RECONNECT_A
+        return crossing, FlipChoice.RECONNECT_B
+
+
+#: Above any shortest-run length, so the first successor sets the minimum.
+_NO_H = 1 << 62
+
+
+class _Search:
+    """One public search call on the int kernel of one point set: its
+    limits, its one deadline and state count, and the DAG pass memo."""
+
+    def __init__(self, ps: PointSet, limits: SearchLimits | None):
+        self.limits = limits = limits or SearchLimits()
+        self.deadline = time.monotonic() + limits.time_budget
+        self.graph = _FlipGraph(ps)
+        #: state -> (f, h)
+        self.memo: dict[int, tuple[int, int]] = {}
+        self.expanded = 0
+        #: largest (depth + f) over finished DFS states: a lower bound on the
+        #: longest run of the start whose DFS reached them
+        self.best_lower = 0
+
+    def _exceeded(self, which: str, bound: int | None = None):
+        limits = self.limits
+        why = {"states": f"state cap {limits.max_states} hit",
+               "depth": f"depth cap {limits.max_depth} hit",
+               "time": f"time budget {limits.time_budget}s exhausted"}[which]
+        if bound is None:
+            bound = self.best_lower
+        return SearchLimitsExceeded(why, states_expanded=self.expanded,
+                                    best_bound=bound)
+
+    def solve(self, start: int) -> tuple[int, int]:
+        """(f, h) of ``start`` by iterative post-order DFS."""
+        clock, deadline, limits = time.monotonic, self.deadline, self.limits
+        memo, children = self.memo, self.graph.children
+        if clock() > deadline:
+            raise self._exceeded("time")
+        if start in memo:
+            return memo[start]
+        on_stack = {start}
+        # frame: [state, iterator over its successors, max f and min h
+        # over the successors taken so far]; no successor leaves max f at -1
+        stack = [[start, iter(children(start)), -1, _NO_H]]
+        self.expanded += 1
+        while stack:
+            if clock() > deadline:
+                raise self._exceeded("time")
+            frame = stack[-1]
+            best_f, best_h = frame[2], frame[3]
+            for child in frame[1]:
+                hit = memo.get(child)
+                if hit is None:
+                    break
+                if hit[0] > best_f:
+                    best_f = hit[0]
+                if hit[1] < best_h:
+                    best_h = hit[1]
             else:
-                if stats["expanded"] >= limits.max_states:
-                    raise SearchLimitsExceeded(
-                        f"state cap {limits.max_states} hit",
-                        states_expanded=stats["expanded"],
-                        best_bound=stats["best_lower"],
-                    )
-                if len(stack) >= limits.max_depth:
-                    raise SearchLimitsExceeded(
-                        f"depth cap {limits.max_depth} hit",
-                        states_expanded=stats["expanded"],
-                        best_bound=stats["best_lower"],
-                    )
-                if time.monotonic() > deadline:
-                    raise SearchLimitsExceeded(
-                        f"time budget {limits.time_budget}s exhausted",
-                        states_expanded=stats["expanded"],
-                        best_bound=stats["best_lower"],
-                    )
-                on_stack.add(child_key)
-                stack.append([child, successors(ps, child), 0, 0, None])
-                stats["expanded"] += 1
-                # index not advanced: the child resolves via memo on resume
-        else:
-            stack.pop()
-            m = frame[0]
-            on_stack.discard(m.pairs)
-            memo[m.pairs] = (frame[3], frame[4])
-            # len(stack) is now the edge distance from start to m
-            bound = len(stack) + frame[3]
-            if bound > stats["best_lower"]:
-                stats["best_lower"] = bound
-    return memo[start_key][0]
+                stack.pop()
+                key = frame[0]
+                on_stack.discard(key)
+                value = (best_f + 1, best_h + 1) if best_f >= 0 else (0, 0)
+                memo[key] = value
+                # len(stack) is now the edge distance from start to key
+                if len(stack) + value[0] > self.best_lower:
+                    self.best_lower = len(stack) + value[0]
+                if stack:
+                    parent = stack[-1]
+                    if value[0] > parent[2]:
+                        parent[2] = value[0]
+                    if value[1] < parent[3]:
+                        parent[3] = value[1]
+                continue
+            if child in on_stack:
+                segs = self.graph.segs
+                pairs = [s for k, s in enumerate(segs) if child >> k & 1]
+                raise FlipGraphCycleError(
+                    f"matching revisited on the DFS stack: {pairs}"
+                )
+            if self.expanded >= limits.max_states:
+                raise self._exceeded("states")
+            if len(stack) >= limits.max_depth:
+                raise self._exceeded("depth")
+            frame[2], frame[3] = best_f, best_h
+            on_stack.add(child)
+            stack.append([child, iter(children(child)), -1, _NO_H])
+            self.expanded += 1
+        return memo[start]
+
+    def witness(self, start: int, which: int) -> list:
+        """Moves of the pinned witness from a solved ``start``: ``which`` is
+        0 for the longest run, 1 for the shortest."""
+        memo, graph = self.memo, self.graph
+        moves = []
+        key = start
+        while memo[key][which]:
+            want = memo[key][which] - 1
+            child = next(c for c in graph.children(key) if memo[c][which] == want)
+            moves.append(graph.move(key, child))
+            key = child
+        return moves
+
+    def longest_moves(self, start: int) -> list:
+        self.solve(start)
+        return self.witness(start, 0)
+
+    def shortest_moves(self, start: int) -> list:
+        """Level-order BFS with first-discovery parents, stopping at the
+        first non-crossing matching discovered; every discovered state
+        counts as expanded. A limit hit certifies h >= d + 1, where d is the
+        deepest level generated completely: it holds no non-crossing
+        matching."""
+        clock, limits, children = time.monotonic, self.limits, self.graph.children
+        parents = {start: None}
+        self.expanded = 1
+        frontier = [(start, children(start))]
+        depth = 0
+        while frontier:
+            # level ``depth`` is complete and holds no non-crossing matching
+            if depth + 1 >= limits.max_depth:
+                raise self._exceeded("depth", depth + 1)
+            level = []
+            for state, kids in frontier:
+                if clock() > self.deadline:
+                    raise self._exceeded("time", depth + 1)
+                for child in kids:
+                    if child in parents:
+                        continue
+                    parents[child] = state
+                    self.expanded += 1
+                    grandkids = children(child)
+                    if not grandkids:
+                        moves = []
+                        while child != start:
+                            moves.append(self.graph.move(parents[child], child))
+                            child = parents[child]
+                        return moves[::-1]
+                    if self.expanded >= limits.max_states:
+                        raise self._exceeded("states", depth + 1)
+                    level.append((child, grandkids))
+            frontier = level
+            depth += 1
+        raise FlipGraphCycleError(
+            "flip graph exhausted without reaching a non-crossing matching"
+        )
 
 
-def _moves_of_longest(ps: PointSet, start: Matching, memo: dict):
-    moves = []
-    m = start
-    while True:
-        _value, move = memo[m.pairs]
-        if move is None:
-            return moves
-        moves.append(move)
-        m = apply_flip(ps, m, *move)
+def _single_search(
+    inst: Instance, limits, stats_out, moves_of
+) -> tuple[int, FlipTrace]:
+    """Run ``moves_of`` (an unbound ``_Search`` method) from the instance's
+    matching; a non-crossing start needs no flip graph."""
+    ps, start = inst.points, inst.matching
+    search = None
+    try:
+        moves = []
+        if not is_noncrossing(ps, start):
+            search = _Search(ps, limits)
+            moves = moves_of(search, search.graph.encode(start))
+    finally:
+        if stats_out is not None:
+            stats_out["states_expanded"] = search.expanded if search else 0
+    return len(moves), trace_from_moves(inst.provenance, ps, start, moves)
 
 
 def longest_flip_sequence(
@@ -173,66 +359,7 @@ def longest_flip_sequence(
     with one witness trace attaining it.
 
     ``stats_out``, when given, receives the number of states expanded."""
-    limits = limits or SearchLimits()
-    memo: dict = {}
-    stats = {"expanded": 0, "best_lower": 0}
-    try:
-        value = _longest_value(inst.points, inst.matching, limits, memo, stats)
-    finally:
-        if stats_out is not None:
-            stats_out["states_expanded"] = stats["expanded"]
-    moves = _moves_of_longest(inst.points, inst.matching, memo)
-    trace = trace_from_moves(inst.provenance, inst.points, inst.matching, moves)
-    return value, trace
-
-
-def _reconstruct(parents: dict, final_key) -> list:
-    moves = []
-    key = final_key
-    while parents[key] is not None:
-        parent_key, crossing, choice = parents[key]
-        moves.append((crossing, choice))
-        key = parent_key
-    moves.reverse()
-    return moves
-
-
-def _shortest_moves(
-    ps: PointSet, start: Matching, limits: SearchLimits,
-    stats_out: dict | None = None,
-) -> list[tuple[CrossingPair, FlipChoice]]:
-    if is_noncrossing(ps, start):
-        return []
-    deadline = time.monotonic() + limits.time_budget
-    parents: dict = {start.pairs: None}
-    if stats_out is not None:
-        stats_out["states_expanded"] = 0
-    queue = deque([start])
-    while queue:
-        m = queue.popleft()
-        if time.monotonic() > deadline:
-            raise SearchLimitsExceeded(
-                f"time budget {limits.time_budget}s exhausted",
-                states_expanded=len(parents),
-            )
-        for crossing, choice, child in successors(ps, m):
-            child_key = child.pairs
-            if child_key in parents:
-                continue
-            parents[child_key] = (m.pairs, crossing, choice)
-            if stats_out is not None:
-                stats_out["states_expanded"] = len(parents)
-            if is_noncrossing(ps, child):
-                return _reconstruct(parents, child_key)
-            if len(parents) >= limits.max_states:
-                raise SearchLimitsExceeded(
-                    f"state cap {limits.max_states} hit",
-                    states_expanded=len(parents),
-                )
-            queue.append(child)
-    raise FlipGraphCycleError(
-        "flip graph exhausted without reaching a non-crossing matching"
-    )
+    return _single_search(inst, limits, stats_out, _Search.longest_moves)
 
 
 def shortest_flip_sequence(
@@ -241,17 +368,16 @@ def shortest_flip_sequence(
     stats_out: dict | None = None,
 ) -> tuple[int, FlipTrace]:
     """Exact length of the shortest flip run from the instance's matching,
-    with a shortest witness (deterministic tie-breaking by canonical
-    successor order)."""
-    limits = limits or SearchLimits()
-    moves = _shortest_moves(inst.points, inst.matching, limits, stats_out)
-    trace = trace_from_moves(inst.provenance, inst.points, inst.matching, moves)
-    return len(moves), trace
+    with the lexicographically first shortest witness in canonical order.
+
+    A limit hit raises with ``best_bound`` a certified lower bound on it."""
+    return _single_search(inst, limits, stats_out, _Search.shortest_moves)
 
 
 def enumerate_all_matchings(ps: PointSet, cap: int = 5):
     """All (2n-1)!! perfect matchings of the point set, streamed in
-    canonical order. Refuses point sets beyond the enumeration cap."""
+    canonical order. Refuses point sets beyond the enumeration cap at once,
+    before the first matching is asked for."""
     n = ps.n
     if n > cap:
         raise EnumerationCapExceeded(
@@ -268,8 +394,7 @@ def enumerate_all_matchings(ps: PointSet, cap: int = 5):
             for tail in rec(rest):
                 yield ((first, avail[i]),) + tail
 
-    for pairs in rec(tuple(range(2 * n))):
-        yield Matching(pairs)
+    return (Matching(pairs) for pairs in rec(tuple(range(2 * n))))
 
 
 @dataclass
@@ -297,37 +422,36 @@ def extremal_estimates(
 ) -> ExtremalEstimates:
     """Exact max longest-run and max shortest-run over every matching of ps.
 
-    The longest-run memo is shared across the whole enumeration; reachable
-    states overlap almost entirely between start matchings."""
-    limits = limits or SearchLimits()
-    memo: dict = {}
-    stats = {"expanded": 0, "best_lower": 0}
-    g_hat = -1
-    k_hat = -1
+    One DAG pass with one memo serves every start matching and gives f and
+    h together; ``states_expanded`` counts its states. The argmaxes are the
+    first matchings in enumeration order attaining each maximum."""
+    matchings = enumerate_all_matchings(ps, cap)
+    search = _Search(ps, limits)
+    g_hat = k_hat = -1
     g_argmax = k_argmax = None
     per = {} if collect_per_matching else None
     count = 0
-    for m in enumerate_all_matchings(ps, cap):
+    for m in matchings:
         count += 1
-        f_val = _longest_value(ps, m, limits, memo, stats)
-        h_val = len(_shortest_moves(ps, m, limits))
-        if f_val > g_hat:
-            g_hat, g_argmax = f_val, m
-        if h_val > k_hat:
-            k_hat, k_argmax = h_val, m
+        key = search.graph.encode(m)
+        f_h = search.solve(key)
+        if f_h[0] > g_hat:
+            g_hat, g_argmax, g_key = f_h[0], m, key
+        if f_h[1] > k_hat:
+            k_hat, k_argmax, k_key = f_h[1], m, key
         if per is not None:
-            per[m.pairs] = (f_val, h_val)
-    g_moves = _moves_of_longest(ps, g_argmax, memo)
-    k_moves = _shortest_moves(ps, k_argmax, limits)
+            per[m.pairs] = f_h
     return ExtremalEstimates(
         g_hat=g_hat,
         g_argmax=g_argmax,
-        g_witness=trace_from_moves(instance_id, ps, g_argmax, g_moves),
+        g_witness=trace_from_moves(instance_id, ps, g_argmax,
+                                   search.witness(g_key, 0)),
         k_hat=k_hat,
         k_argmax=k_argmax,
-        k_witness=trace_from_moves(instance_id, ps, k_argmax, k_moves),
+        k_witness=trace_from_moves(instance_id, ps, k_argmax,
+                                   search.witness(k_key, 1)),
         matchings_enumerated=count,
-        states_expanded=stats["expanded"],
+        states_expanded=search.expanded,
         per_matching=per,
     )
 

@@ -1,20 +1,31 @@
 """Independent reference computations the suite checks the library against.
 
-Everything here deliberately avoids the code paths under test: the flip-run
-extrema use plain unmemoized recursion, and the line potential is recomputed
-with explicit rational offsets instead of the adjusted-sign rule.
+Everything here deliberately avoids the code paths under test. The flip-run
+extrema come three ways: ``naive_f``/``naive_h`` use plain unmemoized
+recursion over successors built here from the two predicates
+``segments_properly_cross`` and ``reconnection_pairs``;
+``reference_longest``/``reference_shortest`` are the ``Matching``-based
+memoized DFS and BFS that the int flip-graph kernel of ``crossflip.search``
+replaced, kept with their witness tie-breaks as the oracle for that kernel.
+The line potential is recomputed with explicit rational offsets instead of
+the adjusted-sign rule.
 """
 
+from collections import deque
 from fractions import Fraction
 
 from crossflip import (
+    FlipChoice,
     Matching,
     PointSet,
+    apply_flip,
     find_crossings,
     is_noncrossing,
+    reconnection_pairs,
     segments_properly_cross,
 )
-from crossflip.search import successors
+
+CHOICES = (FlipChoice.RECONNECT_A, FlipChoice.RECONNECT_B)
 
 
 def crossing_count_brute(ps: PointSet, m: Matching) -> int:
@@ -27,21 +38,99 @@ def crossing_count_brute(ps: PointSet, m: Matching) -> int:
     return count
 
 
+def naive_successors(ps: PointSet, m: Matching) -> list[Matching]:
+    """Every flip successor of m, from the predicates alone."""
+    pairs = m.pairs
+    out = []
+    for i in range(len(pairs)):
+        for j in range(i + 1, len(pairs)):
+            if not segments_properly_cross(ps, pairs[i], pairs[j]):
+                continue
+            rest = [p for k, p in enumerate(pairs) if k not in (i, j)]
+            for choice in CHOICES:
+                added = reconnection_pairs(ps, (pairs[i], pairs[j]), choice)
+                out.append(Matching(tuple(sorted(rest + list(added)))))
+    return out
+
+
 def naive_f(ps: PointSet, m: Matching) -> int:
     """Longest run by bare recursion, no memo, no cycle bookkeeping."""
-    best = 0
-    for _crossing, _choice, child in successors(ps, m):
-        best = max(best, 1 + naive_f(ps, child))
-    return best
+    return max((1 + naive_f(ps, child) for child in naive_successors(ps, m)),
+               default=0)
 
 
 def naive_h(ps: PointSet, m: Matching) -> int:
     """Shortest run by bare recursion."""
-    if is_noncrossing(ps, m):
-        return 0
-    return 1 + min(
-        naive_h(ps, child) for _c, _ch, child in successors(ps, m)
-    )
+    return min((1 + naive_h(ps, child) for child in naive_successors(ps, m)),
+               default=0)
+
+
+def reference_successors(ps: PointSet, m: Matching):
+    """(crossing, choice, successor) in canonical order, from the Matching
+    layer: crossings sorted, choice A before choice B."""
+    return [(crossing, choice, apply_flip(ps, m, crossing, choice))
+            for crossing in find_crossings(ps, m) for choice in CHOICES]
+
+
+def reference_longest(ps: PointSet, start: Matching, memo: dict | None = None):
+    """(f, witness moves) by memoized iterative post-order DFS over
+    ``Matching`` objects. ``memo`` maps ``Matching.pairs`` to (value, best
+    move) and may be shared across start matchings. The witness takes the
+    first successor in canonical order attaining the max."""
+    memo = {} if memo is None else memo
+    if start.pairs not in memo:
+        on_stack = {start.pairs}
+        # frame: [matching, successors, next index, best value, best move]
+        stack = [[start, reference_successors(ps, start), 0, 0, None]]
+        while stack:
+            frame = stack[-1]
+            if frame[2] < len(frame[1]):
+                crossing, choice, child = frame[1][frame[2]]
+                hit = memo.get(child.pairs)
+                if hit is None:
+                    if child.pairs in on_stack:
+                        raise AssertionError(f"cycle at {child.pairs}")
+                    on_stack.add(child.pairs)
+                    stack.append([child, reference_successors(ps, child), 0, 0, None])
+                    continue
+                if hit[0] + 1 > frame[3]:
+                    frame[3], frame[4] = hit[0] + 1, (crossing, choice)
+                frame[2] += 1
+            else:
+                stack.pop()
+                on_stack.discard(frame[0].pairs)
+                memo[frame[0].pairs] = (frame[3], frame[4])
+    moves = []
+    m = start
+    while memo[m.pairs][1] is not None:
+        moves.append(memo[m.pairs][1])
+        m = apply_flip(ps, m, *moves[-1])
+    return memo[start.pairs][0], moves
+
+
+def reference_shortest(ps: PointSet, start: Matching):
+    """Witness moves of a shortest run by BFS over ``Matching`` objects with
+    first-discovery parents, stopping at the first non-crossing matching
+    discovered."""
+    if is_noncrossing(ps, start):
+        return []
+    parents = {start.pairs: None}
+    queue = deque([start])
+    while queue:
+        m = queue.popleft()
+        for crossing, choice, child in reference_successors(ps, m):
+            if child.pairs in parents:
+                continue
+            parents[child.pairs] = (m.pairs, crossing, choice)
+            if is_noncrossing(ps, child):
+                moves = []
+                key = child.pairs
+                while parents[key] is not None:
+                    key, crossing, choice = parents[key]
+                    moves.append((crossing, choice))
+                return moves[::-1]
+            queue.append(child)
+    raise AssertionError("no non-crossing matching reachable")
 
 
 def phi_vertical_rank_formula(ps: PointSet, m: Matching) -> int:
@@ -83,15 +172,11 @@ def run_random_flips(ps, m, rng, pick_choice=None):
 
     Used by termination checks; the caller bounds the count externally.
     """
-    from crossflip import FlipChoice, apply_flip
-
     steps = 0
     crossings = find_crossings(ps, m)
     while crossings:
         crossing = rng.choice(crossings)
-        choice = pick_choice or rng.choice(
-            (FlipChoice.RECONNECT_A, FlipChoice.RECONNECT_B)
-        )
+        choice = pick_choice or rng.choice(CHOICES)
         m = apply_flip(ps, m, crossing, choice)
         crossings = find_crossings(ps, m)
         steps += 1

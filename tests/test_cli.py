@@ -1,8 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import crossflip
 from crossflip.cli import main
 from crossflip.io import load_instance, read_trace
 
@@ -213,3 +218,31 @@ def test_sweep_families(tmp_path):
         assert row["error"] == ""
         assert int(row["g_hat"]) <= n**3
         assert int(row["k_hat"]) <= (n * n + 1) // 2
+
+
+BROKEN_SWEEP_ROW = """
+import sys
+import crossflip
+import crossflip.cli as cli
+
+
+def broken_row(*args):
+    raise getattr(crossflip, sys.argv[1])("corrupted state")
+
+
+cli._sweep_row = broken_row
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.parametrize("error", ["PotentialInvariantError", "FlipGraphCycleError"])
+def test_sweep_invariant_errors_are_fatal(tmp_path, error):
+    env = dict(os.environ, PYTHONPATH=str(Path(crossflip.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", BROKEN_SWEEP_ROW, error, "sweep", "--family",
+         "convex", "--n-min", "2", "--n-max", "2", "--out-dir", str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode != 0
+    assert error in proc.stderr
+    assert not (tmp_path / "sweep.csv").exists()

@@ -23,9 +23,12 @@ from crossflip import (
     reverse_perm,
     run_strategy,
     shear_to_distinct_x,
+    trace_from_moves,
 )
+from crossflip import search
 from crossflip.search import (
     EnumerationCapExceeded,
+    FlipGraphCycleError,
     enumerate_all_matchings,
     extremal_estimates,
     greedy_choice,
@@ -34,7 +37,7 @@ from crossflip.search import (
     successors,
 )
 
-from oracles import naive_f, naive_h
+from oracles import naive_f, naive_h, reference_longest, reference_shortest
 
 SQUARE_INST = Instance(
     PointSet.from_coords([(0, 0), (2, 0), (2, 2), (0, 2)]),
@@ -141,6 +144,78 @@ def test_search_limits_exceeded_reports_progress():
     assert info.value.best_bound is not None
     with pytest.raises(SearchLimitsExceeded):
         shortest_flip_sequence(inst, SearchLimits(max_states=2))
+
+
+class FakeClock:
+    """Stands in for the ``time`` module of ``crossflip.search``: every read
+    of the clock advances it by one second."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def monotonic(self):
+        self.now += 1.0
+        return self.now
+
+
+def test_extremal_deadline_is_one_per_call(monkeypatch):
+    # 105 start matchings: with a fresh deadline per start no start reads
+    # the clock 150 times, but the one deadline of the call runs out
+    ps = gen_random(4, seed=34, bbox=(0, 400)).points
+    monkeypatch.setattr(search, "time", FakeClock())
+    with pytest.raises(SearchLimitsExceeded, match="time budget"):
+        extremal_estimates(ps, SearchLimits(time_budget=150), cap=4)
+
+
+def test_deadline_checked_between_pushes(monkeypatch):
+    # rev5 reaches 945 states: a clock read only per pushed state stays
+    # under 1000 reads, but resuming a state over its memoized successors
+    # reads the clock as well
+    inst = gen_two_line(reverse_perm(5))
+    monkeypatch.setattr(search, "time", FakeClock())
+    with pytest.raises(SearchLimitsExceeded, match="time budget"):
+        longest_flip_sequence(inst, SearchLimits(time_budget=1000))
+
+
+def test_depth_cap_is_the_same_for_dfs_and_bfs():
+    # a state at edge distance d is generated only when d < max_depth
+    inst = gen_convex(5)
+    f, h = longest_flip_sequence(inst)[0], shortest_flip_sequence(inst)[0]
+    assert h == 4
+    assert longest_flip_sequence(inst, SearchLimits(max_depth=f + 1))[0] == f
+    assert shortest_flip_sequence(inst, SearchLimits(max_depth=h + 1))[0] == h
+    with pytest.raises(SearchLimitsExceeded):
+        longest_flip_sequence(inst, SearchLimits(max_depth=f))
+    for depth in (1, h):
+        with pytest.raises(SearchLimitsExceeded, match="depth cap") as info:
+            shortest_flip_sequence(inst, SearchLimits(max_depth=depth))
+        assert info.value.best_bound == depth
+
+
+def test_bfs_limit_bound_is_certified(monkeypatch):
+    inst = gen_convex(5)
+    h = 4
+    limits = [SearchLimits(max_states=k) for k in (1, 2, 7, 10, 30, 50, 65)]
+    limits += [SearchLimits(max_depth=d) for d in (1, 2, 3, 4)]
+    bounds = []
+    for lim in limits:
+        with pytest.raises(SearchLimitsExceeded) as info:
+            shortest_flip_sequence(inst, lim)
+        bounds.append(info.value.best_bound)
+    monkeypatch.setattr(search, "time", FakeClock())
+    with pytest.raises(SearchLimitsExceeded, match="time budget") as info:
+        shortest_flip_sequence(inst, SearchLimits(time_budget=10))
+    bounds.append(info.value.best_bound)
+    assert all(1 <= b <= h for b in bounds)
+    assert max(bounds) == h
+
+
+def test_on_stack_revisit_is_fatal(monkeypatch):
+    real = search._FlipGraph.children
+    monkeypatch.setattr(search._FlipGraph, "children",
+                        lambda self, key: real(self, key) + [key])
+    with pytest.raises(FlipGraphCycleError):
+        longest_flip_sequence(SQUARE_INST)
 
 
 def test_search_limits_validated():
@@ -251,3 +326,55 @@ def test_unrestricted_random_runs_terminate_within_potential_cap():
         cap = phi_lines(inst.points, inst.matching) // 4
         trace = run_strategy(inst, Strategy("random", seed=seed), max_steps=cap + 1)
         assert trace.complete and len(trace) <= cap
+
+
+# --- the int kernel against the Matching-based reference search -----------
+
+KERNEL_SETS = [(2, 31), (3, 32), (3, 33), (4, 34), (4, 35), (5, 36)]
+
+
+def _assert_searches_match_reference(inst):
+    ps, start, pid = inst.points, inst.matching, inst.provenance
+    f, f_trace = longest_flip_sequence(inst)
+    h, h_trace = shortest_flip_sequence(inst)
+    ref_f, f_moves = reference_longest(ps, start)
+    h_moves = reference_shortest(ps, start)
+    assert (f, h) == (ref_f, len(h_moves))
+    assert f_trace == trace_from_moves(pid, ps, start, f_moves)
+    assert h_trace == trace_from_moves(pid, ps, start, h_moves)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_family_searches_match_reference(n):
+    _assert_searches_match_reference(gen_two_line(reverse_perm(n)))
+    _assert_searches_match_reference(gen_convex(n))
+
+
+@pytest.mark.parametrize("n,seed", [c for c in KERNEL_SETS if c[0] <= 4])
+def test_every_start_matches_reference(n, seed):
+    ps = gen_random(n, seed=seed, bbox=(0, 400)).points
+    for m in enumerate_all_matchings(ps, cap=4):
+        _assert_searches_match_reference(Instance(ps, m, "kernel-check"))
+
+
+@pytest.mark.parametrize("n,seed", KERNEL_SETS)
+def test_extremal_matches_reference(n, seed):
+    ps = gen_random(n, seed=seed, bbox=(0, 400)).points
+    est = extremal_estimates(ps, cap=5, collect_per_matching=True)
+    memo: dict = {}
+    per = {
+        m.pairs: (reference_longest(ps, m, memo)[0], len(reference_shortest(ps, m)))
+        for m in enumerate_all_matchings(ps, cap=5)
+    }
+    assert est.per_matching == per
+    assert list(est.per_matching) == list(per)
+    g_hat = max(f for f, _h in per.values())
+    k_hat = max(h for _f, h in per.values())
+    assert (est.g_hat, est.k_hat) == (g_hat, k_hat)
+    # the argmaxes are the first matchings in enumeration order
+    assert est.g_argmax.pairs == next(p for p, fh in per.items() if fh[0] == g_hat)
+    assert est.k_argmax.pairs == next(p for p, fh in per.items() if fh[1] == k_hat)
+    g_moves = reference_longest(ps, est.g_argmax, memo)[1]
+    k_moves = reference_shortest(ps, est.k_argmax)
+    assert est.g_witness == trace_from_moves("enumeration", ps, est.g_argmax, g_moves)
+    assert est.k_witness == trace_from_moves("enumeration", ps, est.k_argmax, k_moves)
