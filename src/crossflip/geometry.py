@@ -88,6 +88,30 @@ def orient(p: Point, q: Point, r: Point) -> int:
     return (d > 0) - (d < 0)
 
 
+@functools.lru_cache(maxsize=32)
+def side_masks(ps: PointSet) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``(pos, on)``: bit k of ``pos[r]`` is set when orient(p_a, p_b, p_r)
+    > 0 and of ``on[r]`` when it is 0 (r = a, r = b, or r collinear with
+    them), for the k-th anchor pair a < b in lexicographic order, which is
+    the segment numbering of the search kernel.
+    """
+    pts = ps.points
+    # orient(p_a, p_b, p_r) has the sign of dx * y_r - dy * x_r - c; the
+    # anchors run highest bit first, as int(text, 2) reads them
+    anchors = [
+        (bx - ax, by - ay, (bx - ax) * ay - (by - ay) * ax)
+        for a, (ax, ay) in enumerate(pts)
+        for bx, by in pts[a + 1:]
+    ]
+    anchors.reverse()
+    pos, on = [], []
+    for rx, ry in pts:
+        dets = [dx * ry - dy * rx - c for dx, dy, c in anchors]
+        pos.append(int("".join(["1" if d > 0 else "0" for d in dets]), 2))
+        on.append(int("".join(["1" if d == 0 else "0" for d in dets]), 2))
+    return tuple(pos), tuple(on)
+
+
 def segments_properly_cross(ps: PointSet, s: Segment, t: Segment) -> bool:
     """True iff segments s and t meet in exactly one point interior to both.
 

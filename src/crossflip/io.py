@@ -61,6 +61,14 @@ def save_instance(inst: Instance, path) -> None:
     )
 
 
+def _int_pairs(value) -> bool:
+    """A list of [i, j] lists of JSON integers; a bool is no integer here."""
+    return isinstance(value, list) and all(
+        isinstance(p, list) and len(p) == 2 and all(type(c) is int for c in p)
+        for p in value
+    )
+
+
 def instance_from_json_dict(doc: dict) -> Instance:
     if not isinstance(doc, dict):
         raise InstanceFormatError("instance document must be a JSON object")
@@ -68,21 +76,15 @@ def instance_from_json_dict(doc: dict) -> Instance:
         if key not in doc:
             raise InstanceFormatError(f"missing key {key!r}")
     points = doc["points"]
-    if (
-        not isinstance(points, list)
-        or not all(isinstance(p, list) and len(p) == 2 for p in points)
-    ):
-        raise InstanceFormatError("'points' must be a list of [x, y] pairs")
+    if not _int_pairs(points):
+        raise InstanceFormatError("'points' must be [x, y] pairs of integers")
     try:
         ps = PointSet.from_coords(points)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise InstanceFormatError(str(exc)) from exc
     pairs = doc["matching"]
-    if (
-        not isinstance(pairs, list)
-        or not all(isinstance(p, list) and len(p) == 2 for p in pairs)
-    ):
-        raise InstanceFormatError("'matching' must be a list of [i, j] pairs")
+    if not _int_pairs(pairs):
+        raise InstanceFormatError("'matching' must be [i, j] pairs of integers")
     for a, b in pairs:
         if not (0 <= a < len(ps) and 0 <= b < len(ps)):
             raise InstanceFormatError(f"matching pair [{a}, {b}] out of range")

@@ -143,11 +143,12 @@ def total_length(ps: PointSet, m: Matching) -> float:
 
 
 def reconnection_pairs(
-    ps: PointSet, crossing: CrossingPair, choice: FlipChoice
+    ps: PointSet, crossing: CrossingPair, choice: FlipChoice, order=None
 ) -> tuple[Segment, Segment]:
-    """The two segments a flip of ``crossing`` adds under ``choice``."""
+    """The two segments a flip of ``crossing`` adds under ``choice``;
+    ``order`` is the crossing's ``ccw_quad_order`` if the caller has it."""
     (a, b), (c, d) = crossing
-    q1, q2, q3, q4 = ccw_quad_order(ps, (a, b, c, d))
+    q1, q2, q3, q4 = order or ccw_quad_order(ps, (a, b, c, d))
     if choice is FlipChoice.RECONNECT_A:
         e1, e2 = seg(q1, q2), seg(q3, q4)
     else:

@@ -11,9 +11,15 @@ flip and drops by at least 2 when the reconnection pairs the two x-leftmost
 endpoints together (the x-greedy choice), giving the quadratic cap on the
 shortest run.
 
-Perturbed lines are represented symbolically by (anchor pair, side); the
-infinitesimal offset is simulated exactly by an adjusted-sign rule, so no
-epsilon ever appears.
+Perturbed lines are bits of one int per point. With K = C(2n, 2) anchor
+pairs numbered in lexicographic order (``geometry.side_masks``), the line
+(a, b, PLUS) of anchor pair k is bit k and (a, b, MINUS) is bit K + k; a
+point's bit is set when its adjusted sign for that line is +. There is one
+adjusted-sign rule: a point on the unperturbed line (an anchor) falls to the
+side opposite the offset, so a point's PLUS half is its ``pos`` bits and its
+MINUS half ``pos | on``. The infinitesimal offset is thus exact, no epsilon
+ever appears, and segment (u, v) crosses exactly the lines of
+``mask[u] ^ mask[v]``.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from enum import Enum, IntEnum
+from itertools import combinations
 from typing import NamedTuple
 
 from .geometry import (
@@ -28,7 +35,7 @@ from .geometry import (
     Segment,
     ccw_quad_order,
     convex_position_ccw,
-    orient,
+    side_masks,
 )
 from .matching import (
     CrossingPair,
@@ -65,6 +72,9 @@ class PerturbedLine(NamedTuple):
     b: int
     side: Side
 
+    def __str__(self) -> str:
+        return f"{self.a}-{self.b}/{Side(self.side).name.lower()}"
+
 
 class LineType(Enum):
     """How a line splits the four endpoints of a crossing.
@@ -82,16 +92,22 @@ class LineType(Enum):
 
 
 @functools.lru_cache(maxsize=32)
-def _sign_table(ps: PointSet) -> dict[tuple[int, int], tuple[int, ...]]:
-    """orient(a, b, r) for every anchor pair a < b and every point r."""
-    pts = ps.points
-    m = len(pts)
-    table = {}
-    for a in range(m):
-        for b in range(a + 1, m):
-            pa, pb = pts[a], pts[b]
-            table[(a, b)] = tuple(orient(pa, pb, r) for r in pts)
-    return table
+def _line_masks(ps: PointSet) -> tuple[int, ...]:
+    """Per point, the bits of the perturbed lines it has adjusted sign + for."""
+    pos, on = side_masks(ps)
+    half = len(ps) * (len(ps) - 1) // 2
+    return tuple(p | (p | z) << half for p, z in zip(pos, on))
+
+
+def _lines_by_bit(ps: PointSet) -> list[PerturbedLine]:
+    """Every perturbed line, indexed by its bit in the line masks: the PLUS
+    lines in anchor order, then the MINUS lines."""
+    lines = list(perturbed_lines(ps))
+    return lines[0::2] + lines[1::2]
+
+
+def _lowest_line(ps: PointSet, mask: int) -> PerturbedLine:
+    return _lines_by_bit(ps)[(mask & -mask).bit_length() - 1]
 
 
 @functools.lru_cache(maxsize=32)
@@ -108,23 +124,16 @@ def x_ranks(ps: PointSet) -> tuple[int, ...]:
 
 def perturbed_lines(ps: PointSet):
     """All 2 * C(2n, 2) perturbed supporting lines of the point set."""
-    m = len(ps)
-    for a in range(m):
-        for b in range(a + 1, m):
-            yield PerturbedLine(a, b, Side.PLUS)
-            yield PerturbedLine(a, b, Side.MINUS)
+    pairs = combinations(range(len(ps)), 2)
+    return (PerturbedLine(a, b, side) for a, b in pairs for side in Side)
 
 
 def crosses_perturbed_line(ps: PointSet, line: PerturbedLine, s: Segment) -> bool:
-    """True iff segment s crosses the perturbed line.
-
-    The segment's endpoints get their orientation signs relative to the
-    anchor pair, with on-line points (the anchors themselves) adjusted to
-    -side; the segment crosses exactly when the adjusted signs differ.
-    """
-    signs = _sign_table(ps)[(line.a, line.b)]
+    """True iff segment s crosses the perturbed line: the adjusted signs of
+    its endpoints differ."""
+    masks = _line_masks(ps)
     u, v = s
-    return (signs[u] or -line.side) != (signs[v] or -line.side)
+    return bool((masks[u] ^ masks[v]) >> _lines_by_bit(ps).index(line) & 1)
 
 
 def phi_lines(ps: PointSet, m: Matching) -> int:
@@ -134,14 +143,8 @@ def phi_lines(ps: PointSet, m: Matching) -> int:
     segment, counted against the 2n points); the sharper form is
     2 * C(2n,2) * n.
     """
-    table = _sign_table(ps)
-    total = 0
-    for signs in table.values():
-        for side in (1, -1):
-            for u, v in m.pairs:
-                if (signs[u] or -side) != (signs[v] or -side):
-                    total += 1
-    return total
+    masks = _line_masks(ps)
+    return sum((masks[u] ^ masks[v]).bit_count() for u, v in m.pairs)
 
 
 def phi_lines_bound(n: int) -> int:
@@ -159,19 +162,15 @@ def phi_vertical(ps: PointSet, m: Matching) -> int:
 
     Gap g sits strictly between the g-th and (g+1)-th points in x-order; a
     segment crosses it iff its endpoints' x-ranks straddle the gap.
-    Equivalently this is the sum over segments of |xrank(a) - xrank(b)|.
-    Requires pairwise distinct x-coordinates.
+    Equivalently this is the sum over segments of |xrank(a) - xrank(b)|,
+    which is how it is computed. Requires pairwise distinct x-coordinates.
     """
+    return _rank_spans(ps, m.pairs)
+
+
+def _rank_spans(ps: PointSet, segments) -> int:
     ranks = x_ranks(ps)
-    total = 0
-    for g in range(len(ps) - 1):
-        for u, v in m.pairs:
-            ru, rv = ranks[u], ranks[v]
-            if ru > rv:
-                ru, rv = rv, ru
-            if ru <= g < rv:
-                total += 1
-    return total
+    return sum(abs(ranks[u] - ranks[v]) for u, v in segments)
 
 
 def phi_vertical_bound(n: int) -> int:
@@ -184,6 +183,41 @@ def phi_vertical_bound_gaps(n: int) -> int:
     return (2 * n - 1) * n
 
 
+def _quad_line_types(ps: PointSet, quad):
+    """The ccw order q0..q3 of a convex quad and, per LineType, the mask of
+    the lines of that type.
+
+    With x01 the lines separating q0 from q1 and so on around the quad, L1
+    lines are in x12 and x30, L2 lines in x01 and x23, and L3 lines in two
+    adjacent ones. Raises ValueError when the quad is not in convex position
+    and PotentialInvariantError when a line is in all four: it splits the
+    quad along its diagonals.
+    """
+    order = ccw_quad_order(ps, quad)
+    if not convex_position_ccw(ps, order):
+        raise ValueError(f"quad {tuple(quad)} is not in convex position")
+    masks = _line_masks(ps)
+    m0, m1, m2, m3 = (masks[q] for q in order)
+    x01, x12, x23, x30 = m0 ^ m1, m1 ^ m2, m2 ^ m3, m3 ^ m0
+    split = x01 & x12 & x23 & x30
+    if split:
+        raise PotentialInvariantError(
+            f"line {_lowest_line(ps, split)} splits quad {order} along its "
+            "diagonals"
+        )
+    l1, l2, hit = x12 & x30, x01 & x23, x01 | x12 | x23 | x30
+    return order, {
+        LineType.L1: l1,
+        LineType.L2: l2,
+        LineType.L3: hit & ~(l1 | l2),
+        LineType.NO_INTERSECT: ~hit & ((1 << len(ps) * (len(ps) - 1)) - 1),
+    }
+
+
+def _type_of(types: dict[LineType, int], j: int) -> LineType:
+    return next(t for t, mask in types.items() if mask >> j & 1)
+
+
 def classify_line_vs_quad(
     ps: PointSet, line: PerturbedLine, quad
 ) -> LineType:
@@ -193,23 +227,8 @@ def classify_line_vs_quad(
     ``quad`` is any ordering of the four endpoint indices; they must be in
     convex position (always true for a genuine crossing).
     """
-    order = ccw_quad_order(ps, quad)
-    if not convex_position_ccw(ps, order):
-        raise ValueError(f"quad {tuple(quad)} is not in convex position")
-    signs = _sign_table(ps)[(line.a, line.b)]
-    adj = [(signs[q] or -line.side) for q in order]
-    total = sum(adj)
-    if total in (4, -4):
-        return LineType.NO_INTERSECT
-    if total in (2, -2):
-        return LineType.L3
-    if adj[0] == adj[1]:
-        return LineType.L1
-    if adj[1] == adj[2]:
-        return LineType.L2
-    raise PotentialInvariantError(
-        f"line {line} splits quad {order} along its diagonals"
-    )
+    _order, types = _quad_line_types(ps, quad)
+    return _type_of(types, _lines_by_bit(ps).index(line))
 
 
 @dataclass(frozen=True)
@@ -282,73 +301,42 @@ def decrement_audit(
 
     For every perturbed line, the crossing count restricted to the two
     segments the flip changes is compared before/after; any increase raises
-    PotentialInvariantError. ``phi_l_before`` may be passed by callers that
-    track the potential incrementally, saving the full recount.
+    PotentialInvariantError naming the lowest such line. ``phi_l_before``
+    may be passed by callers that track the potential incrementally, saving
+    the full recount.
     """
     e1, e2 = crossing
-    added = reconnection_pairs(ps, crossing, choice)
-    n1, n2 = added
-    quad_order = ccw_quad_order(ps, (*e1, *e2))
-    if not convex_position_ccw(ps, quad_order):
-        raise ValueError(f"crossing {crossing} endpoints not in convex position")
+    order, types = _quad_line_types(ps, (*e1, *e2))
+    added = reconnection_pairs(ps, crossing, choice, order)
+    masks = _line_masks(ps)
+    b1, b2, a1, a2 = (masks[u] ^ masks[v] for u, v in (e1, e2, *added))
+    gained = ((a1 | a2) & ~(b1 | b2)) | (a1 & a2 & ~(b1 & b2))
+    if gained:
+        raise PotentialInvariantError(
+            f"line {_lowest_line(ps, gained)} gained intersections across "
+            f"flip of {crossing}"
+        )
+    delta_l = a1.bit_count() + a2.bit_count() - b1.bit_count() - b2.bit_count()
 
-    table = _sign_table(ps)
-    counts = {t: 0 for t in LineType}
-    delta_l = 0
-    entries = [] if detail else None
-    for anchor, signs in table.items():
-        for side in (1, -1):
-            adj = [(signs[q] or -side) for q in quad_order]
-            total = adj[0] + adj[1] + adj[2] + adj[3]
-            if total in (4, -4):
-                line_type = LineType.NO_INTERSECT
-            elif total in (2, -2):
-                line_type = LineType.L3
-            elif adj[0] == adj[1]:
-                line_type = LineType.L1
-            elif adj[1] == adj[2]:
-                line_type = LineType.L2
-            else:
-                raise PotentialInvariantError(
-                    f"line {anchor}/{side} splits quad {quad_order} along "
-                    "its diagonals"
-                )
-            counts[line_type] += 1
-
-            before = (
-                ((signs[e1[0]] or -side) != (signs[e1[1]] or -side))
-                + ((signs[e2[0]] or -side) != (signs[e2[1]] or -side))
+    entries = None
+    if detail:
+        lines = _lines_by_bit(ps)
+        half = len(lines) // 2
+        entries = tuple(
+            LineAudit(
+                lines[j],
+                _type_of(types, j),
+                (a1 >> j & 1) + (a2 >> j & 1) - (b1 >> j & 1) - (b2 >> j & 1),
             )
-            after = (
-                ((signs[n1[0]] or -side) != (signs[n1[1]] or -side))
-                + ((signs[n2[0]] or -side) != (signs[n2[1]] or -side))
-            )
-            d = after - before
-            if d > 0:
-                raise PotentialInvariantError(
-                    f"line {anchor}/{side} gained intersections across flip "
-                    f"of {crossing}"
-                )
-            delta_l += d
-            if entries is not None:
-                entries.append(
-                    LineAudit(
-                        PerturbedLine(anchor[0], anchor[1], Side(side)),
-                        line_type,
-                        d,
-                    )
-                )
+            for k in range(half)
+            for j in (k, k + half)
+        )
 
     if phi_l_before is None:
         phi_l_before = phi_lines(ps, m)
 
     if ps.has_distinct_x():
-        ranks = x_ranks(ps)
-
-        def span(s):
-            return abs(ranks[s[0]] - ranks[s[1]])
-
-        delta_k = span(n1) + span(n2) - span(e1) - span(e2)
+        delta_k = _rank_spans(ps, added) - _rank_spans(ps, crossing)
         phi_k_before = phi_vertical(ps, m)
         phi_k_after = phi_k_before + delta_k
     else:
@@ -358,12 +346,12 @@ def decrement_audit(
         crossing=crossing,
         choice=choice,
         added=added,
-        line_type_counts=counts,
+        line_type_counts={t: mask.bit_count() for t, mask in types.items()},
         delta_phi_l=delta_l,
         phi_l_before=phi_l_before,
         phi_l_after=phi_l_before + delta_l,
         delta_phi_k=delta_k,
         phi_k_before=phi_k_before,
         phi_k_after=phi_k_after,
-        lines=tuple(entries) if entries is not None else None,
+        lines=entries,
     )

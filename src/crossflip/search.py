@@ -581,8 +581,8 @@ def run_strategy(
 
     Every record carries the vertical potential before/after whenever the
     point set has distinct x-coordinates; the line potential is attached
-    only on request (it costs O(n^3) per step). A run stopped by the step
-    cap is returned with ``complete=False``, not raised.
+    only on request (n popcounts of 2 * C(2n, 2)-bit masks per step). A run
+    stopped by the step cap is returned with ``complete=False``, not raised.
     """
     ps = inst.points
     n = inst.n

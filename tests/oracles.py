@@ -8,22 +8,35 @@ recursion over successors built here from the two predicates
 memoized DFS and BFS that the int flip-graph kernel of ``crossflip.search``
 replaced, kept with their witness tie-breaks as the oracle for that kernel.
 The line potential is recomputed with explicit rational offsets instead of
-the adjusted-sign rule.
+the adjusted-sign rule. ``reference_phi_lines`` and
+``reference_decrement_audit`` are the per-line loops over an ``orient`` sign
+table that the bitmask kernel of ``crossflip.potentials`` replaced, and
+``reference_phi_vertical`` the gap-line count it replaced;
+``phi_vertical_rank_formula`` is now the library's own formula.
 """
 
 from collections import deque
 from fractions import Fraction
 
 from crossflip import (
+    DecrementAudit,
     FlipChoice,
+    LineType,
     Matching,
+    PerturbedLine,
     PointSet,
+    PotentialInvariantError,
+    Side,
     apply_flip,
+    ccw_quad_order,
     find_crossings,
     is_noncrossing,
+    orient,
     reconnection_pairs,
     segments_properly_cross,
 )
+from crossflip.geometry import convex_position_ccw
+from crossflip.potentials import LineAudit
 
 CHOICES = (FlipChoice.RECONNECT_A, FlipChoice.RECONNECT_B)
 
@@ -133,13 +146,127 @@ def reference_shortest(ps: PointSet, start: Matching):
     raise AssertionError("no non-crossing matching reachable")
 
 
-def phi_vertical_rank_formula(ps: PointSet, m: Matching) -> int:
-    """Sum over segments of |xrank(a) - xrank(b)|; must equal the gap-line
-    count computed by the library."""
+def _gap_ranks(ps: PointSet) -> dict[int, int]:
     xs = [p.x for p in ps]
     assert len(set(xs)) == len(xs)
-    rank = {i: r for r, i in enumerate(sorted(range(len(xs)), key=xs.__getitem__))}
+    return {i: r for r, i in enumerate(sorted(range(len(xs)), key=xs.__getitem__))}
+
+
+def phi_vertical_rank_formula(ps: PointSet, m: Matching) -> int:
+    """Sum over segments of |xrank(a) - xrank(b)|: the formula the library
+    computes ``phi_vertical`` by, so no independent check of it."""
+    rank = _gap_ranks(ps)
     return sum(abs(rank[a] - rank[b]) for a, b in m.pairs)
+
+
+def reference_phi_vertical(ps: PointSet, m: Matching) -> int:
+    """Crossings of the matching with the 2n - 1 vertical gap lines, one gap
+    at a time: gap g lies between the g-th and (g+1)-th points in x-order."""
+    rank = _gap_ranks(ps)
+    total = 0
+    for g in range(len(ps) - 1):
+        for u, v in m.pairs:
+            ru, rv = sorted((rank[u], rank[v]))
+            if ru <= g < rv:
+                total += 1
+    return total
+
+
+def _sign_table(ps: PointSet) -> dict[tuple[int, int], tuple[int, ...]]:
+    """orient(a, b, r) for every anchor pair a < b and every point r."""
+    pts = ps.points
+    return {
+        (a, b): tuple(orient(pts[a], pts[b], r) for r in pts)
+        for a in range(len(pts))
+        for b in range(a + 1, len(pts))
+    }
+
+
+def reference_phi_lines(ps: PointSet, m: Matching) -> int:
+    """Line potential by a loop over every perturbed line and segment, with
+    the adjusted-sign rule applied per endpoint."""
+    total = 0
+    for signs in _sign_table(ps).values():
+        for side in (1, -1):
+            for u, v in m.pairs:
+                if (signs[u] or -side) != (signs[v] or -side):
+                    total += 1
+    return total
+
+
+def reference_decrement_audit(ps, m, crossing, choice, detail=False,
+                              phi_l_before=None) -> DecrementAudit:
+    """``decrement_audit`` by a loop over every perturbed line: classify it
+    against the quad in ccw order and compare its crossings with the two
+    removed and the two added segments."""
+    e1, e2 = crossing
+    added = reconnection_pairs(ps, crossing, choice)
+    n1, n2 = added
+    quad_order = ccw_quad_order(ps, (*e1, *e2))
+    if not convex_position_ccw(ps, quad_order):
+        raise ValueError(f"crossing {crossing} endpoints not in convex position")
+
+    counts = {t: 0 for t in LineType}
+    delta_l = 0
+    entries = [] if detail else None
+    for anchor, signs in _sign_table(ps).items():
+        for side in (1, -1):
+            adj = [(signs[q] or -side) for q in quad_order]
+            total = sum(adj)
+            if total in (4, -4):
+                line_type = LineType.NO_INTERSECT
+            elif total in (2, -2):
+                line_type = LineType.L3
+            elif adj[0] == adj[1]:
+                line_type = LineType.L1
+            elif adj[1] == adj[2]:
+                line_type = LineType.L2
+            else:
+                raise PotentialInvariantError(
+                    f"line {anchor}/{side} splits quad {quad_order} along "
+                    "its diagonals"
+                )
+            counts[line_type] += 1
+
+            def crosses(s):
+                return (signs[s[0]] or -side) != (signs[s[1]] or -side)
+
+            d = crosses(n1) + crosses(n2) - crosses(e1) - crosses(e2)
+            if d > 0:
+                raise PotentialInvariantError(
+                    f"line {anchor}/{side} gained intersections across flip "
+                    f"of {crossing}"
+                )
+            delta_l += d
+            if entries is not None:
+                entries.append(LineAudit(
+                    PerturbedLine(anchor[0], anchor[1], Side(side)), line_type, d
+                ))
+
+    if phi_l_before is None:
+        phi_l_before = reference_phi_lines(ps, m)
+    if ps.has_distinct_x():
+        rank = _gap_ranks(ps)
+        delta_k = sum(abs(rank[u] - rank[v]) for u, v in added) - sum(
+            abs(rank[u] - rank[v]) for u, v in crossing
+        )
+        phi_k_before = reference_phi_vertical(ps, m)
+        phi_k_after = phi_k_before + delta_k
+    else:
+        delta_k = phi_k_before = phi_k_after = None
+    return DecrementAudit(
+        crossing=crossing,
+        choice=choice,
+        added=added,
+        line_type_counts=counts,
+        delta_phi_l=delta_l,
+        phi_l_before=phi_l_before,
+        phi_l_after=phi_l_before + delta_l,
+        delta_phi_k=delta_k,
+        phi_k_before=phi_k_before,
+        phi_k_after=phi_k_after,
+        lines=tuple(entries) if entries is not None else None,
+    )
 
 
 def phi_lines_rational_offset(ps: PointSet, m: Matching) -> int:

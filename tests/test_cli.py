@@ -160,6 +160,39 @@ def test_audit_json(convex4, tmp_path, capsys):
     assert all("lines" in a for a in doc["audits"])
 
 
+DATA = Path(__file__).parent / "data"
+
+
+def test_audit_detail_output_is_pinned(tmp_path, capsys):
+    """Every line of ``audit --detail``, in order, as the per-line loop
+    before the bitmask kernel printed it."""
+    doc = json.loads((DATA / "random_n3_seed7.json").read_text())
+    doc["matching"] = [[0, 1], [2, 4], [3, 5]]
+    inst = tmp_path / "n3_seed7_crossing.json"
+    inst.write_text(json.dumps(doc))
+    assert run_cli("audit", inst, "--detail") == 0
+    golden = json.loads((DATA / "audit_n3_seed7_detail.json").read_text())
+    golden["instance"] = str(inst)
+    assert capsys.readouterr().out == json.dumps(golden, indent=2) + "\n"
+
+
+def test_audit_rejects_string_index_with_exit_2(tmp_path):
+    doc = json.loads((DATA / "random_n3_seed7.json").read_text())
+    doc["matching"][0] = ["0", 1]
+    inst = tmp_path / "string_index.json"
+    inst.write_text(json.dumps(doc))
+    env = dict(os.environ, PYTHONPATH=str(Path(crossflip.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from crossflip.cli import main; sys.exit(main(sys.argv[1:]))",
+         "audit", str(inst)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "integers" in proc.stderr
+
+
 def test_audit_needs_crossings(tmp_path):
     inst = tmp_path / "id3.json"
     assert run_cli("gen", "two-line", "--perm", "0,1,2", "-o", inst) == 0

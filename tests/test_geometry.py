@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crossflip import (
@@ -14,6 +14,7 @@ from crossflip import (
     shear_to_distinct_x,
     validate_general_position,
 )
+from crossflip.geometry import side_masks
 
 SQUARE = PointSet.from_coords([(0, 0), (2, 0), (2, 2), (0, 2)])
 # the six-point set behind the reappearing-segment script, scaled to integers
@@ -152,3 +153,28 @@ def test_ccw_quad_order_square():
     assert ccw_quad_order(SQUARE, (0, 1, 2, 3)) == (0, 1, 2, 3)
     # same quad handed over in any order normalizes identically
     assert ccw_quad_order(SQUARE, (3, 1, 0, 2)) == (0, 1, 2, 3)
+
+
+# a small grid makes repeated x, collinear triples and repeated points common
+grid = st.integers(min_value=-3, max_value=3)
+small_sets = st.integers(min_value=1, max_value=5).flatmap(
+    lambda n: st.lists(st.builds(Point, grid, grid), min_size=2 * n,
+                       max_size=2 * n)
+)
+
+
+@settings(max_examples=200)
+@given(small_sets)
+@example([Point(0, 0), Point(1, 1), Point(2, 2), Point(0, 5)])
+@example([Point(1, 0), Point(1, 2), Point(1, 2), Point(3, 1)])
+def test_side_masks_agree_with_orient(pts):
+    ps = PointSet(tuple(pts))
+    pos, on = side_masks(ps)
+    anchors = [(a, b) for a in range(len(pts)) for b in range(a + 1, len(pts))]
+    for r, p in enumerate(pts):
+        assert pos[r] >> len(anchors) == 0 and on[r] >> len(anchors) == 0
+        for k, (a, b) in enumerate(anchors):
+            sign = orient(pts[a], pts[b], p)
+            assert (pos[r] >> k & 1, on[r] >> k & 1) == (sign > 0, sign == 0)
+        # every anchor pair holding r puts r on its line
+        assert all(on[r] >> k & 1 for k, pair in enumerate(anchors) if r in pair)

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crossflip import (
     Strategy,
@@ -14,6 +16,8 @@ from crossflip import (
 from crossflip.io import (
     InstanceFormatError,
     TraceFormatError,
+    instance_from_json_dict,
+    instance_to_json_dict,
     load_instance,
     read_trace,
     records_from_rows,
@@ -69,6 +73,66 @@ def test_load_rejects_bad_documents(tmp_path):
         mutate(doc)
         with pytest.raises(InstanceFormatError, match=pattern):
             load_instance(_write(tmp_path, doc))
+
+
+SQUARE_DOC = {
+    "points": [[0, 0], [2, 0], [2, 2], [0, 2]],
+    "matching": [[0, 2], [1, 3]],
+}
+
+
+@pytest.mark.parametrize("points", [
+    [[0.7, 0], [2, 0], [2, 2], [0, 2]],
+    [[0, 0], [2.0, 0], [2, 2], [0, 2]],
+    [[True, 9], [2, 0], [2, 2], [0, 2]],
+    [[0, 0], [2, 0], [2, 2], [0, False]],
+    [["0", 0], [2, 0], [2, 2], [0, 2]],
+    [[0, 0], [2, 0], [2, None], [0, 2]],
+])
+def test_load_rejects_non_integer_coordinates(points):
+    with pytest.raises(InstanceFormatError, match="integers"):
+        instance_from_json_dict(dict(SQUARE_DOC, points=points))
+
+
+@pytest.mark.parametrize("matching", [
+    [["0", 2], [1, 3]],
+    [[0, 2.0], [1, 3]],
+    [[0, 2], [True, 3]],
+    [[0, 2], [1, None]],
+])
+def test_load_rejects_non_integer_indices(matching):
+    with pytest.raises(InstanceFormatError, match="integers"):
+        instance_from_json_dict(dict(SQUARE_DOC, matching=matching))
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-8, 8) | st.integers()
+    | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=6)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=30,
+)
+pair_lists = st.lists(
+    st.lists(st.integers(-3, 12) | json_values, min_size=1, max_size=3),
+    max_size=8,
+)
+instance_docs = (
+    json_values
+    | st.fixed_dictionaries(
+        {"points": pair_lists, "matching": pair_lists},
+        optional={"provenance": json_values, "notes": json_values},
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(instance_docs)
+def test_instance_loader_fuzz_raises_only_format_errors(doc):
+    try:
+        inst = instance_from_json_dict(doc)
+    except InstanceFormatError:
+        return
+    assert instance_from_json_dict(instance_to_json_dict(inst)) == inst
 
 
 def test_load_rejects_invalid_json(tmp_path):

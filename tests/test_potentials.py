@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +10,7 @@ from crossflip import (
     Matching,
     PerturbedLine,
     PointSet,
+    PotentialInvariantError,
     Side,
     apply_flip,
     classify_line_vs_quad,
@@ -24,7 +27,13 @@ from crossflip import (
 )
 from crossflip.search import enumerate_all_matchings, greedy_choice
 
-from oracles import phi_lines_rational_offset, phi_vertical_rank_formula
+from oracles import (
+    phi_lines_rational_offset,
+    phi_vertical_rank_formula,
+    reference_decrement_audit,
+    reference_phi_lines,
+    reference_phi_vertical,
+)
 
 SQUARE = PointSet.from_coords([(0, 0), (2, 0), (2, 2), (0, 2)])
 DIAGONALS = Matching.from_pairs([(0, 2), (1, 3)])
@@ -206,3 +215,74 @@ def test_phi_lines_bound_exhaustive_tiny():
         inst = gen_random(3, seed=seed, bbox=(0, 200))
         for m in enumerate_all_matchings(inst.points, cap=3):
             assert phi_lines(inst.points, m) <= phi_lines_bound_sharp(3)
+
+
+def _reference_corpus():
+    """Seeded random flips for n = 2..10: (ps, m, crossing, choice) for
+    every crossing of every visited matching, until non-crossing."""
+    rng = random.Random(0xB175)
+    for n in range(2, 11):
+        for k in range(3):
+            inst = gen_random(n, seed=1000 * n + k, bbox=(0, 512))
+            ps = shear_to_distinct_x(inst.points)
+            order = list(range(2 * n))
+            rng.shuffle(order)
+            m = Matching.from_pairs(
+                [(order[2 * i], order[2 * i + 1]) for i in range(n)]
+            )
+            crossings = find_crossings(ps, m)
+            while crossings:
+                picked = rng.choice(crossings)
+                for crossing in crossings:
+                    for choice in FlipChoice:
+                        yield ps, m, crossing, choice
+                m = apply_flip(ps, m, picked, rng.choice(list(FlipChoice)))
+                crossings = find_crossings(ps, m)
+            yield ps, m, None, None
+
+
+def test_potentials_match_reference_loops():
+    """The bitmask kernel against the per-line loops it replaced: every
+    DecrementAudit field, per-line detail on a sample, phi_lines and the
+    gap-line phi_vertical."""
+    audits = details = 0
+    for ps, m, crossing, choice in _reference_corpus():
+        assert phi_lines(ps, m) == reference_phi_lines(ps, m)
+        assert phi_vertical(ps, m) == reference_phi_vertical(ps, m)
+        if crossing is None:
+            continue
+        detail = audits % 13 == 0
+        got = decrement_audit(ps, m, crossing, choice, detail=detail)
+        want = reference_decrement_audit(ps, m, crossing, choice, detail=detail)
+        assert got == want
+        assert list(got.line_type_counts) == list(want.line_type_counts)
+        audits += 1
+        details += detail
+    assert audits > 500 and details > 40
+
+
+def test_gained_line_is_fatal(monkeypatch):
+    # "flipping" two sides of the square into its diagonals: the lowest line,
+    # 0-1 pushed toward the square, misses both sides and meets both diagonals
+    monkeypatch.setattr(
+        "crossflip.potentials.reconnection_pairs",
+        lambda *args, **kwargs: DIAGONALS.pairs,
+    )
+    with pytest.raises(PotentialInvariantError,
+                       match=r"line 0-1/plus gained intersections"):
+        decrement_audit(SQUARE, SIDES, SIDES.pairs, FlipChoice.RECONNECT_A)
+
+
+def test_diagonal_split_is_fatal(monkeypatch):
+    # point 3 lies inside triangle 0, 1, 2; its "ccw order" is (0, 1, 3, 2)
+    # and the line through 1 and 2 separates {0, 3} from {1, 2}
+    ps = PointSet.from_coords([(0, 0), (10, 0), (5, 9), (5, 3)])
+    m = Matching.from_pairs([(0, 2), (1, 3)])
+    monkeypatch.setattr(
+        "crossflip.potentials.convex_position_ccw", lambda ps, order: True
+    )
+    pattern = r"line 1-2/plus splits quad \(0, 1, 3, 2\) along its diagonals"
+    with pytest.raises(PotentialInvariantError, match=pattern):
+        decrement_audit(ps, m, m.pairs, FlipChoice.RECONNECT_A)
+    with pytest.raises(PotentialInvariantError, match=pattern):
+        classify_line_vs_quad(ps, PerturbedLine(0, 1, Side.PLUS), (0, 1, 2, 3))
