@@ -140,8 +140,6 @@ def cmd_run(args) -> int:
         strategy = parse_strategy(args.strategy)
     except ValueError as exc:
         raise CliError(EXIT_INPUT, str(exc)) from exc
-    if args.respond != "greedy-x":
-        raise CliError(EXIT_INPUT, "the only supported responder is greedy-x")
     restrict = FlipChoice(args.restrict_choice) if args.restrict_choice else None
     try:
         trace = run_strategy(
@@ -396,8 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--strategy", required=True,
                        help="greedy-x | bubble | first | random[:seed] | "
                             "adversary:{random,first,max-damage}[:seed]")
-    p_run.add_argument("--respond", default="greedy-x",
-                       help="responder for adversary strategies")
     p_run.add_argument("--max-steps", type=int, default=None)
     p_run.add_argument("--with-phi-l", action="store_true",
                        help="also track the line potential per step")

@@ -1,7 +1,7 @@
 """Instance builders: the two worst-case families and seeded random instances.
 
-Every generator certifies its output. General position is validated after
-construction, the two-line family additionally re-verifies that segment
+Every generator certifies its output. General position is validated once,
+by ``Instance``; the two-line family additionally re-verifies that segment
 crossings coincide with permutation inversions, and the convex family
 re-verifies strict convexity. A generator that cannot certify raises
 GenerationError instead of returning a doubtful instance.
@@ -17,6 +17,7 @@ from itertools import combinations
 from .geometry import (
     Point,
     PointSet,
+    first_collinear_pair,
     orient,
     seg,
     segments_properly_cross,
@@ -94,50 +95,36 @@ def two_line_permutation(m: Matching, n: int) -> list[int] | None:
     return pi
 
 
-def _verify_two_line_crossings(ps: PointSet, n: int) -> None:
-    # Every bottom-to-top segment pair must cross exactly when the bottom
-    # order and top order disagree; bubble-style strategies rely on this for
-    # every matching reachable on these points, not just the initial one.
-    # The quadruple scan is O(n^4); past n = 24 fall back to spot checks on
-    # all pairs through consecutive bottom points.
-    bottoms = range(n) if n <= 24 else []
-    for i, j in combinations(bottoms, 2):
+def inversion_law_violation(ps: PointSet, n: int) -> tuple[int, ...] | None:
+    """The first (i, j, k, l), i < j, k != l, such that segments (i, n+k)
+    and (j, n+l) cross although k < l or miss although k > l; None when the
+    crossings obey this inversion law, as bubble-style strategies need for
+    every matching on these points. O(n^4) over all bottom pairs i < j; past
+    n = 24 only over j = i + 1, the pairs a bubble step flips."""
+    bottoms = combinations(range(n), 2) if n <= 24 else zip(range(n - 1), range(1, n))
+    for i, j in bottoms:
         for k in range(n):
             for l in range(n):
-                if k == l:
-                    continue
-                got = segments_properly_cross(ps, seg(i, n + k), seg(j, n + l))
-                if got != (k > l):
-                    raise GenerationError(
-                        f"two-line geometry broke the inversion law for "
-                        f"bottoms ({i}, {j}) tops ({k}, {l})"
-                    )
-    if n > 24:
-        for i in range(n - 1):
-            for k in range(n):
-                for l in range(n):
-                    if k == l:
-                        continue
-                    got = segments_properly_cross(
-                        ps, seg(i, n + k), seg(i + 1, n + l)
-                    )
-                    if got != (k > l):
-                        raise GenerationError(
-                            f"two-line geometry broke the inversion law for "
-                            f"bottoms ({i}, {i + 1}) tops ({k}, {l})"
-                        )
+                if k != l and segments_properly_cross(
+                    ps, seg(i, n + k), seg(j, n + l)
+                ) != (k > l):
+                    return (i, j, k, l)
+    return None
 
 
 def gen_two_line(perm) -> Instance:
     """Two near-horizontal rows of n points, matched by a permutation.
 
-    Bottom point i sits at (4n*i, i^2), top point j at (4n*j + 1, D - j^2)
-    with D = 32n^2: the rows are opposite shallow parabolic arcs, so no three
-    points within a row are ever collinear, and the row separation dwarfs the
-    arc heights so cross-row collinearity cannot occur either. The +1 stagger
-    on the top row keeps all 2n x-coordinates pairwise distinct. The matching
-    crosses exactly at the permutation's inversions, which is re-verified
-    here rather than assumed.
+    Bottom point i sits at (s*i, i^2), top point j at (s*j + 1, D - j^2)
+    with s = 4n, D = 32n^2; the +1 stagger keeps all x distinct. No three
+    points are collinear, so ``Instance`` never rejects the set: within a
+    row they lie on a strictly convex (bottom) or concave (top) parabola,
+    which a line meets at most twice; the line through two bottom points has
+    slope (i+k)/s in [0, 1/2), so on the set's x-range [0, s*n] it stays
+    under (n-1)^2 + 2n^2 < 31n^2 < every top y, and mirrored, the line
+    through two top points stays over every bottom y. The matching crosses
+    exactly at the permutation's inversions, which is re-verified here
+    rather than assumed.
     """
     pi = _check_permutation(perm)
     n = len(pi)
@@ -151,10 +138,9 @@ def gen_two_line(perm) -> Instance:
         ps = PointSet.from_coords(coords)
     except ValueError as exc:
         raise GenerationError(f"two-line n={n}: {exc}") from exc
-    violation = validate_general_position(ps)
+    violation = inversion_law_violation(ps, n)
     if violation is not None:
-        raise GenerationError(f"two-line n={n} degenerate at {violation}")
-    _verify_two_line_crossings(ps, n)
+        raise GenerationError(f"two-line n={n} breaks the inversion law at {violation}")
     matching = Matching.from_pairs([(i, n + pi[i]) for i in range(n)])
     return Instance(ps, matching, f"two-line(perm={list(pi)})")
 
@@ -166,8 +152,8 @@ def gen_convex(n: int) -> Instance:
     Points sit counterclockwise on a radius-2^16 circle, snapped to the
     integer grid, with a fixed rotation so that x-coordinates come out
     pairwise distinct (mirror-symmetric angles would collide). Snapping can
-    in principle create degeneracies, so the construction validates and
-    retries with deterministic angle nudges.
+    in principle create degeneracies, so the construction retries with
+    deterministic angle nudges whenever ``Instance`` rejects the points.
 
     The matching pairs point 0 with point n, and point i with point 2n - i
     for 0 < i < n: one long chord crossed by n - 1 mutually nested chords.
@@ -176,7 +162,7 @@ def gen_convex(n: int) -> Instance:
         raise ValueError("need n >= 1")
     m = 2 * n
     radius = 2**16
-    last_violation = None
+    matching = Matching.from_pairs([(0, n)] + [(i, 2 * n - i) for i in range(1, n)])
     for attempt in range(64):
         coords = []
         for k in range(m):
@@ -185,8 +171,10 @@ def gen_convex(n: int) -> Instance:
                 (round(radius * math.cos(theta)), round(radius * math.sin(theta)))
             )
         ps = PointSet.from_coords(coords)
-        last_violation = validate_general_position(ps)
-        if last_violation is not None:
+        try:
+            inst = Instance(ps, matching, f"convex(n={n})")
+        except ValueError as exc:
+            last_violation = exc
             continue
         if not ps.has_distinct_x():
             last_violation = "duplicate x-coordinates"
@@ -196,8 +184,7 @@ def gen_convex(n: int) -> Instance:
         ):
             last_violation = "not strictly convex"
             continue
-        pairs = [(0, n)] + [(i, 2 * n - i) for i in range(1, n)]
-        return Instance(ps, Matching.from_pairs(pairs), f"convex(n={n})")
+        return inst
     raise GenerationError(
         f"convex n={n}: no valid snap after 64 nudges (last: {last_violation})"
     )
@@ -228,12 +215,7 @@ def gen_random(n: int, seed: int, bbox: tuple[int, int] = (0, 512)) -> Instance:
             )
         draws += 1
         cand = Point(rng.randint(lo, hi), rng.randint(lo, hi))
-        if cand in pts:
-            continue
-        if any(
-            orient(pts[i], pts[j], cand) == 0
-            for i, j in combinations(range(len(pts)), 2)
-        ):
+        if cand in pts or first_collinear_pair(cand, pts) is not None:
             continue
         pts.append(cand)
     order = list(range(2 * n))

@@ -8,8 +8,9 @@ tuning and no inconsistent answer anywhere downstream.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 #: Coordinate budget. With |x|, |y| <= 2**20 every 3x3 orientation
 #: determinant is bounded by 8 * 2**40 < 2**63, so the predicates stay exact
@@ -130,24 +131,45 @@ def segments_properly_cross(ps: PointSet, s: Segment, t: Segment) -> bool:
     )
 
 
+def direction(p: Point, q: Point) -> tuple[int, int]:
+    """(q - p) over the gcd of its components for q != p, signed so its first
+    nonzero component is positive: r and s have equal directions from p
+    exactly when orient(p, r, s) == 0."""
+    dx, dy = q.x - p.x, q.y - p.y
+    g = math.gcd(dx, dy) if (dx, dy) > (0, 0) else -math.gcd(dx, dy)
+    return (dx // g, dy // g)
+
+
+def _first_repeat(keys: Iterable) -> tuple[int, int] | None:
+    """The lexicographically first index pair (j, k), j < k, of equal keys."""
+    first: dict = {}
+    best = None
+    for k, key in enumerate(keys):
+        j = first.setdefault(key, k)
+        if j != k and (best is None or j < best[0]):
+            best = (j, k)  # later repeats of this key only raise k
+    return best
+
+
+def first_collinear_pair(p: Point, others: Sequence[Point]) -> tuple[int, int] | None:
+    """The lexicographically first index pair (j, k), j < k, of points in
+    ``others`` (none equal to p) collinear with p; O(len(others))."""
+    return _first_repeat(direction(p, q) for q in others)
+
+
 def validate_general_position(ps: PointSet) -> tuple[int, ...] | None:
     """None when all points are distinct and no three are collinear.
 
     Otherwise the first offending index pair (duplicate points) or triple
     (collinear points), scanning index combinations in lexicographic order.
-    Duplicates are reported before collinearities.
+    Duplicates are reported before collinearities. O(m^2) for m points.
     """
     pts = ps.points
-    m = len(pts)
-    for i in range(m):
-        for j in range(i + 1, m):
-            if pts[i] == pts[j]:
-                return (i, j)
-    for i in range(m):
-        for j in range(i + 1, m):
-            for k in range(j + 1, m):
-                if orient(pts[i], pts[j], pts[k]) == 0:
-                    return (i, j, k)
+    if (dup := _first_repeat(pts)) is not None:
+        return dup
+    for i, p in enumerate(pts):
+        if (pair := first_collinear_pair(p, pts[i + 1:])) is not None:
+            return (i, i + 1 + pair[0], i + 1 + pair[1])
     return None
 
 

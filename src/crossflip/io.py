@@ -176,7 +176,12 @@ class TraceRow:
     phi_k_after: int | None
 
 
+def _opt_int(text: str) -> int | None:
+    return int(text) if text else None
+
+
 def read_trace(path) -> list[TraceRow]:
+    """Parse a trace CSV; every malformed file raises TraceFormatError."""
     rows = []
     try:
         with open(path, newline="") as fh:
@@ -186,18 +191,19 @@ def read_trace(path) -> list[TraceRow]:
                     f"unexpected columns {reader.fieldnames}"
                 )
             for raw in reader:
-                step = int(raw["step"])
+                # DictReader pads a short row with None values and files the
+                # surplus of a long one under the key None
+                step = len(rows)
+                if None in raw or None in raw.values() or raw["step"] != str(step):
+                    raise TraceFormatError(
+                        f"line {reader.line_num} is not step {step} with "
+                        f"{len(TRACE_COLUMNS)} fields"
+                    )
                 if step == 0:
                     removed = added = choice = None
                 else:
-                    removed = (
-                        _parse_seg(raw["removed_1"]),
-                        _parse_seg(raw["removed_2"]),
-                    )
-                    added = (
-                        _parse_seg(raw["added_1"]),
-                        _parse_seg(raw["added_2"]),
-                    )
+                    r1, r2, a1, a2 = (_parse_seg(raw[c]) for c in TRACE_COLUMNS[1:5])
+                    removed, added = (r1, r2), (a1, a2)
                     choice = FlipChoice(raw["choice"])
                 rows.append(
                     TraceRow(
@@ -205,24 +211,17 @@ def read_trace(path) -> list[TraceRow]:
                         removed=removed,
                         added=added,
                         choice=choice,
-                        crossings_after=(
-                            int(raw["crossings_after"])
-                            if raw["crossings_after"] else None
-                        ),
+                        crossings_after=_opt_int(raw["crossings_after"]),
                         length_after=float(raw["length_after"]),
-                        phi_l_after=(
-                            int(raw["phi_l_after"]) if raw["phi_l_after"] else None
-                        ),
-                        phi_k_after=(
-                            int(raw["phi_k_after"]) if raw["phi_k_after"] else None
-                        ),
+                        phi_l_after=_opt_int(raw["phi_l_after"]),
+                        phi_k_after=_opt_int(raw["phi_k_after"]),
                     )
                 )
-    except (OSError, ValueError) as exc:
-        if isinstance(exc, TraceFormatError):
-            raise
+    except TraceFormatError:
+        raise
+    except (OSError, ValueError, csv.Error) as exc:
         raise TraceFormatError(f"{path}: {exc}") from exc
-    if not rows or rows[0].step != 0:
+    if not rows:
         raise TraceFormatError("trace must start with pseudo-step 0")
     return rows
 

@@ -31,7 +31,7 @@ import random
 import time
 from dataclasses import dataclass
 
-from .generators import Instance, two_line_permutation
+from .generators import Instance, inversion_law_violation, two_line_permutation
 from .geometry import PointSet, seg, segments_properly_cross
 from .matching import (
     CrossingPair,
@@ -593,9 +593,9 @@ def run_strategy(
             "x-greedy reconnection needs pairwise distinct x; apply "
             "shear_to_distinct_x first"
         )
-    if strategy.kind == "bubble" and not inst.provenance.startswith("two-line"):
+    if strategy.kind == "bubble" and (bad := inversion_law_violation(ps, n)):
         raise StrategyNotApplicableError(
-            "the bubble strategy only applies to two-line instances"
+            f"the bubble strategy needs the two-line inversion law, broken at {bad}"
         )
     if restrict_choice is not None and strategy.kind not in ("random", "first"):
         raise StrategyNotApplicableError(

@@ -13,17 +13,24 @@ the adjusted-sign rule. ``reference_phi_lines`` and
 table that the bitmask kernel of ``crossflip.potentials`` replaced, and
 ``reference_phi_vertical`` the gap-line count it replaced;
 ``phi_vertical_rank_formula`` is now the library's own formula.
+``reference_general_position`` and ``reference_random_instance`` are the
+``orient`` triple loop and rejection sampler that the direction-vector test
+of ``crossflip.geometry`` replaced.
 """
 
+import random
 from collections import deque
 from fractions import Fraction
+from itertools import combinations
 
 from crossflip import (
     DecrementAudit,
     FlipChoice,
+    GenerationError,
     LineType,
     Matching,
     PerturbedLine,
+    Point,
     PointSet,
     PotentialInvariantError,
     Side,
@@ -308,3 +315,51 @@ def run_random_flips(ps, m, rng, pick_choice=None):
         crossings = find_crossings(ps, m)
         steps += 1
     return steps
+
+
+def reference_general_position(ps: PointSet) -> tuple[int, ...] | None:
+    """``validate_general_position`` by scanning every index pair for
+    duplicates, then every index triple for ``orient == 0``, both in
+    lexicographic order: O(m^3)."""
+    pts = ps.points
+    m = len(pts)
+    for i in range(m):
+        for j in range(i + 1, m):
+            if pts[i] == pts[j]:
+                return (i, j)
+    for i in range(m):
+        for j in range(i + 1, m):
+            for k in range(j + 1, m):
+                if orient(pts[i], pts[j], pts[k]) == 0:
+                    return (i, j, k)
+    return None
+
+
+def reference_random_instance(n: int, seed: int, bbox=(0, 512)):
+    """``gen_random``'s points and matching pairs, drawn the same way but
+    rejecting a candidate by ``orient`` over every pair of accepted points:
+    O(n^2) per draw."""
+    lo, hi = bbox
+    rng = random.Random(seed)
+    pts: list[Point] = []
+    budget = 4000 * n
+    draws = 0
+    while len(pts) < 2 * n:
+        if draws >= budget:
+            raise GenerationError(
+                f"rejection budget exhausted after {draws} draws; bbox {bbox} "
+                f"too small for {2 * n} points in general position"
+            )
+        draws += 1
+        cand = Point(rng.randint(lo, hi), rng.randint(lo, hi))
+        if cand in pts:
+            continue
+        if any(
+            orient(pts[i], pts[j], cand) == 0
+            for i, j in combinations(range(len(pts)), 2)
+        ):
+            continue
+        pts.append(cand)
+    order = list(range(2 * n))
+    rng.shuffle(order)
+    return tuple(pts), [(order[2 * i], order[2 * i + 1]) for i in range(n)]

@@ -64,7 +64,7 @@ def fuzz_corpus(target=FUZZ_TARGET):
 
     Yields ("start", ps, matching) at every fresh start matching and
     ("flip", ps, m, crossing, choice, m2, record, crossings_after) per flip.
-    Criteria that share the corpus each replay the identical stream.
+    Criteria 1 to 4 share one walk of it, the ``fuzz_stats`` fixture.
     """
     rng = random.Random(CORPUS_SEED)
     gen_seed = 0
@@ -97,13 +97,15 @@ def fuzz_corpus(target=FUZZ_TARGET):
 
 
 @pytest.fixture(scope="module")
-def phi_fuzz_stats():
-    """One audited pass over the shared corpus, for criteria 2, 3 and 4.
+def fuzz_stats():
+    """One pass over the shared corpus for criteria 1 to 4: each flip gets
+    criterion 1's soundness checks and an audit for criteria 2, 3 and 4.
 
     decrement_audit raises PotentialInvariantError if any single perturbed
     line gains intersections, so finishing the pass is itself the per-line
-    half of criterion 2.
+    half of criterion 2. ``elapsed`` times the whole pass.
     """
+    started = time.perf_counter()
     stats = {
         "flips": 0,
         "max_delta_l": -10**9,
@@ -119,7 +121,11 @@ def phi_fuzz_stats():
             phi_l_now = phi_lines(ps, m)
             stats["phi_l_bound_ok"] &= phi_l_now <= phi_lines_bound(n)
             continue
-        _, ps, m, crossing, choice, m2, rec, _after = event
+        _, ps, m, crossing, choice, m2, rec, after_count = event
+        endpoints = sorted(i for pair in m2.pairs for i in pair)
+        assert endpoints == list(range(2 * m2.size))
+        assert not segments_properly_cross(ps, rec.added[0], rec.added[1])
+        assert rec.length_after < rec.length_before * (1 + 1e-9)
         audit = decrement_audit(
             ps, m, crossing, choice, phi_l_before=phi_l_now
         )
@@ -133,47 +139,37 @@ def phi_fuzz_stats():
         stats["phi_l_bound_ok"] &= phi_l_now <= phi_lines_bound(n)
         stats["flips"] += 1
         if stats["flips"] % SPOT_CHECK_EVERY == 0:
+            assert after_count == len(find_crossings(ps, m2))
             assert phi_l_now == phi_lines(ps, m2)
+    stats["elapsed"] = time.perf_counter() - started
     return stats
 
 
-def test_c01_flip_soundness_fuzz():
+def test_c01_flip_soundness_fuzz(fuzz_stats):
     """Criterion 1: 1e5 random flips keep perfect matchings, non-crossing
-    reconnections, and strictly decreasing length, in under 60 s."""
-    started = time.perf_counter()
-    flips = 0
-    for event in fuzz_corpus():
-        if event[0] != "flip":
-            continue
-        _, ps, _m, _crossing, _choice, m2, rec, after_count = event
-        endpoints = sorted(i for pair in m2.pairs for i in pair)
-        assert endpoints == list(range(2 * m2.size))
-        assert not segments_properly_cross(ps, rec.added[0], rec.added[1])
-        assert rec.length_after < rec.length_before * (1 + 1e-9)
-        flips += 1
-        if flips % SPOT_CHECK_EVERY == 0:
-            assert after_count == len(find_crossings(ps, m2))
-    elapsed = time.perf_counter() - started
+    reconnections, and strictly decreasing length, in under 60 s (the
+    shared pass, audits included)."""
+    flips, elapsed = fuzz_stats["flips"], fuzz_stats["elapsed"]
     print(f"criterion 1: {flips} flips sound in {elapsed:.1f}s")
     assert flips >= 100_000
     assert elapsed < 60.0
 
 
-def test_c02_phi_lines_decrement(phi_fuzz_stats):
+def test_c02_phi_lines_decrement(fuzz_stats):
     """Criterion 2: every fuzz flip drops the line potential by >= 4 and no
     single perturbed line gains intersections (exact integers)."""
-    assert phi_fuzz_stats["flips"] >= 100_000
-    assert phi_fuzz_stats["max_delta_l"] <= -4
+    assert fuzz_stats["flips"] >= 100_000
+    assert fuzz_stats["max_delta_l"] <= -4
     print(
-        f"criterion 2: {phi_fuzz_stats['flips']} audited flips, "
-        f"max delta_phi_l = {phi_fuzz_stats['max_delta_l']}"
+        f"criterion 2: {fuzz_stats['flips']} audited flips, "
+        f"max delta_phi_l = {fuzz_stats['max_delta_l']}"
     )
 
 
-def test_c03_phi_lines_bound(phi_fuzz_stats):
+def test_c03_phi_lines_bound(fuzz_stats):
     """Criterion 3: phi_lines <= 4n^3 for every matching of 20 enumerated
     n<=4 point sets and at every fuzz state."""
-    assert phi_fuzz_stats["phi_l_bound_ok"]
+    assert fuzz_stats["phi_l_bound_ok"]
     sets_checked = 0
     for seed in range(18):
         inst = gen_random(4, seed=1000 + seed, bbox=(0, 400))
@@ -190,10 +186,10 @@ def test_c03_phi_lines_bound(phi_fuzz_stats):
     print(f"criterion 3: bound holds on {sets_checked} exhaustive point sets + fuzz")
 
 
-def test_c04_phi_vertical_decrement(phi_fuzz_stats):
+def test_c04_phi_vertical_decrement(fuzz_stats):
     """Criterion 4: arbitrary flips never raise the vertical potential, and
     every x-greedy step (chosen or adversary-imposed) drops it by >= 2."""
-    assert phi_fuzz_stats["max_delta_k"] <= 0
+    assert fuzz_stats["max_delta_k"] <= 0
     greedy_steps = 0
     rng = random.Random(4242)
     for run in range(120):
@@ -215,7 +211,7 @@ def test_c04_phi_vertical_decrement(phi_fuzz_stats):
             greedy_steps += 1
     print(
         f"criterion 4: max arbitrary delta_phi_k = "
-        f"{phi_fuzz_stats['max_delta_k']}, {greedy_steps} greedy/adversary "
+        f"{fuzz_stats['max_delta_k']}, {greedy_steps} greedy/adversary "
         f"steps all <= -2"
     )
 

@@ -69,7 +69,7 @@ def test_run_greedy_on_convex(convex4, tmp_path, capsys):
 def test_run_adversary_rows_keep_decrement(rev5, tmp_path):
     out = tmp_path / "adv.csv"
     assert run_cli("run", rev5, "--strategy", "adversary:random",
-                   "--respond", "greedy-x", "-o", out) == 0
+                   "-o", out) == 0
     rows = read_trace(out)
     for prev, row in zip(rows, rows[1:]):
         assert row.phi_k_after - prev.phi_k_after <= -2
@@ -191,6 +191,24 @@ def test_audit_rejects_string_index_with_exit_2(tmp_path):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert "integers" in proc.stderr
+
+
+def test_render_truncated_trace_row_exits_2(tmp_path):
+    inst = tmp_path / "rev3.json"
+    assert run_cli("gen", "two-line", "--perm", "2,1,0", "-o", inst) == 0
+    trace = tmp_path / "bad.csv"
+    trace.write_text(",".join(crossflip.io.TRACE_COLUMNS) + "\n1,0-1\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(crossflip.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from crossflip.cli import main; sys.exit(main(sys.argv[1:]))",
+         "render", str(inst), "--trace", str(trace), "--frame", "0",
+         "-o", str(tmp_path / "f.svg")],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "invalid trace" in proc.stderr
 
 
 def test_audit_needs_crossings(tmp_path):

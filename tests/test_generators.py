@@ -20,6 +20,8 @@ from crossflip import (
     validate_general_position,
 )
 
+from oracles import reference_random_instance
+
 
 def test_identity_is_noncrossing():
     inst = gen_two_line(identity_perm(3))
@@ -127,3 +129,26 @@ def test_instance_rejects_degenerate_points():
     ps = PointSet.from_coords([(0, 0), (1, 1), (2, 2), (5, 0)])
     with pytest.raises(ValueError, match="collinear"):
         Instance(ps, Matching.from_pairs([(0, 1), (2, 3)]), "test")
+
+
+# tight boxes reject often: (0, 8) holds at most 18 points with no three
+# collinear, and at n = 7 seeds 0 and 7 exhaust the rejection budget
+@pytest.mark.parametrize(
+    "bbox, sizes",
+    [((0, 1), (1, 2)), ((0, 8), (1, 2, 3, 4, 5, 6, 7)),
+     ((0, 20), (2, 5, 8, 10, 14)), ((-5, 5), (3, 6, 7)),
+     ((0, 100), (4, 12)), ((0, 512), (3, 16))],
+)
+def test_random_matches_reference_sampler(bbox, sizes):
+    for n in sizes:
+        for seed in range(12):
+            try:
+                pts, pairs = reference_random_instance(n, seed, bbox)
+            except GenerationError as expected:
+                with pytest.raises(GenerationError) as got:
+                    gen_random(n, seed=seed, bbox=bbox)
+                assert str(got.value) == str(expected)
+                continue
+            inst = gen_random(n, seed=seed, bbox=bbox)
+            assert inst.points.points == pts
+            assert inst.matching == Matching.from_pairs(pairs)

@@ -16,6 +16,8 @@ from crossflip import (
 )
 from crossflip.geometry import side_masks
 
+from oracles import reference_general_position
+
 SQUARE = PointSet.from_coords([(0, 0), (2, 0), (2, 2), (0, 2)])
 # the six-point set behind the reappearing-segment script, scaled to integers
 FIG_SIX = PointSet.from_coords(
@@ -178,3 +180,16 @@ def test_side_masks_agree_with_orient(pts):
             assert (pos[r] >> k & 1, on[r] >> k & 1) == (sign > 0, sign == 0)
         # every anchor pair holding r puts r on its line
         assert all(on[r] >> k & 1 for k, pair in enumerate(anchors) if r in pair)
+
+
+@settings(max_examples=300)
+@given(small_sets)
+# duplicate pairs (1, 2) and (0, 3): the lexicographically first is (0, 3)
+@example([Point(0, 0), Point(1, 1), Point(1, 1), Point(0, 0)])
+# triples (0, 1, 4) and (0, 2, 3) through point 0, found in the other order
+@example([Point(0, 0), Point(1, 0), Point(0, 1), Point(0, 2), Point(2, 0),
+          Point(3, 3)])
+@example([Point(0, 0), Point(1, 1), Point(2, 2), Point(0, 5)])
+def test_general_position_matches_triple_loop(pts):
+    ps = PointSet(tuple(pts))
+    assert validate_general_position(ps) == reference_general_position(ps)

@@ -14,6 +14,7 @@ from crossflip import (
     run_strategy,
 )
 from crossflip.io import (
+    TRACE_COLUMNS,
     InstanceFormatError,
     TraceFormatError,
     instance_from_json_dict,
@@ -179,6 +180,42 @@ def test_read_trace_rejects_wrong_columns(tmp_path):
     path.write_text("a,b\n1,2\n")
     with pytest.raises(TraceFormatError):
         read_trace(path)
+
+
+def test_read_trace_rejects_short_long_and_misnumbered_rows(tmp_path):
+    header = ",".join(TRACE_COLUMNS) + "\n"
+    row0 = "0,,,,,,3,10.0,,\n"
+    path = tmp_path / "bad.csv"
+    for body in ("1,0-1\n", row0 + "1,0-1\n", row0 + row0.strip() + ",x\n",
+                 row0 + row0, row0 + "2,0-2,1-3,0-1,2-3,A,0,5.0,,\n", "\0\n"):
+        path.write_text(header + body)
+        with pytest.raises(TraceFormatError):
+            read_trace(path)
+
+
+trace_fields = st.sampled_from(
+    ["", "0", "1", "2", "-1", "0-1", "2-3", "1-1", "0-2-3", "A", "B", "C",
+     "1.5", "nan", "x", '"', "\0"]
+) | st.text(max_size=4)
+trace_texts = st.text(max_size=80) | st.builds(
+    lambda rows: ",".join(TRACE_COLUMNS) + "\n"
+    + "".join(",".join(row) + "\n" for row in rows),
+    st.lists(st.lists(trace_fields, max_size=12), max_size=4),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(trace_texts)
+def test_trace_loader_fuzz_raises_only_format_errors(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "fuzz.trace.csv"
+    path.write_text(text, encoding="utf-8", errors="surrogatepass")
+    try:
+        rows = read_trace(path)
+    except TraceFormatError:
+        return
+    assert [row.step for row in rows] == list(range(len(rows)))
+    records = records_from_rows(rows)
+    assert all(rec.crossing is not None for rec in records)
 
 
 def test_write_report(tmp_path):

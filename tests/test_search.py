@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -236,6 +237,19 @@ def test_bubble_reverse_terminates_in_inversion_count():
 def test_bubble_refuses_other_instances():
     with pytest.raises(StrategyNotApplicableError):
         run_strategy(gen_convex(3), Strategy("bubble"))
+
+
+def test_bubble_is_gated_on_geometry_not_provenance():
+    inst = dataclasses.replace(gen_two_line(reverse_perm(4)), provenance="loaded")
+    trace = run_strategy(inst, Strategy("bubble"))
+    assert trace.complete and len(trace) == 6
+
+
+@pytest.mark.parametrize("seed", [13, 15, 31, 33, 36])
+def test_bubble_refuses_random_points_labelled_two_line(seed):
+    inst = dataclasses.replace(gen_random(3, seed=seed), provenance="two-line")
+    with pytest.raises(StrategyNotApplicableError, match="inversion law"):
+        run_strategy(inst, Strategy("bubble"))
 
 
 def test_greedy_needs_distinct_x():
