@@ -25,11 +25,13 @@ from .io import (
     InstanceFormatError,
     TraceFormatError,
     load_instance,
+    read_trace,
+    records_from_rows,
     save_instance,
     write_report,
     write_trace,
 )
-from .matching import FlipChoice, find_crossings
+from .matching import FlipChoice, ReplayError, find_crossings
 from .potentials import (
     PotentialInvariantError,
     decrement_audit,
@@ -40,7 +42,7 @@ from .potentials import (
     phi_vertical_bound,
     phi_vertical_bound_gaps,
 )
-from .render import instance_svg, trace_frame_svg
+from .render import instance_svg, iter_frames, trace_frame_svg
 from .search import (
     EnumerationCapExceeded,
     FlipGraphCycleError,
@@ -82,11 +84,14 @@ def _parse_ints(text: str) -> list[int]:
 
 
 def _limits(args) -> SearchLimits:
-    return SearchLimits(
-        max_states=args.max_states,
-        max_depth=args.max_depth,
-        time_budget=args.time_budget,
-    )
+    try:
+        return SearchLimits(
+            max_states=args.max_states,
+            max_depth=args.max_depth,
+            time_budget=args.time_budget,
+        )
+    except ValueError as exc:
+        raise CliError(EXIT_INPUT, f"invalid search limits: {exc}") from exc
 
 
 def _add_limit_flags(parser) -> None:
@@ -111,18 +116,6 @@ def cmd_gen(args) -> int:
     save_instance(inst, args.out)
     print(f"wrote {args.out}: {inst.provenance}, 2n={len(inst.points)}")
     return EXIT_OK
-
-
-def _phi_stats(records, attr_before: str, attr_after: str):
-    deltas = []
-    for rec in records:
-        before = getattr(rec, attr_before)
-        after = getattr(rec, attr_after)
-        if before is not None and after is not None:
-            deltas.append(after - before)
-    if not deltas:
-        return None
-    return min(deltas), sum(deltas) / len(deltas)
 
 
 def cmd_run(args) -> int:
@@ -156,12 +149,13 @@ def cmd_run(args) -> int:
     write_trace(inst, trace, out)
     final_crossings = len(find_crossings(inst.points, trace.final))
     parts = [f"steps={len(trace)}", f"final_crossings={final_crossings}"]
-    k_stats = _phi_stats(trace.records, "phi_k_before", "phi_k_after")
-    if k_stats:
-        parts.append(f"dphi_k_min={k_stats[0]} dphi_k_mean={k_stats[1]:.2f}")
-    l_stats = _phi_stats(trace.records, "phi_l_before", "phi_l_after")
-    if l_stats:
-        parts.append(f"dphi_l_min={l_stats[0]} dphi_l_mean={l_stats[1]:.2f}")
+    for phi in ("phi_k", "phi_l"):
+        deltas = [getattr(rec, f"{phi}_after") - getattr(rec, f"{phi}_before")
+                  for rec in trace.records
+                  if getattr(rec, f"{phi}_after") is not None]
+        if deltas:
+            parts.append(f"d{phi}_min={min(deltas)} "
+                         f"d{phi}_mean={sum(deltas) / len(deltas):.2f}")
     parts.append(f"trace={out}")
     print(" ".join(parts))
     if not trace.complete:
@@ -184,20 +178,15 @@ def cmd_search(args) -> int:
     code = EXIT_OK
     stats: dict = {}
     try:
-        if args.which in ("f", "both"):
-            value, trace = longest_flip_sequence(inst, limits, stats_out=stats)
-            report["f"] = value
-            report["states_expanded"] += stats.get("states_expanded", 0)
-            path = out.with_suffix(".f.trace.csv")
+        for which, solve in (("f", longest_flip_sequence),
+                             ("h", shortest_flip_sequence)):
+            if args.which not in (which, "both"):
+                continue
+            report[which], trace = solve(inst, limits, stats_out=stats)
+            report["states_expanded"] += stats["states_expanded"]
+            path = out.with_suffix(f".{which}.trace.csv")
             write_trace(inst, trace, path)
-            report["witness_trace"]["f"] = str(path)
-        if args.which in ("h", "both"):
-            value, trace = shortest_flip_sequence(inst, limits, stats_out=stats)
-            report["h"] = value
-            report["states_expanded"] += stats.get("states_expanded", 0)
-            path = out.with_suffix(".h.trace.csv")
-            write_trace(inst, trace, path)
-            report["witness_trace"]["h"] = str(path)
+            report["witness_trace"][which] = str(path)
         if args.extremal:
             est = extremal_estimates(
                 inst.points, limits, cap=args.enum_cap,
@@ -205,7 +194,7 @@ def cmd_search(args) -> int:
             )
             report["g_hat"] = est.g_hat
             report["k_hat"] = est.k_hat
-            report["states_expanded"] = est.states_expanded
+            report["states_expanded"] += est.states_expanded
             for tag, trace in (("g_hat", est.g_witness), ("k_hat", est.k_witness)):
                 path = out.with_suffix(f".{tag}.trace.csv")
                 witness_inst = Instance(
@@ -215,7 +204,8 @@ def cmd_search(args) -> int:
                 report["witness_trace"][tag] = str(path)
     except SearchLimitsExceeded as exc:
         report["limits_hit"] = True
-        report["states_expanded"] = exc.states_expanded
+        # the partial count of the call that hit the limit
+        report["states_expanded"] += exc.states_expanded
         if exc.best_bound is not None:
             report["best_lower_bound"] = exc.best_bound
         print(f"limits hit: {exc}", file=sys.stderr)
@@ -341,27 +331,26 @@ def cmd_render(args) -> int:
         print(f"wrote {out}")
         return EXIT_OK
     try:
-        from .io import read_trace, records_from_rows
-
         records = records_from_rows(read_trace(args.trace))
-    except TraceFormatError as exc:
+        if args.frame is not None:
+            svg = trace_frame_svg(inst, records, args.frame)
+        else:
+            frames = iter_frames(inst, records)
+    except (TraceFormatError, ReplayError) as exc:
         raise CliError(EXIT_INPUT, f"invalid trace: {exc}") from exc
+    except ValueError as exc:  # the frame number is out of range
+        raise CliError(EXIT_INPUT, str(exc)) from exc
     if args.frame is not None:
         out = Path(args.out) if args.out else Path(args.trace).with_suffix(
             f".frame{args.frame}.svg"
         )
-        try:
-            out.write_text(trace_frame_svg(inst, records, args.frame))
-        except ValueError as exc:
-            raise CliError(EXIT_INPUT, str(exc)) from exc
+        out.write_text(svg)
         print(f"wrote {out}")
         return EXIT_OK
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for k in range(len(records) + 1):
-        (out_dir / f"frame_{k:03d}.svg").write_text(
-            trace_frame_svg(inst, records, k)
-        )
+    for k, svg in enumerate(frames):
+        (out_dir / f"frame_{k:03d}.svg").write_text(svg)
     print(f"wrote {len(records) + 1} frames to {out_dir}")
     return EXIT_OK
 

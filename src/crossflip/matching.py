@@ -272,22 +272,28 @@ def trace_from_moves(
     )
 
 
-def replay(ps: PointSet, initial: Matching, records) -> Matching:
-    """Re-apply recorded flips in order; the result must equal the trace's
-    final matching for any trace this package wrote.
+def replay_states(ps: PointSet, initial: Matching, records) -> list[Matching]:
+    """Re-apply recorded flips in order: the initial matching, then the
+    matching after each flip.
 
     Raises ReplayError naming the first step whose crossing is absent, does
     not cross, or whose recorded reconnection does not match its choice.
     """
-    m = initial
+    states = [initial]
     for i, rec in enumerate(records):
         try:
-            new, added = _flipped(ps, m, rec.crossing, rec.choice)
+            new, added = _flipped(ps, states[-1], rec.crossing, rec.choice)
         except FlipError as exc:
             raise ReplayError(i, str(exc)) from exc
         if added != rec.added:
             raise ReplayError(
                 i, f"recorded segments {rec.added} differ from reconnection {added}"
             )
-        m = new
-    return m
+        states.append(new)
+    return states
+
+
+def replay(ps: PointSet, initial: Matching, records) -> Matching:
+    """The matching a checked ``replay_states`` ends at; it must equal the
+    trace's final matching for any trace this package wrote."""
+    return replay_states(ps, initial, records)[-1]

@@ -9,7 +9,8 @@ least 4 under every flip, giving the cubic cap on the longest run.
 lines separating consecutive points in x-order. It never increases under any
 flip and drops by at least 2 when the reconnection pairs the two x-leftmost
 endpoints together (the x-greedy choice), giving the quadratic cap on the
-shortest run.
+shortest run. Both it and its change under a flip (``phi_vertical_delta``,
+from the four endpoints alone) read the one x-order, ``x_ranks``.
 
 Perturbed lines are bits of one int per point. With K = C(2n, 2) anchor
 pairs numbered in lexicographic order (``geometry.side_masks``), the line
@@ -112,12 +113,12 @@ def _lowest_line(ps: PointSet, mask: int) -> PerturbedLine:
 
 @functools.lru_cache(maxsize=32)
 def x_ranks(ps: PointSet) -> tuple[int, ...]:
-    """Rank of each point in x-sorted order; requires pairwise distinct x."""
-    xs = [p.x for p in ps]
-    if len(set(xs)) != len(xs):
+    """Rank of each point in x-sorted order, the package's one x-order;
+    requires pairwise distinct x."""
+    if not ps.has_distinct_x():
         raise ValueError("duplicate x-coordinates; shear_to_distinct_x first")
-    ranks = [0] * len(xs)
-    for r, i in enumerate(sorted(range(len(xs)), key=xs.__getitem__)):
+    ranks = [0] * len(ps)
+    for r, i in enumerate(sorted(range(len(ps)), key=lambda i: ps[i].x)):
         ranks[i] = r
     return tuple(ranks)
 
@@ -165,12 +166,18 @@ def phi_vertical(ps: PointSet, m: Matching) -> int:
     Equivalently this is the sum over segments of |xrank(a) - xrank(b)|,
     which is how it is computed. Requires pairwise distinct x-coordinates.
     """
-    return _rank_spans(ps, m.pairs)
+    return _rank_spans(x_ranks(ps), m.pairs)
 
 
-def _rank_spans(ps: PointSet, segments) -> int:
-    ranks = x_ranks(ps)
+def _rank_spans(ranks, segments) -> int:
     return sum(abs(ranks[u] - ranks[v]) for u, v in segments)
+
+
+def phi_vertical_delta(ranks, removed, added) -> int:
+    """The change of ``phi_vertical`` when a flip replaces the segments
+    ``removed`` by ``added``: their rank spans under ``ranks = x_ranks(ps)``,
+    read off the four endpoints alone."""
+    return _rank_spans(ranks, added) - _rank_spans(ranks, removed)
 
 
 def phi_vertical_bound(n: int) -> int:
@@ -336,7 +343,7 @@ def decrement_audit(
         phi_l_before = phi_lines(ps, m)
 
     if ps.has_distinct_x():
-        delta_k = _rank_spans(ps, added) - _rank_spans(ps, crossing)
+        delta_k = phi_vertical_delta(x_ranks(ps), crossing, added)
         phi_k_before = phi_vertical(ps, m)
         phi_k_after = phi_k_before + delta_k
     else:

@@ -9,7 +9,7 @@ flipped so pictures match the usual mathematical orientation.
 from __future__ import annotations
 
 from .generators import Instance
-from .matching import FlipTrace, Matching, apply_flip, find_crossings
+from .matching import FlipTrace, Matching, find_crossings, replay_states
 
 CANVAS = 640
 MARGIN = 40
@@ -83,33 +83,34 @@ def instance_svg(inst: Instance) -> str:
 
 
 def trace_states(inst: Instance, records) -> list[Matching]:
-    """The matchings a trace visits, starting from the instance matching."""
-    states = [inst.matching]
-    m = inst.matching
-    for rec in records:
-        m = apply_flip(inst.points, m, rec.crossing, rec.choice)
-        states.append(m)
-    return states
+    """The matchings a trace visits, starting from the instance matching,
+    through ``replay_states``'s checks: a bad step raises ReplayError."""
+    return replay_states(inst.points, inst.matching, records)
+
+
+def _frame_svg(inst: Instance, records, states, frame: int) -> str:
+    dashed = set(records[frame].crossing) if frame < len(records) else set()
+    caption = f"{inst.provenance}  [step {frame}/{len(records)}]"
+    return matching_svg(inst.points, states[frame], dashed, caption)
 
 
 def trace_frame_svg(inst: Instance, records, frame: int) -> str:
     """Frame k shows the matching after k flips; the segments the next flip
     removes are dashed."""
-    states = trace_states(inst, records)
-    if not 0 <= frame < len(states):
+    if not 0 <= frame <= len(records):
         raise ValueError(
-            f"frame {frame} out of range; trace has {len(states)} frames"
+            f"frame {frame} out of range; trace has {len(records) + 1} frames"
         )
-    dashed = (
-        set(records[frame].crossing) if frame < len(records) else set()
-    )
-    caption = f"{inst.provenance}  [step {frame}/{len(records)}]"
-    return matching_svg(inst.points, states[frame], dashed, caption)
+    return _frame_svg(inst, records, trace_states(inst, records), frame)
+
+
+def iter_frames(inst: Instance, records):
+    """Every frame of a trace, from one checked replay done before this
+    returns, so a bad trace raises ReplayError before the first frame."""
+    states = trace_states(inst, records)
+    return (_frame_svg(inst, records, states, k) for k in range(len(states)))
 
 
 def trace_frames(inst: Instance, trace: FlipTrace) -> list[str]:
     """All frames of a trace, from the initial matching to the final one."""
-    return [
-        trace_frame_svg(inst, trace.records, k)
-        for k in range(len(trace.records) + 1)
-    ]
+    return list(iter_frames(inst, trace.records))

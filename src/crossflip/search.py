@@ -48,7 +48,7 @@ from .matching import (
     reconnection_pairs,
     trace_from_moves,
 )
-from .potentials import phi_lines, phi_vertical, x_ranks
+from .potentials import phi_lines, phi_vertical, phi_vertical_delta, x_ranks
 
 
 class FlipGraphCycleError(RuntimeError):
@@ -502,30 +502,29 @@ def parse_strategy(text: str) -> Strategy:
     return Strategy(kind, seed=seed)
 
 
+#: why x-greedy moves are refused: phi_vertical is undefined when x repeats
+_NEEDS_DISTINCT_X = ("x-greedy reconnection needs pairwise distinct x; apply "
+                     "shear_to_distinct_x first")
+
+
+def _greedy_pairs(ranks, crossing: CrossingPair) -> tuple:
+    """The segments pairing the crossing's two x-leftmost endpoints and its
+    two x-rightmost, under ``ranks = x_ranks(ps)``."""
+    (a, b), (c, d) = crossing
+    q = sorted((a, b, c, d), key=ranks.__getitem__)
+    return seg(q[0], q[1]), seg(q[2], q[3])
+
+
 def greedy_choice(ps: PointSet, crossing: CrossingPair) -> FlipChoice:
     """The choice pairing the two x-leftmost endpoints together and the two
-    x-rightmost together.
+    x-rightmost together; refused when any two points of ps share an x.
 
     The crossing segments interleave in x, so this pairing is never the pair
     being removed; it is always one of the two reconnections.
     """
-    (a, b), (c, d) = crossing
-    quad = sorted((a, b, c, d), key=lambda i: ps[i].x)
-    if len({ps[i].x for i in quad}) != 4:
-        raise StrategyNotApplicableError(
-            "x-greedy reconnection needs distinct x among the four endpoints"
-        )
-    target = (seg(quad[0], quad[1]), seg(quad[2], quad[3]))
-    return choice_yielding(ps, crossing, target)
-
-
-def _middle_gap(ps: PointSet, crossing: CrossingPair) -> int:
-    """Number of x-gaps strictly between the 2nd and 3rd endpoint in x-order;
-    the greedy flip lowers the vertical potential by exactly twice this."""
-    ranks = x_ranks(ps)
-    (a, b), (c, d) = crossing
-    r = sorted(ranks[i] for i in (a, b, c, d))
-    return r[2] - r[1]
+    if not ps.has_distinct_x():
+        raise StrategyNotApplicableError(_NEEDS_DISTINCT_X)
+    return choice_yielding(ps, crossing, _greedy_pairs(x_ranks(ps), crossing))
 
 
 def _bubble_move(ps, inst, m):
@@ -544,30 +543,26 @@ def _bubble_move(ps, inst, m):
     raise StrategyNotApplicableError("no adjacent inversion left, yet crossings remain")
 
 
-def _pick(strategy, ps, inst, m, crossings, rng, restrict_choice):
-    if strategy.kind == "greedy-x":
-        crossing = crossings[0]
-        return crossing, greedy_choice(ps, crossing)
+def _pick(strategy, ps, ranks, inst, m, crossings, rng, restrict_choice):
     if strategy.kind == "first":
         return crossings[0], restrict_choice or FlipChoice.RECONNECT_A
     if strategy.kind == "random":
         crossing = rng.choice(crossings)
-        choice = restrict_choice or rng.choice(
-            (FlipChoice.RECONNECT_A, FlipChoice.RECONNECT_B)
-        )
-        return crossing, choice
+        return crossing, restrict_choice or rng.choice(tuple(FlipChoice))
     if strategy.kind == "bubble":
         return _bubble_move(ps, inst, m)
-    # adversary imposes the crossing, the response is always x-greedy
+    # greedy-x, or an adversary imposing the crossing; the response is
+    # always x-greedy
     if strategy.adversary == "random":
         crossing = rng.choice(crossings)
-    elif strategy.adversary == "first":
-        crossing = crossings[0]
+    elif strategy.adversary == "max-damage":
+        # the smallest phi_vertical drop the greedy response can make; max
+        # takes the canonically first crossing on ties
+        crossing = max(crossings, key=lambda c: phi_vertical_delta(
+            ranks, c, _greedy_pairs(ranks, c)))
     else:
-        # max-damage: leave the smallest guaranteed potential drop; min takes
-        # the canonically first crossing on ties
-        crossing = min(crossings, key=lambda c: _middle_gap(ps, c))
-    return crossing, greedy_choice(ps, crossing)
+        crossing = crossings[0]
+    return crossing, choice_yielding(ps, crossing, _greedy_pairs(ranks, crossing))
 
 
 def run_strategy(
@@ -588,11 +583,11 @@ def run_strategy(
     n = inst.n
     if max_steps is None:
         max_steps = 4 * n**3  # comfortably above any possible run length
-    if strategy.kind in ("greedy-x", "adversary") and not ps.has_distinct_x():
-        raise StrategyNotApplicableError(
-            "x-greedy reconnection needs pairwise distinct x; apply "
-            "shear_to_distinct_x first"
-        )
+    # the run's one x-order, read by phi_vertical and every x-greedy move;
+    # None when x repeats
+    ranks = x_ranks(ps) if ps.has_distinct_x() else None
+    if strategy.kind in ("greedy-x", "adversary") and not ranks:
+        raise StrategyNotApplicableError(_NEEDS_DISTINCT_X)
     if strategy.kind == "bubble" and (bad := inversion_law_violation(ps, n)):
         raise StrategyNotApplicableError(
             f"the bubble strategy needs the two-line inversion law, broken at {bad}"
@@ -603,33 +598,31 @@ def run_strategy(
             "other strategies own their reconnection choice"
         )
     rng = random.Random(strategy.seed)
-    track_k = ps.has_distinct_x()
 
     m = inst.matching
     crossings = find_crossings(ps, m)
     records = []
-    phi_k_now = phi_vertical(ps, m) if track_k else None
-    phi_l_now = phi_lines(ps, m) if with_phi_lines else None
+    phi_k = phi_vertical(ps, m) if ranks else None
+    phi_l = phi_lines(ps, m) if with_phi_lines else None
     while crossings and len(records) < max_steps:
         crossing, choice = _pick(
-            strategy, ps, inst, m, crossings, rng, restrict_choice
+            strategy, ps, ranks, inst, m, crossings, rng, restrict_choice
         )
-        m2, rec = flip(ps, m, crossing, choice)
-        crossings = crossings_after_flip(ps, m2, crossings, crossing, rec.added)
-        phi_k_after = phi_vertical(ps, m2) if track_k else None
-        phi_l_after = phi_lines(ps, m2) if with_phi_lines else None
-        rec = dataclasses.replace(
+        m, rec = flip(ps, m, crossing, choice)
+        crossings = crossings_after_flip(ps, m, crossings, crossing, rec.added)
+        phi_k_before, phi_l_before = phi_k, phi_l
+        if ranks:
+            phi_k += phi_vertical_delta(ranks, crossing, rec.added)
+        if with_phi_lines:
+            phi_l = phi_lines(ps, m)
+        records.append(dataclasses.replace(
             rec,
             crossings_after=len(crossings),
-            phi_k_before=phi_k_now,
-            phi_k_after=phi_k_after,
-            phi_l_before=phi_l_now,
-            phi_l_after=phi_l_after,
-        )
-        records.append(rec)
-        m = m2
-        phi_k_now = phi_k_after
-        phi_l_now = phi_l_after
+            phi_k_before=phi_k_before,
+            phi_k_after=phi_k,
+            phi_l_before=phi_l_before,
+            phi_l_after=phi_l,
+        ))
     return FlipTrace(
         inst.provenance, inst.matching, tuple(records), m,
         complete=not crossings,

@@ -15,7 +15,10 @@ table that the bitmask kernel of ``crossflip.potentials`` replaced, and
 ``phi_vertical_rank_formula`` is now the library's own formula.
 ``reference_general_position`` and ``reference_random_instance`` are the
 ``orient`` triple loop and rejection sampler that the direction-vector test
-of ``crossflip.geometry`` replaced.
+of ``crossflip.geometry`` replaced. ``reference_middle_gap`` and
+``reference_greedy_choice`` are the max-damage key and the raw-x sort of the
+x-greedy choice that the one rank table and the one Delta phi_K formula of
+``crossflip.search`` replaced.
 """
 
 import random
@@ -34,12 +37,15 @@ from crossflip import (
     PointSet,
     PotentialInvariantError,
     Side,
+    StrategyNotApplicableError,
     apply_flip,
     ccw_quad_order,
+    choice_yielding,
     find_crossings,
     is_noncrossing,
     orient,
     reconnection_pairs,
+    seg,
     segments_properly_cross,
 )
 from crossflip.geometry import convex_position_ccw
@@ -164,6 +170,28 @@ def phi_vertical_rank_formula(ps: PointSet, m: Matching) -> int:
     computes ``phi_vertical`` by, so no independent check of it."""
     rank = _gap_ranks(ps)
     return sum(abs(rank[a] - rank[b]) for a, b in m.pairs)
+
+
+def reference_middle_gap(ps: PointSet, crossing, rank=None) -> int:
+    """Number of x-gaps strictly between the crossing's 2nd and 3rd endpoint
+    in x-order; the x-greedy flip lowers phi_vertical by twice this.
+    ``rank`` is ``_gap_ranks(ps)`` if the caller has it."""
+    rank = rank or _gap_ranks(ps)
+    r = sorted(rank[i] for s in crossing for i in s)
+    return r[2] - r[1]
+
+
+def reference_greedy_choice(ps: PointSet, crossing) -> FlipChoice:
+    """The x-greedy choice by sorting the four endpoints on raw x; refused
+    only when those four repeat an x."""
+    (a, b), (c, d) = crossing
+    quad = sorted((a, b, c, d), key=lambda i: ps[i].x)
+    if len({ps[i].x for i in quad}) != 4:
+        raise StrategyNotApplicableError(
+            "x-greedy reconnection needs distinct x among the four endpoints"
+        )
+    target = (seg(quad[0], quad[1]), seg(quad[2], quad[3]))
+    return choice_yielding(ps, crossing, target)
 
 
 def reference_phi_vertical(ps: PointSet, m: Matching) -> int:

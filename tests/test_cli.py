@@ -297,3 +297,102 @@ def test_sweep_invariant_errors_are_fatal(tmp_path, error):
     assert proc.returncode != 0
     assert error in proc.stderr
     assert not (tmp_path / "sweep.csv").exists()
+
+
+def _cli_process(*argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(crossflip.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from crossflip.cli import main; sys.exit(main(sys.argv[1:]))",
+         *map(str, argv)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
+@pytest.mark.parametrize("command", ["search", "sweep"])
+@pytest.mark.parametrize("flag,value", [("--max-states", 0), ("--max-depth", 0),
+                                        ("--time-budget", -1)])
+def test_nonpositive_limit_flag_exits_2(rev5, tmp_path, command, flag, value):
+    if command == "search":
+        argv = ["search", rev5, "-o", tmp_path / "r.json"]
+    else:
+        argv = ["sweep", "--family", "convex", "--n-min", 2, "--n-max", 2,
+                "--out-dir", tmp_path / "sw"]
+    proc = _cli_process(*argv, flag, value)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "search limits" in proc.stderr
+
+
+def _tampered_trace(tmp_path, edit):
+    """A bubble trace of rev3 written by ``run``, with ``edit`` applied to
+    its rows (the header and step 0 are rows[0] and rows[1])."""
+    inst = tmp_path / "rev3.json"
+    assert run_cli("gen", "two-line", "--perm", "2,1,0", "-o", inst) == 0
+    trace = tmp_path / "t.csv"
+    assert run_cli("run", inst, "--strategy", "bubble", "-o", trace) == 0
+    with open(trace, newline="") as fh:
+        rows = list(csv.reader(fh))
+    edit(rows)
+    with open(trace, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    return inst, trace
+
+
+def _stale_second_flip(rows):
+    # step 2 repeats the crossing step 1 has already removed
+    rows[3][1:] = rows[2][1:]
+
+
+def _other_choice_same_segments(rows):
+    # step 1 records its reconnection under the other choice
+    col = rows[0].index("choice")
+    rows[2][col] = "A" if rows[2][col] == "B" else "B"
+
+
+@pytest.mark.parametrize("edit,bad_record", [(_stale_second_flip, 1),
+                                             (_other_choice_same_segments, 0)])
+@pytest.mark.parametrize("mode", ["frames", "frame"])
+def test_render_invalid_trace_exits_2_before_any_frame(tmp_path, edit,
+                                                       bad_record, mode):
+    inst, trace = _tampered_trace(tmp_path, edit)
+    out = tmp_path / "frames"
+    if mode == "frames":
+        proc = _cli_process("render", inst, "--trace", trace, "--out-dir", out)
+    else:
+        proc = _cli_process("render", inst, "--trace", trace, "--frame", 0,
+                            "-o", out)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert f"invalid trace: step {bad_record}:" in proc.stderr
+    assert not out.exists()
+
+
+def test_search_states_expanded_sums_every_search(tmp_path, rev5):
+    """The report counts the f, h and extremal searches together, and a
+    limit hit adds the partial count of the call that hit it."""
+    inst_path = tmp_path / "r4.json"
+    assert run_cli("gen", "random", "--n", 4, "--seed", 3, "-o", inst_path) == 0
+    inst = load_instance(inst_path)
+    stats_f, stats_h = {}, {}
+    crossflip.longest_flip_sequence(inst, stats_out=stats_f)
+    crossflip.shortest_flip_sequence(inst, stats_out=stats_h)
+    est = crossflip.extremal_estimates(inst.points, cap=4)
+    want = (stats_f["states_expanded"] + stats_h["states_expanded"]
+            + est.states_expanded)
+    report = tmp_path / "r4.report.json"
+    assert run_cli("search", inst_path, "--which", "both", "--extremal",
+                   "--enum-cap", 4, "-o", report) == 0
+    assert json.loads(report.read_text())["states_expanded"] == want == 110
+
+    inst = load_instance(rev5)
+    limits = crossflip.SearchLimits(max_states=500)
+    crossflip.shortest_flip_sequence(inst, limits, stats_out=stats_h)
+    with pytest.raises(crossflip.SearchLimitsExceeded) as hit:
+        crossflip.extremal_estimates(inst.points, limits)
+    want = stats_h["states_expanded"] + hit.value.states_expanded
+    report = tmp_path / "rev5.report.json"
+    assert run_cli("search", rev5, "--which", "h", "--extremal",
+                   "--max-states", 500, "-o", report) == 4
+    doc = json.loads(report.read_text())
+    assert doc["limits_hit"] and doc["states_expanded"] == want == 522
