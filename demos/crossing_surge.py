@@ -8,7 +8,7 @@ termination measure, which is what the potential functions are for.
 
 from pathlib import Path
 
-from crossflip import decrement_audit, find_crossings, flip, phi_lines
+from crossflip import apply_flip, decrement_audit, find_crossings, phi_lines
 from crossflip.render import matching_svg
 from crossflip.scenarios import crossing_surge_instance, crossing_surge_move
 
@@ -20,10 +20,10 @@ def main():
 
     before = find_crossings(ps, inst.matching)
     print(f"before: {len(before)} crossing(s): {before}")
-    m2, rec = flip(ps, inst.matching, crossing, choice, count_crossings=True)
+    m2 = apply_flip(ps, inst.matching, crossing, choice)
     after = find_crossings(ps, m2)
     print(f"after flipping {crossing} with choice {choice.value}: "
-          f"{rec.crossings_after} crossings")
+          f"{len(after)} crossings")
     for pair in after:
         print(f"  {pair}")
 

@@ -83,6 +83,13 @@ def _parse_ints(text: str) -> list[int]:
         raise CliError(EXIT_INPUT, f"expected comma-separated integers: {text!r}")
 
 
+def count(text: str) -> int:
+    """The argparse type of a count flag, which exits 2 unless it is >= 0."""
+    if (value := int(text)) < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _limits(args) -> SearchLimits:
     try:
         return SearchLimits(
@@ -383,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--strategy", required=True,
                        help="greedy-x | bubble | first | random[:seed] | "
                             "adversary:{random,first,max-damage}[:seed]")
-    p_run.add_argument("--max-steps", type=int, default=None)
+    p_run.add_argument("--max-steps", type=count, default=None)
     p_run.add_argument("--with-phi-l", action="store_true",
                        help="also track the line potential per step")
     p_run.add_argument("--shear", action="store_true",
@@ -398,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--which", choices=["f", "h", "both"], default="both")
     p_search.add_argument("--extremal", action="store_true",
                           help="also maximize over every matching of the point set")
-    p_search.add_argument("--enum-cap", type=int, default=5)
+    p_search.add_argument("--enum-cap", type=count, default=5)
     p_search.add_argument("--out", "-o", default=None)
     _add_limit_flags(p_search)
     p_search.set_defaults(func=cmd_search)
@@ -410,9 +417,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--n-max", type=int, default=6)
     p_sweep.add_argument("--seeds", default="0,1,2",
                          help="comma-separated seeds (random family)")
-    p_sweep.add_argument("--exact-cap", type=int, default=5,
+    p_sweep.add_argument("--exact-cap", type=count, default=5,
                          help="largest n for exact longest/shortest search")
-    p_sweep.add_argument("--enum-cap", type=int, default=4,
+    p_sweep.add_argument("--enum-cap", type=count, default=4,
                          help="largest n for whole-enumeration maxima")
     p_sweep.add_argument("--out-dir", default="sweep-out")
     _add_limit_flags(p_sweep)

@@ -9,16 +9,10 @@ it strictly decreases across every flip, but it never drives control flow.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
-from .geometry import (
-    PointSet,
-    Segment,
-    ccw_quad_order,
-    seg,
-    segments_properly_cross,
-)
+from .geometry import PointSet, Segment, orient, seg, segments_properly_cross
 
 #: Two crossing segments in canonical order (lexicographically smaller first).
 CrossingPair = tuple[Segment, Segment]
@@ -79,10 +73,10 @@ class Matching:
 class FlipChoice(Enum):
     """The two reconnections of a crossing's four endpoints.
 
-    With the endpoints labeled q1..q4 counterclockwise starting from the
-    lowest point index, choice A pairs (q1,q2) with (q3,q4) and choice B
-    pairs (q2,q3) with (q4,q1). Both are opposite sides of the convex
-    quadrilateral, hence never cross each other.
+    With a the lowest endpoint index, b its partner and x the endpoint with
+    orient(a, x, b) > 0, (a, x, b, y) is the convex quad in ccw order.
+    Choice A pairs (a,x) with (b,y) and choice B (x,b) with (y,a): opposite
+    sides of the quad, hence never crossing each other.
     """
 
     RECONNECT_A = "A"
@@ -142,27 +136,31 @@ def total_length(ps: PointSet, m: Matching) -> float:
     return total
 
 
+def reconnections(
+    ps: PointSet, crossing: CrossingPair
+) -> tuple[tuple[Segment, Segment], tuple[Segment, Segment]]:
+    """The sorted segment pairs a flip of ``crossing`` adds under choices A
+    and B, from one orientation test (see ``FlipChoice``)."""
+    (a, b), (x, y) = sorted(map(sorted, crossing))  # a is the lowest endpoint
+    if orient(ps[a], ps[x], ps[b]) < 0:
+        x, y = y, x
+    return ((a, x), seg(b, y)), ((a, y), seg(b, x))
+
+
 def reconnection_pairs(
-    ps: PointSet, crossing: CrossingPair, choice: FlipChoice, order=None
+    ps: PointSet, crossing: CrossingPair, choice: FlipChoice
 ) -> tuple[Segment, Segment]:
-    """The two segments a flip of ``crossing`` adds under ``choice``;
-    ``order`` is the crossing's ``ccw_quad_order`` if the caller has it."""
-    (a, b), (c, d) = crossing
-    q1, q2, q3, q4 = order or ccw_quad_order(ps, (a, b, c, d))
-    if choice is FlipChoice.RECONNECT_A:
-        e1, e2 = seg(q1, q2), seg(q3, q4)
-    else:
-        e1, e2 = seg(q2, q3), seg(q4, q1)
-    return (e1, e2) if e1 < e2 else (e2, e1)
+    """The two segments a flip of ``crossing`` adds under ``choice``."""
+    return reconnections(ps, crossing)[choice is FlipChoice.RECONNECT_B]
 
 
 def choice_yielding(
     ps: PointSet, crossing: CrossingPair, target: tuple[Segment, Segment]
 ) -> FlipChoice:
     """The choice whose reconnection equals ``target`` (as an unordered pair)."""
-    want = frozenset(seg(a, b) for a, b in target)
-    for choice in FlipChoice:
-        if frozenset(reconnection_pairs(ps, crossing, choice)) == want:
+    want = sorted(seg(a, b) for a, b in target)
+    for choice, added in zip(FlipChoice, reconnections(ps, crossing)):
+        if list(added) == want:
             return choice
     raise ValueError(f"{target} is not a reconnection of {crossing}")
 
@@ -205,12 +203,13 @@ class FlipTrace:
         return len(self.records)
 
 
-def _check_live(ps: PointSet, m: Matching, crossing: CrossingPair) -> None:
+def check_live(ps: PointSet, m: Matching, crossing: CrossingPair) -> None:
+    """Raise FlipError unless ``crossing`` is a live proper crossing of m."""
     e1, e2 = crossing
     present = set(m.pairs)
     if e1 not in present or e2 not in present:
         raise FlipError(f"crossing {crossing} is not part of the matching")
-    if not segments_properly_cross(ps, e1, e2):
+    if e1 == e2 or not segments_properly_cross(ps, e1, e2):
         raise FlipError(f"segments {e1} and {e2} do not cross")
 
 
@@ -219,7 +218,7 @@ def _flipped(
 ) -> tuple[Matching, tuple[Segment, Segment]]:
     """The one flip primitive: the successor matching and the two segments
     the flip adds. Raises FlipError for a stale or corrupt crossing."""
-    _check_live(ps, m, crossing)
+    check_live(ps, m, crossing)
     added = reconnection_pairs(ps, crossing, choice)
     e1, e2 = crossing
     return Matching(tuple(sorted(
@@ -235,11 +234,7 @@ def apply_flip(
 
 
 def flip(
-    ps: PointSet,
-    m: Matching,
-    crossing: CrossingPair,
-    choice: FlipChoice,
-    count_crossings: bool = False,
+    ps: PointSet, m: Matching, crossing: CrossingPair, choice: FlipChoice
 ) -> tuple[Matching, FlipRecord]:
     """Apply one flip and record it.
 
@@ -253,7 +248,6 @@ def flip(
         added=added,
         length_before=total_length(ps, m),
         length_after=total_length(ps, new),
-        crossings_after=len(find_crossings(ps, new)) if count_crossings else None,
     )
     return new, record
 
@@ -263,13 +257,14 @@ def trace_from_moves(
 ) -> FlipTrace:
     """Build a trace by applying scripted (crossing, choice) moves in order."""
     m = initial
+    crossings = find_crossings(ps, m)
     records = []
     for crossing, choice in moves:
-        m, rec = flip(ps, m, crossing, choice, count_crossings=True)
-        records.append(rec)
-    return FlipTrace(
-        instance_id, initial, tuple(records), m, complete=is_noncrossing(ps, m)
-    )
+        m, rec = flip(ps, m, crossing, choice)
+        crossings = crossings_after_flip(ps, m, crossings, crossing, rec.added)
+        records.append(replace(rec, crossings_after=len(crossings)))
+    return FlipTrace(instance_id, initial, tuple(records), m,
+                     complete=not crossings)
 
 
 def replay_states(ps: PointSet, initial: Matching, records) -> list[Matching]:

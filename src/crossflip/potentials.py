@@ -42,6 +42,7 @@ from .matching import (
     CrossingPair,
     FlipChoice,
     Matching,
+    check_live,
     reconnection_pairs,
 )
 
@@ -190,9 +191,9 @@ def phi_vertical_bound_gaps(n: int) -> int:
     return (2 * n - 1) * n
 
 
-def _quad_line_types(ps: PointSet, quad):
-    """The ccw order q0..q3 of a convex quad and, per LineType, the mask of
-    the lines of that type.
+def _quad_line_types(ps: PointSet, quad) -> dict[LineType, int]:
+    """Per LineType, the mask of the lines of that type against a convex
+    quad, whose ccw order is q0..q3.
 
     With x01 the lines separating q0 from q1 and so on around the quad, L1
     lines are in x12 and x30, L2 lines in x01 and x23, and L3 lines in two
@@ -213,7 +214,7 @@ def _quad_line_types(ps: PointSet, quad):
             "diagonals"
         )
     l1, l2, hit = x12 & x30, x01 & x23, x01 | x12 | x23 | x30
-    return order, {
+    return {
         LineType.L1: l1,
         LineType.L2: l2,
         LineType.L3: hit & ~(l1 | l2),
@@ -234,7 +235,7 @@ def classify_line_vs_quad(
     ``quad`` is any ordering of the four endpoint indices; they must be in
     convex position (always true for a genuine crossing).
     """
-    _order, types = _quad_line_types(ps, quad)
+    types = _quad_line_types(ps, quad)
     return _type_of(types, _lines_by_bit(ps).index(line))
 
 
@@ -306,15 +307,17 @@ def decrement_audit(
 ) -> DecrementAudit:
     """Account for a hypothetical flip without mutating anything.
 
-    For every perturbed line, the crossing count restricted to the two
-    segments the flip changes is compared before/after; any increase raises
-    PotentialInvariantError naming the lowest such line. ``phi_l_before``
-    may be passed by callers that track the potential incrementally, saving
-    the full recount.
+    Raises FlipError, as ``flip`` does, when ``crossing`` is not a live
+    proper crossing of ``m``. For every perturbed line, the crossing count
+    restricted to the two segments the flip changes is compared
+    before/after; any increase raises PotentialInvariantError naming the
+    lowest such line. ``phi_l_before`` may be passed by callers that track
+    the potential incrementally, saving the full recount.
     """
+    check_live(ps, m, crossing)
     e1, e2 = crossing
-    order, types = _quad_line_types(ps, (*e1, *e2))
-    added = reconnection_pairs(ps, crossing, choice, order)
+    types = _quad_line_types(ps, (*e1, *e2))
+    added = reconnection_pairs(ps, crossing, choice)
     masks = _line_masks(ps)
     b1, b2, a1, a2 = (masks[u] ^ masks[v] for u, v in (e1, e2, *added))
     gained = ((a1 | a2) & ~(b1 | b2)) | (a1 & a2 & ~(b1 & b2))

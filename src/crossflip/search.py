@@ -45,7 +45,7 @@ from .matching import (
     find_crossings,
     flip,
     is_noncrossing,
-    reconnection_pairs,
+    reconnections,
     trace_from_moves,
 )
 from .potentials import phi_lines, phi_vertical, phi_vertical_delta, x_ranks
@@ -142,16 +142,9 @@ class _FlipGraph:
             if t[0] in s or t[1] in s or not segments_properly_cross(ps, s, t):
                 continue
             row |= bit[t]
-            # choices A and B are the two other pairings of the four
-            # endpoints; reconnection_pairs says which one is A
-            (a, b), (c, d) = s, t
-            one = bit[seg(a, c)] | bit[seg(b, d)]
-            other = bit[seg(a, d)] | bit[seg(b, c)]
-            e1, e2 = reconnection_pairs(ps, (s, t), FlipChoice.RECONNECT_A)
-            if bit[e1] | bit[e2] != one:
-                one, other = other, one
             pair = lo | bit[t]
-            self.recon[pair] = (pair | one, pair | other)
+            self.recon[pair] = tuple(pair | bit[e1] | bit[e2]
+                                     for e1, e2 in reconnections(ps, (s, t)))
         return row
 
     def encode(self, m: Matching) -> int:

@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the code paths under test. The flip-run
 extrema come three ways: ``naive_f``/``naive_h`` use plain unmemoized
-recursion over successors built here from the two predicates
-``segments_properly_cross`` and ``reconnection_pairs``;
+recursion over successors built here from ``segments_properly_cross`` and
+``reference_reconnection_pairs``, the ``ccw_quad_order`` sort that the one
+orientation test of ``matching.reconnections`` replaced;
 ``reference_longest``/``reference_shortest`` are the ``Matching``-based
 memoized DFS and BFS that the int flip-graph kernel of ``crossflip.search``
 replaced, kept with their witness tie-breaks as the oracle for that kernel.
@@ -44,7 +45,6 @@ from crossflip import (
     find_crossings,
     is_noncrossing,
     orient,
-    reconnection_pairs,
     seg,
     segments_properly_cross,
 )
@@ -64,6 +64,19 @@ def crossing_count_brute(ps: PointSet, m: Matching) -> int:
     return count
 
 
+def reference_reconnection_pairs(ps: PointSet, crossing, choice):
+    """The two segments a flip adds, by sorting the four endpoints
+    counterclockwise around the lowest one: choice A pairs (q1,q2) with
+    (q3,q4), choice B (q2,q3) with (q4,q1)."""
+    (a, b), (c, d) = crossing
+    q1, q2, q3, q4 = ccw_quad_order(ps, (a, b, c, d))
+    if choice is FlipChoice.RECONNECT_A:
+        e1, e2 = seg(q1, q2), seg(q3, q4)
+    else:
+        e1, e2 = seg(q2, q3), seg(q4, q1)
+    return (e1, e2) if e1 < e2 else (e2, e1)
+
+
 def naive_successors(ps: PointSet, m: Matching) -> list[Matching]:
     """Every flip successor of m, from the predicates alone."""
     pairs = m.pairs
@@ -74,7 +87,8 @@ def naive_successors(ps: PointSet, m: Matching) -> list[Matching]:
                 continue
             rest = [p for k, p in enumerate(pairs) if k not in (i, j)]
             for choice in CHOICES:
-                added = reconnection_pairs(ps, (pairs[i], pairs[j]), choice)
+                added = reference_reconnection_pairs(
+                    ps, (pairs[i], pairs[j]), choice)
                 out.append(Matching(tuple(sorted(rest + list(added)))))
     return out
 
@@ -235,7 +249,7 @@ def reference_decrement_audit(ps, m, crossing, choice, detail=False,
     against the quad in ccw order and compare its crossings with the two
     removed and the two added segments."""
     e1, e2 = crossing
-    added = reconnection_pairs(ps, crossing, choice)
+    added = reference_reconnection_pairs(ps, crossing, choice)
     n1, n2 = added
     quad_order = ccw_quad_order(ps, (*e1, *e2))
     if not convex_position_ccw(ps, quad_order):

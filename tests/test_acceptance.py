@@ -36,6 +36,7 @@ from crossflip import (
     run_strategy,
     segments_properly_cross,
     shear_to_distinct_x,
+    trace_from_moves,
 )
 from crossflip.scenarios import (
     REAPPEARING_SEGMENT,
@@ -300,8 +301,9 @@ def test_c09_crossing_surge_pinned():
     inst = crossing_surge_instance()
     crossing, choice = crossing_surge_move()
     assert len(find_crossings(inst.points, inst.matching)) == 1
-    m2, rec = flip(inst.points, inst.matching, crossing, choice,
-                   count_crossings=True)
+    trace = trace_from_moves(inst.provenance, inst.points, inst.matching,
+                             [(crossing, choice)])
+    rec, = trace.records
     assert rec.crossings_after == 3
     print("criterion 9: pinned flip raises crossings 1 -> 3")
 

@@ -324,6 +324,38 @@ def test_nonpositive_limit_flag_exits_2(rev5, tmp_path, command, flag, value):
     assert "search limits" in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "{inst}", "--strategy", "random", "--max-steps", -3],
+    ["search", "{inst}", "--extremal", "--enum-cap", -1],
+    ["sweep", "--family", "random", "--n-min", 2, "--n-max", 2, "--seeds", "0",
+     "--enum-cap", -1],
+    ["sweep", "--family", "convex", "--n-min", 2, "--n-max", 2,
+     "--exact-cap", -2],
+], ids=["run-max-steps", "search-enum-cap", "sweep-enum-cap", "sweep-exact-cap"])
+def test_negative_count_flag_exits_2(rev5, tmp_path, argv):
+    # a negative --max-steps once wrote a 0-step trace and exited 4, and a
+    # negative --enum-cap reported "exceeds enumeration cap -1"
+    argv = [rev5 if a == "{inst}" else a for a in argv]
+    proc = _cli_process(*argv, "-o" if argv[0] != "sweep" else "--out-dir",
+                        tmp_path / "out")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "must be >= 0" in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_zero_counts_stay_valid(rev5, tmp_path):
+    trace = tmp_path / "t.csv"
+    assert run_cli("run", rev5, "--strategy", "random", "--max-steps", 0,
+                   "-o", trace) == 4
+    assert len(read_trace(trace)) == 1
+    assert run_cli("sweep", "--family", "convex", "--n-min", 2, "--n-max", 2,
+                   "--exact-cap", 0, "--enum-cap", 0,
+                   "--out-dir", tmp_path / "sw") == 0
+    assert run_cli("search", rev5, "--which", "h", "--extremal", "--enum-cap", 0,
+                   "-o", tmp_path / "r.json") == 4
+
+
 def _tampered_trace(tmp_path, edit):
     """A bubble trace of rev3 written by ``run``, with ``edit`` applied to
     its rows (the header and step 0 are rows[0] and rows[1])."""

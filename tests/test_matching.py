@@ -1,6 +1,6 @@
 import math
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -23,15 +23,19 @@ from crossflip import (
     reconnection_pairs,
     replay,
     seg,
+    segments_properly_cross,
     total_length,
     trace_from_moves,
 )
+from crossflip.matching import reconnections
 from crossflip.scenarios import (
     REAPPEARING_SEGMENT,
     reappearing_segment_instance,
     reappearing_segment_moves,
     reappearing_segment_trace,
 )
+
+from oracles import CHOICES, reference_reconnection_pairs
 
 SQUARE = PointSet.from_coords([(0, 0), (2, 0), (2, 2), (0, 2)])
 DIAGONALS = Matching.from_pairs([(0, 2), (1, 3)])
@@ -203,3 +207,34 @@ def test_two_line_crossings_match_inversions_small():
                 if pi[i] > pi[j]
             )
             assert len(find_crossings(ps, m)) == inv
+
+
+def _point_sets(coords):
+    return st.lists(st.tuples(coords, coords), min_size=4, max_size=10,
+                    unique=True).map(
+        lambda pts: PointSet.from_coords(pts[: len(pts) // 2 * 2]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(_point_sets(st.integers(0, 6)),  # 7x7 grid, degenerate
+                 _point_sets(st.integers(-10**4, 10**4))))
+def test_reconnections_match_ccw_sort_reference(ps):
+    """The one orientation test against the ccw_quad_order sort it replaced,
+    on every properly crossing pair of segments, given in either order with
+    endpoints in either order."""
+    segments = list(combinations(range(len(ps)), 2))
+    for s, t in combinations(segments, 2):
+        if set(s) & set(t) or not segments_properly_cross(ps, s, t):
+            continue
+        want = tuple(reference_reconnection_pairs(ps, (s, t), c) for c in CHOICES)
+        for e1, e2 in ((s, t), (t, s)):
+            for f1 in (e1, e1[::-1]):
+                for f2 in (e2, e2[::-1]):
+                    assert reconnections(ps, (f1, f2)) == want
+        crossing = (s, t)
+        for choice, added in zip(CHOICES, want):
+            assert reconnection_pairs(ps, crossing, choice) == added
+            assert choice_yielding(ps, crossing, added) is choice
+            assert choice_yielding(ps, crossing, added[::-1]) is choice
+        with pytest.raises(ValueError, match="is not a reconnection"):
+            choice_yielding(ps, crossing, crossing)

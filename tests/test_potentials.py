@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from crossflip import (
     FlipChoice,
+    FlipError,
     LineType,
     Matching,
     PerturbedLine,
@@ -264,6 +265,7 @@ def test_potentials_match_reference_loops():
 def test_gained_line_is_fatal(monkeypatch):
     # "flipping" two sides of the square into its diagonals: the lowest line,
     # 0-1 pushed toward the square, misses both sides and meets both diagonals
+    monkeypatch.setattr("crossflip.potentials.check_live", lambda *args: None)
     monkeypatch.setattr(
         "crossflip.potentials.reconnection_pairs",
         lambda *args, **kwargs: DIAGONALS.pairs,
@@ -278,6 +280,7 @@ def test_diagonal_split_is_fatal(monkeypatch):
     # and the line through 1 and 2 separates {0, 3} from {1, 2}
     ps = PointSet.from_coords([(0, 0), (10, 0), (5, 9), (5, 3)])
     m = Matching.from_pairs([(0, 2), (1, 3)])
+    monkeypatch.setattr("crossflip.potentials.check_live", lambda *args: None)
     monkeypatch.setattr(
         "crossflip.potentials.convex_position_ccw", lambda ps, order: True
     )
@@ -286,3 +289,21 @@ def test_diagonal_split_is_fatal(monkeypatch):
         decrement_audit(ps, m, m.pairs, FlipChoice.RECONNECT_A)
     with pytest.raises(PotentialInvariantError, match=pattern):
         classify_line_vs_quad(ps, PerturbedLine(0, 1, Side.PLUS), (0, 1, 2, 3))
+
+
+@pytest.mark.parametrize("choice", list(FlipChoice))
+def test_audit_rejects_pair_that_is_not_a_live_crossing(choice):
+    # the square's two sides do not cross: choice A once returned an audit
+    # with added == crossing and delta_phi_l == 0, choice B a
+    # PotentialInvariantError
+    with pytest.raises(FlipError, match="do not cross"):
+        decrement_audit(SQUARE, SIDES, SIDES.pairs, choice)
+    # a crossing that is not part of the matching is stale
+    with pytest.raises(FlipError, match="not part of the matching"):
+        decrement_audit(SQUARE, SIDES, DIAGONALS.pairs, choice)
+    # a segment paired with itself once escaped as a plain ValueError
+    twice = (seg(0, 2), seg(0, 2))
+    with pytest.raises(FlipError, match="do not cross"):
+        decrement_audit(SQUARE, DIAGONALS, twice, choice)
+    with pytest.raises(FlipError, match="do not cross"):
+        apply_flip(SQUARE, DIAGONALS, twice, choice)

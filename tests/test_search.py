@@ -27,6 +27,13 @@ from crossflip import (
     trace_from_moves,
 )
 from crossflip import search
+from crossflip.matching import replay_states
+from crossflip.scenarios import (
+    crossing_surge_instance,
+    crossing_surge_move,
+    reappearing_segment_instance,
+    reappearing_segment_trace,
+)
 from crossflip.search import (
     EnumerationCapExceeded,
     FlipGraphCycleError,
@@ -392,3 +399,39 @@ def test_extremal_matches_reference(n, seed):
     k_moves = reference_shortest(ps, est.k_argmax)
     assert est.g_witness == trace_from_moves("enumeration", ps, est.g_argmax, g_moves)
     assert est.k_witness == trace_from_moves("enumeration", ps, est.k_argmax, k_moves)
+
+
+def _assert_counts_are_recounts(ps, trace):
+    states = replay_states(ps, trace.initial, trace.records)
+    assert [rec.crossings_after for rec in trace.records] == [
+        len(find_crossings(ps, m)) for m in states[1:]]
+    assert trace.complete == is_noncrossing(ps, trace.final)
+
+
+def test_trace_crossing_counts_are_recounts():
+    """``trace_from_moves`` patches its crossing list per flip; every
+    ``crossings_after`` and ``complete`` equals a recount, on the scenario
+    traces and on exact-search witnesses (and their prefixes) for n <= 5."""
+    surge = crossing_surge_instance()
+    traces = [
+        (reappearing_segment_instance().points, reappearing_segment_trace()),
+        (surge.points, trace_from_moves(surge.provenance, surge.points,
+                                        surge.matching, [crossing_surge_move()])),
+    ]
+    insts = [gen_two_line(reverse_perm(5)), gen_convex(5)]
+    insts += [gen_random(n, seed=seed, bbox=(0, 400))
+              for n, seed in KERNEL_SETS]
+    for inst in insts:
+        traces.append((inst.points, longest_flip_sequence(inst)[1]))
+        traces.append((inst.points, shortest_flip_sequence(inst)[1]))
+        est = extremal_estimates(inst.points, cap=5)
+        traces += [(inst.points, est.g_witness), (inst.points, est.k_witness)]
+    assert not traces[1][1].complete
+    for ps, trace in traces:
+        _assert_counts_are_recounts(ps, trace)
+        moves = [(rec.crossing, rec.choice) for rec in trace.records]
+        for k in range(len(moves)):
+            prefix = trace_from_moves(trace.instance_id, ps, trace.initial,
+                                      moves[:k])
+            assert not prefix.complete
+            _assert_counts_are_recounts(ps, prefix)

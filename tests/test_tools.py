@@ -1,0 +1,36 @@
+import subprocess
+import sys
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "src_size.py"
+PACKAGE = TOOL.parents[1] / "src" / "crossflip"
+
+
+def _sizes(*argv):
+    proc = subprocess.run([sys.executable, str(TOOL), *map(str, argv)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return dict(line.split() for line in proc.stdout.splitlines())
+
+
+def test_src_size_counts_code_lines_only(tmp_path):
+    (tmp_path / "a.py").write_text(
+        '"""Module\n'
+        'docstring."""\n'
+        "\n"
+        "# a comment\n"
+        "def f(x):\n"
+        '    """Function docstring."""\n'
+        "    s = '''not a\n"
+        "    docstring'''\n"
+        "    return x  # trailing comment\n"
+    )
+    (tmp_path / "b.py").write_text("class C:\n    'doc'\n    y = (1,\n         2)\n")
+    assert _sizes(tmp_path) == {"wc_l": "13", "ast_code_lines": "7"}
+
+
+def test_src_size_reports_the_package():
+    sizes = _sizes()
+    wc = sum(p.read_text().count("\n") for p in PACKAGE.glob("*.py"))
+    assert int(sizes["wc_l"]) == wc
+    assert 0 < int(sizes["ast_code_lines"]) < wc
