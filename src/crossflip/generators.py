@@ -9,6 +9,7 @@ GenerationError instead of returning a doubtful instance.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -95,12 +96,15 @@ def two_line_permutation(m: Matching, n: int) -> list[int] | None:
     return pi
 
 
+@functools.lru_cache(maxsize=32)
 def inversion_law_violation(ps: PointSet, n: int) -> tuple[int, ...] | None:
     """The first (i, j, k, l), i < j, k != l, such that segments (i, n+k)
     and (j, n+l) cross although k < l or miss although k > l; None when the
     crossings obey this inversion law, as bubble-style strategies need for
     every matching on these points. O(n^4) over all bottom pairs i < j; past
-    n = 24 only over j = i + 1, the pairs a bubble step flips."""
+    n = 24 only over j = i + 1, the pairs a bubble step flips. Memoized per
+    point set, so a bubble run on a ``gen_two_line`` instance reuses the
+    generator's check."""
     bottoms = combinations(range(n), 2) if n <= 24 else zip(range(n - 1), range(1, n))
     for i, j in bottoms:
         for k in range(n):

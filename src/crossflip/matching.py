@@ -87,15 +87,25 @@ def crossing_pair(e1: Segment, e2: Segment) -> CrossingPair:
     return (e1, e2) if e1 < e2 else (e2, e1)
 
 
+def _crossed_by(ps: PointSet, s: Segment, segments) -> list[Segment]:
+    """The segments of ``segments`` that properly cross s, in their order.
+
+    The side of line s is one integer cross product per point; only a
+    segment whose endpoints fall on opposite sides, a necessary condition,
+    gets the full ``segments_properly_cross`` test.
+    """
+    (ax, ay), (bx, by) = ps[s[0]], ps[s[1]]
+    dx, dy = bx - ax, by - ay
+    above = [dx * (y - ay) > dy * (x - ax) for x, y in ps.points]
+    return [t for t in segments
+            if above[t[0]] != above[t[1]] and segments_properly_cross(ps, s, t)]
+
+
 def find_crossings(ps: PointSet, m: Matching) -> list[CrossingPair]:
     """All properly crossing segment pairs of m, canonically sorted."""
-    out = []
     pairs = m.pairs
-    for i in range(len(pairs)):
-        for j in range(i + 1, len(pairs)):
-            if segments_properly_cross(ps, pairs[i], pairs[j]):
-                out.append((pairs[i], pairs[j]))
-    return out
+    return [(s, t) for i, s in enumerate(pairs)
+            for t in _crossed_by(ps, s, pairs[i + 1:])]
 
 
 def is_noncrossing(ps: PointSet, m: Matching) -> bool:
@@ -116,13 +126,10 @@ def crossings_after_flip(
     """
     gone = set(removed)
     out = [c for c in old_crossings if c[0] not in gone and c[1] not in gone]
+    # the two added segments never cross each other, so neither is tested
+    others = [t for t in new_matching.pairs if t != added[0] and t != added[1]]
     for s in added:
-        for t in new_matching.pairs:
-            if t == added[0] or t == added[1]:
-                continue
-            if segments_properly_cross(ps, s, t):
-                out.append(crossing_pair(s, t))
-    # the two added segments never cross each other, so no third loop
+        out += [crossing_pair(s, t) for t in _crossed_by(ps, s, others)]
     out.sort()
     return out
 
@@ -136,14 +143,24 @@ def total_length(ps: PointSet, m: Matching) -> float:
     return total
 
 
+def crossing_quad(ps: PointSet, crossing: CrossingPair) -> tuple[int, int, int, int]:
+    """The crossing's four endpoints in ccw convex order (a, x, b, y) from
+    one orientation test: a the lowest endpoint, b its partner and x the
+    endpoint with orient(a, x, b) > 0 (see ``FlipChoice``). This is the
+    order ``geometry.ccw_quad_order`` sorts out, for the segments and their
+    endpoints given in any order."""
+    (a, b), (x, y) = sorted(map(sorted, crossing))  # a is the lowest endpoint
+    if orient(ps[a], ps[x], ps[b]) < 0:
+        x, y = y, x
+    return a, x, b, y
+
+
 def reconnections(
     ps: PointSet, crossing: CrossingPair
 ) -> tuple[tuple[Segment, Segment], tuple[Segment, Segment]]:
     """The sorted segment pairs a flip of ``crossing`` adds under choices A
-    and B, from one orientation test (see ``FlipChoice``)."""
-    (a, b), (x, y) = sorted(map(sorted, crossing))  # a is the lowest endpoint
-    if orient(ps[a], ps[x], ps[b]) < 0:
-        x, y = y, x
+    and B: opposite sides of its ``crossing_quad``."""
+    a, x, b, y = crossing_quad(ps, crossing)
     return ((a, x), seg(b, y)), ((a, y), seg(b, x))
 
 
@@ -241,15 +258,23 @@ def flip(
     Raises FlipError when ``crossing`` is stale (not in ``m``) or corrupt
     (its segments do not cross).
     """
+    return _flip_from(ps, m, crossing, choice, total_length(ps, m))
+
+
+def _flip_from(
+    ps: PointSet, m: Matching, crossing: CrossingPair, choice: FlipChoice,
+    length_before: float,
+) -> tuple[Matching, FlipRecord]:
+    """``flip`` given ``total_length(ps, m)``, so that a run sums the length
+    once per step, carrying each ``length_after`` forward."""
     new, added = _flipped(ps, m, crossing, choice)
-    record = FlipRecord(
+    return new, FlipRecord(
         crossing=crossing,
         choice=choice,
         added=added,
-        length_before=total_length(ps, m),
+        length_before=length_before,
         length_after=total_length(ps, new),
     )
-    return new, record
 
 
 def trace_from_moves(
@@ -258,9 +283,11 @@ def trace_from_moves(
     """Build a trace by applying scripted (crossing, choice) moves in order."""
     m = initial
     crossings = find_crossings(ps, m)
+    length = total_length(ps, m)
     records = []
     for crossing, choice in moves:
-        m, rec = flip(ps, m, crossing, choice)
+        m, rec = _flip_from(ps, m, crossing, choice, length)
+        length = rec.length_after
         crossings = crossings_after_flip(ps, m, crossings, crossing, rec.added)
         records.append(replace(rec, crossings_after=len(crossings)))
     return FlipTrace(instance_id, initial, tuple(records), m,

@@ -43,6 +43,7 @@ from .matching import (
     FlipChoice,
     Matching,
     check_live,
+    crossing_quad,
     reconnection_pairs,
 )
 
@@ -191,19 +192,15 @@ def phi_vertical_bound_gaps(n: int) -> int:
     return (2 * n - 1) * n
 
 
-def _quad_line_types(ps: PointSet, quad) -> dict[LineType, int]:
+def _quad_line_types(ps: PointSet, order) -> dict[LineType, int]:
     """Per LineType, the mask of the lines of that type against a convex
-    quad, whose ccw order is q0..q3.
+    quad given in ccw order q0..q3, starting at its lowest index.
 
     With x01 the lines separating q0 from q1 and so on around the quad, L1
     lines are in x12 and x30, L2 lines in x01 and x23, and L3 lines in two
-    adjacent ones. Raises ValueError when the quad is not in convex position
-    and PotentialInvariantError when a line is in all four: it splits the
-    quad along its diagonals.
+    adjacent ones. Raises PotentialInvariantError when a line is in all
+    four: it splits the quad along its diagonals.
     """
-    order = ccw_quad_order(ps, quad)
-    if not convex_position_ccw(ps, order):
-        raise ValueError(f"quad {tuple(quad)} is not in convex position")
     masks = _line_masks(ps)
     m0, m1, m2, m3 = (masks[q] for q in order)
     x01, x12, x23, x30 = m0 ^ m1, m1 ^ m2, m2 ^ m3, m3 ^ m0
@@ -235,7 +232,10 @@ def classify_line_vs_quad(
     ``quad`` is any ordering of the four endpoint indices; they must be in
     convex position (always true for a genuine crossing).
     """
-    types = _quad_line_types(ps, quad)
+    order = ccw_quad_order(ps, quad)
+    if not convex_position_ccw(ps, order):
+        raise ValueError(f"quad {tuple(quad)} is not in convex position")
+    types = _quad_line_types(ps, order)
     return _type_of(types, _lines_by_bit(ps).index(line))
 
 
@@ -316,7 +316,8 @@ def decrement_audit(
     """
     check_live(ps, m, crossing)
     e1, e2 = crossing
-    types = _quad_line_types(ps, (*e1, *e2))
+    # a live crossing's endpoints are in convex position, in this ccw order
+    types = _quad_line_types(ps, crossing_quad(ps, crossing))
     added = reconnection_pairs(ps, crossing, choice)
     masks = _line_masks(ps)
     b1, b2, a1, a2 = (masks[u] ^ masks[v] for u, v in (e1, e2, *added))

@@ -38,14 +38,15 @@ from .matching import (
     FlipChoice,
     FlipTrace,
     Matching,
+    _flip_from,
     apply_flip,
     choice_yielding,
     crossing_pair,
     crossings_after_flip,
     find_crossings,
-    flip,
     is_noncrossing,
     reconnections,
+    total_length,
     trace_from_moves,
 )
 from .potentials import phi_lines, phi_vertical, phi_vertical_delta, x_ranks
@@ -536,7 +537,7 @@ def _bubble_move(ps, inst, m):
     raise StrategyNotApplicableError("no adjacent inversion left, yet crossings remain")
 
 
-def _pick(strategy, ps, ranks, inst, m, crossings, rng, restrict_choice):
+def _pick(strategy, ps, ranks, inst, m, crossings, rng, restrict_choice, keys):
     if strategy.kind == "first":
         return crossings[0], restrict_choice or FlipChoice.RECONNECT_A
     if strategy.kind == "random":
@@ -550,9 +551,12 @@ def _pick(strategy, ps, ranks, inst, m, crossings, rng, restrict_choice):
         crossing = rng.choice(crossings)
     elif strategy.adversary == "max-damage":
         # the smallest phi_vertical drop the greedy response can make; max
-        # takes the canonically first crossing on ties
-        crossing = max(crossings, key=lambda c: phi_vertical_delta(
-            ranks, c, _greedy_pairs(ranks, c)))
+        # takes the canonically first crossing on ties. A key depends on the
+        # four endpoints alone, so ``keys`` holds it for the whole run.
+        for c in crossings:
+            if c not in keys:
+                keys[c] = phi_vertical_delta(ranks, c, _greedy_pairs(ranks, c))
+        crossing = max(crossings, key=keys.__getitem__)
     else:
         crossing = crossings[0]
     return crossing, choice_yielding(ps, crossing, _greedy_pairs(ranks, crossing))
@@ -594,14 +598,18 @@ def run_strategy(
 
     m = inst.matching
     crossings = find_crossings(ps, m)
+    length = total_length(ps, m)
+    damage_keys: dict[CrossingPair, int] = {}
     records = []
     phi_k = phi_vertical(ps, m) if ranks else None
     phi_l = phi_lines(ps, m) if with_phi_lines else None
     while crossings and len(records) < max_steps:
         crossing, choice = _pick(
-            strategy, ps, ranks, inst, m, crossings, rng, restrict_choice
+            strategy, ps, ranks, inst, m, crossings, rng, restrict_choice,
+            damage_keys,
         )
-        m, rec = flip(ps, m, crossing, choice)
+        m, rec = _flip_from(ps, m, crossing, choice, length)
+        length = rec.length_after
         crossings = crossings_after_flip(ps, m, crossings, crossing, rec.added)
         phi_k_before, phi_l_before = phi_k, phi_l
         if ranks:

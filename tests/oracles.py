@@ -14,7 +14,9 @@ the adjusted-sign rule. ``reference_phi_lines`` and
 table that the bitmask kernel of ``crossflip.potentials`` replaced, and
 ``reference_phi_vertical`` the gap-line count it replaced;
 ``phi_vertical_rank_formula`` is now the library's own formula.
-``reference_general_position`` and ``reference_random_instance`` are the
+``reference_find_crossings`` and ``reference_crossings_after_flip`` are the
+full pair tests that the side-vector prefilter of ``crossflip.matching``
+replaced. ``reference_general_position`` and ``reference_random_instance`` are the
 ``orient`` triple loop and rejection sampler that the direction-vector test
 of ``crossflip.geometry`` replaced. ``reference_middle_gap`` and
 ``reference_greedy_choice`` are the max-damage key and the raw-x sort of the
@@ -49,19 +51,41 @@ from crossflip import (
     segments_properly_cross,
 )
 from crossflip.geometry import convex_position_ccw
+from crossflip.matching import crossing_pair
 from crossflip.potentials import LineAudit
 
 CHOICES = (FlipChoice.RECONNECT_A, FlipChoice.RECONNECT_B)
 
 
-def crossing_count_brute(ps: PointSet, m: Matching) -> int:
-    count = 0
+def reference_find_crossings(ps: PointSet, m: Matching) -> list:
+    """All properly crossing segment pairs of m by the plain pair loop."""
+    out = []
     pairs = m.pairs
     for i in range(len(pairs)):
         for j in range(i + 1, len(pairs)):
             if segments_properly_cross(ps, pairs[i], pairs[j]):
-                count += 1
-    return count
+                out.append((pairs[i], pairs[j]))
+    return out
+
+
+def crossing_count_brute(ps: PointSet, m: Matching) -> int:
+    return len(reference_find_crossings(ps, m))
+
+
+def reference_crossings_after_flip(ps: PointSet, new_matching: Matching,
+                                   old_crossings, removed, added) -> list:
+    """The crossing list after a flip, testing both added segments against
+    every other segment in full."""
+    gone = set(removed)
+    out = [c for c in old_crossings if c[0] not in gone and c[1] not in gone]
+    for s in added:
+        for t in new_matching.pairs:
+            if t == added[0] or t == added[1]:
+                continue
+            if segments_properly_cross(ps, s, t):
+                out.append(crossing_pair(s, t))
+    out.sort()
+    return out
 
 
 def reference_reconnection_pairs(ps: PointSet, crossing, choice):

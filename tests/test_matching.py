@@ -27,7 +27,8 @@ from crossflip import (
     total_length,
     trace_from_moves,
 )
-from crossflip.matching import reconnections
+from crossflip.geometry import ccw_quad_order
+from crossflip.matching import crossing_quad, reconnections
 from crossflip.scenarios import (
     REAPPEARING_SEGMENT,
     reappearing_segment_instance,
@@ -35,7 +36,12 @@ from crossflip.scenarios import (
     reappearing_segment_trace,
 )
 
-from oracles import CHOICES, reference_reconnection_pairs
+from oracles import (
+    CHOICES,
+    reference_crossings_after_flip,
+    reference_find_crossings,
+    reference_reconnection_pairs,
+)
 
 SQUARE = PointSet.from_coords([(0, 0), (2, 0), (2, 2), (0, 2)])
 DIAGONALS = Matching.from_pairs([(0, 2), (1, 3)])
@@ -209,8 +215,8 @@ def test_two_line_crossings_match_inversions_small():
             assert len(find_crossings(ps, m)) == inv
 
 
-def _point_sets(coords):
-    return st.lists(st.tuples(coords, coords), min_size=4, max_size=10,
+def _point_sets(coords, max_size=10):
+    return st.lists(st.tuples(coords, coords), min_size=4, max_size=max_size,
                     unique=True).map(
         lambda pts: PointSet.from_coords(pts[: len(pts) // 2 * 2]))
 
@@ -227,10 +233,12 @@ def test_reconnections_match_ccw_sort_reference(ps):
         if set(s) & set(t) or not segments_properly_cross(ps, s, t):
             continue
         want = tuple(reference_reconnection_pairs(ps, (s, t), c) for c in CHOICES)
+        quad = ccw_quad_order(ps, (*s, *t))
         for e1, e2 in ((s, t), (t, s)):
             for f1 in (e1, e1[::-1]):
                 for f2 in (e2, e2[::-1]):
                     assert reconnections(ps, (f1, f2)) == want
+                    assert crossing_quad(ps, (f1, f2)) == quad
         crossing = (s, t)
         for choice, added in zip(CHOICES, want):
             assert reconnection_pairs(ps, crossing, choice) == added
@@ -238,3 +246,26 @@ def test_reconnections_match_ccw_sort_reference(ps):
             assert choice_yielding(ps, crossing, added[::-1]) is choice
         with pytest.raises(ValueError, match="is not a reconnection"):
             choice_yielding(ps, crossing, crossing)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(_point_sets(st.integers(0, 6), 24),  # 7x7 grid, degenerate
+                 _point_sets(st.integers(-10**4, 10**4), 24)),
+       st.randoms(use_true_random=False))
+def test_crossing_lists_match_full_pair_tests_along_flip_walks(ps, rng):
+    """The side-vector prefilter against the full pair tests it replaced:
+    equal lists in equal order at the start and after every flip of a random
+    walk, on random sets and on 7x7-grid sets (repeated x, collinear
+    triples)."""
+    labels = list(range(len(ps)))
+    rng.shuffle(labels)
+    m = Matching.from_pairs(zip(labels[0::2], labels[1::2]))
+    crossings = reference_find_crossings(ps, m)
+    assert find_crossings(ps, m) == crossings
+    while crossings:
+        crossing = rng.choice(crossings)
+        m, rec = flip(ps, m, crossing, rng.choice(CHOICES))
+        want = reference_crossings_after_flip(ps, m, crossings, crossing, rec.added)
+        assert crossings_after_flip(ps, m, crossings, crossing, rec.added) == want
+        assert find_crossings(ps, m) == want
+        crossings = want

@@ -264,8 +264,11 @@ def test_potentials_match_reference_loops():
 
 def test_gained_line_is_fatal(monkeypatch):
     # "flipping" two sides of the square into its diagonals: the lowest line,
-    # 0-1 pushed toward the square, misses both sides and meets both diagonals
+    # 0-1 pushed toward the square, misses both sides and meets both diagonals.
+    # The sides do not cross, so the square's ccw order is injected too.
     monkeypatch.setattr("crossflip.potentials.check_live", lambda *args: None)
+    monkeypatch.setattr("crossflip.potentials.crossing_quad",
+                        lambda ps, crossing: (0, 1, 2, 3))
     monkeypatch.setattr(
         "crossflip.potentials.reconnection_pairs",
         lambda *args, **kwargs: DIAGONALS.pairs,
@@ -277,10 +280,14 @@ def test_gained_line_is_fatal(monkeypatch):
 
 def test_diagonal_split_is_fatal(monkeypatch):
     # point 3 lies inside triangle 0, 1, 2; its "ccw order" is (0, 1, 3, 2)
-    # and the line through 1 and 2 separates {0, 3} from {1, 2}
+    # and the line through 1 and 2 separates {0, 3} from {1, 2}. The audit
+    # reads that order from the reconnection rule, the line types from the
+    # sort, so each is injected on its own path.
     ps = PointSet.from_coords([(0, 0), (10, 0), (5, 9), (5, 3)])
     m = Matching.from_pairs([(0, 2), (1, 3)])
     monkeypatch.setattr("crossflip.potentials.check_live", lambda *args: None)
+    monkeypatch.setattr("crossflip.potentials.crossing_quad",
+                        lambda ps, crossing: (0, 1, 3, 2))
     monkeypatch.setattr(
         "crossflip.potentials.convex_position_ccw", lambda ps, order: True
     )

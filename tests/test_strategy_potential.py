@@ -1,8 +1,11 @@
 """Strategy runs against the rules the one x-order and the one Delta phi_K
 replaced: the phi_vertical a run tracks from four endpoints per step equals
 a recount of every visited matching, max-damage imposes the first crossing
-of least middle gap, and ``greedy_choice`` agrees with the raw-x sort."""
+of least middle gap, and ``greedy_choice`` agrees with the raw-x sort. The
+length a run carries from step to step equals a recount, and its records and
+trace CSV equal those of one plain ``flip`` per step."""
 
+import dataclasses
 import random
 
 import pytest
@@ -11,6 +14,7 @@ from hypothesis import strategies as st
 
 from crossflip import (
     FlipChoice,
+    FlipTrace,
     GenerationError,
     Instance,
     Matching,
@@ -19,6 +23,7 @@ from crossflip import (
     apply_flip,
     crossings_after_flip,
     find_crossings,
+    flip,
     gen_random,
     gen_two_line,
     parse_strategy,
@@ -27,8 +32,13 @@ from crossflip import (
     reverse_perm,
     run_strategy,
     shear_to_distinct_x,
+    total_length,
+    trace_from_moves,
 )
-from crossflip.search import greedy_choice
+from crossflip.generators import inversion_law_violation
+from crossflip.io import write_trace
+from crossflip.potentials import phi_vertical_delta, x_ranks
+from crossflip.search import _greedy_pairs, greedy_choice
 
 from oracles import _gap_ranks, reference_greedy_choice, reference_middle_gap
 
@@ -87,6 +97,47 @@ def _assert_potentials_recounted(inst: Instance, trace, with_phi_lines: bool):
             assert rec.phi_l_before is None and rec.phi_l_after is None
 
 
+def _plain_flips(ps: PointSet, trace) -> FlipTrace:
+    """The trace rebuilt from one ``flip`` per step, which sums the length
+    before and after each flip afresh; the fields ``flip`` leaves unset are
+    copied from the run."""
+    m, records = trace.initial, []
+    for rec in trace.records:
+        m, plain = flip(ps, m, rec.crossing, rec.choice)
+        records.append(dataclasses.replace(
+            plain, crossings_after=rec.crossings_after,
+            phi_l_before=rec.phi_l_before, phi_l_after=rec.phi_l_after,
+            phi_k_before=rec.phi_k_before, phi_k_after=rec.phi_k_after))
+    return FlipTrace(trace.instance_id, trace.initial, tuple(records), m,
+                     trace.complete)
+
+
+def _assert_lengths_chain(inst: Instance, trace, tmp_path):
+    """Each record's length_before is the previous length_after, both equal
+    a ``total_length`` recount exactly, ``trace_from_moves`` on the same
+    moves gives the same records, and the trace CSV equals the one written
+    from plain ``flip`` calls."""
+    ps = inst.points
+    states = _states(ps, trace)
+    length = total_length(ps, trace.initial)
+    for k, rec in enumerate(trace.records):
+        assert rec.length_before == length == total_length(ps, states[k])
+        length = rec.length_after
+        assert length == total_length(ps, states[k + 1])
+    moved = trace_from_moves(trace.instance_id, ps, trace.initial,
+                             [(rec.crossing, rec.choice) for rec in trace.records])
+    unphi = dict.fromkeys(
+        ("phi_l_before", "phi_l_after", "phi_k_before", "phi_k_after"))
+    assert moved.records == tuple(
+        dataclasses.replace(rec, **unphi) for rec in trace.records)
+    assert (moved.final, moved.complete) == (trace.final, trace.complete)
+    plain = _plain_flips(ps, trace)
+    assert plain == trace
+    write_trace(inst, trace, tmp_path / "run.csv")
+    write_trace(inst, plain, tmp_path / "plain.csv")
+    assert (tmp_path / "run.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+
+
 def _assert_x_greedy_moves(inst: Instance, trace, max_damage: bool,
                            recount_crossings: bool):
     """Every response is the raw-x greedy choice; under max-damage every
@@ -109,32 +160,64 @@ def _assert_x_greedy_moves(inst: Instance, trace, max_damage: bool,
 
 
 @pytest.mark.parametrize("inst", SMALL, ids=lambda i: i.provenance)
-def test_small_runs_track_potentials_and_greedy_moves(inst):
+def test_small_runs_track_potentials_and_greedy_moves(inst, tmp_path):
     for text, trace in _runs(inst, with_phi_lines=True):
         assert trace.complete
         _assert_potentials_recounted(inst, trace, with_phi_lines=True)
+        _assert_lengths_chain(inst, trace, tmp_path)
         if text in X_GREEDY:
             _assert_x_greedy_moves(inst, trace, text == "adversary:max-damage",
                                    recount_crossings=True)
 
 
-def test_n100_runs_track_potentials_and_greedy_moves():
+def test_n100_runs_track_potentials_and_greedy_moves(tmp_path):
     inst = _sheared(100, 4106)
     for text, trace in _runs(inst, with_phi_lines=False):
         assert trace.complete
         _assert_potentials_recounted(inst, trace, with_phi_lines=False)
+        _assert_lengths_chain(inst, trace, tmp_path)
         if text in X_GREEDY:
             _assert_x_greedy_moves(inst, trace, text == "adversary:max-damage",
                                    recount_crossings=False)
 
 
 @pytest.mark.parametrize("inst", TWO_LINE, ids=lambda i: i.provenance)
-def test_bubble_tracks_potentials(inst):
+def test_bubble_tracks_potentials(inst, tmp_path):
     for with_phi_lines in (False, True):
         trace = run_strategy(inst, parse_strategy("bubble"),
                              with_phi_lines=with_phi_lines)
         assert trace.complete
         _assert_potentials_recounted(inst, trace, with_phi_lines)
+        _assert_lengths_chain(inst, trace, tmp_path)
+
+
+def test_bubble_reuses_the_generators_inversion_law_check():
+    inversion_law_violation.cache_clear()
+    inst = gen_two_line(reverse_perm(9))
+    trace = run_strategy(inst, parse_strategy("bubble"))
+    assert len(trace) == 36
+    info = inversion_law_violation.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def test_max_damage_takes_the_first_of_tied_crossings():
+    """Two congruent crossings, one translate of the other: their keys tie,
+    and the canonically first crossing (on the right, points 0-3) is
+    imposed first, as ``max`` takes it."""
+    right = [(40, 0), (49, 8), (41, 7), (48, 1)]
+    left = [(x - 30, y + 2) for x, y in right]
+    inst = Instance(PointSet.from_coords(right + left),
+                    Matching.from_pairs([(0, 1), (2, 3), (4, 5), (6, 7)]),
+                    "tie")
+    ps = inst.points
+    first, second = find_crossings(ps, inst.matching)
+    assert first == ((0, 1), (2, 3)) and second == ((4, 5), (6, 7))
+    ranks = x_ranks(ps)
+    keys = [phi_vertical_delta(ranks, c, _greedy_pairs(ranks, c))
+            for c in (first, second)]
+    assert keys[0] == keys[1]
+    trace = run_strategy(inst, parse_strategy("adversary:max-damage"))
+    assert [rec.crossing for rec in trace.records] == [first, second]
 
 
 @settings(max_examples=150, deadline=None)
