@@ -7,21 +7,26 @@ length strictly decreases along every edge.
 Exact search runs on an int kernel of the point set (``_FlipGraph``).
 The C(2n, 2) segments get ids in lexicographic (a, b) order, so a matching is
 an int with n bits set, read in ascending order as ``Matching.pairs``. Each
-segment has a bitset of the higher-id segments it properly crosses, and each
-crossing pair the XOR masks of reconnections A and B. The successors of M are
-``M ^ mask`` by ascending lower segment, then higher segment, A before B: the
-canonical order of ``successors``. One memoized iterative post-order DFS
-(``_Search``) gives f = 1 + max and h = 1 + min over successors; an on-stack
-revisit is fatal. ``shortest_flip_sequence`` keeps a BFS over the same ints,
-whose early exit beats a full DAG pass on one instance.
+segment has a bitset of the higher-id segments it properly crosses, built up
+front from the point set's side masks in O(n) big-int operations per
+segment with no pair test, and each crossing pair the XOR masks of
+reconnections A and B, from ``matching.reconnections`` on first use. The
+successors of M are ``M ^ mask`` by ascending lower segment, then higher
+segment, A before B: the canonical order of ``successors``. One memoized
+iterative post-order DFS (``_Search``) gives f = 1 + max and h = 1 + min over
+successors; an on-stack revisit is fatal. ``shortest_flip_sequence`` keeps a
+BFS over the same ints, whose early exit beats a full DAG pass on one
+instance. Enumeration walks every matching's int key and pairs in canonical
+order with an explicit stack (``_matchings``); ``extremal_estimates`` reads
+the keys and ``enumerate_all_matchings`` wraps the pairs.
 
 Witnesses are pinned: the f witness takes the first successor in canonical
 order attaining the max; the h witness is the lexicographically first
 shortest move sequence in canonical order, which BFS with first-discovery
 parents and the DFS's first successor attaining the min both yield. Each is
 rebuilt through the checked ``trace_from_moves``. ``SearchLimits`` hold per
-public call: one deadline and one state count, the clock read on every DFS
-step and every BFS expansion.
+public call: one deadline, set before the kernel is built, and one state
+count, the clock read on every DFS step and every BFS expansion.
 """
 
 from __future__ import annotations
@@ -30,9 +35,12 @@ import dataclasses
 import random
 import time
 from dataclasses import dataclass
+from functools import reduce
+from itertools import compress
+from operator import or_, xor
 
 from .generators import Instance, inversion_law_violation, two_line_permutation
-from .geometry import PointSet, seg, segments_properly_cross
+from .geometry import PointSet, seg, side_masks
 from .matching import (
     CrossingPair,
     FlipChoice,
@@ -105,48 +113,57 @@ def successors(
     return out
 
 
-class _Rows(dict):
-    """A dict that fills a missing key with ``fill(key)``."""
+class _Reconnections(dict):
+    """A crossing pair's two segment bits -> (XOR mask of choice A, of choice
+    B), from ``matching.reconnections`` on first use."""
 
-    def __init__(self, fill):
+    def __init__(self, graph: "_FlipGraph"):
         super().__init__()
-        self.fill = fill
+        self.graph = graph
 
-    def __missing__(self, key):
-        self[key] = value = self.fill(key)
-        return value
+    def __missing__(self, pair: int) -> tuple[int, int]:
+        graph = self.graph
+        self[pair] = masks = tuple(
+            pair | graph.bit[e1] | graph.bit[e2]
+            for e1, e2 in reconnections(graph.ps, graph.crossing(pair)))
+        return masks
 
 
 class _FlipGraph:
     """The int kernel of one point set (see the module docstring).
 
-    A segment's crossing row and the masks of its crossings are computed on
-    first use, so a search pays C(2n, 2) crossing tests only per segment it
-    reaches, never for the whole point set up front."""
+    Every segment's crossing row is built up front from the point set's side
+    masks (``geometry.side_masks``): segment t = (c, d) crosses s = (a, b)
+    when a and b lie strictly on opposite sides of line cd (bit t of
+    ``pos[a] ^ pos[b]``, outside ``on[a] | on[b]``) and c and d strictly on
+    opposite sides of line ab. The segments with exactly one endpoint on the
+    + side of ab are the XOR of those points' incident-segment masks; the
+    OR of the incident masks of the points on line ab removes the rest. A
+    row is thus O(n) big-int operations and no pair test."""
 
     def __init__(self, ps: PointSet):
         self.ps = ps
         m = len(ps)
-        self.segs = [(a, b) for a in range(m) for b in range(a + 1, m)]
-        self.bit = {s: 1 << k for k, s in enumerate(self.segs)}
+        self.segs = segs = [(a, b) for a in range(m) for b in range(a + 1, m)]
+        self.bit = bit = {s: 1 << k for k, s in enumerate(segs)}
+        incident = [sum(bit[seg(r, q)] for q in range(m) if q != r)
+                    for r in range(m)]
+        pos, on = side_masks(ps)
+        # column k holds a 1 per point on the + side of the k-th segment's
+        # line (of ``pos``), or on that line (of ``on``)
+        to_bits = bytes.maketrans(b"01", b"\0\1")
+        pos_cols, on_cols = (
+            zip(*[format(x, f"0{len(segs)}b")[::-1].encode().translate(to_bits)
+                  for x in masks]) for masks in (pos, on))
         #: a segment's bit -> bitset of the higher segments it crosses
-        self.cross = _Rows(self._row)
-        #: a crossing pair's two bits -> (XOR mask of choice A, of choice B)
-        self.recon: dict[int, tuple[int, int]] = {}
-
-    def _row(self, lo: int) -> int:
-        ps, bit = self.ps, self.bit
-        k = lo.bit_length() - 1
-        s = self.segs[k]
-        row = 0
-        for t in self.segs[k + 1:]:
-            if t[0] in s or t[1] in s or not segments_properly_cross(ps, s, t):
-                continue
-            row |= bit[t]
-            pair = lo | bit[t]
-            self.recon[pair] = tuple(pair | bit[e1] | bit[e2]
-                                     for e1, e2 in reconnections(ps, (s, t)))
-        return row
+        self.cross = {}
+        for (a, b), s_bit, plus, line in zip(segs, bit.values(), pos_cols, on_cols):
+            straddling = reduce(xor, compress(incident, plus), 0)
+            # segments touching line ab, or whose line holds a or b
+            excluded = reduce(or_, compress(incident, line), on[a] | on[b])
+            # -2 * s_bit keeps the ids above s
+            self.cross[s_bit] = (pos[a] ^ pos[b]) & straddling & ~excluded & -2 * s_bit
+        self.recon = _Reconnections(self)
 
     def encode(self, m: Matching) -> int:
         return sum(map(self.bit.__getitem__, m.pairs))
@@ -168,17 +185,17 @@ class _FlipGraph:
                 out.append(key ^ mask_b)
         return out
 
+    def crossing(self, pair: int) -> CrossingPair:
+        """The two segments whose bits make up ``pair``, lower id first."""
+        lo = pair & -pair
+        return self.segs[lo.bit_length() - 1], self.segs[(pair ^ lo).bit_length() - 1]
+
     def move(self, key: int, child: int) -> tuple[CrossingPair, FlipChoice]:
         """The (crossing, choice) that turns ``key`` into its successor
         ``child``."""
         mask = key ^ child
         pair = mask & key
-        lo = pair & -pair
-        crossing = (self.segs[lo.bit_length() - 1],
-                    self.segs[(pair ^ lo).bit_length() - 1])
-        if self.recon[pair][0] == mask:
-            return crossing, FlipChoice.RECONNECT_A
-        return crossing, FlipChoice.RECONNECT_B
+        return self.crossing(pair), list(FlipChoice)[self.recon[pair].index(mask)]
 
 
 #: Above any shortest-run length, so the first successor sets the minimum.
@@ -205,10 +222,9 @@ class _Search:
         why = {"states": f"state cap {limits.max_states} hit",
                "depth": f"depth cap {limits.max_depth} hit",
                "time": f"time budget {limits.time_budget}s exhausted"}[which]
-        if bound is None:
-            bound = self.best_lower
-        return SearchLimitsExceeded(why, states_expanded=self.expanded,
-                                    best_bound=bound)
+        return SearchLimitsExceeded(
+            why, states_expanded=self.expanded,
+            best_bound=self.best_lower if bound is None else bound)
 
     def solve(self, start: int) -> tuple[int, int]:
         """(f, h) of ``start`` by iterative post-order DFS."""
@@ -253,11 +269,9 @@ class _Search:
                         parent[3] = value[1]
                 continue
             if child in on_stack:
-                segs = self.graph.segs
-                pairs = [s for k, s in enumerate(segs) if child >> k & 1]
+                pairs = [s for k, s in enumerate(self.graph.segs) if child >> k & 1]
                 raise FlipGraphCycleError(
-                    f"matching revisited on the DFS stack: {pairs}"
-                )
+                    f"matching revisited on the DFS stack: {pairs}")
             if self.expanded >= limits.max_states:
                 raise self._exceeded("states")
             if len(stack) >= limits.max_depth:
@@ -272,8 +286,7 @@ class _Search:
         """Moves of the pinned witness from a solved ``start``: ``which`` is
         0 for the longest run, 1 for the shortest."""
         memo, graph = self.memo, self.graph
-        moves = []
-        key = start
+        moves, key = [], start
         while memo[key][which]:
             want = memo[key][which] - 1
             child = next(c for c in graph.children(key) if memo[c][which] == want)
@@ -322,13 +335,10 @@ class _Search:
             frontier = level
             depth += 1
         raise FlipGraphCycleError(
-            "flip graph exhausted without reaching a non-crossing matching"
-        )
+            "flip graph exhausted without reaching a non-crossing matching")
 
 
-def _single_search(
-    inst: Instance, limits, stats_out, moves_of
-) -> tuple[int, FlipTrace]:
+def _single_search(inst, limits, stats_out, moves_of) -> tuple[int, FlipTrace]:
     """Run ``moves_of`` (an unbound ``_Search`` method) from the instance's
     matching; a non-crossing start needs no flip graph."""
     ps, start = inst.points, inst.matching
@@ -368,27 +378,40 @@ def shortest_flip_sequence(
     return _single_search(inst, limits, stats_out, _Search.shortest_moves)
 
 
+def _matchings(ps: PointSet, cap: int):
+    """The int key and the pairs of every perfect matching of ps, streamed in
+    canonical order (ascending pairs: the lowest free point takes each free
+    partner in turn). Refuses point sets beyond the enumeration cap at once,
+    before the first matching is asked for."""
+    if ps.n > cap:
+        raise EnumerationCapExceeded(
+            f"n={ps.n} exceeds enumeration cap {cap}; (2n-1)!! growth")
+    m = len(ps)
+    # the kernel's id of segment (a, b), a < b, is offset[a] + b
+    offset = [a * (2 * m - a - 1) // 2 - a - 1 for a in range(m)]
+
+    def walk():
+        # a partial matching: its key, its pairs and its free points; the
+        # partners are pushed in reverse, so the lowest pops first
+        stack = [(0, (), tuple(range(m)))]
+        while stack:
+            key, pairs, free = stack.pop()
+            if not free:
+                yield key, pairs
+                continue
+            a, rest = free[0], free[1:]
+            stack += [(key | 1 << offset[a] + b, pairs + ((a, b),),
+                       rest[:i] + rest[i + 1:])
+                      for i, b in reversed(list(enumerate(rest)))]
+
+    return walk()
+
+
 def enumerate_all_matchings(ps: PointSet, cap: int = 5):
     """All (2n-1)!! perfect matchings of the point set, streamed in
     canonical order. Refuses point sets beyond the enumeration cap at once,
     before the first matching is asked for."""
-    n = ps.n
-    if n > cap:
-        raise EnumerationCapExceeded(
-            f"n={n} exceeds enumeration cap {cap}; (2n-1)!! growth"
-        )
-
-    def rec(avail: tuple[int, ...]):
-        if not avail:
-            yield ()
-            return
-        first = avail[0]
-        for i in range(1, len(avail)):
-            rest = avail[1:i] + avail[i + 1:]
-            for tail in rec(rest):
-                yield ((first, avail[i]),) + tail
-
-    return (Matching(pairs) for pairs in rec(tuple(range(2 * n))))
+    return (Matching(pairs) for _key, pairs in _matchings(ps, cap))
 
 
 @dataclass
@@ -419,31 +442,28 @@ def extremal_estimates(
     One DAG pass with one memo serves every start matching and gives f and
     h together; ``states_expanded`` counts its states. The argmaxes are the
     first matchings in enumeration order attaining each maximum."""
-    matchings = enumerate_all_matchings(ps, cap)
+    matchings = _matchings(ps, cap)
     search = _Search(ps, limits)
     g_hat = k_hat = -1
-    g_argmax = k_argmax = None
     per = {} if collect_per_matching else None
     count = 0
-    for m in matchings:
+    for key, pairs in matchings:
         count += 1
-        key = search.graph.encode(m)
         f_h = search.solve(key)
         if f_h[0] > g_hat:
-            g_hat, g_argmax, g_key = f_h[0], m, key
+            g_hat, g_pairs, g_key = f_h[0], pairs, key
         if f_h[1] > k_hat:
-            k_hat, k_argmax, k_key = f_h[1], m, key
+            k_hat, k_pairs, k_key = f_h[1], pairs, key
         if per is not None:
-            per[m.pairs] = f_h
+            per[pairs] = f_h
+    g_argmax, k_argmax = Matching(g_pairs), Matching(k_pairs)
     return ExtremalEstimates(
         g_hat=g_hat,
         g_argmax=g_argmax,
-        g_witness=trace_from_moves(instance_id, ps, g_argmax,
-                                   search.witness(g_key, 0)),
+        g_witness=trace_from_moves(instance_id, ps, g_argmax, search.witness(g_key, 0)),
         k_hat=k_hat,
         k_argmax=k_argmax,
-        k_witness=trace_from_moves(instance_id, ps, k_argmax,
-                                   search.witness(k_key, 1)),
+        k_witness=trace_from_moves(instance_id, ps, k_argmax, search.witness(k_key, 1)),
         matchings_enumerated=count,
         states_expanded=search.expanded,
         per_matching=per,
@@ -552,11 +572,16 @@ def _pick(strategy, ps, ranks, inst, m, crossings, rng, restrict_choice, keys):
     elif strategy.adversary == "max-damage":
         # the smallest phi_vertical drop the greedy response can make; max
         # takes the canonically first crossing on ties. A key depends on the
-        # four endpoints alone, so ``keys`` holds it for the whole run.
+        # four endpoints alone, so ``keys`` keeps it while the crossing
+        # lives, and is cut back to the live crossings once it holds more
+        # than twice as many.
         for c in crossings:
             if c not in keys:
                 keys[c] = phi_vertical_delta(ranks, c, _greedy_pairs(ranks, c))
         crossing = max(crossings, key=keys.__getitem__)
+        if len(keys) > 2 * len(crossings):
+            for c in keys.keys() - set(crossings):
+                del keys[c]
     else:
         crossing = crossings[0]
     return crossing, choice_yielding(ps, crossing, _greedy_pairs(ranks, crossing))

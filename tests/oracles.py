@@ -16,7 +16,9 @@ table that the bitmask kernel of ``crossflip.potentials`` replaced, and
 ``phi_vertical_rank_formula`` is now the library's own formula.
 ``reference_find_crossings`` and ``reference_crossings_after_flip`` are the
 full pair tests that the side-vector prefilter of ``crossflip.matching``
-replaced. ``reference_general_position`` and ``reference_random_instance`` are the
+replaced. ``reference_crossing_row`` is the per-pair loop, and
+``reference_matchings`` the recursive enumerator, that the side-mask rows and
+the int enumeration of the ``crossflip.search`` kernel replaced. ``reference_general_position`` and ``reference_random_instance`` are the
 ``orient`` triple loop and rejection sampler that the direction-vector test
 of ``crossflip.geometry`` replaced. ``reference_middle_gap`` and
 ``reference_greedy_choice`` are the max-damage key and the raw-x sort of the
@@ -99,6 +101,45 @@ def reference_reconnection_pairs(ps: PointSet, crossing, choice):
     else:
         e1, e2 = seg(q2, q3), seg(q4, q1)
     return (e1, e2) if e1 < e2 else (e2, e1)
+
+
+def reference_crossing_row(ps: PointSet, k: int):
+    """(row, masks) of the k-th segment in lexicographic order, by one
+    ``segments_properly_cross`` test per later disjoint segment: ``row`` has
+    bit j set for each later segment j it crosses, and ``masks`` maps each
+    crossing pair's two bits to the XOR masks of choices A and B."""
+    segs = list(combinations(range(len(ps)), 2))
+    bit = {s: 1 << j for j, s in enumerate(segs)}
+    s = segs[k]
+    row = 0
+    masks = {}
+    for t in segs[k + 1:]:
+        if set(s) & set(t) or not segments_properly_cross(ps, s, t):
+            continue
+        row |= bit[t]
+        pair = bit[s] | bit[t]
+        masks[pair] = tuple(
+            pair | bit[e1] | bit[e2]
+            for e1, e2 in (reference_reconnection_pairs(ps, (s, t), c)
+                           for c in CHOICES))
+    return row, masks
+
+
+def reference_matchings(m: int):
+    """The pairs of every perfect matching of points 0..m-1 in canonical
+    order, by recursion on the lowest free point's partner."""
+
+    def rec(avail: tuple[int, ...]):
+        if not avail:
+            yield ()
+            return
+        first = avail[0]
+        for i in range(1, len(avail)):
+            rest = avail[1:i] + avail[i + 1:]
+            for tail in rec(rest):
+                yield ((first, avail[i]),) + tail
+
+    return rec(tuple(range(m)))
 
 
 def naive_successors(ps: PointSet, m: Matching) -> list[Matching]:

@@ -1,7 +1,10 @@
 import dataclasses
 import random
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crossflip import (
     FlipChoice,
@@ -26,7 +29,7 @@ from crossflip import (
     shear_to_distinct_x,
     trace_from_moves,
 )
-from crossflip import search
+from crossflip import geometry, search
 from crossflip.matching import replay_states
 from crossflip.scenarios import (
     crossing_surge_instance,
@@ -45,7 +48,14 @@ from crossflip.search import (
     successors,
 )
 
-from oracles import naive_f, naive_h, reference_longest, reference_shortest
+from oracles import (
+    naive_f,
+    naive_h,
+    reference_crossing_row,
+    reference_longest,
+    reference_matchings,
+    reference_shortest,
+)
 
 SQUARE_INST = Instance(
     PointSet.from_coords([(0, 0), (2, 0), (2, 2), (0, 2)]),
@@ -120,12 +130,18 @@ def test_sandwich_and_potential_cap():
 
 
 def test_enumeration_counts_and_order():
-    for n, expected in ((2, 3), (3, 15), (4, 105)):
+    """Counts, sorted order, the recursive reference's order and the kernel
+    keys of the int walk."""
+    for n, expected in ((1, 1), (2, 3), (3, 15), (4, 105), (5, 945)):
         inst = gen_random(n, seed=5, bbox=(0, 300))
-        seen = [m.pairs for m in enumerate_all_matchings(inst.points, cap=4)]
+        seen = [m.pairs for m in enumerate_all_matchings(inst.points, cap=5)]
         assert len(seen) == expected
         assert seen == sorted(seen)
         assert len(set(seen)) == expected
+        assert seen == list(reference_matchings(2 * n))
+        graph = search._FlipGraph(inst.points)
+        assert [(graph.encode(Matching(p)), p) for p in seen] == list(
+            search._matchings(inst.points, cap=5))
 
 
 def test_enumeration_cap():
@@ -183,6 +199,38 @@ def test_deadline_checked_between_pushes(monkeypatch):
     monkeypatch.setattr(search, "time", FakeClock())
     with pytest.raises(SearchLimitsExceeded, match="time budget"):
         longest_flip_sequence(inst, SearchLimits(time_budget=1000))
+
+
+def _pair_test_clock_readings(monkeypatch, clock):
+    """The clock reading at every ``segments_properly_cross`` call, wherever
+    a crossflip module looks the name up."""
+    readings = []
+    real = geometry.segments_properly_cross
+
+    def counted(*args):
+        readings.append(clock.now)
+        return real(*args)
+
+    for name, module in list(sys.modules.items()):
+        if (name.split(".")[0] == "crossflip"
+                and getattr(module, "segments_properly_cross", None) is real):
+            monkeypatch.setattr(module, "segments_properly_cross", counted)
+    return readings
+
+
+def test_large_kernel_reads_the_clock_after_the_start_frame(monkeypatch):
+    """At n = 60 building the kernel and the start frame makes no pair test,
+    and a call over its budget stops at the first clock read after the
+    start frame: the deadline, the top of ``solve``, then the DFS loop."""
+    inst = gen_random(60, seed=1)
+    clock = FakeClock()
+    monkeypatch.setattr(search, "time", clock)
+    readings = _pair_test_clock_readings(monkeypatch, clock)
+    with pytest.raises(SearchLimitsExceeded, match="time budget") as info:
+        longest_flip_sequence(inst, SearchLimits(time_budget=1.5))
+    assert clock.now == 3 and info.value.states_expanded == 1
+    # only the non-crossing check before the search tests pairs
+    assert readings and set(readings) == {0.0}
 
 
 def test_depth_cap_is_the_same_for_dfs_and_bfs():
@@ -399,6 +447,29 @@ def test_extremal_matches_reference(n, seed):
     k_moves = reference_shortest(ps, est.k_argmax)
     assert est.g_witness == trace_from_moves("enumeration", ps, est.g_argmax, g_moves)
     assert est.k_witness == trace_from_moves("enumeration", ps, est.k_argmax, k_moves)
+
+
+def _any_point_sets(coords, max_size):
+    """Even-sized point lists, repeated points allowed."""
+    return st.lists(st.tuples(coords, coords), min_size=2,
+                    max_size=max_size).map(
+        lambda pts: PointSet.from_coords(pts[: len(pts) // 2 * 2]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(_any_point_sets(st.integers(0, 6), 16),  # 7x7 grid
+                 _any_point_sets(st.integers(-10**4, 10**4), 16)))
+def test_kernel_rows_and_masks_match_pair_tests(ps):
+    """The side-mask crossing rows and the reconnection masks against the
+    per-pair loop they replaced, on random sets and on 7x7-grid sets
+    (repeated x, collinear triples, repeated points)."""
+    graph = search._FlipGraph(ps)
+    assert len(graph.cross) == len(graph.segs)
+    for k in range(len(graph.segs)):
+        row, masks = reference_crossing_row(ps, k)
+        assert graph.cross[1 << k] == row
+        for pair, both in masks.items():
+            assert graph.recon[pair] == both
 
 
 def _assert_counts_are_recounts(ps, trace):

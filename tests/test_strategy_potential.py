@@ -1,7 +1,7 @@
 """Strategy runs against the rules the one x-order and the one Delta phi_K
 replaced: the phi_vertical a run tracks from four endpoints per step equals
 a recount of every visited matching, max-damage imposes the first crossing
-of least middle gap, and ``greedy_choice`` agrees with the raw-x sort. The
+of least middle gap with a key memo bounded by the live crossings, and ``greedy_choice`` agrees with the raw-x sort. The
 length a run carries from step to step equals a recount, and its records and
 trace CSV equal those of one plain ``flip`` per step."""
 
@@ -37,6 +37,7 @@ from crossflip import (
 )
 from crossflip.generators import inversion_law_violation
 from crossflip.io import write_trace
+from crossflip import search
 from crossflip.potentials import phi_vertical_delta, x_ranks
 from crossflip.search import _greedy_pairs, greedy_choice
 
@@ -218,6 +219,30 @@ def test_max_damage_takes_the_first_of_tied_crossings():
     assert keys[0] == keys[1]
     trace = run_strategy(inst, parse_strategy("adversary:max-damage"))
     assert [rec.crossing for rec in trace.records] == [first, second]
+
+
+def test_max_damage_key_memo_holds_at_most_twice_the_live_crossings(
+        monkeypatch):
+    """After every step's pick the key memo holds every live crossing and
+    at most twice as many entries; it is cut back during the run, and the
+    imposed crossings stay the reference's."""
+    inst = _sheared(60, 4107)
+    real = search._pick
+    sizes = []
+
+    def pick(*args):
+        out = real(*args)
+        crossings, keys = args[5], args[-1]
+        assert set(crossings) <= keys.keys()
+        assert len(keys) <= 2 * len(crossings)
+        sizes.append(len(keys))
+        return out
+
+    monkeypatch.setattr(search, "_pick", pick)
+    trace = run_strategy(inst, parse_strategy("adversary:max-damage"))
+    assert trace.complete and len(sizes) == len(trace) > 100
+    assert any(b < a for a, b in zip(sizes, sizes[1:]))
+    _assert_x_greedy_moves(inst, trace, max_damage=True, recount_crossings=False)
 
 
 @settings(max_examples=150, deadline=None)
