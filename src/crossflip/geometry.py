@@ -131,6 +131,38 @@ def segments_properly_cross(ps: PointSet, s: Segment, t: Segment) -> bool:
     )
 
 
+def crossed_by(ps: PointSet, s: Segment, segments: Iterable[Segment]) -> list[Segment]:
+    """The segments of ``segments`` that properly cross s, in their order:
+    ``segments_properly_cross`` of s and each, in one pass.
+
+    Line s takes one cross product per point. A segment whose endpoints lie
+    strictly on opposite sides of it crosses s exactly when s's endpoints lie
+    strictly on opposite sides of its own line, two more cross products; so
+    the answer is exact on degenerate sets too. A segment sharing an endpoint
+    with s lies on line s there and never counts.
+    """
+    pts = ps.points
+    (ax, ay), (bx, by) = pts[s[0]], pts[s[1]]
+    dx, dy = bx - ax, by - ay
+    # orient(p_a, p_b, p_r) has the sign of dets[r] - line
+    line = dx * ay - dy * ax
+    dets = [dx * y - dy * x for x, y in pts]
+    out = []
+    for t in segments:
+        c, d = t
+        p, q = dets[c], dets[d]
+        if p > line > q or p < line < q:
+            (cx, cy), (tx, ty) = pts[c], pts[d]
+            tx -= cx
+            ty -= cy
+            # orient(p_c, p_d, p_a) and orient(p_c, p_d, p_b)
+            p = tx * (ay - cy) - ty * (ax - cx)
+            q = tx * (by - cy) - ty * (bx - cx)
+            if p > 0 > q or p < 0 < q:
+                out.append(t)
+    return out
+
+
 def direction(p: Point, q: Point) -> tuple[int, int]:
     """(q - p) over the gcd of its components for q != p, signed so its first
     nonzero component is positive: r and s have equal directions from p

@@ -4,15 +4,21 @@ A matching is an immutable canonical pairing of point indices. A flip removes
 two crossing segments and reconnects their four endpoints one of the two
 non-crossing ways. Total segment length is tracked as a float-valued monitor;
 it strictly decreases across every flip, but it never drives control flow.
+
+Crossings are found by ``geometry.crossed_by``, one exact pass per segment.
+Along a run of flips, ``_LiveCrossings`` keeps them sorted with an index of
+each segment's crossings, so a flip retests only its two added segments.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, insort
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
-from .geometry import PointSet, Segment, orient, seg, segments_properly_cross
+from .geometry import PointSet, Segment, crossed_by, orient, seg, segments_properly_cross
 
 #: Two crossing segments in canonical order (lexicographically smaller first).
 CrossingPair = tuple[Segment, Segment]
@@ -87,29 +93,25 @@ def crossing_pair(e1: Segment, e2: Segment) -> CrossingPair:
     return (e1, e2) if e1 < e2 else (e2, e1)
 
 
-def _crossed_by(ps: PointSet, s: Segment, segments) -> list[Segment]:
-    """The segments of ``segments`` that properly cross s, in their order.
-
-    The side of line s is one integer cross product per point; only a
-    segment whose endpoints fall on opposite sides, a necessary condition,
-    gets the full ``segments_properly_cross`` test.
-    """
-    (ax, ay), (bx, by) = ps[s[0]], ps[s[1]]
-    dx, dy = bx - ax, by - ay
-    above = [dx * (y - ay) > dy * (x - ax) for x, y in ps.points]
-    return [t for t in segments
-            if above[t[0]] != above[t[1]] and segments_properly_cross(ps, s, t)]
-
-
 def find_crossings(ps: PointSet, m: Matching) -> list[CrossingPair]:
     """All properly crossing segment pairs of m, canonically sorted."""
     pairs = m.pairs
     return [(s, t) for i, s in enumerate(pairs)
-            for t in _crossed_by(ps, s, pairs[i + 1:])]
+            for t in crossed_by(ps, s, pairs[i + 1:])]
 
 
 def is_noncrossing(ps: PointSet, m: Matching) -> bool:
     return not find_crossings(ps, m)
+
+
+def _added_crossings(
+    ps: PointSet, new_matching: Matching, added: tuple[Segment, Segment]
+) -> list[CrossingPair]:
+    """The crossings of ``new_matching`` that hold an added segment. The
+    two added segments never cross, and a segment never crosses itself, so
+    each crossing is found once."""
+    return [crossing_pair(s, t) for s in added
+            for t in crossed_by(ps, s, new_matching.pairs)]
 
 
 def crossings_after_flip(
@@ -126,20 +128,55 @@ def crossings_after_flip(
     """
     gone = set(removed)
     out = [c for c in old_crossings if c[0] not in gone and c[1] not in gone]
-    # the two added segments never cross each other, so neither is tested
-    others = [t for t in new_matching.pairs if t != added[0] and t != added[1]]
-    for s in added:
-        out += [crossing_pair(s, t) for t in _crossed_by(ps, s, others)]
+    out += _added_crossings(ps, new_matching, added)
     out.sort()
     return out
 
 
+class _LiveCrossings:
+    """The crossings of a matching along a run of flips: ``sorted``, in
+    canonical order, and ``of``, each segment's set of crossings. A flip
+    costs one ``crossed_by`` pass per added segment plus O(log L) per
+    crossing it removes or adds, for L live crossings."""
+
+    def __init__(self, ps: PointSet, m: Matching):
+        self.ps = ps
+        self.sorted = find_crossings(ps, m)
+        self.of: dict[Segment, set[CrossingPair]] = defaultdict(set)
+        for c in self.sorted:
+            self.of[c[0]].add(c)
+            self.of[c[1]].add(c)
+
+    def __len__(self) -> int:
+        return len(self.sorted)
+
+    def __contains__(self, crossing: CrossingPair) -> bool:
+        return crossing in self.of.get(crossing[0], ())
+
+    def flip(self, new_matching: Matching, removed: CrossingPair,
+             added: tuple[Segment, Segment]) -> list[CrossingPair]:
+        """Move on to ``new_matching``, which a flip of ``removed`` adding
+        ``added`` gave; returns the crossings it gained."""
+        live, of = self.sorted, self.of
+        for s in removed:
+            for c in of.pop(s):
+                del live[bisect_left(live, c)]
+                of[c[1] if c[0] == s else c[0]].discard(c)
+        new = _added_crossings(self.ps, new_matching, added)
+        for c in new:
+            insort(live, c)
+            of[c[0]].add(c)
+            of[c[1]].add(c)
+        return new
+
+
 def total_length(ps: PointSet, m: Matching) -> float:
     """Euclidean length of the matching; a monitor, never a control value."""
+    pts = ps.points
     total = 0.0
     for a, b in m.pairs:
-        pa, pb = ps[a], ps[b]
-        total += math.hypot(pb.x - pa.x, pb.y - pa.y)
+        (ax, ay), (bx, by) = pts[a], pts[b]
+        total += math.hypot(bx - ax, by - ay)
     return total
 
 
@@ -282,16 +319,16 @@ def trace_from_moves(
 ) -> FlipTrace:
     """Build a trace by applying scripted (crossing, choice) moves in order."""
     m = initial
-    crossings = find_crossings(ps, m)
+    live = _LiveCrossings(ps, m)
     length = total_length(ps, m)
     records = []
     for crossing, choice in moves:
         m, rec = _flip_from(ps, m, crossing, choice, length)
         length = rec.length_after
-        crossings = crossings_after_flip(ps, m, crossings, crossing, rec.added)
-        records.append(replace(rec, crossings_after=len(crossings)))
+        live.flip(m, crossing, rec.added)
+        records.append(replace(rec, crossings_after=len(live)))
     return FlipTrace(instance_id, initial, tuple(records), m,
-                     complete=not crossings)
+                     complete=not live)
 
 
 def replay_states(ps: PointSet, initial: Matching, records) -> list[Matching]:

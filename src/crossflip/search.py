@@ -27,6 +27,12 @@ parents and the DFS's first successor attaining the min both yield. Each is
 rebuilt through the checked ``trace_from_moves``. ``SearchLimits`` hold per
 public call: one deadline, set before the kernel is built, and one state
 count, the clock read on every DFS step and every BFS expansion.
+
+A strategy run keeps its crossings in a ``matching._LiveCrossings`` index, so
+a step costs O(n) integer work plus O(log L) per crossing it removes or
+adds, for L live crossings. Max-damage keeps one heap of (-key, crossing)
+over the live crossings, deleting lazily: a key depends on the crossing's
+four endpoints alone, so it is computed once when the crossing appears.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ import random
 import time
 from dataclasses import dataclass
 from functools import reduce
+from heapq import heapify, heappop, heappush
 from itertools import compress
 from operator import or_, xor
 
@@ -47,10 +54,10 @@ from .matching import (
     FlipTrace,
     Matching,
     _flip_from,
+    _LiveCrossings,
     apply_flip,
     choice_yielding,
     crossing_pair,
-    crossings_after_flip,
     find_crossings,
     is_noncrossing,
     reconnections,
@@ -503,17 +510,25 @@ class Strategy:
 
 
 def parse_strategy(text: str) -> Strategy:
-    """Parse CLI-style strategy text such as ``greedy-x``, ``random:7`` or
-    ``adversary:max-damage``."""
-    parts = text.split(":")
-    kind = parts[0]
+    """Parse CLI-style strategy text: ``greedy-x``, ``bubble``, ``first``,
+    ``random[:seed]`` or ``adversary:{random,first,max-damage}[:seed]``.
+    Anything else raises ValueError."""
+    kind, *fields = text.split(":")
+    adversary = None
     if kind == "adversary":
-        if len(parts) < 2:
+        if not fields:
             raise ValueError("adversary strategy needs a kind, e.g. adversary:random")
-        seed = int(parts[2]) if len(parts) > 2 else 0
-        return Strategy("adversary", seed=seed, adversary=parts[1])
-    seed = int(parts[1]) if len(parts) > 1 else 0
-    return Strategy(kind, seed=seed)
+        adversary, *fields = fields
+    malformed = ValueError(
+        f"malformed strategy {text!r}: expected greedy-x, bubble, first, "
+        "random[:seed] or adversary:{random,first,max-damage}[:seed]")
+    if len(fields) > (kind in ("random", "adversary")):
+        raise malformed
+    try:
+        seed = int(fields[0]) if fields else 0
+    except ValueError:
+        raise malformed from None
+    return Strategy(kind, seed=seed, adversary=adversary)
 
 
 #: why x-greedy moves are refused: phi_vertical is undefined when x repeats
@@ -557,7 +572,14 @@ def _bubble_move(ps, inst, m):
     raise StrategyNotApplicableError("no adjacent inversion left, yet crossings remain")
 
 
-def _pick(strategy, ps, ranks, inst, m, crossings, rng, restrict_choice, keys):
+def _damage(ranks, crossing: CrossingPair) -> int:
+    """The max-damage key: the phi_vertical change of the x-greedy
+    response, which depends on the crossing's four endpoints alone."""
+    return phi_vertical_delta(ranks, crossing, _greedy_pairs(ranks, crossing))
+
+
+def _pick(strategy, ps, ranks, inst, m, live, rng, restrict_choice, heap):
+    crossings = live.sorted
     if strategy.kind == "first":
         return crossings[0], restrict_choice or FlipChoice.RECONNECT_A
     if strategy.kind == "random":
@@ -570,18 +592,16 @@ def _pick(strategy, ps, ranks, inst, m, crossings, rng, restrict_choice, keys):
     if strategy.adversary == "random":
         crossing = rng.choice(crossings)
     elif strategy.adversary == "max-damage":
-        # the smallest phi_vertical drop the greedy response can make; max
-        # takes the canonically first crossing on ties. A key depends on the
-        # four endpoints alone, so ``keys`` keeps it while the crossing
-        # lives, and is cut back to the live crossings once it holds more
-        # than twice as many.
-        for c in crossings:
-            if c not in keys:
-                keys[c] = phi_vertical_delta(ranks, c, _greedy_pairs(ranks, c))
-        crossing = max(crossings, key=keys.__getitem__)
-        if len(keys) > 2 * len(crossings):
-            for c in keys.keys() - set(crossings):
-                del keys[c]
+        # the smallest phi_vertical drop the greedy response can make, the
+        # canonically first crossing on ties: the top live entry of
+        # ``heap``, which holds (-key, crossing) for every live crossing and
+        # is cut back to them once it holds more than twice as many
+        while heap[0][1] not in live:
+            heappop(heap)
+        if len(heap) > 2 * len(live):
+            heap[:] = {e for e in heap if e[1] in live}
+            heapify(heap)
+        crossing = heap[0][1]
     else:
         crossing = crossings[0]
     return crossing, choice_yielding(ps, crossing, _greedy_pairs(ranks, crossing))
@@ -622,20 +642,25 @@ def run_strategy(
     rng = random.Random(strategy.seed)
 
     m = inst.matching
-    crossings = find_crossings(ps, m)
+    live = _LiveCrossings(ps, m)
     length = total_length(ps, m)
-    damage_keys: dict[CrossingPair, int] = {}
+    heap = None
+    if strategy.adversary == "max-damage":
+        heap = [(-_damage(ranks, c), c) for c in live.sorted]
+        heapify(heap)
     records = []
     phi_k = phi_vertical(ps, m) if ranks else None
     phi_l = phi_lines(ps, m) if with_phi_lines else None
-    while crossings and len(records) < max_steps:
+    while live and len(records) < max_steps:
         crossing, choice = _pick(
-            strategy, ps, ranks, inst, m, crossings, rng, restrict_choice,
-            damage_keys,
+            strategy, ps, ranks, inst, m, live, rng, restrict_choice, heap,
         )
         m, rec = _flip_from(ps, m, crossing, choice, length)
         length = rec.length_after
-        crossings = crossings_after_flip(ps, m, crossings, crossing, rec.added)
+        gained = live.flip(m, crossing, rec.added)
+        if heap is not None:
+            for c in gained:
+                heappush(heap, (-_damage(ranks, c), c))
         phi_k_before, phi_l_before = phi_k, phi_l
         if ranks:
             phi_k += phi_vertical_delta(ranks, crossing, rec.added)
@@ -643,7 +668,7 @@ def run_strategy(
             phi_l = phi_lines(ps, m)
         records.append(dataclasses.replace(
             rec,
-            crossings_after=len(crossings),
+            crossings_after=len(live),
             phi_k_before=phi_k_before,
             phi_k_after=phi_k,
             phi_l_before=phi_l_before,
@@ -651,5 +676,5 @@ def run_strategy(
         ))
     return FlipTrace(
         inst.provenance, inst.matching, tuple(records), m,
-        complete=not crossings,
+        complete=not live,
     )

@@ -16,7 +16,11 @@ table that the bitmask kernel of ``crossflip.potentials`` replaced, and
 ``phi_vertical_rank_formula`` is now the library's own formula.
 ``reference_find_crossings`` and ``reference_crossings_after_flip`` are the
 full pair tests that the side-vector prefilter of ``crossflip.matching``
-replaced. ``reference_crossing_row`` is the per-pair loop, and
+replaced, and ``reference_crossed_by`` that prefilter, whose survivors get
+``segments_properly_cross``, which the exact batch test
+``geometry.crossed_by`` replaced. ``reference_max_damage_pick`` is the
+per-run key dict and ``max`` that the max-damage heap of
+``crossflip.search`` replaced. ``reference_crossing_row`` is the per-pair loop, and
 ``reference_matchings`` the recursive enumerator, that the side-mask rows and
 the int enumeration of the ``crossflip.search`` kernel replaced. ``reference_general_position`` and ``reference_random_instance`` are the
 ``orient`` triple loop and rejection sampler that the direction-vector test
@@ -54,7 +58,8 @@ from crossflip import (
 )
 from crossflip.geometry import convex_position_ccw
 from crossflip.matching import crossing_pair
-from crossflip.potentials import LineAudit
+from crossflip.potentials import LineAudit, phi_vertical_delta
+from crossflip.search import _greedy_pairs
 
 CHOICES = (FlipChoice.RECONNECT_A, FlipChoice.RECONNECT_B)
 
@@ -72,6 +77,17 @@ def reference_find_crossings(ps: PointSet, m: Matching) -> list:
 
 def crossing_count_brute(ps: PointSet, m: Matching) -> int:
     return len(reference_find_crossings(ps, m))
+
+
+def reference_crossed_by(ps: PointSet, s, segments) -> list:
+    """The segments of ``segments`` that properly cross s: a segment whose
+    endpoints fall on opposite sides of line s (a one-way strict test per
+    point) gets the full ``segments_properly_cross`` test."""
+    (ax, ay), (bx, by) = ps[s[0]], ps[s[1]]
+    dx, dy = bx - ax, by - ay
+    above = [dx * (y - ay) > dy * (x - ax) for x, y in ps.points]
+    return [t for t in segments
+            if above[t[0]] != above[t[1]] and segments_properly_cross(ps, s, t)]
 
 
 def reference_crossings_after_flip(ps: PointSet, new_matching: Matching,
@@ -470,3 +486,18 @@ def reference_random_instance(n: int, seed: int, bbox=(0, 512)):
     order = list(range(2 * n))
     rng.shuffle(order)
     return tuple(pts), [(order[2 * i], order[2 * i + 1]) for i in range(n)]
+
+
+def reference_max_damage_pick(ranks, crossings, keys: dict):
+    """The crossing max-damage imposes among ``crossings`` (canonically
+    sorted) by a per-run dict of keys: fill in the missing keys, take ``max``
+    (the first crossing on ties), then cut the dict back to the live
+    crossings once it holds more than twice as many."""
+    for c in crossings:
+        if c not in keys:
+            keys[c] = phi_vertical_delta(ranks, c, _greedy_pairs(ranks, c))
+    crossing = max(crossings, key=keys.__getitem__)
+    if len(keys) > 2 * len(crossings):
+        for c in keys.keys() - set(crossings):
+            del keys[c]
+    return crossing

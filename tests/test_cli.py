@@ -344,6 +344,19 @@ def test_negative_count_flag_exits_2(rev5, tmp_path, argv):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("text", ["greedy-x:3:4", "first:-1", "random:1:2",
+                                  "adversary:max-damage:1:2"])
+def test_run_rejects_strategy_fields_outside_the_grammar(rev5, tmp_path, text):
+    # trailing fields and seeds on seedless kinds were once dropped, and the
+    # run wrote a trace and exited 0
+    out = tmp_path / "t.csv"
+    proc = _cli_process("run", rev5, "--strategy", text, "-o", out)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "malformed strategy" in proc.stderr
+    assert not out.exists()
+
+
 def test_zero_counts_stay_valid(rev5, tmp_path):
     trace = tmp_path / "t.csv"
     assert run_cli("run", rev5, "--strategy", "random", "--max-steps", 0,

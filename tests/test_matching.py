@@ -27,8 +27,8 @@ from crossflip import (
     total_length,
     trace_from_moves,
 )
-from crossflip.geometry import ccw_quad_order
-from crossflip.matching import crossing_quad, reconnections
+from crossflip.geometry import ccw_quad_order, crossed_by
+from crossflip.matching import _LiveCrossings, crossing_quad, reconnections
 from crossflip.scenarios import (
     REAPPEARING_SEGMENT,
     reappearing_segment_instance,
@@ -38,6 +38,7 @@ from crossflip.scenarios import (
 
 from oracles import (
     CHOICES,
+    reference_crossed_by,
     reference_crossings_after_flip,
     reference_find_crossings,
     reference_reconnection_pairs,
@@ -215,9 +216,9 @@ def test_two_line_crossings_match_inversions_small():
             assert len(find_crossings(ps, m)) == inv
 
 
-def _point_sets(coords, max_size=10):
+def _point_sets(coords, max_size=10, unique=True):
     return st.lists(st.tuples(coords, coords), min_size=4, max_size=max_size,
-                    unique=True).map(
+                    unique=unique).map(
         lambda pts: PointSet.from_coords(pts[: len(pts) // 2 * 2]))
 
 
@@ -269,3 +270,47 @@ def test_crossing_lists_match_full_pair_tests_along_flip_walks(ps, rng):
         assert crossings_after_flip(ps, m, crossings, crossing, rec.added) == want
         assert find_crossings(ps, m) == want
         crossings = want
+
+
+def _assert_batch_test_matches_pair_tests(ps, s, segments):
+    want = [t for t in segments if segments_properly_cross(ps, s, t)]
+    assert crossed_by(ps, s, segments) == want
+    assert reference_crossed_by(ps, s, segments) == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(_point_sets(st.integers(0, 6), 24),  # 7x7 grid, degenerate
+                 _point_sets(st.integers(0, 6), 24, unique=False),  # repeats
+                 _point_sets(st.integers(-10**4, 10**4), 24)),
+       st.randoms(use_true_random=False))
+def test_live_crossing_index_matches_full_pair_tests_along_flip_walks(ps, rng):
+    """The per-segment live-crossing index and the batch crossing test
+    against full pair tests, at the start and after every flip of a random
+    walk, on random sets and on 7x7-grid sets (repeated x, collinear
+    triples, repeated points): the index's list is the reference list in
+    order, each segment's set holds exactly the crossings that contain it,
+    a flip returns exactly the crossings it gains, and ``crossed_by`` agrees
+    with ``segments_properly_cross`` pair by pair."""
+    labels = list(range(len(ps)))
+    rng.shuffle(labels)
+    m = Matching.from_pairs(zip(labels[0::2], labels[1::2]))
+    segments = list(combinations(range(len(ps)), 2))
+    for s in m.pairs:  # every segment of the set disjoint from s
+        _assert_batch_test_matches_pair_tests(
+            ps, s, [t for t in segments if not set(s) & set(t)])
+    live = _LiveCrossings(ps, m)
+    while True:
+        crossings = reference_find_crossings(ps, m)
+        assert live.sorted == crossings
+        assert live.of.keys() <= set(m.pairs)
+        for s in m.pairs:
+            assert live.of.get(s, set()) == {c for c in crossings if s in c}
+            _assert_batch_test_matches_pair_tests(
+                ps, s, [t for t in m.pairs if t != s])
+        if not crossings:
+            break
+        crossing = rng.choice(crossings)
+        m, rec = flip(ps, m, crossing, rng.choice(CHOICES))
+        gained = live.flip(m, crossing, rec.added)
+        assert sorted(gained) == [c for c in reference_find_crossings(ps, m)
+                                  if set(c) & set(rec.added)]

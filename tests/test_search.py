@@ -202,10 +202,10 @@ def test_deadline_checked_between_pushes(monkeypatch):
 
 
 def _pair_test_clock_readings(monkeypatch, clock):
-    """The clock reading at every ``segments_properly_cross`` call, wherever
-    a crossflip module looks the name up."""
+    """The clock reading at every ``crossed_by`` call, the batch crossing
+    test, wherever a crossflip module looks the name up."""
     readings = []
-    real = geometry.segments_properly_cross
+    real = geometry.crossed_by
 
     def counted(*args):
         readings.append(clock.now)
@@ -213,8 +213,8 @@ def _pair_test_clock_readings(monkeypatch, clock):
 
     for name, module in list(sys.modules.items()):
         if (name.split(".")[0] == "crossflip"
-                and getattr(module, "segments_properly_cross", None) is real):
-            monkeypatch.setattr(module, "segments_properly_cross", counted)
+                and getattr(module, "crossed_by", None) is real):
+            monkeypatch.setattr(module, "crossed_by", counted)
     return readings
 
 
@@ -386,6 +386,15 @@ def test_parse_strategy():
         parse_strategy("snake")
     with pytest.raises(ValueError):
         parse_strategy("adversary")
+    assert parse_strategy("adversary:first:2") == Strategy(
+        "adversary", seed=2, adversary="first")
+    # fields outside the grammar: seeds on kinds that take none, extra fields
+    for text in ("greedy-x:3:4", "greedy-x:3", "bubble:1", "first:-1",
+                 "random:1:2", "adversary:random:5:6", "adversary:first:1:2",
+                 "snake:1", "bubble:", "random:", "random:x",
+                 "adversary:random:"):
+        with pytest.raises(ValueError, match="malformed strategy"):
+            parse_strategy(text)
 
 
 def test_unrestricted_random_runs_terminate_within_potential_cap():

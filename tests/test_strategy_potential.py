@@ -1,12 +1,15 @@
 """Strategy runs against the rules the one x-order and the one Delta phi_K
 replaced: the phi_vertical a run tracks from four endpoints per step equals
 a recount of every visited matching, max-damage imposes the first crossing
-of least middle gap with a key memo bounded by the live crossings, and ``greedy_choice`` agrees with the raw-x sort. The
+of least middle gap, which is also the pick of the per-run key dict that its
+heap replaced, the heap stays bounded by the live crossings, a step makes
+one pair test, and ``greedy_choice`` agrees with the raw-x sort. The
 length a run carries from step to step equals a recount, and its records and
 trace CSV equal those of one plain ``flip`` per step."""
 
 import dataclasses
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -37,11 +40,16 @@ from crossflip import (
 )
 from crossflip.generators import inversion_law_violation
 from crossflip.io import write_trace
-from crossflip import search
+from crossflip import geometry, search
 from crossflip.potentials import phi_vertical_delta, x_ranks
 from crossflip.search import _greedy_pairs, greedy_choice
 
-from oracles import _gap_ranks, reference_greedy_choice, reference_middle_gap
+from oracles import (
+    _gap_ranks,
+    reference_greedy_choice,
+    reference_max_damage_pick,
+    reference_middle_gap,
+)
 
 X_GREEDY = ["greedy-x", "adversary:random:3", "adversary:first",
             "adversary:max-damage"]
@@ -142,15 +150,18 @@ def _assert_lengths_chain(inst: Instance, trace, tmp_path):
 def _assert_x_greedy_moves(inst: Instance, trace, max_damage: bool,
                            recount_crossings: bool):
     """Every response is the raw-x greedy choice; under max-damage every
-    imposed crossing is the first of least reference middle gap."""
+    imposed crossing is the first of least reference middle gap, and the
+    pick of the per-run key dict."""
     ps = inst.points
     rank = _gap_ranks(ps)
+    ranks, keys = x_ranks(ps), {}
     states = _states(ps, trace)
     crossings = find_crossings(ps, states[0])
     for k, rec in enumerate(trace.records):
         if max_damage:
             best = min(crossings, key=lambda c: reference_middle_gap(ps, c, rank))
             assert rec.crossing == best
+            assert rec.crossing == reference_max_damage_pick(ranks, crossings, keys)
         assert rec.choice is reference_greedy_choice(ps, rec.crossing)
         if recount_crossings:
             crossings = find_crossings(ps, states[k + 1])
@@ -223,19 +234,23 @@ def test_max_damage_takes_the_first_of_tied_crossings():
 
 def test_max_damage_key_memo_holds_at_most_twice_the_live_crossings(
         monkeypatch):
-    """After every step's pick the key memo holds every live crossing and
-    at most twice as many entries; it is cut back during the run, and the
-    imposed crossings stay the reference's."""
+    """The keys live in the max-damage heap: after every step's pick it
+    holds an entry with the right key for every live crossing and at most
+    twice as many entries; it is cut back during the run, and each pick is
+    the per-run key dict's."""
     inst = _sheared(60, 4107)
+    ranks, keys = x_ranks(inst.points), {}
     real = search._pick
     sizes = []
 
     def pick(*args):
         out = real(*args)
-        crossings, keys = args[5], args[-1]
-        assert set(crossings) <= keys.keys()
-        assert len(keys) <= 2 * len(crossings)
-        sizes.append(len(keys))
+        live, heap = args[5], args[-1]
+        entries = set(heap)
+        assert all((-search._damage(ranks, c), c) in entries for c in live.sorted)
+        assert len(heap) <= 2 * len(live)
+        assert out[0] == reference_max_damage_pick(ranks, live.sorted, keys)
+        sizes.append(len(heap))
         return out
 
     monkeypatch.setattr(search, "_pick", pick)
@@ -243,6 +258,28 @@ def test_max_damage_key_memo_holds_at_most_twice_the_live_crossings(
     assert trace.complete and len(sizes) == len(trace) > 100
     assert any(b < a for a, b in zip(sizes, sizes[1:]))
     _assert_x_greedy_moves(inst, trace, max_damage=True, recount_crossings=False)
+
+
+@pytest.mark.parametrize("text", ["greedy-x", "adversary:max-damage"])
+def test_strategy_steps_make_one_pair_test_each(monkeypatch, text):
+    """A step's only ``segments_properly_cross`` call is the flip's own
+    liveness check: the crossings it gains come from one batch pass per
+    added segment, and the ones it loses from the per-segment index."""
+    inst = _sheared(60, 4108)
+    real = geometry.segments_properly_cross
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    for name, module in list(sys.modules.items()):
+        if (name.split(".")[0] == "crossflip"
+                and getattr(module, "segments_properly_cross", None) is real):
+            monkeypatch.setattr(module, "segments_properly_cross", counted)
+    trace = run_strategy(inst, parse_strategy(text))
+    assert trace.complete and len(trace) > 50
+    assert len(calls) == len(trace)
 
 
 @settings(max_examples=150, deadline=None)
