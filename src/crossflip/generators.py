@@ -1,10 +1,13 @@
 """Instance builders: the two worst-case families and seeded random instances.
 
-Every generator certifies its output. General position is validated once,
-by ``Instance``; the two-line family additionally re-verifies that segment
-crossings coincide with permutation inversions, and the convex family
-re-verifies strict convexity. A generator that cannot certify raises
-GenerationError instead of returning a doubtful instance.
+Every generator certifies its output. General position is decided once
+per point set: by ``gen_random``'s rejection test, which covers every triple
+and so certifies the set and its ``shear_to_distinct_x`` image for
+``Instance``, and otherwise by ``Instance`` validation. The two-line family
+additionally re-verifies that segment crossings coincide with permutation
+inversions, and the convex family re-verifies strict convexity. A generator
+that cannot certify raises GenerationError instead of returning a doubtful
+instance.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from itertools import combinations
 from .geometry import (
     Point,
     PointSet,
+    _general_position,
     first_collinear_pair,
     orient,
     seg,
@@ -227,8 +231,10 @@ def gen_random(n: int, seed: int, bbox: tuple[int, int] = (0, 512)) -> Instance:
     matching = Matching.from_pairs(
         [(order[2 * i], order[2 * i + 1]) for i in range(n)]
     )
+    ps = PointSet(tuple(pts))
+    _general_position.add(ps)  # every accepted point passed the triple test
     return Instance(
-        PointSet(tuple(pts)),
+        ps,
         matching,
         f"random(n={n}, seed={seed}, bbox=[{lo}, {hi}])",
     )

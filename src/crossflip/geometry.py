@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
@@ -89,27 +90,59 @@ def orient(p: Point, q: Point, r: Point) -> int:
     return (d > 0) - (d < 0)
 
 
+#: per byte, b"1" when its top bit is set and b"0" otherwise
+_TOP_BIT = bytes(48 + (i >> 7) for i in range(256))
+
+
+def _lanes(count: int) -> int:
+    """A 1 in each of ``count`` 64-bit lanes."""
+    return ((1 << 64 * count) - 1) // ((1 << 64) - 1)
+
+
 @functools.lru_cache(maxsize=32)
 def side_masks(ps: PointSet) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """``(pos, on)``: bit k of ``pos[r]`` is set when orient(p_a, p_b, p_r)
     > 0 and of ``on[r]`` when it is 0 (r = a, r = b, or r collinear with
     them), for the k-th anchor pair a < b in lexicographic order, which is
     the segment numbering of the search kernel.
+
+    Every anchor pair gets a 64-bit lane of three ints, so a point's row is
+    a few big-int operations: one determinant per lane, whose signs are read
+    off the lanes' top bits.
     """
     pts = ps.points
-    # orient(p_a, p_b, p_r) has the sign of dx * y_r - dy * x_r - c; the
-    # anchors run highest bit first, as int(text, 2) reads them
-    anchors = [
-        (bx - ax, by - ay, (bx - ax) * ay - (by - ay) * ax)
-        for a, (ax, ay) in enumerate(pts)
-        for bx, by in pts[a + 1:]
-    ]
-    anchors.reverse()
+    m = len(pts)
+    # coordinates shifted to be nonnegative, point i in lane i
+    xs = sum((x + COORD_LIMIT) << 64 * i for i, (x, _) in enumerate(pts))
+    ys = sum((y + COORD_LIMIT) << 64 * i for i, (_, y) in enumerate(pts))
+    # lane k of dx, dy and c holds anchor pair k's b - a and the constant c
+    # of orient(p_a, p_b, p_r) = dx * y_r - dy * x_r - c; one block of lanes
+    # per anchor a, prepended below the blocks of the later anchors
+    dx = dy = c = 0
+    for a in range(m - 2, -1, -1):
+        ax, ay = pts[a]
+        later = m - 1 - a
+        bx = (xs >> 64 * (a + 1)) - (ax + COORD_LIMIT) * _lanes(later)
+        by = (ys >> 64 * (a + 1)) - (ay + COORD_LIMIT) * _lanes(later)
+        dx = (dx << 64 * later) + bx
+        dy = (dy << 64 * later) + by
+        c = (c << 64 * later) + bx * ay - by * ax
+    # |determinant| <= 2**43 (COORD_LIMIT), so a lane biased by 2**63 - 1
+    # stays in [0, 2**64) and never carries into the next; its top bit is
+    # set when the determinant is > 0, and with one more per lane, >= 0
+    lanes = m * (m - 1) // 2
+    ones = _lanes(lanes)
+    c -= ((1 << 63) - 1) * ones
+    size = 8 * lanes
     pos, on = [], []
-    for rx, ry in pts:
-        dets = [dx * ry - dy * rx - c for dx, dy, c in anchors]
-        pos.append(int("".join(["1" if d > 0 else "0" for d in dets]), 2))
-        on.append(int("".join(["1" if d == 0 else "0" for d in dets]), 2))
+    for x, y in pts:
+        d = dx * y - dy * x - c
+        # big-endian top bytes run from the last lane down, highest bit
+        # first, as int(text, 2) reads them
+        p = int(d.to_bytes(size, "big")[::8].translate(_TOP_BIT), 2)
+        nonneg = int((d + ones).to_bytes(size, "big")[::8].translate(_TOP_BIT), 2)
+        pos.append(p)
+        on.append(nonneg ^ p)
     return tuple(pos), tuple(on)
 
 
@@ -189,13 +222,22 @@ def first_collinear_pair(p: Point, others: Sequence[Point]) -> tuple[int, int] |
     return _first_repeat(direction(p, q) for q in others)
 
 
+#: Point sets known to be in general position: the random generator's
+#: output, whose rejection test covered every triple, and the shears of such
+#: sets. Membership compares points, so an equal set is certified as well.
+_general_position = weakref.WeakSet()
+
+
 def validate_general_position(ps: PointSet) -> tuple[int, ...] | None:
     """None when all points are distinct and no three are collinear.
 
     Otherwise the first offending index pair (duplicate points) or triple
     (collinear points), scanning index combinations in lexicographic order.
-    Duplicates are reported before collinearities. O(m^2) for m points.
+    Duplicates are reported before collinearities. O(m^2) for m points, or
+    O(m) for a set certified by ``generators.gen_random`` or sheared from one.
     """
+    if ps in _general_position:
+        return None
     pts = ps.points
     if (dup := _first_repeat(pts)) is not None:
         return dup
@@ -212,14 +254,18 @@ def shear_to_distinct_x(ps: PointSet) -> PointSet:
     Otherwise applies (x, y) -> (x*c + y, y) with c = 1 + 2*max|y|. The map
     has positive determinant, so every orientation sign, every crossing and
     every flip is preserved; distinctness follows because |c*(x1-x2)| > |y2-y1|
-    whenever x1 != x2, while x1 == x2 forces y1 != y2.
+    whenever x1 != x2, while x1 == x2 forces y1 != y2. For the same reasons
+    the image of a set certified to be in general position is certified too.
 
     Raises CoordinateOverflowError when the image leaves the coordinate budget.
     """
     if ps.has_distinct_x():
         return ps
     c = 1 + 2 * max(abs(p.y) for p in ps)
-    return PointSet(tuple(Point(p.x * c + p.y, p.y) for p in ps))
+    image = PointSet(tuple(Point(p.x * c + p.y, p.y) for p in ps))
+    if ps in _general_position:
+        _general_position.add(image)
+    return image
 
 
 def ccw_quad_order(ps: PointSet, indices: Iterable[int]) -> tuple[int, int, int, int]:

@@ -192,13 +192,21 @@ def crossing_quad(ps: PointSet, crossing: CrossingPair) -> tuple[int, int, int, 
     return a, x, b, y
 
 
+def quad_reconnections(
+    quad: tuple[int, int, int, int]
+) -> tuple[tuple[Segment, Segment], tuple[Segment, Segment]]:
+    """The sorted segment pairs a flip adds under choices A and B, given the
+    crossing's ``crossing_quad`` (a, x, b, y): opposite sides of the quad."""
+    a, x, b, y = quad
+    return ((a, x), seg(b, y)), ((a, y), seg(b, x))
+
+
 def reconnections(
     ps: PointSet, crossing: CrossingPair
 ) -> tuple[tuple[Segment, Segment], tuple[Segment, Segment]]:
     """The sorted segment pairs a flip of ``crossing`` adds under choices A
-    and B: opposite sides of its ``crossing_quad``."""
-    a, x, b, y = crossing_quad(ps, crossing)
-    return ((a, x), seg(b, y)), ((a, y), seg(b, x))
+    and B."""
+    return quad_reconnections(crossing_quad(ps, crossing))
 
 
 def reconnection_pairs(

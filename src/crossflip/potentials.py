@@ -44,7 +44,7 @@ from .matching import (
     Matching,
     check_live,
     crossing_quad,
-    reconnection_pairs,
+    quad_reconnections,
 )
 
 
@@ -317,8 +317,9 @@ def decrement_audit(
     check_live(ps, m, crossing)
     e1, e2 = crossing
     # a live crossing's endpoints are in convex position, in this ccw order
-    types = _quad_line_types(ps, crossing_quad(ps, crossing))
-    added = reconnection_pairs(ps, crossing, choice)
+    quad = crossing_quad(ps, crossing)
+    types = _quad_line_types(ps, quad)
+    added = quad_reconnections(quad)[choice is FlipChoice.RECONNECT_B]
     masks = _line_masks(ps)
     b1, b2, a1, a2 = (masks[u] ^ masks[v] for u, v in (e1, e2, *added))
     gained = ((a1 | a2) & ~(b1 | b2)) | (a1 & a2 & ~(b1 & b2))

@@ -481,6 +481,8 @@ def extremal_estimates(
 
 STRATEGY_KINDS = ("greedy-x", "bubble", "random", "first", "adversary")
 ADVERSARY_KINDS = ("random", "first", "max-damage")
+#: the kinds whose choices draw from a seeded generator
+_SEEDED_KINDS = ("random", "adversary")
 
 
 @dataclass(frozen=True)
@@ -492,7 +494,8 @@ class Strategy:
     adjacent inversion of the permutation encoded by a two-line matching;
     ``random`` picks uniformly; ``first`` takes the first crossing with
     choice A; ``adversary`` lets a sub-policy impose the crossing while the
-    response is always the x-greedy choice.
+    response is always the x-greedy choice. Only ``random`` and
+    ``adversary`` take a nonzero seed.
     """
 
     kind: str
@@ -507,6 +510,8 @@ class Strategy:
                 raise ValueError(f"unknown adversary kind {self.adversary!r}")
         elif self.adversary is not None:
             raise ValueError("only adversary strategies take an adversary kind")
+        if self.seed and self.kind not in _SEEDED_KINDS:
+            raise ValueError(f"strategy {self.kind!r} takes no seed")
 
 
 def parse_strategy(text: str) -> Strategy:
@@ -522,7 +527,7 @@ def parse_strategy(text: str) -> Strategy:
     malformed = ValueError(
         f"malformed strategy {text!r}: expected greedy-x, bubble, first, "
         "random[:seed] or adversary:{random,first,max-damage}[:seed]")
-    if len(fields) > (kind in ("random", "adversary")):
+    if len(fields) > (kind in _SEEDED_KINDS):
         raise malformed
     try:
         seed = int(fields[0]) if fields else 0

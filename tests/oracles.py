@@ -22,7 +22,10 @@ replaced, and ``reference_crossed_by`` that prefilter, whose survivors get
 per-run key dict and ``max`` that the max-damage heap of
 ``crossflip.search`` replaced. ``reference_crossing_row`` is the per-pair loop, and
 ``reference_matchings`` the recursive enumerator, that the side-mask rows and
-the int enumeration of the ``crossflip.search`` kernel replaced. ``reference_general_position`` and ``reference_random_instance`` are the
+the int enumeration of the ``crossflip.search`` kernel replaced.
+``reference_side_masks`` is the per-(anchor, point) cross-product loop that
+the packed 64-bit lanes of ``geometry.side_masks`` replaced.
+``reference_general_position`` and ``reference_random_instance`` are the
 ``orient`` triple loop and rejection sampler that the direction-vector test
 of ``crossflip.geometry`` replaced. ``reference_middle_gap`` and
 ``reference_greedy_choice`` are the max-damage key and the raw-x sort of the
@@ -117,6 +120,26 @@ def reference_reconnection_pairs(ps: PointSet, crossing, choice):
     else:
         e1, e2 = seg(q2, q3), seg(q4, q1)
     return (e1, e2) if e1 < e2 else (e2, e1)
+
+
+def reference_side_masks(ps: PointSet):
+    """``geometry.side_masks`` by one cross product per (anchor pair,
+    point), each sign written as a "0" or "1" character of the row text."""
+    pts = ps.points
+    # orient(p_a, p_b, p_r) has the sign of dx * y_r - dy * x_r - c; the
+    # anchors run highest bit first, as int(text, 2) reads them
+    anchors = [
+        (bx - ax, by - ay, (bx - ax) * ay - (by - ay) * ax)
+        for a, (ax, ay) in enumerate(pts)
+        for bx, by in pts[a + 1:]
+    ]
+    anchors.reverse()
+    pos, on = [], []
+    for rx, ry in pts:
+        dets = [dx * ry - dy * rx - c for dx, dy, c in anchors]
+        pos.append(int("".join(["1" if d > 0 else "0" for d in dets]), 2))
+        on.append(int("".join(["1" if d == 0 else "0" for d in dets]), 2))
+    return tuple(pos), tuple(on)
 
 
 def reference_crossing_row(ps: PointSet, k: int):

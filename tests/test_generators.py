@@ -16,11 +16,14 @@ from crossflip import (
     is_noncrossing,
     orient,
     reverse_perm,
+    shear_to_distinct_x,
     two_line_permutation,
     validate_general_position,
 )
+from crossflip import geometry
+from crossflip.geometry import first_collinear_pair
 
-from oracles import reference_random_instance
+from oracles import reference_general_position, reference_random_instance
 
 
 def test_identity_is_noncrossing():
@@ -115,9 +118,45 @@ def test_random_matches_pinned_golden_file():
 
 
 def test_random_general_position_many_seeds():
-    for seed in range(40):
-        inst = gen_random(4, seed=seed, bbox=(0, 100))
-        assert validate_general_position(inst.points) is None
+    """gen_random certifies its sets and their shears; the triple loop
+    agrees on every one, tiny boxes that force many rejections included."""
+    for bbox, n in [((0, 100), 4), ((0, 6), 3), ((0, 8), 5), ((-3, 3), 4),
+                    ((0, 512), 10)]:
+        generated = 0
+        for seed in range(40):
+            try:
+                inst = gen_random(n, seed=seed, bbox=bbox)
+            except GenerationError:
+                continue
+            generated += 1
+            for ps in (inst.points, shear_to_distinct_x(inst.points)):
+                assert ps in geometry._general_position
+                assert validate_general_position(ps) is None
+                assert reference_general_position(ps) is None
+        assert generated >= 20
+
+
+def test_generated_set_is_not_rescanned(monkeypatch):
+    """gen_random(20), its shear and the sheared Instance: general position
+    costs the generator's rejection tests and nothing more."""
+    calls = {"draws": 0, "validation": 0}
+
+    def counting(key):
+        def wrapped(*args):
+            calls[key] += 1
+            return first_collinear_pair(*args)
+        return wrapped
+
+    monkeypatch.setattr("crossflip.generators.first_collinear_pair",
+                        counting("draws"))
+    monkeypatch.setattr("crossflip.geometry.first_collinear_pair",
+                        counting("validation"))
+    raw = gen_random(20, seed=3)
+    ps = shear_to_distinct_x(raw.points)
+    assert ps != raw.points
+    Instance(ps, raw.matching, raw.provenance)
+    assert calls["draws"] >= 40
+    assert calls["validation"] == 0
 
 
 def test_random_tiny_bbox_exhausts_budget():

@@ -14,9 +14,10 @@ from crossflip import (
     shear_to_distinct_x,
     validate_general_position,
 )
+from crossflip import geometry
 from crossflip.geometry import side_masks
 
-from oracles import reference_general_position
+from oracles import reference_general_position, reference_side_masks
 
 SQUARE = PointSet.from_coords([(0, 0), (2, 0), (2, 2), (0, 2)])
 # the six-point set behind the reappearing-segment script, scaled to integers
@@ -180,6 +181,49 @@ def test_side_masks_agree_with_orient(pts):
             assert (pos[r] >> k & 1, on[r] >> k & 1) == (sign > 0, sign == 0)
         # every anchor pair holding r puts r on its line
         assert all(on[r] >> k & 1 for k, pair in enumerate(anchors) if r in pair)
+
+
+def _sets_of(coordinate):
+    return st.integers(min_value=1, max_value=6).flatmap(
+        lambda n: st.lists(st.builds(Point, coordinate, coordinate),
+                           min_size=2 * n, max_size=2 * n)
+    )
+
+
+# coordinates at the budget's edges give determinants up to 2**43, the
+# largest a 64-bit lane has to hold
+edge = st.one_of(
+    st.sampled_from([-COORD_LIMIT, -COORD_LIMIT + 1, 0, COORD_LIMIT - 1,
+                     COORD_LIMIT]),
+    st.integers(min_value=-COORD_LIMIT, max_value=COORD_LIMIT),
+)
+
+
+@settings(max_examples=400)
+@given(st.one_of(_sets_of(coords), small_sets, _sets_of(edge)))
+@example([Point(-COORD_LIMIT, -COORD_LIMIT), Point(COORD_LIMIT, COORD_LIMIT),
+          Point(COORD_LIMIT, -COORD_LIMIT), Point(-COORD_LIMIT, COORD_LIMIT)])
+@example([Point(COORD_LIMIT, COORD_LIMIT)] * 4)
+def test_side_masks_match_reference_loop(pts):
+    """The packed lanes against the per-(anchor, point) loop, bit for bit:
+    random sets, 7x7-grid sets with repeated points and collinear triples,
+    and sets at the coordinate budget's edges."""
+    ps = PointSet(tuple(pts))
+    assert side_masks(ps) == reference_side_masks(ps)
+
+
+def test_uncertified_sets_are_scanned_and_their_shears_stay_uncertified():
+    degenerate = PointSet.from_coords([(0, 0), (1, 1), (2, 2), (0, 5)])
+    sheared = shear_to_distinct_x(degenerate)
+    assert sheared != degenerate
+    for ps in (degenerate, sheared):
+        assert ps not in geometry._general_position
+        assert validate_general_position(ps) == (0, 1, 2)
+        assert reference_general_position(ps) == (0, 1, 2)
+    # in general position but never certified: the shear certifies nothing
+    plain = PointSet.from_coords([(0, 0), (0, 3), (2, 1), (5, 4)])
+    assert validate_general_position(plain) is None
+    assert shear_to_distinct_x(plain) not in geometry._general_position
 
 
 @settings(max_examples=300)

@@ -270,8 +270,8 @@ def test_gained_line_is_fatal(monkeypatch):
     monkeypatch.setattr("crossflip.potentials.crossing_quad",
                         lambda ps, crossing: (0, 1, 2, 3))
     monkeypatch.setattr(
-        "crossflip.potentials.reconnection_pairs",
-        lambda *args, **kwargs: DIAGONALS.pairs,
+        "crossflip.potentials.quad_reconnections",
+        lambda quad: (DIAGONALS.pairs, DIAGONALS.pairs),
     )
     with pytest.raises(PotentialInvariantError,
                        match=r"line 0-1/plus gained intersections"):

@@ -397,6 +397,14 @@ def test_parse_strategy():
             parse_strategy(text)
 
 
+@pytest.mark.parametrize("kind", ["greedy-x", "bubble", "first"])
+def test_strategy_rejects_a_seed_on_kinds_that_take_none(kind):
+    for seed in (7, -1):
+        with pytest.raises(ValueError, match=f"strategy '{kind}' takes no seed"):
+            Strategy(kind, seed=seed)
+    assert Strategy(kind, seed=0) == Strategy(kind)
+
+
 def test_unrestricted_random_runs_terminate_within_potential_cap():
     rng = random.Random(99)
     for seed in range(20):
