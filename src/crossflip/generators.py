@@ -204,13 +204,20 @@ def gen_random(n: int, seed: int, bbox: tuple[int, int] = (0, 512)) -> Instance:
 
     Each candidate point is rejected if it duplicates an existing point or
     is collinear with an existing pair; a bounded rejection budget turns a
-    hopeless bbox into an error instead of a hang.
+    hopeless bbox into an error instead of a hang. A box of k integer
+    columns holds at most 2k points with no three collinear, two per
+    column, so n > k is refused before the first draw.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     lo, hi = int(bbox[0]), int(bbox[1])
     if lo >= hi:
         raise ValueError(f"bbox {bbox} is empty")
+    if n > hi - lo + 1:
+        raise GenerationError(
+            f"bbox {bbox} has {hi - lo + 1} columns, too few for {2 * n} "
+            "points in general position (at most two per column)"
+        )
     rng = random.Random(seed)
     pts: list[Point] = []
     budget = 4000 * n

@@ -5,20 +5,35 @@ two crossing segments and reconnects their four endpoints one of the two
 non-crossing ways. Total segment length is tracked as a float-valued monitor;
 it strictly decreases across every flip, but it never drives control flow.
 
-Crossings are found by ``geometry.crossed_by``, one exact pass per segment.
-Along a run of flips, ``_LiveCrossings`` keeps them sorted with an index of
-each segment's crossings, so a flip retests only its two added segments.
+Crossings of one matching are found by ``geometry.crossed_by``, one exact
+pass per segment. Along a run of flips, ``_LiveCrossings`` keeps them as
+sorted int keys with an index of each segment's crossings, and keeps the
+run's length; a flip retests only its two added segments, by a few big-int
+expressions over 64-bit lanes, and no step loops over the matching in
+Python.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, insort
-from collections import defaultdict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
+from functools import reduce
+from itertools import chain, compress
+from operator import add
+from struct import Struct, pack
 
-from .geometry import PointSet, Segment, crossed_by, orient, seg, segments_properly_cross
+from .geometry import (
+    COORD_LIMIT,
+    PointSet,
+    Segment,
+    _lanes,
+    crossed_by,
+    orient,
+    seg,
+    segments_properly_cross,
+)
 
 #: Two crossing segments in canonical order (lexicographically smaller first).
 CrossingPair = tuple[Segment, Segment]
@@ -104,16 +119,6 @@ def is_noncrossing(ps: PointSet, m: Matching) -> bool:
     return not find_crossings(ps, m)
 
 
-def _added_crossings(
-    ps: PointSet, new_matching: Matching, added: tuple[Segment, Segment]
-) -> list[CrossingPair]:
-    """The crossings of ``new_matching`` that hold an added segment. The
-    two added segments never cross, and a segment never crosses itself, so
-    each crossing is found once."""
-    return [crossing_pair(s, t) for s in added
-            for t in crossed_by(ps, s, new_matching.pairs)]
-
-
 def crossings_after_flip(
     ps: PointSet,
     new_matching: Matching,
@@ -124,50 +129,230 @@ def crossings_after_flip(
     """Crossing list of ``new_matching`` patched locally from the old list.
 
     Only the two added segments need retesting; every pair not involving a
-    removed or added segment is untouched by the flip.
+    removed or added segment is untouched by the flip. The two added
+    segments never cross, so each new crossing is found once.
     """
     gone = set(removed)
     out = [c for c in old_crossings if c[0] not in gone and c[1] not in gone]
-    out += _added_crossings(ps, new_matching, added)
+    out += [crossing_pair(s, t) for s in added
+            for t in crossed_by(ps, s, new_matching.pairs)]
     out.sort()
     return out
 
 
-class _LiveCrossings:
-    """The crossings of a matching along a run of flips: ``sorted``, in
-    canonical order, and ``of``, each segment's set of crossings. A flip
-    costs one ``crossed_by`` pass per added segment plus O(log L) per
-    crossing it removes or adds, for L live crossings."""
+#: Block size of ``_SortedInts``, as in sortedcontainers' SortedList.
+_LOAD = 1000
 
-    def __init__(self, ps: PointSet, m: Matching):
-        self.ps = ps
-        self.sorted = find_crossings(ps, m)
-        self.of: dict[Segment, set[CrossingPair]] = defaultdict(set)
-        for c in self.sorted:
-            self.of[c[0]].add(c)
-            self.of[c[1]].add(c)
+
+class _SortedInts:
+    """Distinct ints in ascending order, in blocks of at most 2 * load: the
+    design of sortedcontainers' SortedList, without the package. A block is
+    found by bisecting the blocks' maxima, so an insert or a delete moves at
+    most 2 * load ints, in C. A block cut to load / 2 ints or fewer is
+    merged into a neighbour. ``[k]`` walks the blocks, for 0 <= k < len."""
+
+    def __init__(self, values: list[int]):
+        self.load = load = _LOAD
+        self.blocks = [values[i:i + load] for i in range(0, len(values), load)]
+        self.maxes = [block[-1] for block in self.blocks]
+        self.len = len(values)
 
     def __len__(self) -> int:
-        return len(self.sorted)
+        return self.len
 
-    def __contains__(self, crossing: CrossingPair) -> bool:
-        return crossing in self.of.get(crossing[0], ())
+    def __iter__(self):
+        return chain.from_iterable(self.blocks)
 
-    def flip(self, new_matching: Matching, removed: CrossingPair,
-             added: tuple[Segment, Segment]) -> list[CrossingPair]:
-        """Move on to ``new_matching``, which a flip of ``removed`` adding
-        ``added`` gave; returns the crossings it gained."""
-        live, of = self.sorted, self.of
-        for s in removed:
-            for c in of.pop(s):
-                del live[bisect_left(live, c)]
-                of[c[1] if c[0] == s else c[0]].discard(c)
-        new = _added_crossings(self.ps, new_matching, added)
-        for c in new:
-            insort(live, c)
-            of[c[0]].add(c)
-            of[c[1]].add(c)
-        return new
+    def __getitem__(self, k: int) -> int:
+        for block in self.blocks:
+            if k < len(block):
+                return block[k]
+            k -= len(block)
+        raise IndexError(k)
+
+    def _split(self, i: int) -> None:
+        """Cut block i, longer than 2 * load, after its first load ints."""
+        block = self.blocks[i]
+        self.blocks.insert(i + 1, block[self.load:])
+        del block[self.load:]
+        self.maxes.insert(i, block[-1])
+
+    def add(self, value: int) -> None:
+        blocks, maxes = self.blocks, self.maxes
+        self.len += 1
+        if not blocks:
+            blocks.append([value])
+            maxes.append(value)
+            return
+        i = bisect_left(maxes, value)
+        if i == len(maxes):
+            i -= 1
+            blocks[i].append(value)
+            maxes[i] = value
+        else:
+            insort(blocks[i], value)
+        if len(blocks[i]) > 2 * self.load:
+            self._split(i)
+
+    def remove(self, value: int) -> None:
+        """Delete ``value``, which must be present."""
+        blocks, maxes = self.blocks, self.maxes
+        self.len -= 1
+        i = bisect_left(maxes, value)
+        block = blocks[i]
+        del block[bisect_left(block, value)]
+        if len(block) > self.load >> 1 or len(blocks) == 1:
+            if block:
+                maxes[i] = block[-1]
+            else:
+                del blocks[i], maxes[i]
+            return
+        i = max(i, 1)  # merge block i into block i - 1
+        blocks[i - 1] += blocks.pop(i)
+        del maxes[i]
+        maxes[i - 1] = blocks[i - 1][-1]
+        if len(blocks[i - 1]) > 2 * self.load:
+            self._split(i - 1)
+
+
+#: a lane holding a determinant d plus _BIAS has its top bit set when d > 0,
+#: and with one more, when d >= 0: |d| <= 2**43 (COORD_LIMIT), so the lane
+#: stays in [0, 2**64) and never carries into the next
+_BIAS = (1 << 63) - 1
+_LANE = Struct("<Q")
+
+
+class _LiveCrossings:
+    """The crossings of a matching along a run of flips over M points.
+
+    Crossing ((a, b), (c, d)) has the int key ((a*M + b)*M + c)*M + d, which
+    keeps canonical order. ``keys`` holds the live keys in a ``_SortedInts``,
+    and ``of[r]`` the keys of the segment whose lower endpoint is r.
+    ``lengths[r]`` holds that segment's length, and 0.0 at upper endpoints.
+
+    Segment crossings are tested on 64-bit lanes, lane r for point r and its
+    segment (r, partner(r)), as ``geometry.side_masks`` does: four bytearrays
+    hold the partner's x and y (shifted by COORD_LIMIT to be nonnegative),
+    the bias minus the segment's line constant, and a top bit at lower
+    endpoints. A flip rewrites the lanes of its four endpoints and reads
+    each array back as one int. A segment s is crossed by the segments whose
+    endpoints lie strictly on opposite sides of s and which have s's
+    endpoints strictly on opposite sides of their own line: four biased
+    determinant lanes, combined by their top bits. So a flip costs O(M)
+    big-int work, in C, plus O(log L) Python steps per crossing it removes
+    or adds, for L live crossings."""
+
+    def __init__(self, ps: PointSet, m: Matching):
+        pts = ps.points
+        self.size = size = len(pts)
+        self.cube = size ** 3
+        self.xs = [x + COORD_LIMIT for x, _ in pts]
+        self.ys = [y + COORD_LIMIT for _, y in pts]
+        self.x_lanes, self.y_lanes = (
+            int.from_bytes(pack(f"<{size}Q", *v), "little") for v in (self.xs, self.ys))
+        self.ones = _lanes(size)
+        self.partner = partner = [0] * size
+        for a, b in m.pairs:
+            partner[a], partner[b] = b, a
+        self.lanes = [bytearray(8 * size) for _ in range(4)]
+        self.lengths = [0.0] * size
+        for r in range(size):
+            self._write(r)
+        self._read()
+        self.of: list[set[int]] = [set() for _ in range(size)]
+        keys = []
+        for a, b in m.pairs:
+            s = (a * size + b) * size * size
+            for r in self._crossers(a, b, a + 1):
+                key = s + r * size + partner[r]
+                keys.append(key)
+                self.of[a].add(key)
+                self.of[r].add(key)
+        self.keys = _SortedInts(keys)
+
+    def _write(self, r: int) -> None:
+        """Lane r from point r's partner."""
+        p = self.partner[r]
+        rx, ry, px, py = self.xs[r], self.ys[r], self.xs[p], self.ys[p]
+        lx, ly, lq, low = self.lanes
+        _LANE.pack_into(lx, 8 * r, px)
+        _LANE.pack_into(ly, 8 * r, py)
+        _LANE.pack_into(lq, 8 * r, _BIAS - (px - rx) * ry + (py - ry) * rx)
+        _LANE.pack_into(low, 8 * r, (r < p) << 63)
+        self.lengths[r] = math.hypot(px - rx, py - ry) if r < p else 0.0
+
+    def _read(self) -> None:
+        self.px, self.py, self.q, self.low = (
+            int.from_bytes(lane, "little") for lane in self.lanes)
+        self.dx = self.px - self.x_lanes
+        self.dy = self.py - self.y_lanes
+
+    def _crossers(self, a: int, b: int, start: int = 0):
+        """The lower endpoints r >= start of the segments crossing (a, b),
+        ascending."""
+        xa, ya, xb, yb = self.xs[a], self.ys[a], self.xs[b], self.ys[b]
+        dx, dy, ones = xb - xa, yb - ya, self.ones
+        bias = (_BIAS - dx * ya + dy * xa) * ones
+        # orient(a, b, r) and orient(a, b, partner(r)), biased
+        here = dx * self.y_lanes - dy * self.x_lanes + bias
+        there = dx * self.py - dy * self.px + bias
+        # orient(r, partner(r), a) and orient(r, partner(r), b), biased
+        to_a = self.dx * ya - self.dy * xa + self.q
+        to_b = self.dx * yb - self.dy * xb + self.q
+        # two determinants have strictly opposite signs when their lanes'
+        # top bits differ both for > 0 and for >= 0; twice, at lower endpoints
+        bits = ((here ^ there) & (here + ones ^ there + ones)
+                & (to_a ^ to_b) & (to_a + ones ^ to_b + ones) & self.low)
+        size = self.size
+        return compress(range(start, size),
+                        bits.to_bytes(8 * size, "little")[8 * start + 7::8])
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __contains__(self, key: int) -> bool:
+        return key in self.of[key // self.cube]
+
+    def crossing(self, key: int) -> CrossingPair:
+        """The crossing with int key ``key``."""
+        size = self.size
+        key, d = divmod(key, size)
+        key, c = divmod(key, size)
+        a, b = divmod(key, size)
+        return (a, b), (c, d)
+
+    def length(self) -> float:
+        """``total_length`` of the matching, bit for bit: the same sum in
+        the same order, as adding 0.0 is exact."""
+        return reduce(add, self.lengths, 0.0)
+
+    def flip(self, removed: CrossingPair,
+             added: tuple[Segment, Segment]) -> list[int]:
+        """Move on by a flip of ``removed`` that added ``added``; returns
+        the keys of the crossings it gained."""
+        keys, of, partner, size = self.keys, self.of, self.partner, self.size
+        for lo, _ in removed:
+            gone, of[lo] = of[lo], set()
+            for key in gone:
+                keys.remove(key)
+                first = key // self.cube
+                of[key // size % size if first == lo else first].discard(key)
+        for a, b in added:
+            partner[a], partner[b] = b, a
+            self._write(a)
+            self._write(b)
+        self._read()
+        gained = []
+        for a, b in added:
+            s = a * size + b
+            for r in self._crossers(a, b):
+                t = r * size + partner[r]
+                key = (s * size * size + t) if a < r else (t * size * size + s)
+                keys.add(key)
+                of[a].add(key)
+                of[r].add(key)
+                gained.append(key)
+        return gained
 
 
 def total_length(ps: PointSet, m: Matching) -> float:
@@ -268,8 +453,7 @@ class FlipTrace:
 def check_live(ps: PointSet, m: Matching, crossing: CrossingPair) -> None:
     """Raise FlipError unless ``crossing`` is a live proper crossing of m."""
     e1, e2 = crossing
-    present = set(m.pairs)
-    if e1 not in present or e2 not in present:
+    if e1 not in m.pairs or e2 not in m.pairs:
         raise FlipError(f"crossing {crossing} is not part of the matching")
     if e1 == e2 or not segments_properly_cross(ps, e1, e2):
         raise FlipError(f"segments {e1} and {e2} do not cross")
@@ -282,10 +466,12 @@ def _flipped(
     the flip adds. Raises FlipError for a stale or corrupt crossing."""
     check_live(ps, m, crossing)
     added = reconnection_pairs(ps, crossing, choice)
-    e1, e2 = crossing
-    return Matching(tuple(sorted(
-        [p for p in m.pairs if p != e1 and p != e2] + list(added)
-    ))), added
+    pairs = list(m.pairs)
+    pairs.remove(crossing[0])
+    pairs.remove(crossing[1])
+    pairs += added
+    pairs.sort()
+    return Matching(tuple(pairs)), added
 
 
 def apply_flip(
@@ -303,23 +489,9 @@ def flip(
     Raises FlipError when ``crossing`` is stale (not in ``m``) or corrupt
     (its segments do not cross).
     """
-    return _flip_from(ps, m, crossing, choice, total_length(ps, m))
-
-
-def _flip_from(
-    ps: PointSet, m: Matching, crossing: CrossingPair, choice: FlipChoice,
-    length_before: float,
-) -> tuple[Matching, FlipRecord]:
-    """``flip`` given ``total_length(ps, m)``, so that a run sums the length
-    once per step, carrying each ``length_after`` forward."""
     new, added = _flipped(ps, m, crossing, choice)
-    return new, FlipRecord(
-        crossing=crossing,
-        choice=choice,
-        added=added,
-        length_before=length_before,
-        length_after=total_length(ps, new),
-    )
+    return new, FlipRecord(crossing, choice, added,
+                           total_length(ps, m), total_length(ps, new))
 
 
 def trace_from_moves(
@@ -328,13 +500,14 @@ def trace_from_moves(
     """Build a trace by applying scripted (crossing, choice) moves in order."""
     m = initial
     live = _LiveCrossings(ps, m)
-    length = total_length(ps, m)
+    length = live.length()
     records = []
     for crossing, choice in moves:
-        m, rec = _flip_from(ps, m, crossing, choice, length)
-        length = rec.length_after
-        live.flip(m, crossing, rec.added)
-        records.append(replace(rec, crossings_after=len(live)))
+        m, added = _flipped(ps, m, crossing, choice)
+        live.flip(crossing, added)
+        length_before, length = length, live.length()
+        records.append(FlipRecord(crossing, choice, added, length_before,
+                                  length, crossings_after=len(live)))
     return FlipTrace(instance_id, initial, tuple(records), m,
                      complete=not live)
 

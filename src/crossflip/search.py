@@ -28,16 +28,17 @@ rebuilt through the checked ``trace_from_moves``. ``SearchLimits`` hold per
 public call: one deadline, set before the kernel is built, and one state
 count, the clock read on every DFS step and every BFS expansion.
 
-A strategy run keeps its crossings in a ``matching._LiveCrossings`` index, so
-a step costs O(n) integer work plus O(log L) per crossing it removes or
-adds, for L live crossings. Max-damage keeps one heap of (-key, crossing)
-over the live crossings, deleting lazily: a key depends on the crossing's
-four endpoints alone, so it is computed once when the crossing appears.
+A strategy run keeps its crossings, as int keys, and its length in a
+``matching._LiveCrossings`` index, so a step costs O(n) big-int work in C
+plus O(log L) Python steps per crossing it removes or adds, for L live
+crossings, and no Python pass over the matching. Max-damage keeps one heap
+of (-damage, key) over the live crossings, deleting lazily: the damage
+depends on the crossing's four endpoint ranks alone, so it is computed once
+when the crossing appears.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import random
 import time
 from dataclasses import dataclass
@@ -51,9 +52,10 @@ from .geometry import PointSet, seg, side_masks
 from .matching import (
     CrossingPair,
     FlipChoice,
+    FlipRecord,
     FlipTrace,
     Matching,
-    _flip_from,
+    _flipped,
     _LiveCrossings,
     apply_flip,
     choice_yielding,
@@ -61,7 +63,6 @@ from .matching import (
     find_crossings,
     is_noncrossing,
     reconnections,
-    total_length,
     trace_from_moves,
 )
 from .potentials import phi_lines, phi_vertical, phi_vertical_delta, x_ranks
@@ -120,19 +121,27 @@ def successors(
     return out
 
 
+def _crossing(segs: list, pair: int) -> CrossingPair:
+    """The two segments whose bits make up ``pair``, lower id first."""
+    lo = pair & -pair
+    return segs[lo.bit_length() - 1], segs[(pair ^ lo).bit_length() - 1]
+
+
 class _Reconnections(dict):
     """A crossing pair's two segment bits -> (XOR mask of choice A, of choice
-    B), from ``matching.reconnections`` on first use."""
+    B), from ``matching.reconnections`` on first use. It holds the kernel's
+    point set, bit table and segment list, not the kernel, so a dropped
+    kernel is freed by reference counting."""
 
-    def __init__(self, graph: "_FlipGraph"):
+    def __init__(self, ps: PointSet, bit: dict, segs: list):
         super().__init__()
-        self.graph = graph
+        self.ps, self.bit, self.segs = ps, bit, segs
 
     def __missing__(self, pair: int) -> tuple[int, int]:
-        graph = self.graph
+        bit = self.bit
         self[pair] = masks = tuple(
-            pair | graph.bit[e1] | graph.bit[e2]
-            for e1, e2 in reconnections(graph.ps, graph.crossing(pair)))
+            pair | bit[e1] | bit[e2]
+            for e1, e2 in reconnections(self.ps, _crossing(self.segs, pair)))
         return masks
 
 
@@ -170,7 +179,7 @@ class _FlipGraph:
             excluded = reduce(or_, compress(incident, line), on[a] | on[b])
             # -2 * s_bit keeps the ids above s
             self.cross[s_bit] = (pos[a] ^ pos[b]) & straddling & ~excluded & -2 * s_bit
-        self.recon = _Reconnections(self)
+        self.recon = _Reconnections(ps, bit, segs)
 
     def encode(self, m: Matching) -> int:
         return sum(map(self.bit.__getitem__, m.pairs))
@@ -192,17 +201,12 @@ class _FlipGraph:
                 out.append(key ^ mask_b)
         return out
 
-    def crossing(self, pair: int) -> CrossingPair:
-        """The two segments whose bits make up ``pair``, lower id first."""
-        lo = pair & -pair
-        return self.segs[lo.bit_length() - 1], self.segs[(pair ^ lo).bit_length() - 1]
-
     def move(self, key: int, child: int) -> tuple[CrossingPair, FlipChoice]:
         """The (crossing, choice) that turns ``key`` into its successor
         ``child``."""
         mask = key ^ child
         pair = mask & key
-        return self.crossing(pair), list(FlipChoice)[self.recon[pair].index(mask)]
+        return _crossing(self.segs, pair), list(FlipChoice)[self.recon[pair].index(mask)]
 
 
 #: Above any shortest-run length, so the first successor sets the minimum.
@@ -577,38 +581,32 @@ def _bubble_move(ps, inst, m):
     raise StrategyNotApplicableError("no adjacent inversion left, yet crossings remain")
 
 
-def _damage(ranks, crossing: CrossingPair) -> int:
-    """The max-damage key: the phi_vertical change of the x-greedy
-    response, which depends on the crossing's four endpoints alone."""
-    return phi_vertical_delta(ranks, crossing, _greedy_pairs(ranks, crossing))
-
-
 def _pick(strategy, ps, ranks, inst, m, live, rng, restrict_choice, heap):
-    crossings = live.sorted
+    keys = live.keys
     if strategy.kind == "first":
-        return crossings[0], restrict_choice or FlipChoice.RECONNECT_A
+        return live.crossing(keys[0]), restrict_choice or FlipChoice.RECONNECT_A
     if strategy.kind == "random":
-        crossing = rng.choice(crossings)
+        crossing = live.crossing(rng.choice(keys))
         return crossing, restrict_choice or rng.choice(tuple(FlipChoice))
     if strategy.kind == "bubble":
         return _bubble_move(ps, inst, m)
     # greedy-x, or an adversary imposing the crossing; the response is
     # always x-greedy
     if strategy.adversary == "random":
-        crossing = rng.choice(crossings)
+        crossing = live.crossing(rng.choice(keys))
     elif strategy.adversary == "max-damage":
         # the smallest phi_vertical drop the greedy response can make, the
         # canonically first crossing on ties: the top live entry of
-        # ``heap``, which holds (-key, crossing) for every live crossing and
+        # ``heap``, which holds (-damage, key) for every live crossing and
         # is cut back to them once it holds more than twice as many
         while heap[0][1] not in live:
             heappop(heap)
         if len(heap) > 2 * len(live):
             heap[:] = {e for e in heap if e[1] in live}
             heapify(heap)
-        crossing = heap[0][1]
+        crossing = live.crossing(heap[0][1])
     else:
-        crossing = crossings[0]
+        crossing = live.crossing(keys[0])
     return crossing, choice_yielding(ps, crossing, _greedy_pairs(ranks, crossing))
 
 
@@ -648,10 +646,19 @@ def run_strategy(
 
     m = inst.matching
     live = _LiveCrossings(ps, m)
-    length = total_length(ps, m)
+    length = live.length()
     heap = None
     if strategy.adversary == "max-damage":
-        heap = [(-_damage(ranks, c), c) for c in live.sorted]
+
+        def entry(key):
+            # -phi_vertical_delta of the x-greedy response: the removed rank
+            # spans less those of the two leftmost and two rightmost ranks
+            (a, b), (c, d) = live.crossing(key)
+            ra, rb, rc, rd = ranks[a], ranks[b], ranks[c], ranks[d]
+            q0, q1, q2, q3 = sorted((ra, rb, rc, rd))
+            return abs(ra - rb) + abs(rc - rd) - (q1 - q0) - (q3 - q2), key
+
+        heap = [entry(key) for key in live.keys]
         heapify(heap)
     records = []
     phi_k = phi_vertical(ps, m) if ranks else None
@@ -660,24 +667,24 @@ def run_strategy(
         crossing, choice = _pick(
             strategy, ps, ranks, inst, m, live, rng, restrict_choice, heap,
         )
-        m, rec = _flip_from(ps, m, crossing, choice, length)
-        length = rec.length_after
-        gained = live.flip(m, crossing, rec.added)
+        m, added = _flipped(ps, m, crossing, choice)
+        gained = live.flip(crossing, added)
         if heap is not None:
-            for c in gained:
-                heappush(heap, (-_damage(ranks, c), c))
+            for key in gained:
+                heappush(heap, entry(key))
         phi_k_before, phi_l_before = phi_k, phi_l
         if ranks:
-            phi_k += phi_vertical_delta(ranks, crossing, rec.added)
+            phi_k += phi_vertical_delta(ranks, crossing, added)
         if with_phi_lines:
             phi_l = phi_lines(ps, m)
-        records.append(dataclasses.replace(
-            rec,
+        length_before, length = length, live.length()
+        records.append(FlipRecord(
+            crossing, choice, added, length_before, length,
             crossings_after=len(live),
-            phi_k_before=phi_k_before,
-            phi_k_after=phi_k,
             phi_l_before=phi_l_before,
             phi_l_after=phi_l,
+            phi_k_before=phi_k_before,
+            phi_k_after=phi_k,
         ))
     return FlipTrace(
         inst.provenance, inst.matching, tuple(records), m,

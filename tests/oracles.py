@@ -20,7 +20,10 @@ replaced, and ``reference_crossed_by`` that prefilter, whose survivors get
 ``segments_properly_cross``, which the exact batch test
 ``geometry.crossed_by`` replaced. ``reference_max_damage_pick`` is the
 per-run key dict and ``max`` that the max-damage heap of
-``crossflip.search`` replaced. ``reference_crossing_row`` is the per-pair loop, and
+``crossflip.search`` replaced, and ``reference_live_crossings`` the list of
+crossing tuples, kept by ``insort`` and ``crossed_by``, that the int keys,
+blocked sorted list and lane crossing test of ``matching._LiveCrossings``
+replaced. ``reference_crossing_row`` is the per-pair loop, and
 ``reference_matchings`` the recursive enumerator, that the side-mask rows and
 the int enumeration of the ``crossflip.search`` kernel replaced.
 ``reference_side_masks`` is the per-(anchor, point) cross-product loop that
@@ -34,7 +37,8 @@ x-greedy choice that the one rank table and the one Delta phi_K formula of
 """
 
 import random
-from collections import deque
+from bisect import bisect_left, insort
+from collections import defaultdict, deque
 from fractions import Fraction
 from itertools import combinations
 
@@ -59,7 +63,7 @@ from crossflip import (
     seg,
     segments_properly_cross,
 )
-from crossflip.geometry import convex_position_ccw
+from crossflip.geometry import convex_position_ccw, crossed_by
 from crossflip.matching import crossing_pair
 from crossflip.potentials import LineAudit, phi_vertical_delta
 from crossflip.search import _greedy_pairs
@@ -107,6 +111,37 @@ def reference_crossings_after_flip(ps: PointSet, new_matching: Matching,
                 out.append(crossing_pair(s, t))
     out.sort()
     return out
+
+
+class reference_live_crossings:
+    """The crossings of a matching along a run of flips as the strategy
+    runner kept them before the lane index: ``sorted``, crossing tuples in
+    canonical order kept by ``insort`` and ``del``, and ``of``, each
+    segment's set of crossings; the added segments are retested by
+    ``geometry.crossed_by``."""
+
+    def __init__(self, ps: PointSet, m: Matching):
+        self.ps = ps
+        self.sorted = find_crossings(ps, m)
+        self.of = defaultdict(set)
+        for c in self.sorted:
+            self.of[c[0]].add(c)
+            self.of[c[1]].add(c)
+
+    def flip(self, new_matching: Matching, removed, added) -> list:
+        """Move on to ``new_matching``; returns the crossings it gained."""
+        live, of = self.sorted, self.of
+        for s in removed:
+            for c in of.pop(s):
+                del live[bisect_left(live, c)]
+                of[c[1] if c[0] == s else c[0]].discard(c)
+        new = [crossing_pair(s, t) for s in added
+               for t in crossed_by(self.ps, s, new_matching.pairs)]
+        for c in new:
+            insort(live, c)
+            of[c[0]].add(c)
+            of[c[1]].add(c)
+        return new
 
 
 def reference_reconnection_pairs(ps: PointSet, crossing, choice):

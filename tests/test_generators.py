@@ -160,8 +160,25 @@ def test_generated_set_is_not_rescanned(monkeypatch):
 
 
 def test_random_tiny_bbox_exhausts_budget():
+    # (0, 8) has nine columns, room for n = 7 on some seeds but not seed 0
     with pytest.raises(GenerationError, match="budget"):
-        gen_random(3, seed=1, bbox=(0, 1))
+        gen_random(7, seed=0, bbox=(0, 8))
+
+
+def test_random_refuses_more_pairs_than_columns_before_drawing(monkeypatch):
+    """A box of k columns holds at most 2k points with no three collinear,
+    two per column: n > k is refused before the first draw, and n = k is
+    still drawn."""
+
+    def no_draw(*args):
+        raise AssertionError("a hopeless request drew a point")
+
+    with monkeypatch.context() as patch:
+        patch.setattr("crossflip.generators.first_collinear_pair", no_draw)
+        for n, bbox in ((60, (0, 20)), (3, (0, 1)), (12, (-5, 5))):
+            with pytest.raises(GenerationError, match="too few"):
+                gen_random(n, seed=0, bbox=bbox)
+    assert len(gen_random(2, seed=0, bbox=(0, 1)).points) == 4
 
 
 def test_instance_rejects_degenerate_points():

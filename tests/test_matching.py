@@ -1,9 +1,11 @@
 import math
 import random
+from bisect import insort
 from itertools import combinations, permutations
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crossflip import (
@@ -27,8 +29,9 @@ from crossflip import (
     total_length,
     trace_from_moves,
 )
-from crossflip.geometry import ccw_quad_order, crossed_by
-from crossflip.matching import _LiveCrossings, crossing_quad, reconnections
+from crossflip import matching
+from crossflip.geometry import COORD_LIMIT, ccw_quad_order, crossed_by
+from crossflip.matching import _LiveCrossings, _SortedInts, crossing_quad, reconnections
 from crossflip.scenarios import (
     REAPPEARING_SEGMENT,
     reappearing_segment_instance,
@@ -41,6 +44,7 @@ from oracles import (
     reference_crossed_by,
     reference_crossings_after_flip,
     reference_find_crossings,
+    reference_live_crossings,
     reference_reconnection_pairs,
 )
 
@@ -278,19 +282,38 @@ def _assert_batch_test_matches_pair_tests(ps, s, segments):
     assert reference_crossed_by(ps, s, segments) == want
 
 
-@settings(max_examples=80, deadline=None)
+# coordinates at the budget's edges give lane determinants up to 2**43
+_EDGE = st.one_of(
+    st.sampled_from([-COORD_LIMIT, -COORD_LIMIT + 1, 0, COORD_LIMIT - 1,
+                     COORD_LIMIT]),
+    st.integers(-COORD_LIMIT, COORD_LIMIT))
+_CORNERS = [(-COORD_LIMIT, -COORD_LIMIT), (COORD_LIMIT, COORD_LIMIT),
+            (COORD_LIMIT, -COORD_LIMIT), (-COORD_LIMIT, COORD_LIMIT)]
+
+
+@settings(max_examples=100, deadline=None)
 @given(st.one_of(_point_sets(st.integers(0, 6), 24),  # 7x7 grid, degenerate
                  _point_sets(st.integers(0, 6), 24, unique=False),  # repeats
-                 _point_sets(st.integers(-10**4, 10**4), 24)),
-       st.randoms(use_true_random=False))
-def test_live_crossing_index_matches_full_pair_tests_along_flip_walks(ps, rng):
-    """The per-segment live-crossing index and the batch crossing test
-    against full pair tests, at the start and after every flip of a random
-    walk, on random sets and on 7x7-grid sets (repeated x, collinear
-    triples, repeated points): the index's list is the reference list in
-    order, each segment's set holds exactly the crossings that contain it,
-    a flip returns exactly the crossings it gains, and ``crossed_by`` agrees
-    with ``segments_properly_cross`` pair by pair."""
+                 _point_sets(st.integers(-10**4, 10**4), 24),
+                 _point_sets(_EDGE, 24)),
+       st.randoms(use_true_random=False),
+       st.sampled_from([1, 2, 3, matching._LOAD]))
+@example(PointSet.from_coords(_CORNERS), random.Random(0), 1)
+@example(PointSet.from_coords(
+    _CORNERS + [(0, -COORD_LIMIT), (0, COORD_LIMIT), (-COORD_LIMIT, 1),
+                (COORD_LIMIT, -1)]), random.Random(1), 2)
+def test_live_crossing_index_matches_full_pair_tests_along_flip_walks(
+        ps, rng, load):
+    """The lane index of live crossings against full pair tests and against
+    the tuple list it replaced, at the start and after every flip of a
+    random walk, on random sets, on 7x7-grid sets (repeated x, collinear
+    triples, repeated points) and on sets at the coordinate budget's edges:
+    the index's keys decode to the reference list in order, each segment's
+    set holds exactly the crossings that contain it, a flip returns the
+    crossings it gains in the reference's order, and the run length equals
+    ``total_length`` bit for bit. Tiny block loads make the sorted list
+    split and merge blocks. ``crossed_by`` agrees with
+    ``segments_properly_cross`` pair by pair."""
     labels = list(range(len(ps)))
     rng.shuffle(labels)
     m = Matching.from_pairs(zip(labels[0::2], labels[1::2]))
@@ -298,19 +321,63 @@ def test_live_crossing_index_matches_full_pair_tests_along_flip_walks(ps, rng):
     for s in m.pairs:  # every segment of the set disjoint from s
         _assert_batch_test_matches_pair_tests(
             ps, s, [t for t in segments if not set(s) & set(t)])
-    live = _LiveCrossings(ps, m)
+    with mock.patch.object(matching, "_LOAD", load):
+        live = _LiveCrossings(ps, m)
+    reference = reference_live_crossings(ps, m)
     while True:
         crossings = reference_find_crossings(ps, m)
-        assert live.sorted == crossings
-        assert live.of.keys() <= set(m.pairs)
+        assert [live.crossing(k) for k in live.keys] == crossings == reference.sorted
+        assert len(live) == len(crossings)
+        assert all(k in live for k in live.keys)
+        blocks = live.keys.blocks
+        assert all(0 < len(b) <= 2 * load for b in blocks)
+        assert live.keys.maxes == [b[-1] for b in blocks]
+        assert live.length().hex() == total_length(ps, m).hex()
         for s in m.pairs:
-            assert live.of.get(s, set()) == {c for c in crossings if s in c}
+            assert {live.crossing(k) for k in live.of[s[0]]} == {
+                c for c in crossings if s in c}
+            assert not live.of[s[1]]
             _assert_batch_test_matches_pair_tests(
                 ps, s, [t for t in m.pairs if t != s])
         if not crossings:
             break
         crossing = rng.choice(crossings)
+        key = live.keys[crossings.index(crossing)]
         m, rec = flip(ps, m, crossing, rng.choice(CHOICES))
-        gained = live.flip(m, crossing, rec.added)
+        gained = [live.crossing(k) for k in live.flip(crossing, rec.added)]
+        assert key not in live
+        assert gained == reference.flip(m, crossing, rec.added)
         assert sorted(gained) == [c for c in reference_find_crossings(ps, m)
                                   if set(c) & set(rec.added)]
+
+
+@pytest.mark.parametrize("load", [1, 2, 3])
+def test_sorted_ints_split_and_merge_blocks_like_a_sorted_list(
+        monkeypatch, load):
+    """Random inserts and deletes against a plain sorted list, with tiny
+    block loads: length, iteration, every index, and the block bounds."""
+    monkeypatch.setattr(matching, "_LOAD", load)
+    rng = random.Random(load)
+    want = sorted(rng.sample(range(1000), 40))
+    got = _SortedInts(list(want))
+    counts = []
+    for step in range(600):
+        if want and (step // 150 % 2 or rng.random() < 0.4):
+            value = rng.choice(want)
+            want.remove(value)
+            got.remove(value)
+        else:
+            value = rng.choice([v for v in range(1000) if v not in want])
+            insort(want, value)
+            got.add(value)
+        assert len(got) == len(want) and list(got) == want
+        assert [got[k] for k in range(len(want))] == want
+        assert all(0 < len(b) <= 2 * load for b in got.blocks)
+        # a block cut to load / 2 is merged, so only the last may be short
+        assert all(len(b) > load >> 1 for b in got.blocks[:-1])
+        assert got.maxes == [b[-1] for b in got.blocks]
+        counts.append(len(got.blocks))
+    assert any(b > a for a, b in zip(counts, counts[1:]))  # splits
+    assert any(b < a for a, b in zip(counts, counts[1:]))  # merges
+    with pytest.raises(IndexError):
+        got[len(want)]

@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import random
 import sys
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -231,6 +233,22 @@ def test_large_kernel_reads_the_clock_after_the_start_frame(monkeypatch):
     assert clock.now == 3 and info.value.states_expanded == 1
     # only the non-crossing check before the search tests pairs
     assert readings and set(readings) == {0.0}
+
+
+def test_dropped_flip_graph_is_freed_by_reference_counting():
+    """The kernel's reconnection cache holds the point set, bit table and
+    segment list, not the kernel: with the cycle collector off, a dropped
+    kernel is freed at once, its crossing rows with it."""
+    inst = gen_random(8, seed=1)
+    gc.disable()
+    try:
+        graph = search._FlipGraph(inst.points)
+        assert graph.children(graph.encode(inst.matching)) and graph.recon
+        dropped = weakref.ref(graph)
+        del graph
+        assert dropped() is None
+    finally:
+        gc.enable()
 
 
 def test_depth_cap_is_the_same_for_dfs_and_bfs():

@@ -3,7 +3,8 @@ replaced: the phi_vertical a run tracks from four endpoints per step equals
 a recount of every visited matching, max-damage imposes the first crossing
 of least middle gap, which is also the pick of the per-run key dict that its
 heap replaced, the heap stays bounded by the live crossings, a step makes
-one pair test, and ``greedy_choice`` agrees with the raw-x sort. The
+one pair test and no scalar batch crossing test, and ``greedy_choice``
+agrees with the raw-x sort. The
 length a run carries from step to step equals a recount, and its records and
 trace CSV equal those of one plain ``flip`` per step."""
 
@@ -246,10 +247,12 @@ def test_max_damage_key_memo_holds_at_most_twice_the_live_crossings(
     def pick(*args):
         out = real(*args)
         live, heap = args[5], args[-1]
-        entries = set(heap)
-        assert all((-search._damage(ranks, c), c) in entries for c in live.sorted)
+        crossings = [live.crossing(k) for k in live.keys]
+        entries = {(d, live.crossing(k)) for d, k in heap}
+        assert all((-phi_vertical_delta(ranks, c, _greedy_pairs(ranks, c)), c)
+                   in entries for c in crossings)
         assert len(heap) <= 2 * len(live)
-        assert out[0] == reference_max_damage_pick(ranks, live.sorted, keys)
+        assert out[0] == reference_max_damage_pick(ranks, crossings, keys)
         sizes.append(len(heap))
         return out
 
@@ -260,26 +263,48 @@ def test_max_damage_key_memo_holds_at_most_twice_the_live_crossings(
     _assert_x_greedy_moves(inst, trace, max_damage=True, recount_crossings=False)
 
 
-@pytest.mark.parametrize("text", ["greedy-x", "adversary:max-damage"])
-def test_strategy_steps_make_one_pair_test_each(monkeypatch, text):
-    """A step's only ``segments_properly_cross`` call is the flip's own
-    liveness check: the crossings it gains come from one batch pass per
-    added segment, and the ones it loses from the per-segment index."""
-    inst = _sheared(60, 4108)
-    real = geometry.segments_properly_cross
+def _calls_of(monkeypatch, name: str) -> list:
+    """The argument tuples of every call of ``geometry.<name>``, wherever
+    a crossflip module looks the name up."""
+    real = getattr(geometry, name)
     calls = []
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    for name, module in list(sys.modules.items()):
-        if (name.split(".")[0] == "crossflip"
-                and getattr(module, "segments_properly_cross", None) is real):
-            monkeypatch.setattr(module, "segments_properly_cross", counted)
+    for module_name, module in list(sys.modules.items()):
+        if (module_name.split(".")[0] == "crossflip"
+                and getattr(module, name, None) is real):
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("text", ["greedy-x", "adversary:max-damage"])
+def test_strategy_steps_make_one_pair_test_each(monkeypatch, text):
+    """A step's only ``segments_properly_cross`` call is the flip's own
+    liveness check: the crossings it gains come from one lane test per
+    added segment, and the ones it loses from the per-segment index."""
+    inst = _sheared(60, 4108)
+    calls = _calls_of(monkeypatch, "segments_properly_cross")
     trace = run_strategy(inst, parse_strategy(text))
     assert trace.complete and len(trace) > 50
     assert len(calls) == len(trace)
+
+
+def test_strategy_runs_make_no_scalar_batch_crossing_test(monkeypatch):
+    """Strategy runs and scripted traces find crossings on the lanes of
+    their ``_LiveCrossings`` index alone, its build included:
+    ``geometry.crossed_by``, the scalar batch test, is never called."""
+    inst = _sheared(40, 4109)
+    calls = _calls_of(monkeypatch, "crossed_by")
+    traces = [run_strategy(inst, parse_strategy(text)) for text in X_GREEDY]
+    traces += [run_strategy(inst, parse_strategy(text), restrict_choice=restrict)
+               for text, restrict in FREE]
+    moved = trace_from_moves(inst.provenance, inst.points, inst.matching,
+                             [(r.crossing, r.choice) for r in traces[0].records])
+    assert all(t.complete and len(t) > 10 for t in traces) and moved.complete
+    assert calls == []
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,8 +1,11 @@
+import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "src_size.py"
+STEP_COST = TOOL.with_name("step_cost.py")
 PACKAGE = TOOL.parents[1] / "src" / "crossflip"
 
 
@@ -34,3 +37,26 @@ def test_src_size_reports_the_package():
     wc = sum(p.read_text().count("\n") for p in PACKAGE.glob("*.py"))
     assert int(sizes["wc_l"]) == wc
     assert 0 < int(sizes["ast_code_lines"]) < wc
+
+
+def test_step_cost_prints_one_json_line():
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run(
+        [sys.executable, str(STEP_COST), "20", "--seed", "3",
+         "--strategy", "adversary:max-damage"],
+        capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    (line,) = proc.stdout.splitlines()
+    out = json.loads(line)
+    assert out["n"] == 20 and out["strategy"] == "adversary:max-damage"
+    assert out["steps"] > 0 and out["seconds"] > 0 and out["peak_rss_mb"] > 0
+    assert out["ms_per_step"] == 1000 * out["seconds"] / out["steps"]
+
+
+def test_step_cost_refuses_a_set_it_cannot_shear():
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run(
+        [sys.executable, str(STEP_COST), "400", "--bbox", "0", "65536"],
+        capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "exceeds" in proc.stderr

@@ -1,0 +1,61 @@
+"""Per-step cost of one strategy run, without a profiler.
+
+    python tools/step_cost.py N [--seed S] [--bbox LO HI] [--strategy SPEC]
+
+draws ``gen_random(N, seed=S, bbox=(LO, HI))``, shears it to distinct x when
+x repeats, runs the strategy (default ``greedy-x``) to the end and prints
+one JSON line: ``steps``, ``seconds`` (the run alone), ``ms_per_step`` and
+``peak_rss_mb`` (the process's peak resident set). Needs the ``crossflip``
+package importable, e.g. with ``PYTHONPATH=src``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import resource
+import sys
+import time
+
+from crossflip import (
+    CoordinateOverflowError,
+    Instance,
+    gen_random,
+    parse_strategy,
+    run_strategy,
+    shear_to_distinct_x,
+)
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("n", type=int)
+    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--bbox", type=int, nargs=2, default=(0, 512), metavar=("LO", "HI"))
+    ap.add_argument("--strategy", default="greedy-x")
+    args = ap.parse_args(argv)
+    strategy = parse_strategy(args.strategy)
+    raw = gen_random(args.n, seed=args.seed, bbox=tuple(args.bbox))
+    try:
+        ps = shear_to_distinct_x(raw.points)
+    except CoordinateOverflowError as exc:
+        print(f"step_cost: {exc}", file=sys.stderr)
+        return 2
+    inst = Instance(ps, raw.matching, raw.provenance)
+    start = time.perf_counter()
+    trace = run_strategy(inst, strategy)
+    seconds = time.perf_counter() - start
+    steps = len(trace)
+    print(json.dumps({
+        "n": args.n, "seed": args.seed, "bbox": list(args.bbox),
+        "strategy": args.strategy, "steps": steps,
+        "seconds": seconds,
+        "ms_per_step": 1000 * seconds / steps if steps else None,
+        # ru_maxrss is in KiB on Linux
+        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+    }))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
