@@ -37,7 +37,6 @@ from .matching import (
     reconnection_pairs,
     replay,
     total_length,
-    trace_from_moves,
 )
 from .potentials import (
     DecrementAudit,
@@ -84,6 +83,7 @@ from .search import (
     run_strategy,
     shortest_flip_sequence,
     successors,
+    trace_from_moves,
 )
 
 __version__ = "0.1.0"

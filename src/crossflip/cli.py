@@ -141,17 +141,13 @@ def cmd_run(args) -> int:
     except ValueError as exc:
         raise CliError(EXIT_INPUT, str(exc)) from exc
     restrict = FlipChoice(args.restrict_choice) if args.restrict_choice else None
-    try:
-        trace = run_strategy(
-            inst,
-            strategy,
-            max_steps=args.max_steps,
-            with_phi_lines=args.with_phi_l,
-            restrict_choice=restrict,
-        )
-    except StrategyNotApplicableError as exc:
-        raise CliError(EXIT_INAPPLICABLE, str(exc)) from exc
-
+    trace = run_strategy(
+        inst,
+        strategy,
+        max_steps=args.max_steps,
+        with_phi_lines=args.with_phi_l,
+        restrict_choice=restrict,
+    )
     out = Path(args.out) if args.out else Path(args.instance).with_suffix(".trace.csv")
     write_trace(inst, trace, out)
     final_crossings = len(find_crossings(inst.points, trace.final))

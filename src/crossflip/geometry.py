@@ -268,34 +268,29 @@ def shear_to_distinct_x(ps: PointSet) -> PointSet:
     return image
 
 
+def crossing_quad(
+    ps: PointSet, crossing: tuple[Segment, Segment]
+) -> tuple[int, int, int, int]:
+    """A crossing's four endpoints in ccw convex order (a, x, b, y) from one
+    orientation test: a the lowest endpoint, b its partner and x the
+    endpoint with orient(a, x, b) > 0 (see ``matching.FlipChoice``), for the
+    two segments and their endpoints given in any order."""
+    (a, b), (x, y) = sorted(map(sorted, crossing))  # a is the lowest endpoint
+    if orient(ps[a], ps[x], ps[b]) < 0:
+        x, y = y, x
+    return a, x, b, y
+
+
 def ccw_quad_order(ps: PointSet, indices: Iterable[int]) -> tuple[int, int, int, int]:
     """Four point indices in counterclockwise convex order, starting at the
-    lowest index.
-
-    Valid for quads in convex position (the endpoints of any proper crossing
-    are). The three non-base vertices of a convex quad lie in an open
-    half-plane wedge at the base vertex, so sorting them by orientation
-    around the base is a strict total order.
-    """
+    lowest index: the ``crossing_quad`` of the one pair of diagonals among
+    them that properly cross. Raises ValueError when no pair crosses, that
+    is, when the points are not in strictly convex position."""
     quad = list(indices)
     if len(quad) != 4 or len(set(quad)) != 4:
         raise ValueError(f"need 4 distinct point indices, got {quad}")
-    base = min(quad)
-    bp = ps[base]
-    rest = [i for i in quad if i != base]
-    rest.sort(
-        key=functools.cmp_to_key(lambda a, b: -orient(bp, ps[a], ps[b]))
-    )
-    return (base, rest[0], rest[1], rest[2])
-
-
-def convex_position_ccw(ps: PointSet, ordered: tuple[int, int, int, int]) -> bool:
-    """True iff the four points, taken in the given cyclic order, form a
-    strictly convex counterclockwise quadrilateral."""
-    q1, q2, q3, q4 = ordered
-    return (
-        orient(ps[q1], ps[q2], ps[q3]) > 0
-        and orient(ps[q2], ps[q3], ps[q4]) > 0
-        and orient(ps[q3], ps[q4], ps[q1]) > 0
-        and orient(ps[q4], ps[q1], ps[q2]) > 0
-    )
+    p, q, r, s = quad
+    for diagonals in (((p, q), (r, s)), ((p, r), (q, s)), ((p, s), (q, r))):
+        if segments_properly_cross(ps, *diagonals):
+            return crossing_quad(ps, diagonals)
+    raise ValueError(f"quad {tuple(quad)} is not in convex position")

@@ -6,11 +6,12 @@ non-crossing ways. Total segment length is tracked as a float-valued monitor;
 it strictly decreases across every flip, but it never drives control flow.
 
 Crossings of one matching are found by ``geometry.crossed_by``, one exact
-pass per segment. Along a run of flips, ``_LiveCrossings`` keeps them as
-sorted int keys with an index of each segment's crossings, and keeps the
-run's length; a flip retests only its two added segments, by a few big-int
-expressions over 64-bit lanes, and no step loops over the matching in
-Python.
+pass per segment. Along a run of flips (``search._run``, the one run loop),
+``_LiveCrossings`` keeps them as sorted int keys, optionally ranked first
+by a function of a crossing's four endpoints, with an index of each
+segment's crossings, and keeps the run's length; a flip retests only its
+two added segments, by a few big-int expressions over 64-bit lanes, and no
+step loops over the matching in Python.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .geometry import (
     Segment,
     _lanes,
     crossed_by,
-    orient,
+    crossing_quad,
     seg,
     segments_properly_cross,
 )
@@ -226,9 +227,11 @@ class _LiveCrossings:
     """The crossings of a matching along a run of flips over M points.
 
     Crossing ((a, b), (c, d)) has the int key ((a*M + b)*M + c)*M + d, which
-    keeps canonical order. ``keys`` holds the live keys in a ``_SortedInts``,
-    and ``of[r]`` the keys of the segment whose lower endpoint is r.
-    ``lengths[r]`` holds that segment's length, and 0.0 at upper endpoints.
+    keeps canonical order, plus rank(a, b, c, d) * M**4 when a ``rank``
+    function is given, so the keys run by (rank, crossing). ``keys`` holds
+    the live keys in a ``_SortedInts``, and ``of[r]`` the keys of the
+    segment whose lower endpoint is r. ``lengths[r]`` holds that segment's
+    length, and 0.0 at upper endpoints.
 
     Segment crossings are tested on 64-bit lanes, lane r for point r and its
     segment (r, partner(r)), as ``geometry.side_masks`` does: four bytearrays
@@ -242,10 +245,11 @@ class _LiveCrossings:
     big-int work, in C, plus O(log L) Python steps per crossing it removes
     or adds, for L live crossings."""
 
-    def __init__(self, ps: PointSet, m: Matching):
+    def __init__(self, ps: PointSet, m: Matching, rank=None):
         pts = ps.points
         self.size = size = len(pts)
         self.cube = size ** 3
+        self.rank = rank
         self.xs = [x + COORD_LIMIT for x, _ in pts]
         self.ys = [y + COORD_LIMIT for _, y in pts]
         self.x_lanes, self.y_lanes = (
@@ -262,13 +266,19 @@ class _LiveCrossings:
         self.of: list[set[int]] = [set() for _ in range(size)]
         keys = []
         for a, b in m.pairs:
-            s = (a * size + b) * size * size
             for r in self._crossers(a, b, a + 1):
-                key = s + r * size + partner[r]
+                key = self._key(a, b, r, partner[r])
                 keys.append(key)
                 self.of[a].add(key)
                 self.of[r].add(key)
+        keys.sort()
         self.keys = _SortedInts(keys)
+
+    def _key(self, a: int, b: int, c: int, d: int) -> int:
+        """The key of crossing ((a, b), (c, d)), where (a, b) < (c, d)."""
+        size = self.size
+        key = ((a * size + b) * size + c) * size + d
+        return key + self.rank(a, b, c, d) * self.cube * size if self.rank else key
 
     def _write(self, r: int) -> None:
         """Lane r from point r's partner."""
@@ -311,14 +321,14 @@ class _LiveCrossings:
         return len(self.keys)
 
     def __contains__(self, key: int) -> bool:
-        return key in self.of[key // self.cube]
+        return key in self.of[key // self.cube % self.size]
 
     def crossing(self, key: int) -> CrossingPair:
         """The crossing with int key ``key``."""
         size = self.size
         key, d = divmod(key, size)
         key, c = divmod(key, size)
-        a, b = divmod(key, size)
+        a, b = divmod(key % (size * size), size)
         return (a, b), (c, d)
 
     def length(self) -> float:
@@ -335,7 +345,7 @@ class _LiveCrossings:
             gone, of[lo] = of[lo], set()
             for key in gone:
                 keys.remove(key)
-                first = key // self.cube
+                first = key // self.cube % size
                 of[key // size % size if first == lo else first].discard(key)
         for a, b in added:
             partner[a], partner[b] = b, a
@@ -344,10 +354,9 @@ class _LiveCrossings:
         self._read()
         gained = []
         for a, b in added:
-            s = a * size + b
             for r in self._crossers(a, b):
-                t = r * size + partner[r]
-                key = (s * size * size + t) if a < r else (t * size * size + s)
+                key = (self._key(a, b, r, partner[r]) if a < r
+                       else self._key(r, partner[r], a, b))
                 keys.add(key)
                 of[a].add(key)
                 of[r].add(key)
@@ -363,18 +372,6 @@ def total_length(ps: PointSet, m: Matching) -> float:
         (ax, ay), (bx, by) = pts[a], pts[b]
         total += math.hypot(bx - ax, by - ay)
     return total
-
-
-def crossing_quad(ps: PointSet, crossing: CrossingPair) -> tuple[int, int, int, int]:
-    """The crossing's four endpoints in ccw convex order (a, x, b, y) from
-    one orientation test: a the lowest endpoint, b its partner and x the
-    endpoint with orient(a, x, b) > 0 (see ``FlipChoice``). This is the
-    order ``geometry.ccw_quad_order`` sorts out, for the segments and their
-    endpoints given in any order."""
-    (a, b), (x, y) = sorted(map(sorted, crossing))  # a is the lowest endpoint
-    if orient(ps[a], ps[x], ps[b]) < 0:
-        x, y = y, x
-    return a, x, b, y
 
 
 def quad_reconnections(
@@ -492,24 +489,6 @@ def flip(
     new, added = _flipped(ps, m, crossing, choice)
     return new, FlipRecord(crossing, choice, added,
                            total_length(ps, m), total_length(ps, new))
-
-
-def trace_from_moves(
-    instance_id: str, ps: PointSet, initial: Matching, moves
-) -> FlipTrace:
-    """Build a trace by applying scripted (crossing, choice) moves in order."""
-    m = initial
-    live = _LiveCrossings(ps, m)
-    length = live.length()
-    records = []
-    for crossing, choice in moves:
-        m, added = _flipped(ps, m, crossing, choice)
-        live.flip(crossing, added)
-        length_before, length = length, live.length()
-        records.append(FlipRecord(crossing, choice, added, length_before,
-                                  length, crossings_after=len(live)))
-    return FlipTrace(instance_id, initial, tuple(records), m,
-                     complete=not live)
 
 
 def replay_states(ps: PointSet, initial: Matching, records) -> list[Matching]:

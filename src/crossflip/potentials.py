@@ -31,19 +31,12 @@ from enum import Enum, IntEnum
 from itertools import combinations
 from typing import NamedTuple
 
-from .geometry import (
-    PointSet,
-    Segment,
-    ccw_quad_order,
-    convex_position_ccw,
-    side_masks,
-)
+from .geometry import PointSet, Segment, ccw_quad_order, crossing_quad, side_masks
 from .matching import (
     CrossingPair,
     FlipChoice,
     Matching,
     check_live,
-    crossing_quad,
     quad_reconnections,
 )
 
@@ -230,12 +223,10 @@ def classify_line_vs_quad(
     endpoints.
 
     ``quad`` is any ordering of the four endpoint indices; they must be in
-    convex position (always true for a genuine crossing).
+    strictly convex position (always true for a genuine crossing), or
+    ``ccw_quad_order`` raises ValueError.
     """
-    order = ccw_quad_order(ps, quad)
-    if not convex_position_ccw(ps, order):
-        raise ValueError(f"quad {tuple(quad)} is not in convex position")
-    types = _quad_line_types(ps, order)
+    types = _quad_line_types(ps, ccw_quad_order(ps, quad))
     return _type_of(types, _lines_by_bit(ps).index(line))
 
 

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from .generators import Instance
 from .geometry import PointSet, seg
-from .matching import FlipChoice, FlipTrace, Matching, trace_from_moves
+from .matching import FlipChoice, FlipTrace, Matching
+from .search import trace_from_moves
 
 #: Segment that disappears after the first flip and is back after the third.
 REAPPEARING_SEGMENT = seg(2, 3)

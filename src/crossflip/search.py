@@ -28,22 +28,24 @@ rebuilt through the checked ``trace_from_moves``. ``SearchLimits`` hold per
 public call: one deadline, set before the kernel is built, and one state
 count, the clock read on every DFS step and every BFS expansion.
 
-A strategy run keeps its crossings, as int keys, and its length in a
-``matching._LiveCrossings`` index, so a step costs O(n) big-int work in C
-plus O(log L) Python steps per crossing it removes or adds, for L live
-crossings, and no Python pass over the matching. Max-damage keeps one heap
-of (-damage, key) over the live crossings, deleting lazily: the damage
-depends on the crossing's four endpoint ranks alone, so it is computed once
-when the crossing appears.
+Strategy runs and scripted traces share one run loop (``_run``), which
+asks a pick function for each move. It keeps the crossings, as int keys,
+and the length in a ``matching._LiveCrossings`` index, so a step costs O(n)
+big-int work in C plus O(log L) Python steps per crossing it removes or
+adds, for L live crossings, and no Python pass over the matching. The index
+orders its keys by an optional rank of the crossing's four endpoints, then
+canonically. Max-damage ranks by the drop in phi_vertical of the x-greedy
+response, computed once when the crossing appears, so it takes the first
+key, as greedy-x does.
 """
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass
 from functools import reduce
-from heapq import heapify, heappop, heappush
 from itertools import compress
 from operator import or_, xor
 
@@ -63,7 +65,6 @@ from .matching import (
     find_crossings,
     is_noncrossing,
     reconnections,
-    trace_from_moves,
 )
 from .potentials import phi_lines, phi_vertical, phi_vertical_delta, x_ranks
 
@@ -105,7 +106,8 @@ class SearchLimits:
     time_budget: float = 60.0
 
     def __post_init__(self):
-        if self.max_states <= 0 or self.max_depth <= 0 or self.time_budget <= 0:
+        # not written as <= 0, which a NaN time budget would pass
+        if not (self.max_states > 0 and self.max_depth > 0 and self.time_budget > 0):
             raise ValueError("all search limits must be positive")
 
 
@@ -581,33 +583,64 @@ def _bubble_move(ps, inst, m):
     raise StrategyNotApplicableError("no adjacent inversion left, yet crossings remain")
 
 
-def _pick(strategy, ps, ranks, inst, m, live, rng, restrict_choice, heap):
-    keys = live.keys
-    if strategy.kind == "first":
-        return live.crossing(keys[0]), restrict_choice or FlipChoice.RECONNECT_A
-    if strategy.kind == "random":
-        crossing = live.crossing(rng.choice(keys))
-        return crossing, restrict_choice or rng.choice(tuple(FlipChoice))
+def _pick(strategy, ps, ranks, inst, m, live, rng, restrict_choice):
     if strategy.kind == "bubble":
         return _bubble_move(ps, inst, m)
+    keys = live.keys
+    # the first key: the canonically first crossing, or under max-damage
+    # the first of the smallest drop
+    drawn = strategy.kind == "random" or strategy.adversary == "random"
+    crossing = live.crossing(rng.choice(keys) if drawn else keys[0])
+    if strategy.kind == "first":
+        return crossing, restrict_choice or FlipChoice.RECONNECT_A
+    if strategy.kind == "random":
+        return crossing, restrict_choice or rng.choice(tuple(FlipChoice))
     # greedy-x, or an adversary imposing the crossing; the response is
     # always x-greedy
-    if strategy.adversary == "random":
-        crossing = live.crossing(rng.choice(keys))
-    elif strategy.adversary == "max-damage":
-        # the smallest phi_vertical drop the greedy response can make, the
-        # canonically first crossing on ties: the top live entry of
-        # ``heap``, which holds (-damage, key) for every live crossing and
-        # is cut back to them once it holds more than twice as many
-        while heap[0][1] not in live:
-            heappop(heap)
-        if len(heap) > 2 * len(live):
-            heap[:] = {e for e in heap if e[1] in live}
-            heapify(heap)
-        crossing = live.crossing(heap[0][1])
-    else:
-        crossing = live.crossing(keys[0])
     return crossing, choice_yielding(ps, crossing, _greedy_pairs(ranks, crossing))
+
+
+def _run(instance_id: str, ps: PointSet, initial: Matching, pick,
+         max_steps: float = math.inf, rank=None, ranks=None,
+         with_phi_lines: bool = False) -> FlipTrace:
+    """The one run loop: flip ``pick(m, live)`` until it returns None or
+    ``max_steps`` flips are made, where ``live`` is the ``_LiveCrossings``
+    index of the matching m, ordered by ``rank``. phi_vertical is tracked
+    under ``ranks = x_ranks(ps)``, phi_lines on request."""
+    m = initial
+    live = _LiveCrossings(ps, m, rank)
+    length = live.length()
+    records = []
+    phi_k = phi_vertical(ps, m) if ranks else None
+    phi_l = phi_lines(ps, m) if with_phi_lines else None
+    while len(records) < max_steps and (move := pick(m, live)) is not None:
+        crossing, choice = move
+        m, added = _flipped(ps, m, crossing, choice)
+        live.flip(crossing, added)
+        phi_k_before, phi_l_before = phi_k, phi_l
+        if ranks:
+            phi_k += phi_vertical_delta(ranks, crossing, added)
+        if with_phi_lines:
+            phi_l = phi_lines(ps, m)
+        length_before, length = length, live.length()
+        records.append(FlipRecord(
+            crossing, choice, added, length_before, length,
+            crossings_after=len(live),
+            phi_l_before=phi_l_before,
+            phi_l_after=phi_l,
+            phi_k_before=phi_k_before,
+            phi_k_after=phi_k,
+        ))
+    return FlipTrace(instance_id, initial, tuple(records), m, complete=not live)
+
+
+def trace_from_moves(
+    instance_id: str, ps: PointSet, initial: Matching, moves
+) -> FlipTrace:
+    """Build a trace by applying scripted (crossing, choice) moves in order;
+    a stale or non-crossing move raises FlipError."""
+    moves = iter(moves)
+    return _run(instance_id, ps, initial, lambda m, live: next(moves, None))
 
 
 def run_strategy(
@@ -643,50 +676,20 @@ def run_strategy(
             "other strategies own their reconnection choice"
         )
     rng = random.Random(strategy.seed)
-
-    m = inst.matching
-    live = _LiveCrossings(ps, m)
-    length = live.length()
-    heap = None
+    rank = None
     if strategy.adversary == "max-damage":
 
-        def entry(key):
-            # -phi_vertical_delta of the x-greedy response: the removed rank
-            # spans less those of the two leftmost and two rightmost ranks
-            (a, b), (c, d) = live.crossing(key)
-            ra, rb, rc, rd = ranks[a], ranks[b], ranks[c], ranks[d]
-            q0, q1, q2, q3 = sorted((ra, rb, rc, rd))
-            return abs(ra - rb) + abs(rc - rd) - (q1 - q0) - (q3 - q2), key
+        def rank(a, b, c, d):
+            # -phi_vertical_delta of the x-greedy response: crossing
+            # segments' x-ranks interleave or nest, so pairing the two
+            # leftmost and the two rightmost drops twice the middle gap
+            _, q1, q2, _ = sorted((ranks[a], ranks[b], ranks[c], ranks[d]))
+            return 2 * (q2 - q1)
 
-        heap = [entry(key) for key in live.keys]
-        heapify(heap)
-    records = []
-    phi_k = phi_vertical(ps, m) if ranks else None
-    phi_l = phi_lines(ps, m) if with_phi_lines else None
-    while live and len(records) < max_steps:
-        crossing, choice = _pick(
-            strategy, ps, ranks, inst, m, live, rng, restrict_choice, heap,
-        )
-        m, added = _flipped(ps, m, crossing, choice)
-        gained = live.flip(crossing, added)
-        if heap is not None:
-            for key in gained:
-                heappush(heap, entry(key))
-        phi_k_before, phi_l_before = phi_k, phi_l
-        if ranks:
-            phi_k += phi_vertical_delta(ranks, crossing, added)
-        if with_phi_lines:
-            phi_l = phi_lines(ps, m)
-        length_before, length = length, live.length()
-        records.append(FlipRecord(
-            crossing, choice, added, length_before, length,
-            crossings_after=len(live),
-            phi_l_before=phi_l_before,
-            phi_l_after=phi_l,
-            phi_k_before=phi_k_before,
-            phi_k_after=phi_k,
-        ))
-    return FlipTrace(
-        inst.provenance, inst.matching, tuple(records), m,
-        complete=not live,
-    )
+    def pick(m, live):
+        if live:
+            return _pick(strategy, ps, ranks, inst, m, live, rng, restrict_choice)
+        return None
+
+    return _run(inst.provenance, ps, inst.matching, pick, max_steps, rank,
+                ranks, with_phi_lines)

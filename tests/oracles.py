@@ -3,8 +3,11 @@
 Everything here deliberately avoids the code paths under test. The flip-run
 extrema come three ways: ``naive_f``/``naive_h`` use plain unmemoized
 recursion over successors built here from ``segments_properly_cross`` and
-``reference_reconnection_pairs``, the ``ccw_quad_order`` sort that the one
-orientation test of ``matching.reconnections`` replaced;
+``reference_reconnection_pairs``, which reads ``reference_ccw_quad_order``,
+the comparator sort that the one orientation test of
+``geometry.crossing_quad`` replaced in ``matching.reconnections`` and in
+``geometry.ccw_quad_order``, where the diagonal crossing test also replaced
+``reference_convex_position_ccw``;
 ``reference_longest``/``reference_shortest`` are the ``Matching``-based
 memoized DFS and BFS that the int flip-graph kernel of ``crossflip.search``
 replaced, kept with their witness tie-breaks as the oracle for that kernel.
@@ -19,8 +22,9 @@ full pair tests that the side-vector prefilter of ``crossflip.matching``
 replaced, and ``reference_crossed_by`` that prefilter, whose survivors get
 ``segments_properly_cross``, which the exact batch test
 ``geometry.crossed_by`` replaced. ``reference_max_damage_pick`` is the
-per-run key dict and ``max`` that the max-damage heap of
-``crossflip.search`` replaced, and ``reference_live_crossings`` the list of
+per-run key dict and ``max`` that the max-damage heap, and then the ranked
+keys of the live index, of ``crossflip.search`` replaced, and
+``reference_live_crossings`` the list of
 crossing tuples, kept by ``insort`` and ``crossed_by``, that the int keys,
 blocked sorted list and lane crossing test of ``matching._LiveCrossings``
 replaced. ``reference_crossing_row`` is the per-pair loop, and
@@ -36,6 +40,7 @@ x-greedy choice that the one rank table and the one Delta phi_K formula of
 ``crossflip.search`` replaced.
 """
 
+import functools
 import random
 from bisect import bisect_left, insort
 from collections import defaultdict, deque
@@ -55,7 +60,6 @@ from crossflip import (
     Side,
     StrategyNotApplicableError,
     apply_flip,
-    ccw_quad_order,
     choice_yielding,
     find_crossings,
     is_noncrossing,
@@ -63,7 +67,7 @@ from crossflip import (
     seg,
     segments_properly_cross,
 )
-from crossflip.geometry import convex_position_ccw, crossed_by
+from crossflip.geometry import crossed_by
 from crossflip.matching import crossing_pair
 from crossflip.potentials import LineAudit, phi_vertical_delta
 from crossflip.search import _greedy_pairs
@@ -144,12 +148,35 @@ class reference_live_crossings:
         return new
 
 
+def reference_ccw_quad_order(ps: PointSet, indices):
+    """Four point indices sorted counterclockwise around the lowest one by
+    an orientation comparator. For a quad in convex position the three
+    other vertices lie in an open half-plane wedge at the lowest one, so
+    the comparator is a strict total order there."""
+    base, *rest = sorted(indices)
+    bp = ps[base]
+    rest.sort(key=functools.cmp_to_key(lambda a, b: -orient(bp, ps[a], ps[b])))
+    return (base, *rest)
+
+
+def reference_convex_position_ccw(ps: PointSet, ordered) -> bool:
+    """True iff the four points, taken in the given cyclic order, form a
+    strictly convex counterclockwise quadrilateral."""
+    q1, q2, q3, q4 = ordered
+    return (
+        orient(ps[q1], ps[q2], ps[q3]) > 0
+        and orient(ps[q2], ps[q3], ps[q4]) > 0
+        and orient(ps[q3], ps[q4], ps[q1]) > 0
+        and orient(ps[q4], ps[q1], ps[q2]) > 0
+    )
+
+
 def reference_reconnection_pairs(ps: PointSet, crossing, choice):
     """The two segments a flip adds, by sorting the four endpoints
     counterclockwise around the lowest one: choice A pairs (q1,q2) with
     (q3,q4), choice B (q2,q3) with (q4,q1)."""
     (a, b), (c, d) = crossing
-    q1, q2, q3, q4 = ccw_quad_order(ps, (a, b, c, d))
+    q1, q2, q3, q4 = reference_ccw_quad_order(ps, (a, b, c, d))
     if choice is FlipChoice.RECONNECT_A:
         e1, e2 = seg(q1, q2), seg(q3, q4)
     else:
@@ -390,8 +417,8 @@ def reference_decrement_audit(ps, m, crossing, choice, detail=False,
     e1, e2 = crossing
     added = reference_reconnection_pairs(ps, crossing, choice)
     n1, n2 = added
-    quad_order = ccw_quad_order(ps, (*e1, *e2))
-    if not convex_position_ccw(ps, quad_order):
+    quad_order = reference_ccw_quad_order(ps, (*e1, *e2))
+    if not reference_convex_position_ccw(ps, quad_order):
         raise ValueError(f"crossing {crossing} endpoints not in convex position")
 
     counts = {t: 0 for t in LineType}

@@ -101,6 +101,22 @@ def test_run_shear_enables_greedy(tmp_path):
                    "-o", tmp_path / "s.csv") == 0
 
 
+def test_run_greedy_on_duplicate_x_exits_3_with_one_error_line(tmp_path):
+    # the square has duplicate x-coordinates and no shear is asked for
+    square = tmp_path / "square.json"
+    square.write_text(json.dumps({
+        "points": [[0, 0], [2, 0], [2, 2], [0, 2]],
+        "matching": [[0, 2], [1, 3]],
+        "provenance": "square", "notes": "",
+    }))
+    proc = _cli_process("run", square, "--strategy", "greedy-x",
+                        "-o", tmp_path / "s.csv")
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr == ("error: x-greedy reconnection needs pairwise "
+                           "distinct x; apply shear_to_distinct_x first\n")
+    assert not (tmp_path / "s.csv").exists()
+
+
 def test_search_convex_h(convex4, tmp_path):
     report = tmp_path / "r.json"
     assert run_cli("search", convex4, "--which", "h", "-o", report) == 0
@@ -311,7 +327,8 @@ def _cli_process(*argv):
 
 @pytest.mark.parametrize("command", ["search", "sweep"])
 @pytest.mark.parametrize("flag,value", [("--max-states", 0), ("--max-depth", 0),
-                                        ("--time-budget", -1)])
+                                        ("--time-budget", -1),
+                                        ("--time-budget", "nan")])
 def test_nonpositive_limit_flag_exits_2(rev5, tmp_path, command, flag, value):
     if command == "search":
         argv = ["search", rev5, "-o", tmp_path / "r.json"]

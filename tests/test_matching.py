@@ -42,6 +42,8 @@ from crossflip.scenarios import (
 from oracles import (
     CHOICES,
     reference_crossed_by,
+    reference_ccw_quad_order,
+    reference_convex_position_ccw,
     reference_crossings_after_flip,
     reference_find_crossings,
     reference_live_crossings,
@@ -230,15 +232,23 @@ def _point_sets(coords, max_size=10, unique=True):
 @given(st.one_of(_point_sets(st.integers(0, 6)),  # 7x7 grid, degenerate
                  _point_sets(st.integers(-10**4, 10**4))))
 def test_reconnections_match_ccw_sort_reference(ps):
-    """The one orientation test against the ccw_quad_order sort it replaced,
+    """The one orientation test against the comparator sort it replaced,
     on every properly crossing pair of segments, given in either order with
-    endpoints in either order."""
+    endpoints in either order; ``ccw_quad_order`` against the sort and the
+    convexity check it replaced, on every four points of the set."""
+    for quad in combinations(range(len(ps)), 4):
+        order = reference_ccw_quad_order(ps, quad)
+        if reference_convex_position_ccw(ps, order):
+            assert ccw_quad_order(ps, quad[::-1]) == order
+        else:
+            with pytest.raises(ValueError, match="not in convex position"):
+                ccw_quad_order(ps, quad)
     segments = list(combinations(range(len(ps)), 2))
     for s, t in combinations(segments, 2):
         if set(s) & set(t) or not segments_properly_cross(ps, s, t):
             continue
         want = tuple(reference_reconnection_pairs(ps, (s, t), c) for c in CHOICES)
-        quad = ccw_quad_order(ps, (*s, *t))
+        quad = reference_ccw_quad_order(ps, (*s, *t))
         for e1, e2 in ((s, t), (t, s)):
             for f1 in (e1, e1[::-1]):
                 for f2 in (e2, e2[::-1]):
@@ -291,29 +301,41 @@ _CORNERS = [(-COORD_LIMIT, -COORD_LIMIT), (COORD_LIMIT, COORD_LIMIT),
             (COORD_LIMIT, -COORD_LIMIT), (-COORD_LIMIT, COORD_LIMIT)]
 
 
+def _tied_rank(a, b, c, d):
+    """A rank of a crossing's four endpoints with many ties."""
+    return (a + b + c + d) % 3
+
+
+def _signed_rank(a, b, c, d):
+    """A rank of a crossing's four endpoints that goes below zero."""
+    return d - a - c
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.one_of(_point_sets(st.integers(0, 6), 24),  # 7x7 grid, degenerate
                  _point_sets(st.integers(0, 6), 24, unique=False),  # repeats
                  _point_sets(st.integers(-10**4, 10**4), 24),
                  _point_sets(_EDGE, 24)),
        st.randoms(use_true_random=False),
-       st.sampled_from([1, 2, 3, matching._LOAD]))
-@example(PointSet.from_coords(_CORNERS), random.Random(0), 1)
+       st.sampled_from([1, 2, 3, matching._LOAD]),
+       st.sampled_from([None, _tied_rank, _signed_rank]))
+@example(PointSet.from_coords(_CORNERS), random.Random(0), 1, None)
 @example(PointSet.from_coords(
     _CORNERS + [(0, -COORD_LIMIT), (0, COORD_LIMIT), (-COORD_LIMIT, 1),
-                (COORD_LIMIT, -1)]), random.Random(1), 2)
+                (COORD_LIMIT, -1)]), random.Random(1), 2, _signed_rank)
 def test_live_crossing_index_matches_full_pair_tests_along_flip_walks(
-        ps, rng, load):
+        ps, rng, load, rank):
     """The lane index of live crossings against full pair tests and against
     the tuple list it replaced, at the start and after every flip of a
     random walk, on random sets, on 7x7-grid sets (repeated x, collinear
     triples, repeated points) and on sets at the coordinate budget's edges:
-    the index's keys decode to the reference list in order, each segment's
-    set holds exactly the crossings that contain it, a flip returns the
-    crossings it gains in the reference's order, and the run length equals
-    ``total_length`` bit for bit. Tiny block loads make the sorted list
-    split and merge blocks. ``crossed_by`` agrees with
-    ``segments_properly_cross`` pair by pair."""
+    the index's keys decode to the reference list in order, or with a rank
+    function to the reference list sorted by rank (ties in canonical order)
+    and to each crossing's rank, each segment's set holds exactly the
+    crossings that contain it, a flip returns the crossings it gains in the
+    reference's order, and the run length equals ``total_length`` bit for
+    bit. Tiny block loads make the sorted list split and merge blocks.
+    ``crossed_by`` agrees with ``segments_properly_cross`` pair by pair."""
     labels = list(range(len(ps)))
     rng.shuffle(labels)
     m = Matching.from_pairs(zip(labels[0::2], labels[1::2]))
@@ -322,11 +344,15 @@ def test_live_crossing_index_matches_full_pair_tests_along_flip_walks(
         _assert_batch_test_matches_pair_tests(
             ps, s, [t for t in segments if not set(s) & set(t)])
     with mock.patch.object(matching, "_LOAD", load):
-        live = _LiveCrossings(ps, m)
+        live = _LiveCrossings(ps, m, rank)
     reference = reference_live_crossings(ps, m)
     while True:
         crossings = reference_find_crossings(ps, m)
-        assert [live.crossing(k) for k in live.keys] == crossings == reference.sorted
+        assert crossings == reference.sorted
+        ranks = [rank(*s, *t) if rank else 0 for s, t in crossings]
+        ranked = sorted(zip(ranks, crossings))
+        assert [live.crossing(k) for k in live.keys] == [c for _, c in ranked]
+        assert [k // len(ps) ** 4 for k in live.keys] == [r for r, _ in ranked]
         assert len(live) == len(crossings)
         assert all(k in live for k in live.keys)
         blocks = live.keys.blocks
@@ -342,7 +368,7 @@ def test_live_crossing_index_matches_full_pair_tests_along_flip_walks(
         if not crossings:
             break
         crossing = rng.choice(crossings)
-        key = live.keys[crossings.index(crossing)]
+        key = next(k for k in live.keys if live.crossing(k) == crossing)
         m, rec = flip(ps, m, crossing, rng.choice(CHOICES))
         gained = [live.crossing(k) for k in live.flip(crossing, rec.added)]
         assert key not in live

@@ -281,16 +281,16 @@ def test_gained_line_is_fatal(monkeypatch):
 def test_diagonal_split_is_fatal(monkeypatch):
     # point 3 lies inside triangle 0, 1, 2; its "ccw order" is (0, 1, 3, 2)
     # and the line through 1 and 2 separates {0, 3} from {1, 2}. The audit
-    # reads that order from the reconnection rule, the line types from the
-    # sort, so each is injected on its own path.
+    # reads that order from ``crossing_quad``, the line classifier from
+    # ``ccw_quad_order``, which refuses a quad not in convex position, so
+    # each is injected on its own path.
     ps = PointSet.from_coords([(0, 0), (10, 0), (5, 9), (5, 3)])
     m = Matching.from_pairs([(0, 2), (1, 3)])
     monkeypatch.setattr("crossflip.potentials.check_live", lambda *args: None)
     monkeypatch.setattr("crossflip.potentials.crossing_quad",
                         lambda ps, crossing: (0, 1, 3, 2))
-    monkeypatch.setattr(
-        "crossflip.potentials.convex_position_ccw", lambda ps, order: True
-    )
+    monkeypatch.setattr("crossflip.potentials.ccw_quad_order",
+                        lambda ps, quad: (0, 1, 3, 2))
     pattern = r"line 1-2/plus splits quad \(0, 1, 3, 2\) along its diagonals"
     with pytest.raises(PotentialInvariantError, match=pattern):
         decrement_audit(ps, m, m.pairs, FlipChoice.RECONNECT_A)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from crossflip import (
     FlipChoice,
+    FlipError,
     Instance,
     Matching,
     PointSet,
@@ -170,6 +171,14 @@ def test_search_limits_exceeded_reports_progress():
     assert info.value.best_bound is not None
     with pytest.raises(SearchLimitsExceeded):
         shortest_flip_sequence(inst, SearchLimits(max_states=2))
+
+
+@pytest.mark.parametrize("field", ["max_states", "max_depth", "time_budget"])
+@pytest.mark.parametrize("value", [0, -1, float("nan")])
+def test_search_limits_refuse_values_that_are_not_positive(field, value):
+    # a NaN time budget once passed the "<= 0" test and was never enforced
+    with pytest.raises(ValueError, match="must be positive"):
+        SearchLimits(**{field: value})
 
 
 class FakeClock:
@@ -541,3 +550,22 @@ def test_trace_crossing_counts_are_recounts():
                                       moves[:k])
             assert not prefix.complete
             _assert_counts_are_recounts(ps, prefix)
+
+
+def test_one_run_loop_keeps_scripted_and_capped_stops():
+    """Scripted traces and strategy runs share one run loop, which keeps
+    their two ways of stopping: a scripted move made once the matching is
+    non-crossing raises FlipError (a script is not cut short), and a step
+    cap of 0 stops a strategy run before its first pick."""
+    inst = reappearing_segment_instance()
+    trace = reappearing_segment_trace()
+    assert trace.complete
+    moves = [(rec.crossing, rec.choice) for rec in trace.records]
+    with pytest.raises(FlipError, match="not part of the matching"):
+        trace_from_moves(inst.provenance, inst.points, inst.matching,
+                         moves + moves[-1:])
+    for text in ("greedy-x", "adversary:max-damage", "random:3", "bubble"):
+        start = gen_two_line(reverse_perm(4))
+        capped = run_strategy(start, parse_strategy(text), max_steps=0)
+        assert (capped.records, capped.final, capped.complete) == (
+            (), start.matching, False)

@@ -2,11 +2,11 @@
 replaced: the phi_vertical a run tracks from four endpoints per step equals
 a recount of every visited matching, max-damage imposes the first crossing
 of least middle gap, which is also the pick of the per-run key dict that its
-heap replaced, the heap stays bounded by the live crossings, a step makes
-one pair test and no scalar batch crossing test, and ``greedy_choice``
-agrees with the raw-x sort. The
-length a run carries from step to step equals a recount, and its records and
-trace CSV equal those of one plain ``flip`` per step."""
+ranked live keys replaced, those keys hold each live crossing once, ranked
+by its drop in phi_vertical, a step makes one pair test and no scalar batch
+crossing test, and ``greedy_choice`` agrees with the raw-x sort. The length
+a run carries from step to step equals a recount, and its records and trace
+CSV equal those of one plain ``flip`` per step."""
 
 import dataclasses
 import random
@@ -233,33 +233,38 @@ def test_max_damage_takes_the_first_of_tied_crossings():
     assert [rec.crossing for rec in trace.records] == [first, second]
 
 
-def test_max_damage_key_memo_holds_at_most_twice_the_live_crossings(
+def test_max_damage_ranked_keys_hold_each_live_crossing_once_by_drop(
         monkeypatch):
-    """The keys live in the max-damage heap: after every step's pick it
-    holds an entry with the right key for every live crossing and at most
-    twice as many entries; it is cut back during the run, and each pick is
-    the per-run key dict's."""
+    """Max-damage orders the live index by rank: after every step's pick
+    the index holds exactly one key per live crossing, each key's rank is
+    the drop in phi_vertical of the crossing's x-greedy response, the keys
+    run by (rank, crossing), and the pick, the first key, is the per-run
+    key dict's."""
     inst = _sheared(60, 4107)
-    ranks, keys = x_ranks(inst.points), {}
+    ps = inst.points
+    ranks, keys = x_ranks(ps), {}
+    quad = len(ps) ** 4
     real = search._pick
-    sizes = []
+    picks = []
 
     def pick(*args):
         out = real(*args)
-        live, heap = args[5], args[-1]
-        crossings = [live.crossing(k) for k in live.keys]
-        entries = {(d, live.crossing(k)) for d, k in heap}
-        assert all((-phi_vertical_delta(ranks, c, _greedy_pairs(ranks, c)), c)
-                   in entries for c in crossings)
-        assert len(heap) <= 2 * len(live)
+        m, live = args[4], args[5]
+        crossings = find_crossings(ps, m)
+        ranked = [divmod(k, quad) for k in live.keys]
+        assert len(live) == len(ranked) == len(crossings)
+        assert sorted(live.crossing(k) for k in live.keys) == crossings
+        for key, (rank, _) in zip(live.keys, ranked):
+            c = live.crossing(key)
+            assert rank == -phi_vertical_delta(ranks, c, _greedy_pairs(ranks, c))
+        assert ranked == sorted(ranked)
         assert out[0] == reference_max_damage_pick(ranks, crossings, keys)
-        sizes.append(len(heap))
+        picks.append(out[0])
         return out
 
     monkeypatch.setattr(search, "_pick", pick)
     trace = run_strategy(inst, parse_strategy("adversary:max-damage"))
-    assert trace.complete and len(sizes) == len(trace) > 100
-    assert any(b < a for a, b in zip(sizes, sizes[1:]))
+    assert trace.complete and len(picks) == len(trace) > 100
     _assert_x_greedy_moves(inst, trace, max_damage=True, recount_crossings=False)
 
 

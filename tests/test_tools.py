@@ -6,6 +6,7 @@ from pathlib import Path
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "src_size.py"
 STEP_COST = TOOL.with_name("step_cost.py")
+TRACE_DIGEST = TOOL.with_name("trace_digest.py")
 PACKAGE = TOOL.parents[1] / "src" / "crossflip"
 
 
@@ -60,3 +61,15 @@ def test_step_cost_refuses_a_set_it_cannot_shear():
         capture_output=True, text=True, timeout=60, env=env)
     assert proc.returncode == 2 and proc.stdout == ""
     assert "exceeds" in proc.stderr
+
+
+def test_trace_digest_small_matches_the_pinned_outputs():
+    """Every strategy, search and scenario output of ``--small`` is what it
+    was when the digest was pinned: a change to any trace, its CSV, a search
+    value or the extremal estimates changes the digest."""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run([sys.executable, str(TRACE_DIGEST), "--small"],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (
+        "817a3e77db82021155a9ee64ad5f057fee07891d6e4cd4b62bfeb6e9871bdc5c\n")
