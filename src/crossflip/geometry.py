@@ -46,6 +46,10 @@ class PointSet:
     Construction enforces only the size and coordinate budget. General
     position is a separate check (``validate_general_position``) so that
     degenerate inputs can be diagnosed rather than rejected blindly.
+
+    The hash and ``has_distinct_x`` are computed once, at construction, so a
+    cache lookup keyed by the set does not rehash its 2n points; equality
+    still compares the points.
     """
 
     points: tuple[Point, ...]
@@ -58,6 +62,12 @@ class PointSet:
                 raise CoordinateOverflowError(
                     f"point {i} = ({p.x}, {p.y}) exceeds |coord| <= {COORD_LIMIT}"
                 )
+        object.__setattr__(self, "_hash", hash(self.points))
+        object.__setattr__(self, "_distinct_x",
+                           len({p.x for p in self.points}) == len(self.points))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def from_coords(cls, coords: Iterable[tuple[int, int]]) -> "PointSet":
@@ -78,7 +88,7 @@ class PointSet:
         return len(self.points) // 2
 
     def has_distinct_x(self) -> bool:
-        return len({p.x for p in self.points}) == len(self.points)
+        return self._distinct_x
 
 
 def orient(p: Point, q: Point, r: Point) -> int:

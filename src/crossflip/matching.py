@@ -10,8 +10,8 @@ pass per segment. Along a run of flips (``search._run``, the one run loop),
 ``_LiveCrossings`` keeps them as sorted int keys, optionally ranked first
 by a function of a crossing's four endpoints, with an index of each
 segment's crossings, and keeps the run's length; a flip retests only its
-two added segments, by a few big-int expressions over 64-bit lanes, and no
-step loops over the matching in Python.
+two added segments, by a few big-int expressions over n 64-bit lanes, lane
+k for slot k's segment, and no step loops over the matching in Python.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from enum import Enum
 from functools import reduce
 from itertools import chain, compress
 from operator import add
-from struct import Struct, pack
+from struct import Struct
 
 from .geometry import (
     COORD_LIMIT,
@@ -233,17 +233,19 @@ class _LiveCrossings:
     segment whose lower endpoint is r. ``lengths[r]`` holds that segment's
     length, and 0.0 at upper endpoints.
 
-    Segment crossings are tested on 64-bit lanes, lane r for point r and its
-    segment (r, partner(r)), as ``geometry.side_masks`` does: four bytearrays
-    hold the partner's x and y (shifted by COORD_LIMIT to be nonnegative),
-    the bias minus the segment's line constant, and a top bit at lower
-    endpoints. A flip rewrites the lanes of its four endpoints and reads
-    each array back as one int. A segment s is crossed by the segments whose
-    endpoints lie strictly on opposite sides of s and which have s's
-    endpoints strictly on opposite sides of their own line: four biased
-    determinant lanes, combined by their top bits. So a flip costs O(M)
-    big-int work, in C, plus O(log L) Python steps per crossing it removes
-    or adds, for L live crossings."""
+    The n segments sit in n slots, ``segs[k]`` in slot k and ``slot[r]``
+    the slot of the segment with lower endpoint r; at the start they run in
+    canonical order, and a flip's two added segments take over its two
+    removed segments' slots. Crossings are tested on 64-bit lanes, lane k
+    for slot k's segment, as ``geometry.side_masks`` does: five bytearrays
+    hold the lower and the upper endpoint's x and y (shifted by COORD_LIMIT
+    to be nonnegative) and the bias minus the segment's line constant. A
+    flip rewrites its two slots' lanes and reads each array back as one
+    int. A segment s is crossed by the segments whose endpoints lie strictly
+    on opposite sides of s and which have s's endpoints strictly on opposite
+    sides of their own line: four biased determinant lanes, combined by
+    their top bits. So a flip costs O(n) big-int work, in C, plus O(log L)
+    Python steps per crossing it removes or adds, for L live crossings."""
 
     def __init__(self, ps: PointSet, m: Matching, rank=None):
         pts = ps.points
@@ -252,25 +254,23 @@ class _LiveCrossings:
         self.rank = rank
         self.xs = [x + COORD_LIMIT for x, _ in pts]
         self.ys = [y + COORD_LIMIT for _, y in pts]
-        self.x_lanes, self.y_lanes = (
-            int.from_bytes(pack(f"<{size}Q", *v), "little") for v in (self.xs, self.ys))
-        self.ones = _lanes(size)
-        self.partner = partner = [0] * size
-        for a, b in m.pairs:
-            partner[a], partner[b] = b, a
-        self.lanes = [bytearray(8 * size) for _ in range(4)]
+        slots = len(m.pairs)
+        self.ones = _lanes(slots)
+        self.segs = list(m.pairs)
+        self.slot = [0] * size
+        self.lanes = [bytearray(8 * slots) for _ in range(5)]
         self.lengths = [0.0] * size
-        for r in range(size):
-            self._write(r)
+        for k, s in enumerate(m.pairs):
+            self._write(k, s)
         self._read()
         self.of: list[set[int]] = [set() for _ in range(size)]
         keys = []
-        for a, b in m.pairs:
-            for r in self._crossers(a, b, a + 1):
-                key = self._key(a, b, r, partner[r])
+        for k, (a, b) in enumerate(m.pairs):
+            for c, d in self._crossers(a, b, k + 1):
+                key = self._key(a, b, c, d)
                 keys.append(key)
                 self.of[a].add(key)
-                self.of[r].add(key)
+                self.of[c].add(key)
         keys.sort()
         self.keys = _SortedInts(keys)
 
@@ -280,42 +280,46 @@ class _LiveCrossings:
         key = ((a * size + b) * size + c) * size + d
         return key + self.rank(a, b, c, d) * self.cube * size if self.rank else key
 
-    def _write(self, r: int) -> None:
-        """Lane r from point r's partner."""
-        p = self.partner[r]
-        rx, ry, px, py = self.xs[r], self.ys[r], self.xs[p], self.ys[p]
-        lx, ly, lq, low = self.lanes
-        _LANE.pack_into(lx, 8 * r, px)
-        _LANE.pack_into(ly, 8 * r, py)
-        _LANE.pack_into(lq, 8 * r, _BIAS - (px - rx) * ry + (py - ry) * rx)
-        _LANE.pack_into(low, 8 * r, (r < p) << 63)
-        self.lengths[r] = math.hypot(px - rx, py - ry) if r < p else 0.0
+    def _write(self, k: int, s: Segment) -> None:
+        """Slot k and its lanes from segment s."""
+        a, b = s
+        self.segs[k] = s
+        self.slot[a] = k
+        ax, ay, bx, by = self.xs[a], self.ys[a], self.xs[b], self.ys[b]
+        lax, lay, lbx, lby, lq = self.lanes
+        k *= 8
+        _LANE.pack_into(lax, k, ax)
+        _LANE.pack_into(lay, k, ay)
+        _LANE.pack_into(lbx, k, bx)
+        _LANE.pack_into(lby, k, by)
+        _LANE.pack_into(lq, k, _BIAS - (bx - ax) * ay + (by - ay) * ax)
+        self.lengths[a] = math.hypot(bx - ax, by - ay)
+        self.lengths[b] = 0.0
 
     def _read(self) -> None:
-        self.px, self.py, self.q, self.low = (
+        self.ax, self.ay, self.bx, self.by, self.q = (
             int.from_bytes(lane, "little") for lane in self.lanes)
-        self.dx = self.px - self.x_lanes
-        self.dy = self.py - self.y_lanes
+        self.dx = self.bx - self.ax
+        self.dy = self.by - self.ay
 
     def _crossers(self, a: int, b: int, start: int = 0):
-        """The lower endpoints r >= start of the segments crossing (a, b),
-        ascending."""
+        """The segments in slots k >= start that cross (a, b), by slot."""
         xa, ya, xb, yb = self.xs[a], self.ys[a], self.xs[b], self.ys[b]
         dx, dy, ones = xb - xa, yb - ya, self.ones
         bias = (_BIAS - dx * ya + dy * xa) * ones
-        # orient(a, b, r) and orient(a, b, partner(r)), biased
-        here = dx * self.y_lanes - dy * self.x_lanes + bias
-        there = dx * self.py - dy * self.px + bias
-        # orient(r, partner(r), a) and orient(r, partner(r), b), biased
+        # orient(a, b, ·) at each slot's lower and upper endpoint, biased
+        lower = dx * self.ay - dy * self.ax + bias
+        upper = dx * self.by - dy * self.bx + bias
+        # orient(lower, upper, a) and orient(lower, upper, b), biased
         to_a = self.dx * ya - self.dy * xa + self.q
         to_b = self.dx * yb - self.dy * xb + self.q
         # two determinants have strictly opposite signs when their lanes'
-        # top bits differ both for > 0 and for >= 0; twice, at lower endpoints
-        bits = ((here ^ there) & (here + ones ^ there + ones)
-                & (to_a ^ to_b) & (to_a + ones ^ to_b + ones) & self.low)
-        size = self.size
-        return compress(range(start, size),
-                        bits.to_bytes(8 * size, "little")[8 * start + 7::8])
+        # top bits differ both for > 0 and for >= 0; twice
+        bits = ((lower ^ upper) & (lower + ones ^ upper + ones)
+                & (to_a ^ to_b) & (to_a + ones ^ to_b + ones))
+        segs = self.segs
+        return compress(segs[start:],
+                        bits.to_bytes(8 * len(segs), "little")[8 * start + 7::8])
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -336,32 +340,26 @@ class _LiveCrossings:
         the same order, as adding 0.0 is exact."""
         return reduce(add, self.lengths, 0.0)
 
-    def flip(self, removed: CrossingPair,
-             added: tuple[Segment, Segment]) -> list[int]:
-        """Move on by a flip of ``removed`` that added ``added``; returns
-        the keys of the crossings it gained."""
-        keys, of, partner, size = self.keys, self.of, self.partner, self.size
+    def flip(self, removed: CrossingPair, added: tuple[Segment, Segment]) -> None:
+        """Move on by a flip of ``removed`` that added ``added``."""
+        keys, of, size = self.keys, self.of, self.size
         for lo, _ in removed:
             gone, of[lo] = of[lo], set()
             for key in gone:
                 keys.remove(key)
                 first = key // self.cube % size
                 of[key // size % size if first == lo else first].discard(key)
-        for a, b in added:
-            partner[a], partner[b] = b, a
-            self._write(a)
-            self._write(b)
+        slot = self.slot
+        free = slot[removed[0][0]], slot[removed[1][0]]
+        for k, s in zip(free, added):
+            self._write(k, s)
         self._read()
-        gained = []
         for a, b in added:
-            for r in self._crossers(a, b):
-                key = (self._key(a, b, r, partner[r]) if a < r
-                       else self._key(r, partner[r], a, b))
+            for c, d in self._crossers(a, b):
+                key = self._key(a, b, c, d) if a < c else self._key(c, d, a, b)
                 keys.add(key)
                 of[a].add(key)
-                of[r].add(key)
-                gained.append(key)
-        return gained
+                of[c].add(key)
 
 
 def total_length(ps: PointSet, m: Matching) -> float:

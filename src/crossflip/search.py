@@ -31,12 +31,15 @@ count, the clock read on every DFS step and every BFS expansion.
 Strategy runs and scripted traces share one run loop (``_run``), which
 asks a pick function for each move. It keeps the crossings, as int keys,
 and the length in a ``matching._LiveCrossings`` index, so a step costs O(n)
-big-int work in C plus O(log L) Python steps per crossing it removes or
-adds, for L live crossings, and no Python pass over the matching. The index
-orders its keys by an optional rank of the crossing's four endpoints, then
-canonically. Max-damage ranks by the drop in phi_vertical of the x-greedy
-response, computed once when the crossing appears, so it takes the first
-key, as greedy-x does.
+big-int work in C, over n 64-bit lanes, lane k for slot k's segment, plus
+O(log L) Python steps per crossing it removes or adds, for L live
+crossings, and no Python pass over the matching. The index orders its keys
+by an optional rank of the crossing's four endpoints, then canonically.
+Max-damage ranks by the drop in phi_vertical of the x-greedy response,
+computed once when the crossing appears, so it takes the first key, as
+greedy-x does. The x-greedy response itself is read off the crossing's one
+``crossing_quad`` and the run's x-ranks (``_x_greedy``), which
+``greedy_choice`` reads too.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from itertools import compress
 from operator import or_, xor
 
 from .generators import Instance, inversion_law_violation, two_line_permutation
-from .geometry import PointSet, seg, side_masks
+from .geometry import PointSet, crossing_quad, seg, side_masks
 from .matching import (
     CrossingPair,
     FlipChoice,
@@ -547,24 +550,27 @@ _NEEDS_DISTINCT_X = ("x-greedy reconnection needs pairwise distinct x; apply "
                      "shear_to_distinct_x first")
 
 
-def _greedy_pairs(ranks, crossing: CrossingPair) -> tuple:
-    """The segments pairing the crossing's two x-leftmost endpoints and its
-    two x-rightmost, under ``ranks = x_ranks(ps)``."""
-    (a, b), (c, d) = crossing
-    q = sorted((a, b, c, d), key=ranks.__getitem__)
-    return seg(q[0], q[1]), seg(q[2], q[3])
+def _x_greedy(ranks, quad: tuple[int, int, int, int]) -> FlipChoice:
+    """The choice pairing a crossing's two x-leftmost endpoints and its two
+    x-rightmost, from its ``crossing_quad`` (a, x, b, y) under ``ranks =
+    x_ranks(ps)``: A pairs (a, x) with (b, y), so it is the one exactly when
+    {a, x} are the two x-leftmost or the two x-rightmost endpoints.
+
+    The crossing segments interleave or nest in x, so the two x-leftmost
+    endpoints never make up one of them: this pairing is never the pair
+    being removed."""
+    a, x, b, y = map(ranks.__getitem__, quad)
+    if max(a, x) < min(b, y) or min(a, x) > max(b, y):
+        return FlipChoice.RECONNECT_A
+    return FlipChoice.RECONNECT_B
 
 
 def greedy_choice(ps: PointSet, crossing: CrossingPair) -> FlipChoice:
     """The choice pairing the two x-leftmost endpoints together and the two
-    x-rightmost together; refused when any two points of ps share an x.
-
-    The crossing segments interleave in x, so this pairing is never the pair
-    being removed; it is always one of the two reconnections.
-    """
+    x-rightmost together; refused when any two points of ps share an x."""
     if not ps.has_distinct_x():
         raise StrategyNotApplicableError(_NEEDS_DISTINCT_X)
-    return choice_yielding(ps, crossing, _greedy_pairs(x_ranks(ps), crossing))
+    return _x_greedy(x_ranks(ps), crossing_quad(ps, crossing))
 
 
 def _bubble_move(ps, inst, m):
@@ -597,7 +603,7 @@ def _pick(strategy, ps, ranks, inst, m, live, rng, restrict_choice):
         return crossing, restrict_choice or rng.choice(tuple(FlipChoice))
     # greedy-x, or an adversary imposing the crossing; the response is
     # always x-greedy
-    return crossing, choice_yielding(ps, crossing, _greedy_pairs(ranks, crossing))
+    return crossing, _x_greedy(ranks, crossing_quad(ps, crossing))
 
 
 def _run(instance_id: str, ps: PointSet, initial: Matching, pick,

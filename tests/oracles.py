@@ -27,7 +27,9 @@ keys of the live index, of ``crossflip.search`` replaced, and
 ``reference_live_crossings`` the list of
 crossing tuples, kept by ``insort`` and ``crossed_by``, that the int keys,
 blocked sorted list and lane crossing test of ``matching._LiveCrossings``
-replaced. ``reference_crossing_row`` is the per-pair loop, and
+replaced, and ``reference_point_lane_crossers`` that test on 2n point
+lanes, which the n segment-slot lanes replaced. ``reference_crossing_row``
+is the per-pair loop, and
 ``reference_matchings`` the recursive enumerator, that the side-mask rows and
 the int enumeration of the ``crossflip.search`` kernel replaced.
 ``reference_side_masks`` is the per-(anchor, point) cross-product loop that
@@ -37,7 +39,9 @@ the packed 64-bit lanes of ``geometry.side_masks`` replaced.
 of ``crossflip.geometry`` replaced. ``reference_middle_gap`` and
 ``reference_greedy_choice`` are the max-damage key and the raw-x sort of the
 x-greedy choice that the one rank table and the one Delta phi_K formula of
-``crossflip.search`` replaced.
+``crossflip.search`` replaced, and ``reference_greedy_pairs`` the rank sort
+of the four endpoints that its x-greedy rule on one ``crossing_quad``
+replaced.
 """
 
 import functools
@@ -45,7 +49,8 @@ import random
 from bisect import bisect_left, insort
 from collections import defaultdict, deque
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, compress
+from struct import pack
 
 from crossflip import (
     DecrementAudit,
@@ -67,10 +72,9 @@ from crossflip import (
     seg,
     segments_properly_cross,
 )
-from crossflip.geometry import crossed_by
+from crossflip.geometry import COORD_LIMIT, crossed_by
 from crossflip.matching import crossing_pair
 from crossflip.potentials import LineAudit, phi_vertical_delta
-from crossflip.search import _greedy_pairs
 
 CHOICES = (FlipChoice.RECONNECT_A, FlipChoice.RECONNECT_B)
 
@@ -99,6 +103,43 @@ def reference_crossed_by(ps: PointSet, s, segments) -> list:
     above = [dx * (y - ay) > dy * (x - ax) for x, y in ps.points]
     return [t for t in segments
             if above[t[0]] != above[t[1]] and segments_properly_cross(ps, s, t)]
+
+
+def reference_point_lane_crossers(ps: PointSet, m: Matching, s) -> list[int]:
+    """The lower endpoints of the segments of m that properly cross s,
+    ascending, by the point-lane test that the slot lanes of
+    ``matching._LiveCrossings`` replaced: lane r for point r and its segment
+    (r, partner(r)) over all 2n points, holding the point's and the
+    partner's x and y, the bias minus the segment's line constant and a top
+    bit at lower endpoints, which masks out the upper endpoints' lanes."""
+    size = len(ps)
+    xs = [x + COORD_LIMIT for x, _ in ps.points]
+    ys = [y + COORD_LIMIT for _, y in ps.points]
+    partner = [0] * size
+    for a, b in m.pairs:
+        partner[a], partner[b] = b, a
+    lane_bias = (1 << 63) - 1
+
+    def lanes(values):
+        return int.from_bytes(pack(f"<{size}Q", *values), "little")
+
+    x_lanes, y_lanes = lanes(xs), lanes(ys)
+    px, py = lanes(xs[p] for p in partner), lanes(ys[p] for p in partner)
+    q = lanes(lane_bias - (xs[p] - xs[r]) * ys[r] + (ys[p] - ys[r]) * xs[r]
+              for r, p in enumerate(partner))
+    low = lanes((r < p) << 63 for r, p in enumerate(partner))
+    ones = ((1 << 64 * size) - 1) // ((1 << 64) - 1)
+    a, b = s
+    xa, ya, xb, yb = xs[a], ys[a], xs[b], ys[b]
+    dx, dy = xb - xa, yb - ya
+    bias = (lane_bias - dx * ya + dy * xa) * ones
+    here = dx * y_lanes - dy * x_lanes + bias
+    there = dx * py - dy * px + bias
+    to_a = (px - x_lanes) * ya - (py - y_lanes) * xa + q
+    to_b = (px - x_lanes) * yb - (py - y_lanes) * xb + q
+    bits = ((here ^ there) & (here + ones ^ there + ones)
+            & (to_a ^ to_b) & (to_a + ones ^ to_b + ones) & low)
+    return list(compress(range(size), bits.to_bytes(8 * size, "little")[7::8]))
 
 
 def reference_crossings_after_flip(ps: PointSet, new_matching: Matching,
@@ -361,6 +402,16 @@ def reference_middle_gap(ps: PointSet, crossing, rank=None) -> int:
     return r[2] - r[1]
 
 
+def reference_greedy_pairs(ranks, crossing) -> tuple:
+    """The segments pairing the crossing's two x-leftmost endpoints and its
+    two x-rightmost, under ``ranks = x_ranks(ps)``: the sort of the four
+    endpoints that the x-greedy rule on ``crossing_quad`` in
+    ``crossflip.search`` replaced."""
+    (a, b), (c, d) = crossing
+    q = sorted((a, b, c, d), key=ranks.__getitem__)
+    return seg(q[0], q[1]), seg(q[2], q[3])
+
+
 def reference_greedy_choice(ps: PointSet, crossing) -> FlipChoice:
     """The x-greedy choice by sorting the four endpoints on raw x; refused
     only when those four repeat an x."""
@@ -580,7 +631,7 @@ def reference_max_damage_pick(ranks, crossings, keys: dict):
     crossings once it holds more than twice as many."""
     for c in crossings:
         if c not in keys:
-            keys[c] = phi_vertical_delta(ranks, c, _greedy_pairs(ranks, c))
+            keys[c] = phi_vertical_delta(ranks, c, reference_greedy_pairs(ranks, c))
     crossing = max(crossings, key=keys.__getitem__)
     if len(keys) > 2 * len(crossings):
         for c in keys.keys() - set(crossings):

@@ -14,8 +14,9 @@ from crossflip import (
     shear_to_distinct_x,
     validate_general_position,
 )
-from crossflip import geometry
+from crossflip import geometry, potentials
 from crossflip.geometry import side_masks
+from crossflip.potentials import x_ranks
 
 from oracles import reference_general_position, reference_side_masks
 
@@ -82,6 +83,28 @@ def test_pointset_rejects_odd_size_and_overflow():
         PointSet.from_coords([(0, 0), (1, 0), (2, 0)])
     with pytest.raises(CoordinateOverflowError):
         PointSet.from_coords([(0, 0), (COORD_LIMIT + 1, 0)])
+
+
+def test_equal_point_sets_hit_the_same_cache_entries():
+    """The hash and ``has_distinct_x`` are computed once per set: the hash
+    is that of the points, equality still compares the points, and an equal
+    but distinct set hits every per-set cache its twin filled."""
+    coords = [(0, 8), (10, 0), (10, 20), (20, 0), (20, 20), (30, 8)]
+    twin_a, twin_b = PointSet.from_coords(coords), PointSet.from_coords(coords)
+    assert twin_a is not twin_b and twin_a == twin_b
+    assert hash(twin_a) == hash(twin_b) == hash(twin_a.points)
+    assert twin_a != PointSet.from_coords(coords[::-1])
+    assert not twin_a.has_distinct_x()
+    ps = shear_to_distinct_x(twin_a)
+    assert ps.has_distinct_x() and hash(ps) == hash(ps.points)
+    twin = PointSet(tuple(ps.points))
+    assert twin is not ps and twin == ps
+    for cached in (x_ranks, side_masks, potentials._line_masks):
+        value = cached(ps)
+        before = cached.cache_info()
+        assert cached(twin) is value
+        after = cached.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
 
 def test_shear_identity_when_x_distinct():

@@ -47,6 +47,7 @@ from oracles import (
     reference_crossings_after_flip,
     reference_find_crossings,
     reference_live_crossings,
+    reference_point_lane_crossers,
     reference_reconnection_pairs,
 )
 
@@ -332,10 +333,11 @@ def test_live_crossing_index_matches_full_pair_tests_along_flip_walks(
     the index's keys decode to the reference list in order, or with a rank
     function to the reference list sorted by rank (ties in canonical order)
     and to each crossing's rank, each segment's set holds exactly the
-    crossings that contain it, a flip returns the crossings it gains in the
-    reference's order, and the run length equals ``total_length`` bit for
-    bit. Tiny block loads make the sorted list split and merge blocks.
-    ``crossed_by`` agrees with ``segments_properly_cross`` pair by pair."""
+    crossings that contain it, after a flip the added segments' sets hold
+    the crossings the reference gains, and the run length equals
+    ``total_length`` bit for bit. Tiny block loads make the sorted list
+    split and merge blocks. ``crossed_by`` agrees with
+    ``segments_properly_cross`` pair by pair."""
     labels = list(range(len(ps)))
     rng.shuffle(labels)
     m = Matching.from_pairs(zip(labels[0::2], labels[1::2]))
@@ -370,11 +372,51 @@ def test_live_crossing_index_matches_full_pair_tests_along_flip_walks(
         crossing = rng.choice(crossings)
         key = next(k for k in live.keys if live.crossing(k) == crossing)
         m, rec = flip(ps, m, crossing, rng.choice(CHOICES))
-        gained = [live.crossing(k) for k in live.flip(crossing, rec.added)]
+        live.flip(crossing, rec.added)
         assert key not in live
-        assert gained == reference.flip(m, crossing, rec.added)
-        assert sorted(gained) == [c for c in reference_find_crossings(ps, m)
-                                  if set(c) & set(rec.added)]
+        gained = sorted({live.crossing(k) for a, _ in rec.added for k in live.of[a]})
+        assert gained == sorted(reference.flip(m, crossing, rec.added))
+        assert gained == [c for c in reference_find_crossings(ps, m)
+                          if set(c) & set(rec.added)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(_point_sets(st.integers(0, 6), 24),  # 7x7 grid, degenerate
+                 _point_sets(st.integers(0, 6), 24, unique=False),  # repeats
+                 _point_sets(st.integers(-10**4, 10**4), 24),
+                 _point_sets(_EDGE, 24)),
+       st.randoms(use_true_random=False))
+@example(PointSet.from_coords(_CORNERS), random.Random(0))
+@example(PointSet.from_coords(
+    _CORNERS + [(0, -COORD_LIMIT), (0, COORD_LIMIT), (-COORD_LIMIT, 1),
+                (COORD_LIMIT, -1)]), random.Random(1))
+def test_slot_lanes_match_point_lanes_along_flip_walks(ps, rng):
+    """The crossers of every live segment by the n slot lanes of
+    ``_LiveCrossings`` against the 2n point lanes they replaced, at the
+    start and after every flip of a random walk, on the sets of the index
+    test above, whose determinants reach 2**43: the same segments, in slot
+    order, with slot k holding ``segs[k]`` and ``slot`` mapping each lower
+    endpoint back to its slot."""
+    labels = list(range(len(ps)))
+    rng.shuffle(labels)
+    m = Matching.from_pairs(zip(labels[0::2], labels[1::2]))
+    live = _LiveCrossings(ps, m)
+    assert live.segs == list(m.pairs)  # canonical order at the start
+    while True:
+        assert sorted(live.segs) == list(m.pairs)
+        assert all(live.slot[a] == k for k, (a, _) in enumerate(live.segs))
+        partner = dict(m.pairs)
+        for s in m.pairs:
+            got = list(live._crossers(*s))
+            assert got == sorted(got, key=live.segs.index)
+            assert sorted(got) == [(r, partner[r]) for r in
+                                   reference_point_lane_crossers(ps, m, s)]
+        crossings = find_crossings(ps, m)
+        if not crossings:
+            break
+        crossing = rng.choice(crossings)
+        m, rec = flip(ps, m, crossing, rng.choice(CHOICES))
+        live.flip(crossing, rec.added)
 
 
 @pytest.mark.parametrize("load", [1, 2, 3])

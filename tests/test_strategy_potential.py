@@ -43,11 +43,12 @@ from crossflip.generators import inversion_law_violation
 from crossflip.io import write_trace
 from crossflip import geometry, search
 from crossflip.potentials import phi_vertical_delta, x_ranks
-from crossflip.search import _greedy_pairs, greedy_choice
+from crossflip.search import greedy_choice
 
 from oracles import (
     _gap_ranks,
     reference_greedy_choice,
+    reference_greedy_pairs,
     reference_max_damage_pick,
     reference_middle_gap,
 )
@@ -226,7 +227,7 @@ def test_max_damage_takes_the_first_of_tied_crossings():
     first, second = find_crossings(ps, inst.matching)
     assert first == ((0, 1), (2, 3)) and second == ((4, 5), (6, 7))
     ranks = x_ranks(ps)
-    keys = [phi_vertical_delta(ranks, c, _greedy_pairs(ranks, c))
+    keys = [phi_vertical_delta(ranks, c, reference_greedy_pairs(ranks, c))
             for c in (first, second)]
     assert keys[0] == keys[1]
     trace = run_strategy(inst, parse_strategy("adversary:max-damage"))
@@ -256,7 +257,8 @@ def test_max_damage_ranked_keys_hold_each_live_crossing_once_by_drop(
         assert sorted(live.crossing(k) for k in live.keys) == crossings
         for key, (rank, _) in zip(live.keys, ranked):
             c = live.crossing(key)
-            assert rank == -phi_vertical_delta(ranks, c, _greedy_pairs(ranks, c))
+            greedy = reference_greedy_pairs(ranks, c)
+            assert rank == -phi_vertical_delta(ranks, c, greedy)
         assert ranked == sorted(ranked)
         assert out[0] == reference_max_damage_pick(ranks, crossings, keys)
         picks.append(out[0])

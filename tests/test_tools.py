@@ -52,6 +52,8 @@ def test_step_cost_prints_one_json_line():
     assert out["n"] == 20 and out["strategy"] == "adversary:max-damage"
     assert out["steps"] > 0 and out["seconds"] > 0 and out["peak_rss_mb"] > 0
     assert out["ms_per_step"] == 1000 * out["seconds"] / out["steps"]
+    # the run's time times the speed probe's positive, finite scale
+    assert 0 < out["scaled_seconds"] < float("inf")
 
 
 def test_step_cost_refuses_a_set_it_cannot_shear():
@@ -61,6 +63,17 @@ def test_step_cost_refuses_a_set_it_cannot_shear():
         capture_output=True, text=True, timeout=60, env=env)
     assert proc.returncode == 2 and proc.stdout == ""
     assert "exceeds" in proc.stderr
+
+
+def test_trace_digest_matches_the_pinned_outputs():
+    """The full digest, whose n = 40 and n = 100 strategy runs ``--small``
+    leaves out: every output is what it was when the digest was pinned."""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run([sys.executable, str(TRACE_DIGEST)],
+                          capture_output=True, text=True, timeout=300, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (
+        "a8db8986faabc2d1ce9f6f4656d92655678dc830bacadbf06cb7bdb652351e63\n")
 
 
 def test_trace_digest_small_matches_the_pinned_outputs():

@@ -4,9 +4,12 @@
 
 draws ``gen_random(N, seed=S, bbox=(LO, HI))``, shears it to distinct x when
 x repeats, runs the strategy (default ``greedy-x``) to the end and prints
-one JSON line: ``steps``, ``seconds`` (the run alone), ``ms_per_step`` and
-``peak_rss_mb`` (the process's peak resident set). Needs the ``crossflip``
-package importable, e.g. with ``PYTHONPATH=src``.
+one JSON line: ``steps``, ``seconds`` (the run alone), ``scaled_seconds``
+(the same time scaled to the reference machine speed of the benchmark's
+speed probe, ``bench/speed.py``, so that runs on a shared machine compare),
+``ms_per_step`` (unscaled) and ``peak_rss_mb`` (the process's peak resident
+set). Needs the ``crossflip`` package importable, e.g. with
+``PYTHONPATH=src``.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import json
 import resource
 import sys
 import time
+from pathlib import Path
 
 from crossflip import (
     CoordinateOverflowError,
@@ -25,6 +29,9 @@ from crossflip import (
     run_strategy,
     shear_to_distinct_x,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+from speed import SpeedProbe  # noqa: E402
 
 
 def main(argv=None) -> int:
@@ -42,14 +49,17 @@ def main(argv=None) -> int:
         print(f"step_cost: {exc}", file=sys.stderr)
         return 2
     inst = Instance(ps, raw.matching, raw.provenance)
-    start = time.perf_counter()
-    trace = run_strategy(inst, strategy)
-    seconds = time.perf_counter() - start
+    with SpeedProbe() as speed:
+        start = time.perf_counter()
+        trace = run_strategy(inst, strategy)
+        end = time.perf_counter()
+    seconds = end - start
     steps = len(trace)
     print(json.dumps({
         "n": args.n, "seed": args.seed, "bbox": list(args.bbox),
         "strategy": args.strategy, "steps": steps,
         "seconds": seconds,
+        "scaled_seconds": seconds * speed.scale(start, end),
         "ms_per_step": 1000 * seconds / steps if steps else None,
         # ru_maxrss is in KiB on Linux
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
