@@ -457,9 +457,6 @@ def main(argv=None) -> int:
     except StrategyNotApplicableError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INAPPLICABLE
-    except (SearchLimitsExceeded, EnumerationCapExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_LIMITS
 
 
 if __name__ == "__main__":

@@ -7,10 +7,11 @@ length strictly decreases along every edge.
 Exact search runs on an int kernel of the point set (``_FlipGraph``).
 The C(2n, 2) segments get ids in lexicographic (a, b) order, so a matching is
 an int with n bits set, read in ascending order as ``Matching.pairs``. Each
-segment has a bitset of the higher-id segments it properly crosses, built up
-front from the point set's side masks in O(n) big-int operations per
-segment with no pair test, and each crossing pair the XOR masks of
-reconnections A and B, from ``matching.reconnections`` on first use. The
+segment has a bitset of the higher-id segments it properly crosses, read off
+the point set's side masks in O(n) big-int operations with no pair test,
+and each crossing pair the XOR masks of reconnections A and B, from
+``matching.reconnections``. Both live in one memo, the kernel itself,
+filled on first use, inside the search deadline. The
 successors of M are ``M ^ mask`` by ascending lower segment, then higher
 segment, A before B: the canonical order of ``successors``. One memoized
 iterative post-order DFS (``_Search``) gives f = 1 + max and h = 1 + min over
@@ -132,76 +133,68 @@ def _crossing(segs: list, pair: int) -> CrossingPair:
     return segs[lo.bit_length() - 1], segs[(pair ^ lo).bit_length() - 1]
 
 
-class _Reconnections(dict):
-    """A crossing pair's two segment bits -> (XOR mask of choice A, of choice
-    B), from ``matching.reconnections`` on first use. It holds the kernel's
-    point set, bit table and segment list, not the kernel, so a dropped
-    kernel is freed by reference counting."""
+class _FlipGraph(dict):
+    """The int kernel of one point set (see the module docstring), a memo
+    filled on first use, inside the search deadline.
 
-    def __init__(self, ps: PointSet, bit: dict, segs: list):
-        super().__init__()
-        self.ps, self.bit, self.segs = ps, bit, segs
-
-    def __missing__(self, pair: int) -> tuple[int, int]:
-        bit = self.bit
-        self[pair] = masks = tuple(
-            pair | bit[e1] | bit[e2]
-            for e1, e2 in reconnections(self.ps, _crossing(self.segs, pair)))
-        return masks
-
-
-class _FlipGraph:
-    """The int kernel of one point set (see the module docstring).
-
-    Every segment's crossing row is built up front from the point set's side
-    masks (``geometry.side_masks``): segment t = (c, d) crosses s = (a, b)
-    when a and b lie strictly on opposite sides of line cd (bit t of
+    A segment's bit maps to its crossing row, the bitset of the higher
+    segments it properly crosses, read off the point set's side masks
+    (``geometry.side_masks``): segment t = (c, d) crosses s = (a, b) when a
+    and b lie strictly on opposite sides of line cd (bit t of
     ``pos[a] ^ pos[b]``, outside ``on[a] | on[b]``) and c and d strictly on
     opposite sides of line ab. The segments with exactly one endpoint on the
     + side of ab are the XOR of those points' incident-segment masks; the
     OR of the incident masks of the points on line ab removes the rest. A
-    row is thus O(n) big-int operations and no pair test."""
+    row is thus O(n) big-int operations and no pair test. A crossing pair's
+    two bits map to the XOR masks of reconnections A and B, from
+    ``matching.reconnections``. The memo holds ints and tuples only, so a
+    dropped kernel is freed by reference counting."""
 
     def __init__(self, ps: PointSet):
         self.ps = ps
         m = len(ps)
         self.segs = segs = [(a, b) for a in range(m) for b in range(a + 1, m)]
         self.bit = bit = {s: 1 << k for k, s in enumerate(segs)}
-        incident = [sum(bit[seg(r, q)] for q in range(m) if q != r)
-                    for r in range(m)]
-        pos, on = side_masks(ps)
-        # column k holds a 1 per point on the + side of the k-th segment's
-        # line (of ``pos``), or on that line (of ``on``)
-        to_bits = bytes.maketrans(b"01", b"\0\1")
-        pos_cols, on_cols = (
-            zip(*[format(x, f"0{len(segs)}b")[::-1].encode().translate(to_bits)
-                  for x in masks]) for masks in (pos, on))
-        #: a segment's bit -> bitset of the higher segments it crosses
-        self.cross = {}
-        for (a, b), s_bit, plus, line in zip(segs, bit.values(), pos_cols, on_cols):
-            straddling = reduce(xor, compress(incident, plus), 0)
+        self.incident = [sum(bit[seg(r, q)] for q in range(m) if q != r)
+                         for r in range(m)]
+        self.pos, self.on = side_masks(ps)
+
+    def __missing__(self, key: int) -> int | tuple[int, int]:
+        if key & key - 1:
+            bit = self.bit
+            value = tuple(
+                key | bit[e1] | bit[e2]
+                for e1, e2 in reconnections(self.ps, _crossing(self.segs, key)))
+        else:
+            k = key.bit_length() - 1
+            a, b = self.segs[k]
+            pos, on, incident = self.pos, self.on, self.incident
+            # column k of the side masks: a 1 per point on the + side of
+            # line ab (of ``pos``), or on that line (of ``on``)
+            straddling = reduce(xor, compress(incident, [p >> k & 1 for p in pos]), 0)
             # segments touching line ab, or whose line holds a or b
-            excluded = reduce(or_, compress(incident, line), on[a] | on[b])
-            # -2 * s_bit keeps the ids above s
-            self.cross[s_bit] = (pos[a] ^ pos[b]) & straddling & ~excluded & -2 * s_bit
-        self.recon = _Reconnections(ps, bit, segs)
+            excluded = reduce(or_, compress(incident, [p >> k & 1 for p in on]),
+                              on[a] | on[b])
+            # -2 * key keeps the ids above the segment's
+            value = (pos[a] ^ pos[b]) & straddling & ~excluded & -2 * key
+        self[key] = value
+        return value
 
     def encode(self, m: Matching) -> int:
         return sum(map(self.bit.__getitem__, m.pairs))
 
     def children(self, key: int) -> list[int]:
         """The successors of ``key`` in canonical order."""
-        cross, recon = self.cross, self.recon
         out = []
         rest = key
         while rest:
             lo = rest & -rest
             rest ^= lo
-            crossed = cross[lo] & key
+            crossed = self[lo] & key
             while crossed:
                 hi = crossed & -crossed
                 crossed ^= hi
-                mask_a, mask_b = recon[lo | hi]
+                mask_a, mask_b = self[lo | hi]
                 out.append(key ^ mask_a)
                 out.append(key ^ mask_b)
         return out
@@ -211,7 +204,7 @@ class _FlipGraph:
         ``child``."""
         mask = key ^ child
         pair = mask & key
-        return _crossing(self.segs, pair), list(FlipChoice)[self.recon[pair].index(mask)]
+        return _crossing(self.segs, pair), list(FlipChoice)[self[pair].index(mask)]
 
 
 #: Above any shortest-run length, so the first successor sets the minimum.

@@ -31,7 +31,9 @@ replaced, and ``reference_point_lane_crossers`` that test on 2n point
 lanes, which the n segment-slot lanes replaced. ``reference_crossing_row``
 is the per-pair loop, and
 ``reference_matchings`` the recursive enumerator, that the side-mask rows and
-the int enumeration of the ``crossflip.search`` kernel replaced.
+the int enumeration of the ``crossflip.search`` kernel replaced, and
+``reference_side_mask_rows`` the up-front build of every row from transposed
+side-mask columns that its rows built on first use replaced.
 ``reference_side_masks`` is the per-(anchor, point) cross-product loop that
 the packed 64-bit lanes of ``geometry.side_masks`` replaced.
 ``reference_general_position`` and ``reference_random_instance`` are the
@@ -50,6 +52,7 @@ from bisect import bisect_left, insort
 from collections import defaultdict, deque
 from fractions import Fraction
 from itertools import combinations, compress
+from operator import or_, xor
 from struct import pack
 
 from crossflip import (
@@ -72,7 +75,7 @@ from crossflip import (
     seg,
     segments_properly_cross,
 )
-from crossflip.geometry import COORD_LIMIT, crossed_by
+from crossflip.geometry import COORD_LIMIT, crossed_by, side_masks
 from crossflip.matching import crossing_pair
 from crossflip.potentials import LineAudit, phi_vertical_delta
 
@@ -265,6 +268,27 @@ def reference_crossing_row(ps: PointSet, k: int):
             for e1, e2 in (reference_reconnection_pairs(ps, (s, t), c)
                            for c in CHOICES))
     return row, masks
+
+
+def reference_side_mask_rows(ps: PointSet) -> list[int]:
+    """Every segment's crossing row, in lexicographic segment order, built
+    up front from the side masks: each mask is transposed into per-segment
+    columns of point bits by one bytes translation, then each row is read
+    off its two columns as in ``search._FlipGraph``."""
+    segs = list(combinations(range(len(ps)), 2))
+    incident = [sum(1 << j for j, s in enumerate(segs) if r in s)
+                for r in range(len(ps))]
+    pos, on = side_masks(ps)
+    to_bits = bytes.maketrans(b"01", b"\0\1")
+    pos_cols, on_cols = (
+        zip(*[format(x, f"0{len(segs)}b")[::-1].encode().translate(to_bits)
+              for x in masks]) for masks in (pos, on))
+    rows = []
+    for k, ((a, b), plus, line) in enumerate(zip(segs, pos_cols, on_cols)):
+        straddling = functools.reduce(xor, compress(incident, plus), 0)
+        excluded = functools.reduce(or_, compress(incident, line), on[a] | on[b])
+        rows.append((pos[a] ^ pos[b]) & straddling & ~excluded & -2 << k)
+    return rows
 
 
 def reference_matchings(m: int):

@@ -58,6 +58,7 @@ from oracles import (
     reference_longest,
     reference_matchings,
     reference_shortest,
+    reference_side_mask_rows,
 )
 
 SQUARE_INST = Instance(
@@ -245,14 +246,14 @@ def test_large_kernel_reads_the_clock_after_the_start_frame(monkeypatch):
 
 
 def test_dropped_flip_graph_is_freed_by_reference_counting():
-    """The kernel's reconnection cache holds the point set, bit table and
-    segment list, not the kernel: with the cycle collector off, a dropped
-    kernel is freed at once, its crossing rows with it."""
+    """The kernel's memo holds ints and tuples, no reference back to the
+    kernel: with the cycle collector off, a dropped kernel is freed at once,
+    its crossing rows and reconnection masks with it."""
     inst = gen_random(8, seed=1)
     gc.disable()
     try:
         graph = search._FlipGraph(inst.points)
-        assert graph.children(graph.encode(inst.matching)) and graph.recon
+        assert graph.children(graph.encode(inst.matching)) and graph
         dropped = weakref.ref(graph)
         del graph
         assert dropped() is None
@@ -504,16 +505,35 @@ def _any_point_sets(coords, max_size):
 @given(st.one_of(_any_point_sets(st.integers(0, 6), 16),  # 7x7 grid
                  _any_point_sets(st.integers(-10**4, 10**4), 16)))
 def test_kernel_rows_and_masks_match_pair_tests(ps):
-    """The side-mask crossing rows and the reconnection masks against the
-    per-pair loop they replaced, on random sets and on 7x7-grid sets
-    (repeated x, collinear triples, repeated points)."""
+    """The crossing rows and the reconnection masks, built on first use,
+    against the per-pair loop and the up-front build from transposed
+    side-mask columns that they replaced, on random sets and on 7x7-grid
+    sets (repeated x, collinear triples, repeated points)."""
     graph = search._FlipGraph(ps)
-    assert len(graph.cross) == len(graph.segs)
-    for k in range(len(graph.segs)):
+    for k, up_front in enumerate(reference_side_mask_rows(ps)):
         row, masks = reference_crossing_row(ps, k)
-        assert graph.cross[1 << k] == row
+        assert graph[1 << k] == row == up_front
         for pair, both in masks.items():
-            assert graph.recon[pair] == both
+            assert graph[pair] == both
+
+
+def test_kernel_builds_only_the_entries_a_state_reads():
+    """A new kernel holds no entry; the successors of the start add exactly
+    its n segments' rows and one reconnection entry per crossing, each
+    equal to the per-pair loop's."""
+    inst = gen_random(60, seed=1)
+    graph = search._FlipGraph(inst.points)
+    assert len(graph) == 0
+    start = graph.encode(inst.matching)
+    graph.children(start)
+    ids = [graph.segs.index(s) for s in inst.matching.pairs]
+    crossings = find_crossings(inst.points, inst.matching)
+    pairs = {graph.bit[s] | graph.bit[t] for s, t in crossings}
+    assert set(graph) == {1 << k for k in ids} | pairs
+    for k in ids:
+        row, masks = reference_crossing_row(inst.points, k)
+        assert graph[1 << k] == row
+        assert all(graph[pair] == masks[pair] for pair in pairs & masks.keys())
 
 
 def _assert_counts_are_recounts(ps, trace):
