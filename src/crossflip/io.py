@@ -88,14 +88,12 @@ def instance_from_json_dict(doc: dict) -> Instance:
     for a, b in pairs:
         if not (0 <= a < len(ps) and 0 <= b < len(ps)):
             raise InstanceFormatError(f"matching pair [{a}, {b}] out of range")
+    meta = {key: doc.get(key, "") for key in ("provenance", "notes")}
+    for key, value in meta.items():
+        if not isinstance(value, str):
+            raise InstanceFormatError(f"{key!r} must be a string, not {value!r}")
     try:
-        matching = Matching.from_pairs(pairs)
-        return Instance(
-            ps,
-            matching,
-            str(doc.get("provenance", "")),
-            str(doc.get("notes", "")),
-        )
+        return Instance(ps, Matching.from_pairs(pairs), **meta)
     except ValueError as exc:
         raise InstanceFormatError(str(exc)) from exc
 
@@ -200,6 +198,9 @@ def read_trace(path) -> list[TraceRow]:
                         f"{len(TRACE_COLUMNS)} fields"
                     )
                 if step == 0:
+                    if any(raw[c] for c in TRACE_COLUMNS[1:6]):
+                        raise TraceFormatError(
+                            f"line {reader.line_num}: pseudo-step 0 records no flip")
                     removed = added = choice = None
                 else:
                     r1, r2, a1, a2 = (_parse_seg(raw[c]) for c in TRACE_COLUMNS[1:5])

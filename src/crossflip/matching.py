@@ -7,11 +7,12 @@ it strictly decreases across every flip, but it never drives control flow.
 
 Crossings of one matching are found by ``geometry.crossed_by``, one exact
 pass per segment. Along a run of flips (``search._run``, the one run loop),
-``_LiveCrossings`` keeps them as sorted int keys, optionally ranked first
-by a function of a crossing's four endpoints, with an index of each
-segment's crossings, and keeps the run's length; a flip retests only its
-two added segments, by a few big-int expressions over n 64-bit lanes, lane
-k for slot k's segment, and no step loops over the matching in Python.
+``_LiveCrossings`` is the run's one copy of its matching: it keeps the
+segments in slots, the crossings as sorted int keys, optionally ranked
+first by a function of a crossing's four endpoints, with an index of each
+segment's crossings, and the run's length; a flip retests only its two
+added segments, by a few big-int expressions over n 64-bit lanes, lane k
+for slot k's segment, and no step loops over the matching in Python.
 """
 
 from __future__ import annotations
@@ -65,12 +66,8 @@ class Matching:
     @classmethod
     def from_pairs(cls, pairs) -> "Matching":
         canon = tuple(sorted(seg(a, b) for a, b in pairs))
-        seen: set[int] = set()
-        for a, b in canon:
-            seen.add(a)
-            seen.add(b)
         m = 2 * len(canon)
-        if len(seen) != m or min(seen) != 0 or max(seen) != m - 1:
+        if sorted(chain.from_iterable(canon)) != list(range(m)):
             raise ValueError(
                 f"not a perfect matching over 0..{m - 1}: pairs {canon}"
             )
@@ -233,19 +230,21 @@ class _LiveCrossings:
     segment whose lower endpoint is r. ``lengths[r]`` holds that segment's
     length, and 0.0 at upper endpoints.
 
-    The n segments sit in n slots, ``segs[k]`` in slot k and ``slot[r]``
+    The n segments sit in n slots, ``pairs[k]`` in slot k and ``slot[r]``
     the slot of the segment with lower endpoint r; at the start they run in
     canonical order, and a flip's two added segments take over its two
-    removed segments' slots. Crossings are tested on 64-bit lanes, lane k
-    for slot k's segment, as ``geometry.side_masks`` does: five bytearrays
-    hold the lower and the upper endpoint's x and y (shifted by COORD_LIMIT
-    to be nonnegative) and the bias minus the segment's line constant. A
-    flip rewrites its two slots' lanes and reads each array back as one
-    int. A segment s is crossed by the segments whose endpoints lie strictly
-    on opposite sides of s and which have s's endpoints strictly on opposite
-    sides of their own line: four biased determinant lanes, combined by
-    their top bits. So a flip costs O(n) big-int work, in C, plus O(log L)
-    Python steps per crossing it removes or adds, for L live crossings."""
+    removed segments' slots. ``pairs`` is read as a ``Matching``'s pairs
+    are, by ``check_live`` and ``two_line_permutation``. Crossings are
+    tested on 64-bit lanes, lane k for slot k's segment, as
+    ``geometry.side_masks`` does: five bytearrays hold the lower and the
+    upper endpoint's x and y (shifted by COORD_LIMIT to be nonnegative) and
+    the bias minus the segment's line constant. A flip rewrites its two
+    slots' lanes and reads each array back as one int. A segment s is
+    crossed by the segments whose endpoints lie strictly on opposite sides
+    of s and which have s's endpoints strictly on opposite sides of their
+    own line: four biased determinant lanes, combined by their top bits. So
+    a flip costs O(n) big-int work, in C, plus O(log L) Python steps per
+    crossing it removes or adds, for L live crossings."""
 
     def __init__(self, ps: PointSet, m: Matching, rank=None):
         pts = ps.points
@@ -256,7 +255,7 @@ class _LiveCrossings:
         self.ys = [y + COORD_LIMIT for _, y in pts]
         slots = len(m.pairs)
         self.ones = _lanes(slots)
-        self.segs = list(m.pairs)
+        self.pairs = list(m.pairs)
         self.slot = [0] * size
         self.lanes = [bytearray(8 * slots) for _ in range(5)]
         self.lengths = [0.0] * size
@@ -283,7 +282,7 @@ class _LiveCrossings:
     def _write(self, k: int, s: Segment) -> None:
         """Slot k and its lanes from segment s."""
         a, b = s
-        self.segs[k] = s
+        self.pairs[k] = s
         self.slot[a] = k
         ax, ay, bx, by = self.xs[a], self.ys[a], self.xs[b], self.ys[b]
         lax, lay, lbx, lby, lq = self.lanes
@@ -317,9 +316,9 @@ class _LiveCrossings:
         # top bits differ both for > 0 and for >= 0; twice
         bits = ((lower ^ upper) & (lower + ones ^ upper + ones)
                 & (to_a ^ to_b) & (to_a + ones ^ to_b + ones))
-        segs = self.segs
-        return compress(segs[start:],
-                        bits.to_bytes(8 * len(segs), "little")[8 * start + 7::8])
+        pairs = self.pairs
+        return compress(pairs[start:],
+                        bits.to_bytes(8 * len(pairs), "little")[8 * start + 7::8])
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -457,8 +456,10 @@ def check_live(ps: PointSet, m: Matching, crossing: CrossingPair) -> None:
 def _flipped(
     ps: PointSet, m: Matching, crossing: CrossingPair, choice: FlipChoice
 ) -> tuple[Matching, tuple[Segment, Segment]]:
-    """The one flip primitive: the successor matching and the two segments
-    the flip adds. Raises FlipError for a stale or corrupt crossing."""
+    """The stateless flip, behind ``flip``, ``apply_flip`` and
+    ``replay_states``: the successor matching and the two segments the flip
+    adds. Raises FlipError for a stale or corrupt crossing. A run loop flips
+    its ``_LiveCrossings`` index instead."""
     check_live(ps, m, crossing)
     added = reconnection_pairs(ps, crossing, choice)
     pairs = list(m.pairs)

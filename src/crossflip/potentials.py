@@ -3,14 +3,21 @@
 ``phi_lines`` counts crossings between matching segments and a family of
 perturbed supporting lines: for every pair of points, the two lines
 infinitesimally to either side of the line through them. It drops by at
-least 4 under every flip, giving the cubic cap on the longest run.
+least 4 under every flip, giving the cubic cap on the longest run; the
+drop depends on the crossing's four endpoints alone, the line-counting
+argument of van Leeuwen & Schoone (1981).
 
 ``phi_vertical`` counts crossings between matching segments and the vertical
 lines separating consecutive points in x-order. It never increases under any
 flip and drops by at least 2 when the reconnection pairs the two x-leftmost
 endpoints together (the x-greedy choice), giving the quadratic cap on the
-shortest run. Both it and its change under a flip (``phi_vertical_delta``,
-from the four endpoints alone) read the one x-order, ``x_ranks``.
+shortest run. Both it and its change under a flip read the one x-order,
+``x_ranks``.
+
+Both potentials thus have a four-endpoint delta, ``phi_lines_delta`` from
+four line masks and ``phi_vertical_delta`` from four x-ranks. Strategy runs
+track each potential by its delta, and ``decrement_audit`` reports
+``phi_lines_delta``, so runs and audits share one rule.
 
 Perturbed lines are bits of one int per point. With K = C(2n, 2) anchor
 pairs numbered in lexicographic order (``geometry.side_masks``), the line
@@ -139,8 +146,19 @@ def phi_lines(ps: PointSet, m: Matching) -> int:
     segment, counted against the 2n points); the sharper form is
     2 * C(2n,2) * n.
     """
+    return _line_spans(_line_masks(ps), m.pairs)
+
+
+def _line_spans(masks, segments) -> int:
+    return sum((masks[u] ^ masks[v]).bit_count() for u, v in segments)
+
+
+def phi_lines_delta(ps: PointSet, removed, added) -> int:
+    """The change of ``phi_lines`` when a flip replaces the segments
+    ``removed`` by ``added``: the perturbed lines their four endpoints
+    straddle, read off four line masks alone."""
     masks = _line_masks(ps)
-    return sum((masks[u] ^ masks[v]).bit_count() for u, v in m.pairs)
+    return _line_spans(masks, added) - _line_spans(masks, removed)
 
 
 def phi_lines_bound(n: int) -> int:
@@ -319,7 +337,7 @@ def decrement_audit(
             f"line {_lowest_line(ps, gained)} gained intersections across "
             f"flip of {crossing}"
         )
-    delta_l = a1.bit_count() + a2.bit_count() - b1.bit_count() - b2.bit_count()
+    delta_l = phi_lines_delta(ps, crossing, added)
 
     entries = None
     if detail:

@@ -30,17 +30,21 @@ public call: one deadline, set before the kernel is built, and one state
 count, the clock read on every DFS step and every BFS expansion.
 
 Strategy runs and scripted traces share one run loop (``_run``), which
-asks a pick function for each move. It keeps the crossings, as int keys,
-and the length in a ``matching._LiveCrossings`` index, so a step costs O(n)
-big-int work in C, over n 64-bit lanes, lane k for slot k's segment, plus
-O(log L) Python steps per crossing it removes or adds, for L live
-crossings, and no Python pass over the matching. The index orders its keys
-by an optional rank of the crossing's four endpoints, then canonically.
-Max-damage ranks by the drop in phi_vertical of the x-greedy response,
-computed once when the crossing appears, so it takes the first key, as
-greedy-x does. The x-greedy response itself is read off the crossing's one
-``crossing_quad`` and the run's x-ranks (``_x_greedy``), which
-``greedy_choice`` reads too.
+asks a pick function for each move. Its one copy of the matching is a
+``matching._LiveCrossings`` index, which keeps the segments in slots, the
+crossings as int keys, and the length: a move is checked against the
+index's ``pairs`` by ``check_live`` and flips the index alone, and the
+final ``Matching`` is built once, at the end. So a step costs O(n) big-int
+work in C, over n 64-bit lanes, lane k for slot k's segment, plus O(log L)
+Python steps per crossing it removes or adds, for L live crossings, and no
+Python pass over the matching. Both potentials move by their four-endpoint
+deltas, ``phi_vertical_delta`` and ``phi_lines_delta``. The index orders
+its keys by an optional rank of the crossing's four endpoints, then
+canonically. Max-damage ranks by the drop in phi_vertical of the x-greedy
+response, computed once when the crossing appears, so it takes the first
+key, as greedy-x does. The x-greedy response itself is read off the
+crossing's one ``crossing_quad`` and the run's x-ranks (``_x_greedy``),
+which ``greedy_choice`` reads too.
 """
 
 from __future__ import annotations
@@ -61,16 +65,18 @@ from .matching import (
     FlipRecord,
     FlipTrace,
     Matching,
-    _flipped,
     _LiveCrossings,
     apply_flip,
+    check_live,
     choice_yielding,
     crossing_pair,
     find_crossings,
     is_noncrossing,
+    reconnection_pairs,
     reconnections,
 )
-from .potentials import phi_lines, phi_vertical, phi_vertical_delta, x_ranks
+from .potentials import (phi_lines, phi_lines_delta, phi_vertical,
+                         phi_vertical_delta, x_ranks)
 
 
 class FlipGraphCycleError(RuntimeError):
@@ -566,9 +572,9 @@ def greedy_choice(ps: PointSet, crossing: CrossingPair) -> FlipChoice:
     return _x_greedy(x_ranks(ps), crossing_quad(ps, crossing))
 
 
-def _bubble_move(ps, inst, m):
-    n = inst.n
-    pi = two_line_permutation(m, n)
+def _bubble_move(ps, live):
+    n = ps.n
+    pi = two_line_permutation(live, n)
     if pi is None:
         raise StrategyNotApplicableError(
             "matching pairs points within one row; the bubble strategy only "
@@ -582,9 +588,9 @@ def _bubble_move(ps, inst, m):
     raise StrategyNotApplicableError("no adjacent inversion left, yet crossings remain")
 
 
-def _pick(strategy, ps, ranks, inst, m, live, rng, restrict_choice):
+def _pick(strategy, ps, ranks, live, rng, restrict_choice):
     if strategy.kind == "bubble":
-        return _bubble_move(ps, inst, m)
+        return _bubble_move(ps, live)
     keys = live.keys
     # the first key: the canonically first crossing, or under max-damage
     # the first of the smallest drop
@@ -602,25 +608,28 @@ def _pick(strategy, ps, ranks, inst, m, live, rng, restrict_choice):
 def _run(instance_id: str, ps: PointSet, initial: Matching, pick,
          max_steps: float = math.inf, rank=None, ranks=None,
          with_phi_lines: bool = False) -> FlipTrace:
-    """The one run loop: flip ``pick(m, live)`` until it returns None or
+    """The one run loop: flip ``pick(live)`` until it returns None or
     ``max_steps`` flips are made, where ``live`` is the ``_LiveCrossings``
-    index of the matching m, ordered by ``rank``. phi_vertical is tracked
-    under ``ranks = x_ranks(ps)``, phi_lines on request."""
-    m = initial
-    live = _LiveCrossings(ps, m, rank)
+    index ordered by ``rank``, the run's one copy of its matching. A move
+    is checked against the index's ``pairs`` and flips the index alone;
+    the final ``Matching`` is built once, at the end. phi_vertical is
+    tracked under ``ranks = x_ranks(ps)``, and phi_lines on request, each
+    from its start value by its four-endpoint delta."""
+    live = _LiveCrossings(ps, initial, rank)
     length = live.length()
     records = []
-    phi_k = phi_vertical(ps, m) if ranks else None
-    phi_l = phi_lines(ps, m) if with_phi_lines else None
-    while len(records) < max_steps and (move := pick(m, live)) is not None:
+    phi_k = phi_vertical(ps, initial) if ranks else None
+    phi_l = phi_lines(ps, initial) if with_phi_lines else None
+    while len(records) < max_steps and (move := pick(live)) is not None:
         crossing, choice = move
-        m, added = _flipped(ps, m, crossing, choice)
+        check_live(ps, live, crossing)
+        added = reconnection_pairs(ps, crossing, choice)
         live.flip(crossing, added)
         phi_k_before, phi_l_before = phi_k, phi_l
         if ranks:
             phi_k += phi_vertical_delta(ranks, crossing, added)
         if with_phi_lines:
-            phi_l = phi_lines(ps, m)
+            phi_l += phi_lines_delta(ps, crossing, added)
         length_before, length = length, live.length()
         records.append(FlipRecord(
             crossing, choice, added, length_before, length,
@@ -630,7 +639,8 @@ def _run(instance_id: str, ps: PointSet, initial: Matching, pick,
             phi_k_before=phi_k_before,
             phi_k_after=phi_k,
         ))
-    return FlipTrace(instance_id, initial, tuple(records), m, complete=not live)
+    return FlipTrace(instance_id, initial, tuple(records),
+                     Matching(tuple(sorted(live.pairs))), complete=not live)
 
 
 def trace_from_moves(
@@ -639,7 +649,7 @@ def trace_from_moves(
     """Build a trace by applying scripted (crossing, choice) moves in order;
     a stale or non-crossing move raises FlipError."""
     moves = iter(moves)
-    return _run(instance_id, ps, initial, lambda m, live: next(moves, None))
+    return _run(instance_id, ps, initial, lambda live: next(moves, None))
 
 
 def run_strategy(
@@ -653,8 +663,10 @@ def run_strategy(
 
     Every record carries the vertical potential before/after whenever the
     point set has distinct x-coordinates; the line potential is attached
-    only on request (n popcounts of 2 * C(2n, 2)-bit masks per step). A run
-    stopped by the step cap is returned with ``complete=False``, not raised.
+    only on request, at the cost of one build of the point set's line masks
+    (2 * C(2n, 2) bits per point, cached per point set) plus four popcounts
+    per step. A run stopped by the step cap is returned with
+    ``complete=False``, not raised.
     """
     ps = inst.points
     n = inst.n
@@ -685,10 +697,8 @@ def run_strategy(
             _, q1, q2, _ = sorted((ranks[a], ranks[b], ranks[c], ranks[d]))
             return 2 * (q2 - q1)
 
-    def pick(m, live):
-        if live:
-            return _pick(strategy, ps, ranks, inst, m, live, rng, restrict_choice)
-        return None
+    def pick(live):
+        return _pick(strategy, ps, ranks, live, rng, restrict_choice) if live else None
 
     return _run(inst.provenance, ps, inst.matching, pick, max_steps, rank,
                 ranks, with_phi_lines)

@@ -13,6 +13,7 @@ from crossflip import (
     reverse_perm,
     run_strategy,
 )
+from crossflip.cli import main
 from crossflip.io import (
     TRACE_COLUMNS,
     InstanceFormatError,
@@ -69,6 +70,8 @@ def test_load_rejects_bad_documents(tmp_path):
         (lambda d: d.update(matching=[[0, 1], [1, 2]]), "perfect"),
         (lambda d: d.update(points=[[0, 0], [1, 1], [2, 2], [0, 2]]), "collinear"),
         (lambda d: d.update(points="nope"), "points"),
+        (lambda d: d.update(points=[[0, 0], [1, 1]], matching=[]),
+         "matching of size 0 does not cover 2 points"),
     ]:
         doc = json.loads(json.dumps(good))
         mutate(doc)
@@ -104,6 +107,17 @@ def test_load_rejects_non_integer_coordinates(points):
 def test_load_rejects_non_integer_indices(matching):
     with pytest.raises(InstanceFormatError, match="integers"):
         instance_from_json_dict(dict(SQUARE_DOC, matching=matching))
+
+
+@pytest.mark.parametrize("key", ["provenance", "notes"])
+@pytest.mark.parametrize("value", [None, 5, ["x"], {"a": "b"}, True, 1.5])
+def test_load_rejects_non_string_metadata(tmp_path, key, value):
+    """A present provenance or note that is not a JSON string is refused,
+    by the loader and by the CLI with exit 2, never coerced by ``str``."""
+    doc = dict(SQUARE_DOC, **{key: value})
+    with pytest.raises(InstanceFormatError, match=f"'{key}' must be a string"):
+        instance_from_json_dict(doc)
+    assert main(["run", str(_write(tmp_path, doc)), "--strategy", "first"]) == 2
 
 
 json_values = st.recursive(
@@ -187,7 +201,8 @@ def test_read_trace_rejects_short_long_and_misnumbered_rows(tmp_path):
     row0 = "0,,,,,,3,10.0,,\n"
     path = tmp_path / "bad.csv"
     for body in ("1,0-1\n", row0 + "1,0-1\n", row0 + row0.strip() + ",x\n",
-                 row0 + row0, row0 + "2,0-2,1-3,0-1,2-3,A,0,5.0,,\n", "\0\n"):
+                 row0 + row0, row0 + "2,0-2,1-3,0-1,2-3,A,0,5.0,,\n", "\0\n",
+                 "0,1-2,3-4,0-5,1-3,A,0,5.0,,\n"):
         path.write_text(header + body)
         with pytest.raises(TraceFormatError):
             read_trace(path)

@@ -395,20 +395,20 @@ def test_slot_lanes_match_point_lanes_along_flip_walks(ps, rng):
     ``_LiveCrossings`` against the 2n point lanes they replaced, at the
     start and after every flip of a random walk, on the sets of the index
     test above, whose determinants reach 2**43: the same segments, in slot
-    order, with slot k holding ``segs[k]`` and ``slot`` mapping each lower
+    order, with slot k holding ``pairs[k]`` and ``slot`` mapping each lower
     endpoint back to its slot."""
     labels = list(range(len(ps)))
     rng.shuffle(labels)
     m = Matching.from_pairs(zip(labels[0::2], labels[1::2]))
     live = _LiveCrossings(ps, m)
-    assert live.segs == list(m.pairs)  # canonical order at the start
+    assert live.pairs == list(m.pairs)  # canonical order at the start
     while True:
-        assert sorted(live.segs) == list(m.pairs)
-        assert all(live.slot[a] == k for k, (a, _) in enumerate(live.segs))
+        assert sorted(live.pairs) == list(m.pairs)
+        assert all(live.slot[a] == k for k, (a, _) in enumerate(live.pairs))
         partner = dict(m.pairs)
         for s in m.pairs:
             got = list(live._crossers(*s))
-            assert got == sorted(got, key=live.segs.index)
+            assert got == sorted(got, key=live.pairs.index)
             assert sorted(got) == [(r, partner[r]) for r in
                                    reference_point_lane_crossers(ps, m, s)]
         crossings = find_crossings(ps, m)

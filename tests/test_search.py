@@ -19,6 +19,7 @@ from crossflip import (
     Strategy,
     StrategyNotApplicableError,
     find_crossings,
+    flip,
     gen_convex,
     gen_random,
     gen_two_line,
@@ -575,7 +576,8 @@ def test_trace_crossing_counts_are_recounts():
 def test_one_run_loop_keeps_scripted_and_capped_stops():
     """Scripted traces and strategy runs share one run loop, which keeps
     their two ways of stopping: a scripted move made once the matching is
-    non-crossing raises FlipError (a script is not cut short), and a step
+    non-crossing raises FlipError (a script is not cut short), as does a
+    scripted pair that does not cross or is not in the matching, and a step
     cap of 0 stops a strategy run before its first pick."""
     inst = reappearing_segment_instance()
     trace = reappearing_segment_trace()
@@ -584,6 +586,17 @@ def test_one_run_loop_keeps_scripted_and_capped_stops():
     with pytest.raises(FlipError, match="not part of the matching"):
         trace_from_moves(inst.provenance, inst.points, inst.matching,
                          moves + moves[-1:])
+    # a pair that does not cross, and one whose second segment is not in
+    # the matching, raise as the stateless ``flip`` does, message included
+    start = gen_two_line((1, 0, 2))
+    ps, m = start.points, start.matching
+    for move in ((((0, 4), (2, 5)), FlipChoice.RECONNECT_A),
+                 (((0, 4), (1, 2)), FlipChoice.RECONNECT_B)):
+        with pytest.raises(FlipError) as stateless:
+            flip(ps, m, *move)
+        with pytest.raises(FlipError) as scripted:
+            trace_from_moves(start.provenance, ps, m, [move])
+        assert str(scripted.value) == str(stateless.value)
     for text in ("greedy-x", "adversary:max-damage", "random:3", "bubble"):
         start = gen_two_line(reverse_perm(4))
         capped = run_strategy(start, parse_strategy(text), max_steps=0)

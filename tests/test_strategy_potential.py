@@ -98,14 +98,12 @@ def _assert_potentials_recounted(inst: Instance, trace, with_phi_lines: bool):
     ps = inst.points
     states = _states(ps, trace)
     assert states[-1] == trace.final
+    # one recount per state, read as one record's after and the next's before
+    phi_k = [phi_vertical(ps, m) for m in states]
+    phi_l = [phi_lines(ps, m) if with_phi_lines else None for m in states]
     for k, rec in enumerate(trace.records):
-        assert rec.phi_k_before == phi_vertical(ps, states[k])
-        assert rec.phi_k_after == phi_vertical(ps, states[k + 1])
-        if with_phi_lines:
-            assert rec.phi_l_before == phi_lines(ps, states[k])
-            assert rec.phi_l_after == phi_lines(ps, states[k + 1])
-        else:
-            assert rec.phi_l_before is None and rec.phi_l_after is None
+        assert (rec.phi_k_before, rec.phi_k_after) == (phi_k[k], phi_k[k + 1])
+        assert (rec.phi_l_before, rec.phi_l_after) == (phi_l[k], phi_l[k + 1])
 
 
 def _plain_flips(ps: PointSet, trace) -> FlipTrace:
@@ -185,10 +183,12 @@ def test_small_runs_track_potentials_and_greedy_moves(inst, tmp_path):
 
 
 def test_n100_runs_track_potentials_and_greedy_moves(tmp_path):
+    """At n = 100 the per-state recount of phi_lines pins the
+    ``phi_lines_delta`` every run tracks it by."""
     inst = _sheared(100, 4106)
-    for text, trace in _runs(inst, with_phi_lines=False):
+    for text, trace in _runs(inst, with_phi_lines=True):
         assert trace.complete
-        _assert_potentials_recounted(inst, trace, with_phi_lines=False)
+        _assert_potentials_recounted(inst, trace, with_phi_lines=True)
         _assert_lengths_chain(inst, trace, tmp_path)
         if text in X_GREEDY:
             _assert_x_greedy_moves(inst, trace, text == "adversary:max-damage",
@@ -250,8 +250,8 @@ def test_max_damage_ranked_keys_hold_each_live_crossing_once_by_drop(
 
     def pick(*args):
         out = real(*args)
-        m, live = args[4], args[5]
-        crossings = find_crossings(ps, m)
+        live = args[3]
+        crossings = find_crossings(ps, Matching.from_pairs(live.pairs))
         ranked = [divmod(k, quad) for k in live.keys]
         assert len(live) == len(ranked) == len(crossings)
         assert sorted(live.crossing(k) for k in live.keys) == crossings

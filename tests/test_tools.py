@@ -73,7 +73,7 @@ def test_trace_digest_matches_the_pinned_outputs():
                           capture_output=True, text=True, timeout=300, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (
-        "a8db8986faabc2d1ce9f6f4656d92655678dc830bacadbf06cb7bdb652351e63\n")
+        "972b3b64590546a92f4092358f8ac76a0760ca2698d09ba2b569af369750d253\n")
 
 
 def test_trace_digest_small_matches_the_pinned_outputs():

@@ -7,7 +7,8 @@ prints the SHA-256 of the repr and the trace CSV of each, in a fixed order:
 
 - on sheared ``gen_random`` sets with n in {10, 40, 100} over fixed seeds:
   greedy-x, the three adversaries, and ``first`` and ``random`` with each
-  fixed-choice regime (none, A, B), plus two runs stopped by a step cap;
+  fixed-choice regime (none, A, B), plus two runs stopped by a step cap,
+  and at n = 40 greedy-x and max-damage runs tracking the line potential;
 - bubble on the reversed two-line instances rev2 .. rev8;
 - exact f and h witnesses and runs tracking the line potential on small
   sets, one ``extremal_estimates`` result and the scripted scenario trace.
@@ -68,6 +69,10 @@ def outputs(small: bool):
             for text in ("greedy-x", "adversary:max-damage"):
                 trace = run_strategy(inst, parse_strategy(text), max_steps=3)
                 yield f"{inst.provenance} {text} max_steps=3", inst, trace, None
+                if n == 40:
+                    trace = run_strategy(inst, parse_strategy(text),
+                                         with_phi_lines=True)
+                    yield f"{inst.provenance} {text} phi_lines", inst, trace, None
     for n in range(2, 6 if small else 9):
         inst = gen_two_line(reverse_perm(n))
         yield inst.provenance, inst, run_strategy(inst, parse_strategy("bubble")), None
