@@ -31,7 +31,7 @@ from .io import (
     write_report,
     write_trace,
 )
-from .matching import FlipChoice, ReplayError, find_crossings
+from .matching import FlipChoice, ReplayError, crossing_count, find_crossings
 from .potentials import (
     PotentialInvariantError,
     decrement_audit,
@@ -150,7 +150,9 @@ def cmd_run(args) -> int:
     )
     out = Path(args.out) if args.out else Path(args.instance).with_suffix(".trace.csv")
     write_trace(inst, trace, out)
-    final_crossings = len(find_crossings(inst.points, trace.final))
+    # a run's records count the crossings after each flip
+    final_crossings = (trace.records[-1].crossings_after if trace.records
+                       else crossing_count(inst.points, trace.final))
     parts = [f"steps={len(trace)}", f"final_crossings={final_crossings}"]
     for phi in ("phi_k", "phi_l"):
         deltas = [getattr(rec, f"{phi}_after") - getattr(rec, f"{phi}_before")

@@ -8,9 +8,10 @@ tuning and no inconsistent answer anywhere downstream.
 from __future__ import annotations
 
 import functools
-import math
 import weakref
 from dataclasses import dataclass
+from itertools import compress, count
+from operator import ne
 from typing import Iterable, NamedTuple, Sequence
 
 #: Coordinate budget. With |x|, |y| <= 2**20 every 3x3 orientation
@@ -206,30 +207,37 @@ def crossed_by(ps: PointSet, s: Segment, segments: Iterable[Segment]) -> list[Se
     return out
 
 
-def direction(p: Point, q: Point) -> tuple[int, int]:
-    """(q - p) over the gcd of its components for q != p, signed so its first
-    nonzero component is positive: r and s have equal directions from p
+def _first_repeat(keys: Sequence) -> tuple[int, int] | None:
+    """The lexicographically first index pair (j, k), j < k, of equal keys:
+    the first j whose key is seen again later, and that key's next index,
+    found by C-level passes."""
+    last = dict(zip(keys, count()))  # a later index overwrites an earlier
+    if len(last) == len(keys):
+        return None
+    j = next(compress(count(), map(ne, map(last.__getitem__, keys), count())))
+    return j, keys.index(keys[j], j + 1)
+
+
+def slope_keys(p: Point, others: Sequence[Point]) -> list[int | None]:
+    """One exact int key per point q of ``others`` (none equal to p): the
+    slope of q - p = (dx, dy) as floor(K * dy / dx) with K = (max |dx|)**2,
+    or None when dx = 0. Two different slopes with |dx| <= D differ by at
+    least 1 / D**2, so by K / D**2 >= 1 once scaled: r and s have equal keys
     exactly when orient(p, r, s) == 0."""
-    dx, dy = q.x - p.x, q.y - p.y
-    g = math.gcd(dx, dy) if (dx, dy) > (0, 0) else -math.gcd(dx, dy)
-    return (dx // g, dy // g)
-
-
-def _first_repeat(keys: Iterable) -> tuple[int, int] | None:
-    """The lexicographically first index pair (j, k), j < k, of equal keys."""
-    first: dict = {}
-    best = None
-    for k, key in enumerate(keys):
-        j = first.setdefault(key, k)
-        if j != k and (best is None or j < best[0]):
-            best = (j, k)  # later repeats of this key only raise k
-    return best
+    if not others:
+        return []
+    px, py = p
+    # the points of least and greatest x, found by tuple comparison in C
+    span = max(max(others)[0] - px, px - min(others)[0])
+    k = span * span
+    return [k * (y - py) // (x - px) if x != px else None for x, y in others]
 
 
 def first_collinear_pair(p: Point, others: Sequence[Point]) -> tuple[int, int] | None:
     """The lexicographically first index pair (j, k), j < k, of points in
-    ``others`` (none equal to p) collinear with p; O(len(others))."""
-    return _first_repeat(direction(p, q) for q in others)
+    ``others`` (none equal to p) collinear with p: the first repeat of their
+    ``slope_keys``, in O(len(others))."""
+    return _first_repeat(slope_keys(p, others))
 
 
 #: Point sets known to be in general position: the random generator's

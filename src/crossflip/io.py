@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,7 +21,7 @@ from .matching import (
     FlipRecord,
     FlipTrace,
     Matching,
-    find_crossings,
+    crossing_count,
     total_length,
 )
 
@@ -106,60 +107,26 @@ def load_instance(path) -> Instance:
     return instance_from_json_dict(doc)
 
 
-def _seg_str(s) -> str:
-    return f"{s[0]}-{s[1]}"
-
-
-def _parse_seg(text: str):
-    a, b = text.split("-")
-    return seg(int(a), int(b))
-
-
-def _opt(value) -> str:
-    return "" if value is None else str(value)
-
-
 def write_trace(inst: Instance, trace: FlipTrace, path) -> None:
-    """CSV with one pseudo-row for the initial matching and one row per flip."""
+    """CSV with one pseudo-row for the initial matching and one row per flip.
+
+    Rows are plain tuples: ``csv`` writes None as an empty field, an int by
+    ``str`` and a float by ``repr``, and a segment (a, b) is "a-b"."""
     ps = inst.points
-    initial = trace.initial
-    rows = [
-        {
-            "step": 0,
-            "removed_1": "",
-            "removed_2": "",
-            "added_1": "",
-            "added_2": "",
-            "choice": "",
-            "crossings_after": len(find_crossings(ps, initial)),
-            "length_after": repr(total_length(ps, initial)),
-            "phi_l_after": _opt(
-                trace.records[0].phi_l_before if trace.records else None
-            ),
-            "phi_k_after": _opt(
-                trace.records[0].phi_k_before if trace.records else None
-            ),
-        }
-    ]
-    for i, rec in enumerate(trace.records, start=1):
-        rows.append(
-            {
-                "step": i,
-                "removed_1": _seg_str(rec.crossing[0]),
-                "removed_2": _seg_str(rec.crossing[1]),
-                "added_1": _seg_str(rec.added[0]),
-                "added_2": _seg_str(rec.added[1]),
-                "choice": rec.choice.value,
-                "crossings_after": _opt(rec.crossings_after),
-                "length_after": repr(rec.length_after),
-                "phi_l_after": _opt(rec.phi_l_after),
-                "phi_k_after": _opt(rec.phi_k_after),
-            }
-        )
+    phi_l = phi_k = None
+    if trace.records:
+        phi_l, phi_k = trace.records[0].phi_l_before, trace.records[0].phi_k_before
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=TRACE_COLUMNS)
-        writer.writeheader()
-        writer.writerows(rows)
+        writer = csv.writer(fh)
+        writer.writerow(TRACE_COLUMNS)
+        writer.writerow((0, "", "", "", "", "", crossing_count(ps, trace.initial),
+                         total_length(ps, trace.initial), phi_l, phi_k))
+        writer.writerows(
+            (i, "%d-%d" % rec.crossing[0], "%d-%d" % rec.crossing[1],
+             "%d-%d" % rec.added[0], "%d-%d" % rec.added[1], rec.choice.value,
+             rec.crossings_after, rec.length_after, rec.phi_l_after, rec.phi_k_after)
+            for i, rec in enumerate(trace.records, start=1)
+        )
 
 
 @dataclass(frozen=True)
@@ -174,50 +141,67 @@ class TraceRow:
     phi_k_after: int | None
 
 
+def _int(text: str) -> int:
+    """A nonnegative int written as ``str`` writes it: no sign, space,
+    underscore or leading zero."""
+    value = int(text)
+    if value < 0 or str(value) != text:
+        raise ValueError(f"{text!r} is not a nonnegative integer as str writes it")
+    return value
+
+
 def _opt_int(text: str) -> int | None:
-    return int(text) if text else None
+    return _int(text) if text else None
+
+
+def _length(text: str) -> float:
+    """A finite nonnegative float written as ``repr`` writes it."""
+    value = float(text)
+    if not 0 <= value < math.inf or repr(value) != text:
+        raise ValueError(f"{text!r} is not a finite length as repr writes it")
+    return value
+
+
+def _parse_seg(text: str):
+    a, b = text.split("-")
+    return seg(_int(a), _int(b))
 
 
 def read_trace(path) -> list[TraceRow]:
-    """Parse a trace CSV; every malformed file raises TraceFormatError."""
+    """Parse a trace CSV; every malformed file raises TraceFormatError.
+
+    Blank lines are skipped. A field parses only in the form ``write_trace``
+    writes it, so nothing is coerced: counts and indices are nonnegative
+    ints as ``str`` writes them, and a length is a finite float as ``repr``
+    writes it."""
     rows = []
     try:
         with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames != TRACE_COLUMNS:
-                raise TraceFormatError(
-                    f"unexpected columns {reader.fieldnames}"
-                )
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header != TRACE_COLUMNS:
+                raise TraceFormatError(f"unexpected columns {header}")
             for raw in reader:
-                # DictReader pads a short row with None values and files the
-                # surplus of a long one under the key None
+                if not raw:
+                    continue
                 step = len(rows)
-                if None in raw or None in raw.values() or raw["step"] != str(step):
+                if len(raw) != len(TRACE_COLUMNS) or raw[0] != str(step):
                     raise TraceFormatError(
                         f"line {reader.line_num} is not step {step} with "
                         f"{len(TRACE_COLUMNS)} fields"
                     )
                 if step == 0:
-                    if any(raw[c] for c in TRACE_COLUMNS[1:6]):
+                    if any(raw[1:6]):
                         raise TraceFormatError(
                             f"line {reader.line_num}: pseudo-step 0 records no flip")
                     removed = added = choice = None
                 else:
-                    r1, r2, a1, a2 = (_parse_seg(raw[c]) for c in TRACE_COLUMNS[1:5])
+                    r1, r2, a1, a2 = map(_parse_seg, raw[1:5])
                     removed, added = (r1, r2), (a1, a2)
-                    choice = FlipChoice(raw["choice"])
-                rows.append(
-                    TraceRow(
-                        step=step,
-                        removed=removed,
-                        added=added,
-                        choice=choice,
-                        crossings_after=_opt_int(raw["crossings_after"]),
-                        length_after=float(raw["length_after"]),
-                        phi_l_after=_opt_int(raw["phi_l_after"]),
-                        phi_k_after=_opt_int(raw["phi_k_after"]),
-                    )
-                )
+                    choice = FlipChoice(raw[5])
+                rows.append(TraceRow(step, removed, added, choice, _opt_int(raw[6]),
+                                     _length(raw[7]), _opt_int(raw[8]),
+                                     _opt_int(raw[9])))
     except TraceFormatError:
         raise
     except (OSError, ValueError, csv.Error) as exc:

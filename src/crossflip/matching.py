@@ -361,6 +361,12 @@ class _LiveCrossings:
                 of[c].add(key)
 
 
+def crossing_count(ps: PointSet, m: Matching) -> int:
+    """``len(find_crossings(ps, m))``, by the lane test of ``_LiveCrossings``
+    in place of a Python pass over the matching per segment."""
+    return len(_LiveCrossings(ps, m))
+
+
 def total_length(ps: PointSet, m: Matching) -> float:
     """Euclidean length of the matching; a monitor, never a control value."""
     pts = ps.points
@@ -444,10 +450,11 @@ class FlipTrace:
         return len(self.records)
 
 
-def check_live(ps: PointSet, m: Matching, crossing: CrossingPair) -> None:
-    """Raise FlipError unless ``crossing`` is a live proper crossing of m."""
+def check_live(ps: PointSet, pairs, crossing: CrossingPair) -> None:
+    """Raise FlipError unless ``crossing`` is a live proper crossing of the
+    matching whose segments are ``pairs`` (any container of them)."""
     e1, e2 = crossing
-    if e1 not in m.pairs or e2 not in m.pairs:
+    if e1 not in pairs or e2 not in pairs:
         raise FlipError(f"crossing {crossing} is not part of the matching")
     if e1 == e2 or not segments_properly_cross(ps, e1, e2):
         raise FlipError(f"segments {e1} and {e2} do not cross")
@@ -456,11 +463,11 @@ def check_live(ps: PointSet, m: Matching, crossing: CrossingPair) -> None:
 def _flipped(
     ps: PointSet, m: Matching, crossing: CrossingPair, choice: FlipChoice
 ) -> tuple[Matching, tuple[Segment, Segment]]:
-    """The stateless flip, behind ``flip``, ``apply_flip`` and
-    ``replay_states``: the successor matching and the two segments the flip
-    adds. Raises FlipError for a stale or corrupt crossing. A run loop flips
-    its ``_LiveCrossings`` index instead."""
-    check_live(ps, m, crossing)
+    """The stateless flip, behind ``flip`` and ``apply_flip``: the successor
+    matching and the two segments the flip adds. Raises FlipError for a
+    stale or corrupt crossing. A run loop flips its ``_LiveCrossings`` index
+    instead, and a replay its set of pairs."""
+    check_live(ps, m.pairs, crossing)
     added = reconnection_pairs(ps, crossing, choice)
     pairs = list(m.pairs)
     pairs.remove(crossing[0])
@@ -490,28 +497,45 @@ def flip(
                            total_length(ps, m), total_length(ps, new))
 
 
-def replay_states(ps: PointSet, initial: Matching, records) -> list[Matching]:
-    """Re-apply recorded flips in order: the initial matching, then the
-    matching after each flip.
+def _replayed(ps: PointSet, initial: Matching, records, states=None) -> Matching:
+    """Re-apply recorded flips in order to a set of the matching's pairs,
+    O(1) per step, and return the final matching; ``states``, when given,
+    gets the matching after each flip.
 
     Raises ReplayError naming the first step whose crossing is absent, does
     not cross, or whose recorded reconnection does not match its choice.
     """
-    states = [initial]
+    pairs = set(initial.pairs)
     for i, rec in enumerate(records):
         try:
-            new, added = _flipped(ps, states[-1], rec.crossing, rec.choice)
+            check_live(ps, pairs, rec.crossing)
         except FlipError as exc:
             raise ReplayError(i, str(exc)) from exc
+        added = reconnection_pairs(ps, rec.crossing, rec.choice)
         if added != rec.added:
             raise ReplayError(
                 i, f"recorded segments {rec.added} differ from reconnection {added}"
             )
-        states.append(new)
+        pairs.difference_update(rec.crossing)
+        pairs.update(added)
+        if states is not None:
+            states.append(Matching(tuple(sorted(pairs))))
+    return Matching(tuple(sorted(pairs)))
+
+
+def replay_states(ps: PointSet, initial: Matching, records) -> list[Matching]:
+    """Re-apply recorded flips in order: the initial matching, then the
+    matching after each flip. Raises ReplayError as ``replay`` does."""
+    states = [initial]
+    _replayed(ps, initial, records, states)
     return states
 
 
 def replay(ps: PointSet, initial: Matching, records) -> Matching:
-    """The matching a checked ``replay_states`` ends at; it must equal the
-    trace's final matching for any trace this package wrote."""
-    return replay_states(ps, initial, records)[-1]
+    """The matching recorded flips lead to from ``initial``; it must equal
+    the trace's final matching for any trace this package wrote.
+
+    Raises ReplayError naming the first step whose crossing is absent, does
+    not cross, or whose recorded reconnection does not match its choice.
+    """
+    return _replayed(ps, initial, records)

@@ -323,7 +323,7 @@ def decrement_audit(
     lowest such line. ``phi_l_before`` may be passed by callers that track
     the potential incrementally, saving the full recount.
     """
-    check_live(ps, m, crossing)
+    check_live(ps, m.pairs, crossing)
     e1, e2 = crossing
     # a live crossing's endpoints are in convex position, in this ccw order
     quad = crossing_quad(ps, crossing)

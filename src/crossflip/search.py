@@ -622,7 +622,7 @@ def _run(instance_id: str, ps: PointSet, initial: Matching, pick,
     phi_l = phi_lines(ps, initial) if with_phi_lines else None
     while len(records) < max_steps and (move := pick(live)) is not None:
         crossing, choice = move
-        check_live(ps, live, crossing)
+        check_live(ps, live.pairs, crossing)
         added = reconnection_pairs(ps, crossing, choice)
         live.flip(crossing, added)
         phi_k_before, phi_l_before = phi_k, phi_l

@@ -38,15 +38,25 @@ side-mask columns that its rows built on first use replaced.
 the packed 64-bit lanes of ``geometry.side_masks`` replaced.
 ``reference_general_position`` and ``reference_random_instance`` are the
 ``orient`` triple loop and rejection sampler that the direction-vector test
-of ``crossflip.geometry`` replaced. ``reference_middle_gap`` and
+of ``crossflip.geometry`` replaced, and ``direction`` and
+``reference_first_collinear_pair`` that reduced direction-vector test, which
+its exact slope keys replaced. ``reference_middle_gap`` and
 ``reference_greedy_choice`` are the max-damage key and the raw-x sort of the
 x-greedy choice that the one rank table and the one Delta phi_K formula of
 ``crossflip.search`` replaced, and ``reference_greedy_pairs`` the rank sort
 of the four endpoints that its x-greedy rule on one ``crossing_quad``
-replaced.
+replaced. ``reference_replay_states`` is the replay that rebuilt a
+``Matching`` by the stateless flip at every step, which the replay on a set
+of pairs replaced. ``reference_write_trace`` and ``reference_read_trace``
+are the ``csv.DictWriter`` writer, with its pair-loop crossing count of row
+0, and the ``csv.DictReader`` reader that the tuple-row trace I/O of
+``crossflip.io`` replaced; the reader converts each field by the library's
+own field parsers, so it differs from the library only in its row handling.
 """
 
+import csv
 import functools
+import math
 import random
 from bisect import bisect_left, insort
 from collections import defaultdict, deque
@@ -75,8 +85,9 @@ from crossflip import (
     seg,
     segments_properly_cross,
 )
+from crossflip import io
 from crossflip.geometry import COORD_LIMIT, crossed_by, side_masks
-from crossflip.matching import crossing_pair
+from crossflip.matching import FlipError, ReplayError, _flipped, crossing_pair, total_length
 from crossflip.potentials import LineAudit, phi_vertical_delta
 
 CHOICES = (FlipChoice.RECONNECT_A, FlipChoice.RECONNECT_B)
@@ -661,3 +672,121 @@ def reference_max_damage_pick(ranks, crossings, keys: dict):
         for c in keys.keys() - set(crossings):
             del keys[c]
     return crossing
+
+
+def direction(p: Point, q: Point) -> tuple[int, int]:
+    """(q - p) over the gcd of its components for q != p, signed so its first
+    nonzero component is positive: r and s have equal directions from p
+    exactly when orient(p, r, s) == 0."""
+    dx, dy = q.x - p.x, q.y - p.y
+    g = math.gcd(dx, dy) if (dx, dy) > (0, 0) else -math.gcd(dx, dy)
+    return (dx // g, dy // g)
+
+
+def reference_first_collinear_pair(p: Point, others) -> tuple[int, int] | None:
+    """``first_collinear_pair`` by one pass over the reduced directions from
+    p, keeping each direction's first index in a dict."""
+    first: dict = {}
+    best = None
+    for k, key in enumerate(direction(p, q) for q in others):
+        j = first.setdefault(key, k)
+        if j != k and (best is None or j < best[0]):
+            best = (j, k)  # later repeats of this key only raise k
+    return best
+
+
+def reference_replay_states(ps: PointSet, initial: Matching, records) -> list:
+    """``replay_states`` by the stateless flip, which checks the step and
+    rebuilds and sorts the whole matching at every step."""
+    states = [initial]
+    for i, rec in enumerate(records):
+        try:
+            new, added = _flipped(ps, states[-1], rec.crossing, rec.choice)
+        except FlipError as exc:
+            raise ReplayError(i, str(exc)) from exc
+        if added != rec.added:
+            raise ReplayError(
+                i, f"recorded segments {rec.added} differ from reconnection {added}"
+            )
+        states.append(new)
+    return states
+
+
+def _opt(value) -> str:
+    return "" if value is None else str(value)
+
+
+def reference_write_trace(inst, trace, path) -> None:
+    """``write_trace`` by ``csv.DictWriter`` over one dict per row, with row
+    0's crossing count from ``reference_find_crossings``."""
+    ps = inst.points
+    initial = trace.initial
+    first = trace.records[0] if trace.records else None
+    rows = [{
+        "step": 0, "removed_1": "", "removed_2": "", "added_1": "",
+        "added_2": "", "choice": "",
+        "crossings_after": len(reference_find_crossings(ps, initial)),
+        "length_after": repr(total_length(ps, initial)),
+        "phi_l_after": _opt(first.phi_l_before if first else None),
+        "phi_k_after": _opt(first.phi_k_before if first else None),
+    }]
+    for i, rec in enumerate(trace.records, start=1):
+        rows.append({
+            "step": i,
+            "removed_1": "-".join(map(str, rec.crossing[0])),
+            "removed_2": "-".join(map(str, rec.crossing[1])),
+            "added_1": "-".join(map(str, rec.added[0])),
+            "added_2": "-".join(map(str, rec.added[1])),
+            "choice": rec.choice.value,
+            "crossings_after": _opt(rec.crossings_after),
+            "length_after": repr(rec.length_after),
+            "phi_l_after": _opt(rec.phi_l_after),
+            "phi_k_after": _opt(rec.phi_k_after),
+        })
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=io.TRACE_COLUMNS)
+        writer.writeheader()
+        writer.writerows(rows)
+
+
+def reference_read_trace(path) -> list:
+    """``read_trace`` by ``csv.DictReader``, which skips blank lines, pads a
+    short row with None values and files a long row's surplus under the key
+    None; fields go through the library's own parsers."""
+    columns = io.TRACE_COLUMNS
+    rows = []
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames != columns:
+                raise io.TraceFormatError(f"unexpected columns {reader.fieldnames}")
+            for raw in reader:
+                step = len(rows)
+                if None in raw or None in raw.values() or raw["step"] != str(step):
+                    raise io.TraceFormatError(
+                        f"line {reader.line_num} is not step {step} with "
+                        f"{len(columns)} fields"
+                    )
+                if step == 0:
+                    if any(raw[c] for c in columns[1:6]):
+                        raise io.TraceFormatError(
+                            f"line {reader.line_num}: pseudo-step 0 records no flip")
+                    removed = added = choice = None
+                else:
+                    r1, r2, a1, a2 = (io._parse_seg(raw[c]) for c in columns[1:5])
+                    removed, added = (r1, r2), (a1, a2)
+                    choice = FlipChoice(raw["choice"])
+                rows.append(io.TraceRow(
+                    step=step, removed=removed, added=added, choice=choice,
+                    crossings_after=io._opt_int(raw["crossings_after"]),
+                    length_after=io._length(raw["length_after"]),
+                    phi_l_after=io._opt_int(raw["phi_l_after"]),
+                    phi_k_after=io._opt_int(raw["phi_k_after"]),
+                ))
+    except io.TraceFormatError:
+        raise
+    except (OSError, ValueError, csv.Error) as exc:
+        raise io.TraceFormatError(f"{path}: {exc}") from exc
+    if not rows:
+        raise io.TraceFormatError("trace must start with pseudo-step 0")
+    return rows

@@ -66,6 +66,20 @@ def test_run_greedy_on_convex(convex4, tmp_path, capsys):
     assert "final_crossings=0" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("cap, code, left", [(None, 0, 0), (3, 4, 7), (0, 4, 10)])
+def test_run_reads_final_crossings_from_the_run(rev5, tmp_path, capsys,
+                                                monkeypatch, cap, code, left):
+    """The summary's final count is the last record's, or row 0's lane
+    count when no flip was made: ``run`` never recounts by pair loops."""
+    def no_recount(*args):
+        raise AssertionError("run recounted the crossings")
+
+    monkeypatch.setattr("crossflip.cli.find_crossings", no_recount)
+    argv = ["run", rev5, "--strategy", "bubble", "-o", tmp_path / "t.csv"]
+    assert run_cli(*argv, *(("--max-steps", cap) if cap is not None else ())) == code
+    assert f"final_crossings={left} " in capsys.readouterr().out
+
+
 def test_run_adversary_rows_keep_decrement(rev5, tmp_path):
     out = tmp_path / "adv.csv"
     assert run_cli("run", rev5, "--strategy", "adversary:random",

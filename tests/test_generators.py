@@ -188,12 +188,14 @@ def test_instance_rejects_degenerate_points():
 
 
 # tight boxes reject often: (0, 8) holds at most 18 points with no three
-# collinear, and at n = 7 seeds 0 and 7 exhaust the rejection budget
+# collinear, and at n = 7 seeds 0 and 7 exhaust the rejection budget; the
+# widest spans give the rejection test's slope keys their largest scale
 @pytest.mark.parametrize(
     "bbox, sizes",
     [((0, 1), (1, 2)), ((0, 8), (1, 2, 3, 4, 5, 6, 7)),
      ((0, 20), (2, 5, 8, 10, 14)), ((-5, 5), (3, 6, 7)),
-     ((0, 100), (4, 12)), ((0, 512), (3, 16))],
+     ((0, 100), (4, 12)), ((0, 512), (3, 16)),
+     ((0, 10**6), (3, 16)), ((-2**20, 2**20), (3, 16))],
 )
 def test_random_matches_reference_sampler(bbox, sizes):
     for n in sizes:

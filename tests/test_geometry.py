@@ -15,10 +15,15 @@ from crossflip import (
     validate_general_position,
 )
 from crossflip import geometry, potentials
-from crossflip.geometry import side_masks
+from crossflip.geometry import first_collinear_pair, side_masks, slope_keys
 from crossflip.potentials import x_ranks
 
-from oracles import reference_general_position, reference_side_masks
+from oracles import (
+    direction,
+    reference_first_collinear_pair,
+    reference_general_position,
+    reference_side_masks,
+)
 
 SQUARE = PointSet.from_coords([(0, 0), (2, 0), (2, 2), (0, 2)])
 # the six-point set behind the reappearing-segment script, scaled to integers
@@ -260,3 +265,44 @@ def test_uncertified_sets_are_scanned_and_their_shears_stay_uncertified():
 def test_general_position_matches_triple_loop(pts):
     ps = PointSet(tuple(pts))
     assert validate_general_position(ps) == reference_general_position(ps)
+
+
+@st.composite
+def fans(draw):
+    """A point p and others (none equal to p) around it: drawn in a small
+    box, where many are collinear with p and some lie straight above or
+    below it, or with coordinates up to +-COORD_LIMIT, so that |dx| reaches
+    2 * COORD_LIMIT, or as multiples of a few wide directions from p."""
+    span = draw(st.sampled_from([2, 30, COORD_LIMIT]))
+    coord = st.integers(-span, span) | st.sampled_from([-COORD_LIMIT, 0, COORD_LIMIT])
+    p = Point(draw(coord), draw(coord))
+    wide = st.integers(-COORD_LIMIT, COORD_LIMIT)
+    steps = draw(st.lists(st.tuples(wide, wide), min_size=1, max_size=3))
+    along = st.builds(lambda d, t: Point(p.x + t * d[0], p.y + t * d[1]),
+                      st.sampled_from(steps), st.integers(-2, 2))
+    others = draw(st.lists(st.builds(Point, coord, coord) | along, max_size=12))
+    return p, [q for q in others if q != p]
+
+
+@settings(max_examples=400)
+@given(fans())
+# |dx| up to 2 * COORD_LIMIT, with the two slopes closest to each other
+@example((Point(-COORD_LIMIT, -COORD_LIMIT),
+          [Point(COORD_LIMIT, COORD_LIMIT - 1), Point(COORD_LIMIT - 1, COORD_LIMIT - 2),
+           Point(-COORD_LIMIT, COORD_LIMIT), Point(-COORD_LIMIT, 0)]))
+@example((Point(3, -7), [Point(3, 5), Point(-1, -7), Point(3, -COORD_LIMIT),
+                         Point(5, -7)]))
+def test_slope_keys_are_equal_exactly_when_directions_are(fan):
+    """Two points' slope keys from p are equal exactly when their reduced
+    directions from p are, that is, when orient(p, q, r) == 0; vertical
+    pairs, negative coordinates and |dx| up to 2 * COORD_LIMIT included.
+    So the first repeat of the keys is the direction oracle's pair."""
+    p, others = fan
+    keys = slope_keys(p, others)
+    dirs = [direction(p, q) for q in others]
+    for j in range(len(others)):
+        assert (keys[j] is None) == (others[j].x == p.x)
+        for k in range(j + 1, len(others)):
+            assert (keys[j] == keys[k]) == (dirs[j] == dirs[k]) \
+                == (orient(p, others[j], others[k]) == 0)
+    assert first_collinear_pair(p, others) == reference_first_collinear_pair(p, others)

@@ -5,13 +5,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crossflip import (
+    Instance,
     Strategy,
     gen_convex,
     gen_random,
     gen_two_line,
+    parse_strategy,
     replay,
     reverse_perm,
     run_strategy,
+    shear_to_distinct_x,
 )
 from crossflip.cli import main
 from crossflip.io import (
@@ -28,6 +31,8 @@ from crossflip.io import (
     write_trace,
 )
 from crossflip.scenarios import reappearing_segment_instance, reappearing_segment_trace
+
+from oracles import reference_read_trace, reference_write_trace
 
 
 @pytest.mark.parametrize(
@@ -231,6 +236,116 @@ def test_trace_loader_fuzz_raises_only_format_errors(tmp_path_factory, text):
     assert [row.step for row in rows] == list(range(len(rows)))
     records = records_from_rows(rows)
     assert all(rec.crossing is not None for rec in records)
+
+
+NEVER_WRITTEN = [
+    ("length_after", "nan"), ("length_after", "inf"), ("length_after", "-inf"),
+    ("length_after", "1e999"), ("length_after", " 5.0"), ("length_after", "5"),
+    ("length_after", "-1.0"), ("length_after", "5.00"),
+    ("crossings_after", "1_0"), ("crossings_after", " 3"), ("crossings_after", "-1"),
+    ("crossings_after", "+3"), ("crossings_after", "03"), ("crossings_after", "-0"),
+    ("phi_k_after", "1_0"), ("phi_k_after", " 3"), ("phi_k_after", "-2"),
+    ("phi_l_after", "\u0663"),  # an Arabic-Indic digit, which int() reads
+]
+NEVER_WRITTEN_SEGMENTS = [("removed_1", "0-1_0"), ("removed_1", " 0-1"),
+                          ("added_2", "0-+1")]
+
+
+@pytest.mark.parametrize("column, text, step", [
+    *((column, text, 1) for column, text in NEVER_WRITTEN + NEVER_WRITTEN_SEGMENTS),
+    *((column, text, 0) for column, text in NEVER_WRITTEN),
+])
+def test_read_trace_rejects_fields_write_trace_never_writes(tmp_path, column,
+                                                            text, step):
+    """A field parses only in the form ``write_trace`` writes it: a length
+    that is not finite, nonnegative and repr's own form, or a count or
+    index with a sign, space, underscore, leading zero or non-ASCII digit,
+    is refused, by ``read_trace`` and by the CLI with exit 2."""
+    inst = gen_random(4, seed=2, bbox=(0, 200))
+    inst_path = tmp_path / "inst.json"
+    save_instance(inst, inst_path)
+    path = tmp_path / "run.trace.csv"
+    write_trace(inst, run_strategy(inst, Strategy("random", seed=2),
+                                   with_phi_lines=True), path)
+    lines = path.read_text().splitlines(keepends=True)
+    fields = lines[1 + step].rstrip("\n").split(",")
+    fields[TRACE_COLUMNS.index(column)] = text
+    lines[1 + step] = ",".join(fields) + "\n"
+    path.write_text("".join(lines))
+    with pytest.raises(TraceFormatError, match="as (str|repr) writes it"):
+        read_trace(path)
+    assert main(["render", str(inst_path), "--trace", str(path), "--frame", "0",
+                 "-o", str(tmp_path / "f.svg")]) == 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 9), st.integers(0, 10**6), st.sampled_from(
+    ["random", "first", "greedy-x", "adversary:max-damage", "none"]),
+    st.booleans(), st.sampled_from([None, 0, 1, 3]))
+def test_write_trace_bytes_match_dict_writer(tmp_path_factory, n, seed, spec,
+                                             phi_l, cap):
+    """The tuple-row writer writes the bytes of the ``DictWriter`` writer:
+    empty, capped and complete runs, with and without phi_L, and a
+    scripted trace whose records carry no counts."""
+    if spec == "none":
+        inst, trace = reappearing_segment_instance(), reappearing_segment_trace()
+    else:
+        raw = gen_random(n, seed=seed, bbox=(-300, 300))
+        inst = Instance(shear_to_distinct_x(raw.points), raw.matching, raw.provenance)
+        strategy = parse_strategy(f"random:{seed}" if spec == "random" else spec)
+        trace = run_strategy(inst, strategy, max_steps=cap, with_phi_lines=phi_l)
+    base = tmp_path_factory.getbasetemp()
+    write_trace(inst, trace, base / "tuple.csv")
+    reference_write_trace(inst, trace, base / "dict.csv")
+    assert (base / "tuple.csv").read_bytes() == (base / "dict.csv").read_bytes()
+
+
+def _blank_lines_inserted(text, where):
+    lines = text.splitlines(keepends=True)
+    for k in sorted(where, reverse=True):
+        lines.insert(k % (len(lines) + 1), "\n")
+    return "".join(lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(trace_texts | st.builds(
+    _blank_lines_inserted,
+    st.sampled_from([
+        ",".join(TRACE_COLUMNS) + "\n0,,,,,,1,40.0,,7\n"
+        "1,0-2,1-3,0-1,2-3,A,0,30.5,,5\n",
+        ",".join(TRACE_COLUMNS) + "\n0,,,,,,1,40.0,,\n1,0-2,1-3,0-1,2-3,B,,3e-05,,\n"
+        "2,0-1,2-3,0-2,1-3,C,0,1.0,,\n",
+    ]),
+    st.lists(st.integers(0, 8), max_size=4)))
+def test_read_trace_matches_dict_reader(tmp_path_factory, text):
+    """The ``csv.reader`` loop returns the rows, or raises the error with the
+    message, of the ``DictReader`` loop: blank lines anywhere, short, long
+    and misnumbered rows, bad headers and bad fields."""
+    path = tmp_path_factory.getbasetemp() / "diff.trace.csv"
+    path.write_text(text, encoding="utf-8", errors="surrogatepass")
+    try:
+        want = reference_read_trace(path)
+    except TraceFormatError as expected:
+        with pytest.raises(TraceFormatError) as got:
+            read_trace(path)
+        assert str(got.value) == str(expected)
+        return
+    assert read_trace(path) == want
+
+
+def test_read_trace_skips_blank_lines(tmp_path):
+    """Blank lines anywhere are skipped, and an error names the line of the
+    row itself, not of a blank line before it."""
+    inst = gen_random(6, seed=2, bbox=(0, 200))  # a run of three flips
+    path = tmp_path / "run.trace.csv"
+    write_trace(inst, run_strategy(inst, Strategy("random", seed=2)), path)
+    lines = path.read_text().splitlines(keepends=True)
+    rows = read_trace(path)
+    path.write_text("".join(lines[:2] + ["\n", "\n"] + lines[2:] + ["\n"]))
+    assert read_trace(path) == rows
+    path.write_text("".join(lines[:2] + ["\n", "\n"] + lines[3:]))
+    with pytest.raises(TraceFormatError, match="^line 5 is not step 1 "):
+        read_trace(path)
 
 
 def test_write_report(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from bisect import insort
@@ -14,6 +15,7 @@ from crossflip import (
     Matching,
     PointSet,
     ReplayError,
+    Strategy,
     apply_flip,
     choice_yielding,
     crossings_after_flip,
@@ -24,6 +26,7 @@ from crossflip import (
     is_noncrossing,
     reconnection_pairs,
     replay,
+    run_strategy,
     seg,
     segments_properly_cross,
     total_length,
@@ -31,7 +34,13 @@ from crossflip import (
 )
 from crossflip import matching
 from crossflip.geometry import COORD_LIMIT, ccw_quad_order, crossed_by
-from crossflip.matching import _LiveCrossings, _SortedInts, crossing_quad, reconnections
+from crossflip.matching import (
+    _LiveCrossings,
+    _SortedInts,
+    crossing_quad,
+    reconnections,
+    replay_states,
+)
 from crossflip.scenarios import (
     REAPPEARING_SEGMENT,
     reappearing_segment_instance,
@@ -49,6 +58,7 @@ from oracles import (
     reference_live_crossings,
     reference_point_lane_crossers,
     reference_reconnection_pairs,
+    reference_replay_states,
 )
 
 SQUARE = PointSet.from_coords([(0, 0), (2, 0), (2, 2), (0, 2)])
@@ -175,6 +185,51 @@ def test_replay_reports_failing_step():
     # drop the first record: the second one is now stale
     with pytest.raises(ReplayError, match="step 0"):
         replay(inst.points, inst.matching, trace.records[1:])
+
+
+def _outcome(replayer, *args):
+    try:
+        return replayer(*args)
+    except ReplayError as exc:
+        return ("ReplayError", exc.step, str(exc))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10_000), st.integers(2, 8),
+       st.sampled_from(["none", "drop", "swap", "choice", "added", "crossing"]),
+       st.integers(0, 1000), st.integers(0, 1000))
+def test_replay_on_a_set_matches_the_stateless_flip(seed, n, edit, i, j):
+    """``replay`` and ``replay_states`` on a set of pairs give the states of
+    a replay by the stateless flip, and raise at the same step with the same
+    message when a step is stale (a record dropped or moved), does not
+    cross, or records another reconnection than its choice makes."""
+    inst = gen_random(n, seed=seed, bbox=(0, 256))
+    ps, m = inst.points, inst.matching
+    trace = run_strategy(inst, Strategy("random", seed=seed))
+    records = list(trace.records)
+    if records and edit != "none":
+        i %= len(records)
+        j %= len(records)
+        rec = records[i]
+        if edit == "drop":
+            del records[i]
+        elif edit == "swap":
+            records[i], records[j] = records[j], rec
+        elif edit == "choice":  # the other choice, its segments kept
+            other = [c for c in FlipChoice if c is not rec.choice][0]
+            records[i] = dataclasses.replace(rec, choice=other)
+        elif edit == "added":  # the other choice's segments
+            other = [a for a in reconnections(ps, rec.crossing) if a != rec.added][0]
+            records[i] = dataclasses.replace(rec, added=other)
+        else:  # two segments of the start: stale, non-crossing or live
+            e1, e2 = m.pairs[i % n], m.pairs[j % n]
+            records[i] = dataclasses.replace(rec, crossing=(min(e1, e2), max(e1, e2)))
+    want = _outcome(reference_replay_states, ps, m, records)
+    assert _outcome(replay_states, ps, m, records) == want
+    final = want[-1] if isinstance(want, list) else want
+    assert _outcome(replay, ps, m, records) == final
+    if edit in ("choice", "added") and records:
+        assert want[:2] == ("ReplayError", i)
 
 
 @settings(max_examples=40, deadline=None)

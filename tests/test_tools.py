@@ -54,6 +54,9 @@ def test_step_cost_prints_one_json_line():
     assert out["ms_per_step"] == 1000 * out["seconds"] / out["steps"]
     # the run's time times the speed probe's positive, finite scale
     assert 0 < out["scaled_seconds"] < float("inf")
+    # generation, shear and Instance, timed apart from the run
+    assert out["gen_seconds"] > 0
+    assert 0 < out["gen_scaled_seconds"] < float("inf")
 
 
 def test_step_cost_refuses_a_set_it_cannot_shear():

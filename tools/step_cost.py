@@ -7,9 +7,10 @@ x repeats, runs the strategy (default ``greedy-x``) to the end and prints
 one JSON line: ``steps``, ``seconds`` (the run alone), ``scaled_seconds``
 (the same time scaled to the reference machine speed of the benchmark's
 speed probe, ``bench/speed.py``, so that runs on a shared machine compare),
-``ms_per_step`` (unscaled) and ``peak_rss_mb`` (the process's peak resident
-set). Needs the ``crossflip`` package importable, e.g. with
-``PYTHONPATH=src``.
+``ms_per_step`` (unscaled), ``gen_seconds`` and ``gen_scaled_seconds`` (the
+generation, the shear and the ``Instance`` before the run, timed under the
+same probe) and ``peak_rss_mb`` (the process's peak resident set). Needs
+the ``crossflip`` package importable, e.g. with ``PYTHONPATH=src``.
 """
 
 from __future__ import annotations
@@ -42,18 +43,20 @@ def main(argv=None) -> int:
     ap.add_argument("--strategy", default="greedy-x")
     args = ap.parse_args(argv)
     strategy = parse_strategy(args.strategy)
-    raw = gen_random(args.n, seed=args.seed, bbox=tuple(args.bbox))
-    try:
-        ps = shear_to_distinct_x(raw.points)
-    except CoordinateOverflowError as exc:
-        print(f"step_cost: {exc}", file=sys.stderr)
-        return 2
-    inst = Instance(ps, raw.matching, raw.provenance)
     with SpeedProbe() as speed:
+        gen_start = time.perf_counter()
+        raw = gen_random(args.n, seed=args.seed, bbox=tuple(args.bbox))
+        try:
+            ps = shear_to_distinct_x(raw.points)
+        except CoordinateOverflowError as exc:
+            print(f"step_cost: {exc}", file=sys.stderr)
+            return 2
+        inst = Instance(ps, raw.matching, raw.provenance)
         start = time.perf_counter()
         trace = run_strategy(inst, strategy)
         end = time.perf_counter()
     seconds = end - start
+    gen_seconds = start - gen_start
     steps = len(trace)
     print(json.dumps({
         "n": args.n, "seed": args.seed, "bbox": list(args.bbox),
@@ -61,6 +64,8 @@ def main(argv=None) -> int:
         "seconds": seconds,
         "scaled_seconds": seconds * speed.scale(start, end),
         "ms_per_step": 1000 * seconds / steps if steps else None,
+        "gen_seconds": gen_seconds,
+        "gen_scaled_seconds": gen_seconds * speed.scale(gen_start, start),
         # ru_maxrss is in KiB on Linux
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
     }))
