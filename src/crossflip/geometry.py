@@ -162,16 +162,22 @@ def segments_properly_cross(ps: PointSet, s: Segment, t: Segment) -> bool:
 
     The segments must not share an endpoint index; that case is a caller bug,
     not a geometric question. Under general position, endpoint touching and
-    overlap cannot occur, so a strict two-way straddle test is exact.
+    overlap cannot occur, so a strict two-way straddle test is exact: each
+    segment's endpoints lie strictly on opposite sides of the other's line,
+    four ``orient`` determinants computed inline.
     """
     a, b = s
     c, d = t
     if a == c or a == d or b == c or b == d:
         raise ValueError(f"segments {s} and {t} share an endpoint")
-    pa, pb, pc, pd = ps[a], ps[b], ps[c], ps[d]
+    pts = ps.points
+    (ax, ay), (bx, by), (cx, cy), (dx, dy) = pts[a], pts[b], pts[c], pts[d]
+    ex, ey, fx, fy = bx - ax, by - ay, dx - cx, dy - cy
+    # orient(p_a, p_b, p_c) * orient(p_a, p_b, p_d) < 0, and the same for
+    # p_a and p_b against line (c, d)
     return (
-        orient(pa, pb, pc) * orient(pa, pb, pd) < 0
-        and orient(pc, pd, pa) * orient(pc, pd, pb) < 0
+        (ex * (cy - ay) - ey * (cx - ax)) * (ex * (dy - ay) - ey * (dx - ax)) < 0
+        and (fx * (ay - cy) - fy * (ax - cx)) * (fx * (by - cy) - fy * (bx - cx)) < 0
     )
 
 
@@ -179,24 +185,25 @@ def crossed_by(ps: PointSet, s: Segment, segments: Iterable[Segment]) -> list[Se
     """The segments of ``segments`` that properly cross s, in their order:
     ``segments_properly_cross`` of s and each, in one pass.
 
-    Line s takes one cross product per point. A segment whose endpoints lie
-    strictly on opposite sides of it crosses s exactly when s's endpoints lie
-    strictly on opposite sides of its own line, two more cross products; so
-    the answer is exact on degenerate sets too. A segment sharing an endpoint
-    with s lies on line s there and never counts.
+    Each segment given takes two cross products, one per endpoint against
+    line s. A segment whose endpoints lie strictly on opposite sides of it
+    crosses s exactly when s's endpoints lie strictly on opposite sides of
+    its own line, two more cross products; so the answer is exact on
+    degenerate sets too. A segment sharing an endpoint with s lies on line s
+    there and never counts.
     """
     pts = ps.points
     (ax, ay), (bx, by) = pts[s[0]], pts[s[1]]
     dx, dy = bx - ax, by - ay
-    # orient(p_a, p_b, p_r) has the sign of dets[r] - line
+    # orient(p_a, p_b, p_r) has the sign of dx * y_r - dy * x_r - line
     line = dx * ay - dy * ax
-    dets = [dx * y - dy * x for x, y in pts]
     out = []
     for t in segments:
         c, d = t
-        p, q = dets[c], dets[d]
+        (cx, cy), (tx, ty) = pts[c], pts[d]
+        p = dx * cy - dy * cx
+        q = dx * ty - dy * tx
         if p > line > q or p < line < q:
-            (cx, cy), (tx, ty) = pts[c], pts[d]
             tx -= cx
             ty -= cy
             # orient(p_c, p_d, p_a) and orient(p_c, p_d, p_b)
@@ -293,8 +300,17 @@ def crossing_quad(
     orientation test: a the lowest endpoint, b its partner and x the
     endpoint with orient(a, x, b) > 0 (see ``matching.FlipChoice``), for the
     two segments and their endpoints given in any order."""
-    (a, b), (x, y) = sorted(map(sorted, crossing))  # a is the lowest endpoint
-    if orient(ps[a], ps[x], ps[b]) < 0:
+    (a, b), (x, y) = crossing
+    # the sorted segments, the lower first: a is the lowest endpoint
+    if a > b:
+        a, b = b, a
+    if x > y:
+        x, y = y, x
+    if (x, y) < (a, b):
+        a, b, x, y = x, y, a, b
+    pts = ps.points
+    (ax, ay), (xx, xy), (bx, by) = pts[a], pts[x], pts[b]
+    if (xx - ax) * (by - ay) - (xy - ay) * (bx - ax) < 0:  # orient(a, x, b)
         x, y = y, x
     return a, x, b, y
 

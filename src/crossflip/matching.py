@@ -2,17 +2,21 @@
 
 A matching is an immutable canonical pairing of point indices. A flip removes
 two crossing segments and reconnects their four endpoints one of the two
-non-crossing ways. Total segment length is tracked as a float-valued monitor;
-it strictly decreases across every flip, but it never drives control flow.
+non-crossing ways. Total segment length is tracked as a float-valued monitor,
+``total_length``, a sum in C of ``math.dist`` per segment in the matching's
+order; it strictly decreases across every flip, but it never drives control
+flow.
 
 Crossings of one matching are found by ``geometry.crossed_by``, one exact
-pass per segment. Along a run of flips (``search._run``, the one run loop),
-``_LiveCrossings`` is the run's one copy of its matching: it keeps the
-segments in slots, the crossings as sorted int keys, optionally ranked
-first by a function of a crossing's four endpoints, with an index of each
-segment's crossings, and the run's length; a flip retests only its two
-added segments, by a few big-int expressions over n 64-bit lanes, lane k
-for slot k's segment, and no step loops over the matching in Python.
+pass per segment over the segments after it: two inline determinants per
+pair, and two more for a pair that straddles. Along a run of flips
+(``search._run``, the one run loop), ``_LiveCrossings`` is the run's one
+copy of its matching: it keeps the segments in slots, the crossings as
+sorted int keys, optionally ranked first by a function of a crossing's four
+endpoints, with an index of each segment's crossings, and the run's length;
+a flip retests only its two added segments, by a few big-int expressions
+over n 64-bit lanes, lane k for slot k's segment, and no step loops over the
+matching in Python.
 """
 
 from __future__ import annotations
@@ -368,13 +372,12 @@ def crossing_count(ps: PointSet, m: Matching) -> int:
 
 
 def total_length(ps: PointSet, m: Matching) -> float:
-    """Euclidean length of the matching; a monitor, never a control value."""
+    """Euclidean length of the matching; a monitor, never a control value.
+
+    The segment lengths are summed in C, in the matching's order from 0.0,
+    so the float is the one a Python loop adding them up would give."""
     pts = ps.points
-    total = 0.0
-    for a, b in m.pairs:
-        (ax, ay), (bx, by) = pts[a], pts[b]
-        total += math.hypot(bx - ax, by - ay)
-    return total
+    return reduce(add, [math.dist(pts[a], pts[b]) for a, b in m.pairs], 0.0)
 
 
 def quad_reconnections(

@@ -16,8 +16,10 @@ shortest run. Both it and its change under a flip read the one x-order,
 
 Both potentials thus have a four-endpoint delta, ``phi_lines_delta`` from
 four line masks and ``phi_vertical_delta`` from four x-ranks. Strategy runs
-track each potential by its delta, and ``decrement_audit`` reports
-``phi_lines_delta``, so runs and audits share one rule.
+track each potential by its delta. ``decrement_audit`` reads the crossing's
+four masks once and takes everything from the same XORs: the split and
+gained-line checks, the popcounts of ``phi_lines_delta`` and the per-type
+line counts.
 
 Perturbed lines are bits of one int per point. With K = C(2n, 2) anchor
 pairs numbered in lexicographic order (``geometry.side_masks``), the line
@@ -203,24 +205,33 @@ def phi_vertical_bound_gaps(n: int) -> int:
     return (2 * n - 1) * n
 
 
-def _quad_line_types(ps: PointSet, order) -> dict[LineType, int]:
-    """Per LineType, the mask of the lines of that type against a convex
-    quad given in ccw order q0..q3, starting at its lowest index.
-
-    With x01 the lines separating q0 from q1 and so on around the quad, L1
-    lines are in x12 and x30, L2 lines in x01 and x23, and L3 lines in two
-    adjacent ones. Raises PotentialInvariantError when a line is in all
-    four: it splits the quad along its diagonals.
-    """
+def _quad_sides(ps: PointSet, order) -> tuple[int, int, int, int]:
+    """The line masks x01, x12, x23, x30 of a convex quad given in ccw order
+    q0..q3, starting at its lowest index: x01 holds the lines separating q0
+    from q1, and so on around the quad. Each line is in none or two of them,
+    as it meets a quad's boundary twice, or in all four when it splits the
+    quad along its diagonals, which raises PotentialInvariantError."""
     masks = _line_masks(ps)
     m0, m1, m2, m3 = (masks[q] for q in order)
-    x01, x12, x23, x30 = m0 ^ m1, m1 ^ m2, m2 ^ m3, m3 ^ m0
+    sides = x01, x12, x23, x30 = m0 ^ m1, m1 ^ m2, m2 ^ m3, m3 ^ m0
     split = x01 & x12 & x23 & x30
     if split:
         raise PotentialInvariantError(
             f"line {_lowest_line(ps, split)} splits quad {order} along its "
             "diagonals"
         )
+    return sides
+
+
+def _quad_line_types(ps: PointSet, order) -> dict[LineType, int]:
+    """Per LineType, the mask of the lines of that type against a convex
+    quad given in ccw order (see ``_quad_sides``, which raises for a line
+    splitting it along its diagonals).
+
+    L1 lines are in x12 and x30, L2 lines in x01 and x23, and L3 lines in
+    two adjacent ones.
+    """
+    x01, x12, x23, x30 = _quad_sides(ps, order)
     l1, l2, hit = x12 & x30, x01 & x23, x01 | x12 | x23 | x30
     return {
         LineType.L1: l1,
@@ -324,23 +335,36 @@ def decrement_audit(
     the potential incrementally, saving the full recount.
     """
     check_live(ps, m.pairs, crossing)
-    e1, e2 = crossing
     # a live crossing's endpoints are in convex position, in this ccw order
     quad = crossing_quad(ps, crossing)
-    types = _quad_line_types(ps, quad)
+    x01, x12, x23, x30 = _quad_sides(ps, quad)
     added = quad_reconnections(quad)[choice is FlipChoice.RECONNECT_B]
     masks = _line_masks(ps)
-    b1, b2, a1, a2 = (masks[u] ^ masks[v] for u, v in (e1, e2, *added))
+    (u1, v1), (u2, v2), (u3, v3), (u4, v4) = *crossing, *added
+    b1, b2 = masks[u1] ^ masks[v1], masks[u2] ^ masks[v2]
+    a1, a2 = masks[u3] ^ masks[v3], masks[u4] ^ masks[v4]
     gained = ((a1 | a2) & ~(b1 | b2)) | (a1 & a2 & ~(b1 & b2))
     if gained:
         raise PotentialInvariantError(
             f"line {_lowest_line(ps, gained)} gained intersections across "
             f"flip of {crossing}"
         )
-    delta_l = phi_lines_delta(ps, crossing, added)
+    delta_l = (a1.bit_count() + a2.bit_count()
+               - b1.bit_count() - b2.bit_count())
+    # a line meeting the quad is in two of its sides, so in one of x01,
+    # x12 and x23; the others of the m(m - 1) lines, for m points, miss it
+    hit = (x01 | x12 | x23).bit_count()
+    l1, l2 = (x12 & x30).bit_count(), (x01 & x23).bit_count()
+    counts = {
+        LineType.L1: l1,
+        LineType.L2: l2,
+        LineType.L3: hit - l1 - l2,
+        LineType.NO_INTERSECT: len(masks) * (len(masks) - 1) - hit,
+    }
 
     entries = None
     if detail:
+        types = _quad_line_types(ps, quad)
         lines = _lines_by_bit(ps)
         half = len(lines) // 2
         entries = tuple(
@@ -367,7 +391,7 @@ def decrement_audit(
         crossing=crossing,
         choice=choice,
         added=added,
-        line_type_counts={t: mask.bit_count() for t, mask in types.items()},
+        line_type_counts=counts,
         delta_phi_l=delta_l,
         phi_l_before=phi_l_before,
         phi_l_after=phi_l_before + delta_l,

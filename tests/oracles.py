@@ -2,9 +2,10 @@
 
 Everything here deliberately avoids the code paths under test. The flip-run
 extrema come three ways: ``naive_f``/``naive_h`` use plain unmemoized
-recursion over successors built here from ``segments_properly_cross`` and
-``reference_reconnection_pairs``, which reads ``reference_ccw_quad_order``,
-the comparator sort that the one orientation test of
+recursion over successors built here from
+``reference_segments_properly_cross`` and ``reference_reconnection_pairs``,
+which reads ``reference_ccw_quad_order``, the comparator sort that the one
+orientation test of
 ``geometry.crossing_quad`` replaced in ``matching.reconnections`` and in
 ``geometry.ccw_quad_order``, where the diagonal crossing test also replaced
 ``reference_convex_position_ccw``;
@@ -17,12 +18,18 @@ the adjusted-sign rule. ``reference_phi_lines`` and
 table that the bitmask kernel of ``crossflip.potentials`` replaced, and
 ``reference_phi_vertical`` the gap-line count it replaced;
 ``phi_vertical_rank_formula`` is now the library's own formula.
-``reference_find_crossings`` and ``reference_crossings_after_flip`` are the
-full pair tests that the side-vector prefilter of ``crossflip.matching``
-replaced, and ``reference_crossed_by`` that prefilter, whose survivors get
-``segments_properly_cross``, which the exact batch test
-``geometry.crossed_by`` replaced. ``reference_max_damage_pick`` is the
-per-run key dict and ``max`` that the max-damage heap, and then the ranked
+``reference_segments_properly_cross`` is the four-``orient`` pair test that
+the inline integer determinants of ``geometry.segments_properly_cross``
+replaced; every oracle here that tests a pair of segments calls it, never
+the predicate under test. ``reference_find_crossings`` and
+``reference_crossings_after_flip`` are the full pair tests that the
+side-vector prefilter of ``crossflip.matching`` replaced, and
+``reference_crossed_by`` that prefilter, whose survivors get the full pair
+test, which the exact batch test ``geometry.crossed_by`` replaced.
+``reference_total_length`` is the ``math.hypot`` loop that the C-level sum
+of ``matching.total_length`` replaced, bit for bit.
+``reference_max_damage_pick`` is the per-run key dict and ``max`` that the
+max-damage heap, and then the ranked
 keys of the live index, of ``crossflip.search`` replaced, and
 ``reference_live_crossings`` the list of
 crossing tuples, kept by ``insort`` and ``crossed_by``, that the int keys,
@@ -83,14 +90,37 @@ from crossflip import (
     is_noncrossing,
     orient,
     seg,
-    segments_properly_cross,
 )
 from crossflip import io
 from crossflip.geometry import COORD_LIMIT, crossed_by, side_masks
-from crossflip.matching import FlipError, ReplayError, _flipped, crossing_pair, total_length
+from crossflip.matching import FlipError, ReplayError, _flipped, crossing_pair
 from crossflip.potentials import LineAudit, phi_vertical_delta
 
 CHOICES = (FlipChoice.RECONNECT_A, FlipChoice.RECONNECT_B)
+
+
+def reference_segments_properly_cross(ps: PointSet, s, t) -> bool:
+    """The proper-crossing test by four ``orient`` calls on ``Point``s: each
+    segment's endpoints strictly on opposite sides of the other's line."""
+    a, b = s
+    c, d = t
+    if a == c or a == d or b == c or b == d:
+        raise ValueError(f"segments {s} and {t} share an endpoint")
+    pa, pb, pc, pd = ps[a], ps[b], ps[c], ps[d]
+    return (
+        orient(pa, pb, pc) * orient(pa, pb, pd) < 0
+        and orient(pc, pd, pa) * orient(pc, pd, pb) < 0
+    )
+
+
+def reference_total_length(ps: PointSet, m: Matching) -> float:
+    """The matching's length by a Python loop adding one ``math.hypot`` of
+    coordinate differences per segment, in the matching's order."""
+    total = 0.0
+    for a, b in m.pairs:
+        (ax, ay), (bx, by) = ps[a], ps[b]
+        total += math.hypot(bx - ax, by - ay)
+    return total
 
 
 def reference_find_crossings(ps: PointSet, m: Matching) -> list:
@@ -99,7 +129,7 @@ def reference_find_crossings(ps: PointSet, m: Matching) -> list:
     pairs = m.pairs
     for i in range(len(pairs)):
         for j in range(i + 1, len(pairs)):
-            if segments_properly_cross(ps, pairs[i], pairs[j]):
+            if reference_segments_properly_cross(ps, pairs[i], pairs[j]):
                 out.append((pairs[i], pairs[j]))
     return out
 
@@ -111,12 +141,12 @@ def crossing_count_brute(ps: PointSet, m: Matching) -> int:
 def reference_crossed_by(ps: PointSet, s, segments) -> list:
     """The segments of ``segments`` that properly cross s: a segment whose
     endpoints fall on opposite sides of line s (a one-way strict test per
-    point) gets the full ``segments_properly_cross`` test."""
+    point) gets the full ``reference_segments_properly_cross`` test."""
     (ax, ay), (bx, by) = ps[s[0]], ps[s[1]]
     dx, dy = bx - ax, by - ay
     above = [dx * (y - ay) > dy * (x - ax) for x, y in ps.points]
-    return [t for t in segments
-            if above[t[0]] != above[t[1]] and segments_properly_cross(ps, s, t)]
+    return [t for t in segments if above[t[0]] != above[t[1]]
+            and reference_segments_properly_cross(ps, s, t)]
 
 
 def reference_point_lane_crossers(ps: PointSet, m: Matching, s) -> list[int]:
@@ -166,7 +196,7 @@ def reference_crossings_after_flip(ps: PointSet, new_matching: Matching,
         for t in new_matching.pairs:
             if t == added[0] or t == added[1]:
                 continue
-            if segments_properly_cross(ps, s, t):
+            if reference_segments_properly_cross(ps, s, t):
                 out.append(crossing_pair(s, t))
     out.sort()
     return out
@@ -261,7 +291,7 @@ def reference_side_masks(ps: PointSet):
 
 def reference_crossing_row(ps: PointSet, k: int):
     """(row, masks) of the k-th segment in lexicographic order, by one
-    ``segments_properly_cross`` test per later disjoint segment: ``row`` has
+    ``reference_segments_properly_cross`` test per later disjoint segment: ``row`` has
     bit j set for each later segment j it crosses, and ``masks`` maps each
     crossing pair's two bits to the XOR masks of choices A and B."""
     segs = list(combinations(range(len(ps)), 2))
@@ -270,7 +300,7 @@ def reference_crossing_row(ps: PointSet, k: int):
     row = 0
     masks = {}
     for t in segs[k + 1:]:
-        if set(s) & set(t) or not segments_properly_cross(ps, s, t):
+        if set(s) & set(t) or not reference_segments_properly_cross(ps, s, t):
             continue
         row |= bit[t]
         pair = bit[s] | bit[t]
@@ -325,7 +355,7 @@ def naive_successors(ps: PointSet, m: Matching) -> list[Matching]:
     out = []
     for i in range(len(pairs)):
         for j in range(i + 1, len(pairs)):
-            if not segments_properly_cross(ps, pairs[i], pairs[j]):
+            if not reference_segments_properly_cross(ps, pairs[i], pairs[j]):
                 continue
             rest = [p for k, p in enumerate(pairs) if k not in (i, j)]
             for choice in CHOICES:
@@ -726,7 +756,7 @@ def reference_write_trace(inst, trace, path) -> None:
         "step": 0, "removed_1": "", "removed_2": "", "added_1": "",
         "added_2": "", "choice": "",
         "crossings_after": len(reference_find_crossings(ps, initial)),
-        "length_after": repr(total_length(ps, initial)),
+        "length_after": repr(reference_total_length(ps, initial)),
         "phi_l_after": _opt(first.phi_l_before if first else None),
         "phi_k_after": _opt(first.phi_k_before if first else None),
     }]

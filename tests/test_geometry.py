@@ -1,3 +1,5 @@
+from itertools import combinations, product
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -22,6 +24,7 @@ from oracles import (
     direction,
     reference_first_collinear_pair,
     reference_general_position,
+    reference_segments_properly_cross,
     reference_side_masks,
 )
 
@@ -238,6 +241,31 @@ def test_side_masks_match_reference_loop(pts):
     and sets at the coordinate budget's edges."""
     ps = PointSet(tuple(pts))
     assert side_masks(ps) == reference_side_masks(ps)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_sets_of(coords), small_sets, _sets_of(edge)))
+@example([Point(-COORD_LIMIT, -COORD_LIMIT), Point(COORD_LIMIT, COORD_LIMIT),
+          Point(COORD_LIMIT, -COORD_LIMIT), Point(-COORD_LIMIT, COORD_LIMIT)])
+@example([Point(0, 0), Point(2, 2), Point(1, 1), Point(1, 3)])  # touching
+def test_segments_properly_cross_matches_four_orient_reference(pts):
+    """The inline determinants against the four ``orient`` calls they
+    replaced, on every ordered pair of segments with endpoints in either
+    order: random sets, 7x7-grid sets (repeated x and points, collinear
+    triples) and sets at the coordinate budget's edges. A pair sharing an
+    endpoint raises ValueError in both."""
+    ps = PointSet(tuple(pts))
+    segments = list(combinations(range(len(ps)), 2))
+    for s, t in product(segments, repeat=2):
+        if set(s) & set(t):
+            for test in (segments_properly_cross,
+                         reference_segments_properly_cross):
+                with pytest.raises(ValueError, match="share an endpoint"):
+                    test(ps, s, t[::-1])
+            continue
+        want = reference_segments_properly_cross(ps, s, t)
+        assert segments_properly_cross(ps, s, t) is want
+        assert segments_properly_cross(ps, s[::-1], t) is want
 
 
 def test_uncertified_sets_are_scanned_and_their_shears_stay_uncertified():

@@ -29,6 +29,7 @@ from crossflip import (
     run_strategy,
     seg,
     segments_properly_cross,
+    shear_to_distinct_x,
     total_length,
     trace_from_moves,
 )
@@ -59,6 +60,7 @@ from oracles import (
     reference_point_lane_crossers,
     reference_reconnection_pairs,
     reference_replay_states,
+    reference_total_length,
 )
 
 SQUARE = PointSet.from_coords([(0, 0), (2, 0), (2, 2), (0, 2)])
@@ -282,6 +284,28 @@ def _point_sets(coords, max_size=10, unique=True):
     return st.lists(st.tuples(coords, coords), min_size=4, max_size=max_size,
                     unique=unique).map(
         lambda pts: PointSet.from_coords(pts[: len(pts) // 2 * 2]))
+
+
+_budget = st.one_of(st.sampled_from([-COORD_LIMIT, COORD_LIMIT]),
+                   st.integers(-COORD_LIMIT, COORD_LIMIT))
+
+
+def _sheared(n: int, seed: int) -> PointSet:
+    return shear_to_distinct_x(gen_random(n, seed=seed, bbox=(0, 64)).points)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_point_sets(_budget, 40, unique=False),
+                 st.builds(_sheared, st.integers(2, 12), st.integers(0, 10**4))),
+       st.randoms(use_true_random=False))
+def test_total_length_is_the_hypot_loop_bit_for_bit(ps, rng):
+    """The C-level sum against the ``math.hypot`` loop it replaced, by
+    ``repr``: random matchings on sets up to the coordinate budget, where a
+    segment can be 2**21 * sqrt(2) long, and on sheared sets."""
+    labels = list(range(len(ps)))
+    rng.shuffle(labels)
+    m = Matching.from_pairs(zip(labels[0::2], labels[1::2]))
+    assert repr(total_length(ps, m)) == repr(reference_total_length(ps, m))
 
 
 @settings(max_examples=80, deadline=None)
