@@ -64,23 +64,21 @@ EXIT_LIMITS = 4
 
 
 class CliError(Exception):
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
+    """Invalid input found by a command; ``main`` prints it and exits 2."""
 
 
 def _load(path) -> Instance:
     try:
         return load_instance(path)
     except InstanceFormatError as exc:
-        raise CliError(EXIT_INPUT, f"invalid instance: {exc}") from exc
+        raise CliError(f"invalid instance: {exc}") from exc
 
 
 def _parse_ints(text: str) -> list[int]:
     try:
         return [int(v) for v in text.split(",") if v != ""]
     except ValueError as exc:
-        raise CliError(EXIT_INPUT, f"expected comma-separated integers: {text!r}")
+        raise CliError(f"expected comma-separated integers: {text!r}")
 
 
 def count(text: str) -> int:
@@ -98,7 +96,7 @@ def _limits(args) -> SearchLimits:
             time_budget=args.time_budget,
         )
     except ValueError as exc:
-        raise CliError(EXIT_INPUT, f"invalid search limits: {exc}") from exc
+        raise CliError(f"invalid search limits: {exc}") from exc
 
 
 def _add_limit_flags(parser) -> None:
@@ -116,10 +114,10 @@ def cmd_gen(args) -> int:
         else:
             bbox = _parse_ints(args.bbox)
             if len(bbox) != 2:
-                raise CliError(EXIT_INPUT, "--bbox needs exactly two integers")
+                raise CliError("--bbox needs exactly two integers")
             inst = gen_random(args.n, args.seed, (bbox[0], bbox[1]))
     except (GenerationError, ValueError) as exc:
-        raise CliError(EXIT_INPUT, f"generation failed: {exc}") from exc
+        raise CliError(f"generation failed: {exc}") from exc
     save_instance(inst, args.out)
     print(f"wrote {args.out}: {inst.provenance}, 2n={len(inst.points)}")
     return EXIT_OK
@@ -131,7 +129,7 @@ def cmd_run(args) -> int:
         try:
             sheared = shear_to_distinct_x(inst.points)
         except CoordinateOverflowError as exc:
-            raise CliError(EXIT_INPUT, f"cannot shear: {exc}") from exc
+            raise CliError(f"cannot shear: {exc}") from exc
         if sheared is not inst.points:
             inst = Instance(
                 sheared, inst.matching, inst.provenance + "+shear", inst.notes
@@ -139,7 +137,7 @@ def cmd_run(args) -> int:
     try:
         strategy = parse_strategy(args.strategy)
     except ValueError as exc:
-        raise CliError(EXIT_INPUT, str(exc)) from exc
+        raise CliError(str(exc)) from exc
     restrict = FlipChoice(args.restrict_choice) if args.restrict_choice else None
     trace = run_strategy(
         inst,
@@ -182,6 +180,12 @@ def cmd_search(args) -> int:
     }
     code = EXIT_OK
     stats: dict = {}
+
+    def witness(tag: str, trace) -> None:
+        path = out.with_suffix(f".{tag}.trace.csv")
+        write_trace(inst, trace, path)
+        report["witness_trace"][tag] = str(path)
+
     try:
         for which, solve in (("f", longest_flip_sequence),
                              ("h", shortest_flip_sequence)):
@@ -189,9 +193,7 @@ def cmd_search(args) -> int:
                 continue
             report[which], trace = solve(inst, limits, stats_out=stats)
             report["states_expanded"] += stats["states_expanded"]
-            path = out.with_suffix(f".{which}.trace.csv")
-            write_trace(inst, trace, path)
-            report["witness_trace"][which] = str(path)
+            witness(which, trace)
         if args.extremal:
             est = extremal_estimates(
                 inst.points, limits, cap=args.enum_cap,
@@ -200,13 +202,8 @@ def cmd_search(args) -> int:
             report["g_hat"] = est.g_hat
             report["k_hat"] = est.k_hat
             report["states_expanded"] += est.states_expanded
-            for tag, trace in (("g_hat", est.g_witness), ("k_hat", est.k_witness)):
-                path = out.with_suffix(f".{tag}.trace.csv")
-                witness_inst = Instance(
-                    inst.points, trace.initial, inst.provenance, inst.notes
-                )
-                write_trace(witness_inst, trace, path)
-                report["witness_trace"][tag] = str(path)
+            witness("g_hat", est.g_witness)
+            witness("k_hat", est.k_witness)
     except SearchLimitsExceeded as exc:
         report["limits_hit"] = True
         # the partial count of the call that hit the limit
@@ -299,11 +296,10 @@ def cmd_audit(args) -> int:
     inst = _load(args.instance)
     crossings = find_crossings(inst.points, inst.matching)
     if not crossings:
-        raise CliError(EXIT_INPUT, "instance matching has no crossings to audit")
+        raise CliError("instance matching has no crossings to audit")
     if args.crossing is not None:
         if not 0 <= args.crossing < len(crossings):
             raise CliError(
-                EXIT_INPUT,
                 f"--crossing {args.crossing} out of range 0..{len(crossings) - 1}",
             )
         crossings = [crossings[args.crossing]]
@@ -342,9 +338,9 @@ def cmd_render(args) -> int:
         else:
             frames = iter_frames(inst, records)
     except (TraceFormatError, ReplayError) as exc:
-        raise CliError(EXIT_INPUT, f"invalid trace: {exc}") from exc
+        raise CliError(f"invalid trace: {exc}") from exc
     except ValueError as exc:  # the frame number is out of range
-        raise CliError(EXIT_INPUT, str(exc)) from exc
+        raise CliError(str(exc)) from exc
     if args.frame is not None:
         out = Path(args.out) if args.out else Path(args.trace).with_suffix(
             f".frame{args.frame}.svg"
@@ -449,10 +445,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except (InstanceFormatError, TraceFormatError, GenerationError,
+    except (CliError, InstanceFormatError, TraceFormatError, GenerationError,
             CoordinateOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

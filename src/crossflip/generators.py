@@ -13,12 +13,12 @@ instance.
 from __future__ import annotations
 
 import functools
-import math
 import random
 from dataclasses import dataclass
 from itertools import combinations
 
 from .geometry import (
+    CoordinateOverflowError,
     Point,
     PointSet,
     _general_position,
@@ -157,11 +157,12 @@ def gen_convex(n: int) -> Instance:
     """2n points in strictly convex position with the nested worst-case
     matching for the shortest-run lower bound.
 
-    Points sit counterclockwise on a radius-2^16 circle, snapped to the
-    integer grid, with a fixed rotation so that x-coordinates come out
-    pairwise distinct (mirror-symmetric angles would collide). Snapping can
-    in principle create degeneracies, so the construction retries with
-    deterministic angle nudges whenever ``Instance`` rejects the points.
+    Point k sits at (n*(k - n), (k - n)^2) on the parabola y = (x/n)^2, so
+    the points are strictly convex and counterclockwise in label order, with
+    distinct x and no three collinear, all by construction; the O(n)
+    counterclockwise-convexity check re-verifies it. Every coordinate is at
+    most n^2 in absolute value, within ``COORD_LIMIT`` for n <= 1024; a
+    larger n raises GenerationError.
 
     The matching pairs point 0 with point n, and point i with point 2n - i
     for 0 < i < n: one long chord crossed by n - 1 mutually nested chords.
@@ -169,33 +170,17 @@ def gen_convex(n: int) -> Instance:
     if n < 1:
         raise ValueError("need n >= 1")
     m = 2 * n
-    radius = 2**16
+    try:
+        ps = PointSet.from_coords([(n * (k - n), (k - n) ** 2) for k in range(m)])
+    except CoordinateOverflowError as exc:
+        raise GenerationError(f"convex n={n}: {exc}") from exc
     matching = Matching.from_pairs([(0, n)] + [(i, 2 * n - i) for i in range(1, n)])
-    for attempt in range(64):
-        coords = []
-        for k in range(m):
-            theta = 2 * math.pi * k / m + 1 / 7 + attempt * 0.0137
-            coords.append(
-                (round(radius * math.cos(theta)), round(radius * math.sin(theta)))
-            )
-        ps = PointSet.from_coords(coords)
-        try:
-            inst = Instance(ps, matching, f"convex(n={n})")
-        except ValueError as exc:
-            last_violation = exc
-            continue
-        if not ps.has_distinct_x():
-            last_violation = "duplicate x-coordinates"
-            continue
-        if m > 2 and not all(
-            orient(ps[k], ps[(k + 1) % m], ps[(k + 2) % m]) > 0 for k in range(m)
-        ):
-            last_violation = "not strictly convex"
-            continue
-        return inst
-    raise GenerationError(
-        f"convex n={n}: no valid snap after 64 nudges (last: {last_violation})"
-    )
+    inst = Instance(ps, matching, f"convex(n={n})")
+    if m > 2 and not all(
+        orient(ps[k], ps[(k + 1) % m], ps[(k + 2) % m]) > 0 for k in range(m)
+    ):
+        raise GenerationError(f"convex n={n}: points not strictly convex")
+    return inst
 
 
 def gen_random(n: int, seed: int, bbox: tuple[int, int] = (0, 512)) -> Instance:

@@ -84,14 +84,6 @@ class Matching:
     def __iter__(self):
         return iter(self.pairs)
 
-    def partner(self, i: int) -> int:
-        for a, b in self.pairs:
-            if a == i:
-                return b
-            if b == i:
-                return a
-        raise KeyError(i)
-
 
 class FlipChoice(Enum):
     """The two reconnections of a crossing's four endpoints.

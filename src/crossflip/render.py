@@ -8,8 +8,10 @@ flipped so pictures match the usual mathematical orientation.
 
 from __future__ import annotations
 
+import html
+
 from .generators import Instance
-from .matching import FlipTrace, Matching, find_crossings, replay_states
+from .matching import Matching, find_crossings, replay_states
 
 CANVAS = 640
 MARGIN = 40
@@ -54,7 +56,7 @@ def matching_svg(
     if caption:
         body.append(
             f'<text x="{MARGIN}" y="{MARGIN // 2 + 6}" font-size="14" '
-            f'fill="#444">{caption}</text>'
+            f'fill="#444">{html.escape(caption)}</text>'
         )
     for s in matching.pairs:
         (x1, y1), (x2, y2) = to_canvas(ps[s[0]]), to_canvas(ps[s[1]])
@@ -82,12 +84,6 @@ def instance_svg(inst: Instance) -> str:
     )
 
 
-def trace_states(inst: Instance, records) -> list[Matching]:
-    """The matchings a trace visits, starting from the instance matching,
-    through ``replay_states``'s checks: a bad step raises ReplayError."""
-    return replay_states(inst.points, inst.matching, records)
-
-
 def _frame_svg(inst: Instance, records, states, frame: int) -> str:
     dashed = set(records[frame].crossing) if frame < len(records) else set()
     caption = f"{inst.provenance}  [step {frame}/{len(records)}]"
@@ -101,16 +97,12 @@ def trace_frame_svg(inst: Instance, records, frame: int) -> str:
         raise ValueError(
             f"frame {frame} out of range; trace has {len(records) + 1} frames"
         )
-    return _frame_svg(inst, records, trace_states(inst, records), frame)
+    states = replay_states(inst.points, inst.matching, records)
+    return _frame_svg(inst, records, states, frame)
 
 
 def iter_frames(inst: Instance, records):
     """Every frame of a trace, from one checked replay done before this
     returns, so a bad trace raises ReplayError before the first frame."""
-    states = trace_states(inst, records)
+    states = replay_states(inst.points, inst.matching, records)
     return (_frame_svg(inst, records, states, k) for k in range(len(states)))
-
-
-def trace_frames(inst: Instance, trace: FlipTrace) -> list[str]:
-    """All frames of a trace, from the initial matching to the final one."""
-    return list(iter_frames(inst, trace.records))

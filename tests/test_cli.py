@@ -9,7 +9,7 @@ import pytest
 
 import crossflip
 from crossflip.cli import main
-from crossflip.io import load_instance, read_trace
+from crossflip.io import load_instance, read_trace, save_instance
 
 
 def run_cli(*argv):
@@ -43,11 +43,16 @@ def test_gen_random_matches_golden(tmp_path):
     assert load_instance(out) == load_instance("tests/data/random_n3_seed7.json")
 
 
-def test_gen_rejects_bad_params(tmp_path):
+def test_gen_rejects_bad_params(tmp_path, capsys):
     assert run_cli("gen", "two-line", "--perm", "0,0,1",
                    "-o", tmp_path / "x.json") == 2
     assert run_cli("gen", "random", "--n", 3, "--seed", 1,
                    "--bbox", "0,1", "-o", tmp_path / "y.json") == 2
+    # the convex family's coordinates leave COORD_LIMIT past n = 1024
+    capsys.readouterr()
+    assert run_cli("gen", "convex", "--n", 1025, "-o", tmp_path / "z.json") == 2
+    assert "generation failed" in capsys.readouterr().err
+    assert not (tmp_path / "z.json").exists()
 
 
 def test_run_bubble_summary_and_exit(rev5, tmp_path, capsys):
@@ -89,10 +94,19 @@ def test_run_adversary_rows_keep_decrement(rev5, tmp_path):
         assert row.phi_k_after - prev.phi_k_after <= -2
 
 
-def test_run_exit_codes(convex4, rev5, tmp_path):
+def test_run_exit_codes(convex4, rev5, tmp_path, capsys):
     # bubble needs a two-line instance
     assert run_cli("run", convex4, "--strategy", "bubble",
                    "-o", tmp_path / "a.csv") == 3
+    # and a bottom-to-top matching: segment (0, 2) joins two bottom points
+    same_row = tmp_path / "same_row.json"
+    save_instance(crossflip.Instance(
+        crossflip.gen_two_line(crossflip.reverse_perm(3)).points,
+        crossflip.Matching.from_pairs([(0, 2), (1, 4), (3, 5)]), "same-row",
+    ), same_row)
+    assert run_cli("run", same_row, "--strategy", "bubble",
+                   "-o", tmp_path / "s.csv") == 3
+    assert "within one row" in capsys.readouterr().err
     # step cap leaves crossings behind
     assert run_cli("run", rev5, "--strategy", "bubble", "--max-steps", 1,
                    "-o", tmp_path / "b.csv") == 4

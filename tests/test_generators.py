@@ -3,6 +3,7 @@ from itertools import permutations
 import pytest
 
 from crossflip import (
+    FlipChoice,
     GenerationError,
     Instance,
     Matching,
@@ -14,9 +15,12 @@ from crossflip import (
     identity_perm,
     inversion_count,
     is_noncrossing,
+    longest_flip_sequence,
     orient,
+    phi_lines,
     reverse_perm,
     shear_to_distinct_x,
+    shortest_flip_sequence,
     two_line_permutation,
     validate_general_position,
 )
@@ -90,7 +94,7 @@ def test_convex_initial_crossing_count(n):
     assert all(spine in c for c in crossings)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 6, 12])
+@pytest.mark.parametrize("n", [2, 3, 4, 6, 12, 700, 1024])
 def test_convex_points_strictly_convex_ccw(n):
     ps = gen_convex(n).points
     m = len(ps)
@@ -103,6 +107,83 @@ def test_convex_points_strictly_convex_ccw(n):
 
 def test_convex_deterministic():
     assert gen_convex(5) == gen_convex(5)
+
+
+#: What orientation decides on gen_convex(n), the same for any 2n points in
+#: convex position labelled counterclockwise: n -> (crossings, f and h, DFS
+#: states, BFS states, phi_L, the witness of both searches as crossings
+#: flipped, every choice A)
+CONVEX_PINS = {
+    2: (
+        [((0, 2), (1, 3))],
+        1, 3, 2, 12,
+        [((0, 2), (1, 3))],
+    ),
+    3: (
+        [((0, 3), (1, 5)), ((0, 3), (2, 4))],
+        2, 9, 6, 44,
+        [((0, 3), (1, 5)), ((2, 4), (3, 5))],
+    ),
+    4: (
+        [((0, 4), (1, 7)), ((0, 4), (2, 6)), ((0, 4), (3, 5))],
+        3, 27, 20, 104,
+        [((0, 4), (1, 7)), ((2, 6), (4, 7)), ((2, 4), (3, 5))],
+    ),
+    5: (
+        [
+            ((0, 5), (1, 9)), ((0, 5), (2, 8)), ((0, 5), (3, 7)),
+            ((0, 5), (4, 6)),
+        ],
+        4, 81, 66, 200,
+        [
+            ((0, 5), (1, 9)), ((2, 8), (5, 9)), ((2, 5), (3, 7)),
+            ((4, 6), (5, 7)),
+        ],
+    ),
+    6: (
+        [
+            ((0, 6), (1, 11)), ((0, 6), (2, 10)), ((0, 6), (3, 9)),
+            ((0, 6), (4, 8)), ((0, 6), (5, 7)),
+        ],
+        5, 243, 212, 340,
+        [
+            ((0, 6), (1, 11)), ((2, 10), (6, 11)), ((2, 6), (3, 9)),
+            ((4, 8), (6, 9)), ((4, 6), (5, 7)),
+        ],
+    ),
+    7: (
+        [
+            ((0, 7), (1, 13)), ((0, 7), (2, 12)), ((0, 7), (3, 11)),
+            ((0, 7), (4, 10)), ((0, 7), (5, 9)), ((0, 7), (6, 8)),
+        ],
+        6, 729, 666, 532,
+        [
+            ((0, 7), (1, 13)), ((2, 12), (7, 13)), ((2, 7), (3, 11)),
+            ((4, 10), (7, 11)), ((4, 7), (5, 9)), ((6, 8), (7, 9)),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("n", sorted(CONVEX_PINS))
+def test_convex_order_type_values(n):
+    crossings, value, f_states, h_states, phi_l, moves = CONVEX_PINS[n]
+    inst = gen_convex(n)
+    assert find_crossings(inst.points, inst.matching) == crossings
+    assert phi_lines(inst.points, inst.matching) == phi_l
+    for solve, states in ((longest_flip_sequence, f_states),
+                          (shortest_flip_sequence, h_states)):
+        stats: dict = {}
+        length, trace = solve(inst, stats_out=stats)
+        assert (length, stats["states_expanded"]) == (value, states)
+        assert [(r.crossing, r.choice) for r in trace.records] == [
+            (c, FlipChoice.RECONNECT_A) for c in moves
+        ]
+
+
+def test_convex_refuses_n_past_the_coordinate_budget():
+    with pytest.raises(GenerationError, match="n=1025"):
+        gen_convex(1025)
 
 
 def test_random_single_pair_always_works():

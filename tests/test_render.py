@@ -1,9 +1,11 @@
+import dataclasses
 import xml.etree.ElementTree as ET
 
 import pytest
 
 from crossflip import find_crossings
-from crossflip.render import instance_svg, trace_frame_svg, trace_frames
+from crossflip.matching import replay_states
+from crossflip.render import instance_svg, iter_frames, trace_frame_svg
 from crossflip.scenarios import reappearing_segment_instance, reappearing_segment_trace
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -40,7 +42,7 @@ def test_crossing_segments_highlighted():
 def test_trace_frames_count_and_dashing():
     inst = reappearing_segment_instance()
     trace = reappearing_segment_trace()
-    frames = trace_frames(inst, trace)
+    frames = list(iter_frames(inst, trace.records))
     assert len(frames) == 4
     for k, svg in enumerate(frames):
         lines = _parse(svg)["lines"]
@@ -51,12 +53,14 @@ def test_trace_frames_count_and_dashing():
 
 def test_trace_frame_segments_follow_the_states():
     # each frame draws exactly the segments of the matching after k flips
-    from crossflip.render import _transform, trace_states
+    from crossflip.render import _transform
 
     inst = reappearing_segment_instance()
     trace = reappearing_segment_trace()
     to_canvas = _transform(inst.points)
-    for k, state in enumerate(trace_states(inst, trace.records)):
+    for k, state in enumerate(
+        replay_states(inst.points, inst.matching, trace.records)
+    ):
         want = {
             tuple(
                 f"{v:.1f}"
@@ -69,6 +73,16 @@ def test_trace_frame_segments_follow_the_states():
             for l in _parse(trace_frame_svg(inst, trace.records, k))["lines"]
         }
         assert got == want
+
+
+def test_caption_markup_is_escaped():
+    # the caption is the instance's provenance, a free string from JSON
+    provenance = "mine <v2> & co"
+    inst = dataclasses.replace(reappearing_segment_instance(), provenance=provenance)
+    trace = reappearing_segment_trace()
+    for svg in (instance_svg(inst), trace_frame_svg(inst, trace.records, 1)):
+        caption = _parse(svg)["texts"][0].text
+        assert caption.startswith(provenance)
 
 
 def test_single_segment_render():

@@ -321,6 +321,13 @@ def test_bubble_reverse_terminates_in_inversion_count():
 def test_bubble_refuses_other_instances():
     with pytest.raises(StrategyNotApplicableError):
         run_strategy(gen_convex(3), Strategy("bubble"))
+    # two-line points obey the inversion law, so this refusal comes from the
+    # move itself: segment (0, 2) joins two bottom points and (1, 4) crosses it
+    same_row = Instance(gen_two_line(reverse_perm(3)).points,
+                        Matching.from_pairs([(0, 2), (1, 4), (3, 5)]), "same-row")
+    assert find_crossings(same_row.points, same_row.matching)
+    with pytest.raises(StrategyNotApplicableError, match="within one row"):
+        run_strategy(same_row, Strategy("bubble"))
 
 
 def test_bubble_is_gated_on_geometry_not_provenance():
