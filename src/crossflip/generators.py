@@ -1,13 +1,13 @@
 """Instance builders: the two worst-case families and seeded random instances.
 
 Every generator certifies its output. General position is decided once
-per point set: by ``gen_random``'s rejection test, which covers every triple
-and so certifies the set and its ``shear_to_distinct_x`` image for
-``Instance``, and otherwise by ``Instance`` validation. The two-line family
-additionally re-verifies that segment crossings coincide with permutation
-inversions, and the convex family re-verifies strict convexity. A generator
-that cannot certify raises GenerationError instead of returning a doubtful
-instance.
+per point set: by ``gen_random``'s rejection test, which covers every triple,
+or by ``gen_convex``'s O(n) checks of increasing x and counterclockwise
+turns, each of which certifies the set and its ``shear_to_distinct_x`` image
+for ``Instance``, and otherwise by ``Instance`` validation. The two-line
+family additionally re-verifies that segment crossings coincide with
+permutation inversions. A generator that cannot certify raises
+GenerationError instead of returning a doubtful instance.
 """
 
 from __future__ import annotations
@@ -159,10 +159,13 @@ def gen_convex(n: int) -> Instance:
 
     Point k sits at (n*(k - n), (k - n)^2) on the parabola y = (x/n)^2, so
     the points are strictly convex and counterclockwise in label order, with
-    distinct x and no three collinear, all by construction; the O(n)
-    counterclockwise-convexity check re-verifies it. Every coordinate is at
-    most n^2 in absolute value, within ``COORD_LIMIT`` for n <= 1024; a
-    larger n raises GenerationError.
+    distinct x and no three collinear, all by construction. Two O(n) checks
+    re-verify it: x strictly increases and every three cyclically
+    consecutive points turn counterclockwise. Then the slopes between
+    consecutive points increase, so orient(p_i, p_j, p_k) > 0 for every
+    i < j < k, which certifies general position for ``Instance``. Every
+    coordinate is at most n^2 in absolute value, within ``COORD_LIMIT`` for
+    n <= 1024; a larger n raises GenerationError.
 
     The matching pairs point 0 with point n, and point i with point 2n - i
     for 0 < i < n: one long chord crossed by n - 1 mutually nested chords.
@@ -174,13 +177,16 @@ def gen_convex(n: int) -> Instance:
         ps = PointSet.from_coords([(n * (k - n), (k - n) ** 2) for k in range(m)])
     except CoordinateOverflowError as exc:
         raise GenerationError(f"convex n={n}: {exc}") from exc
-    matching = Matching.from_pairs([(0, n)] + [(i, 2 * n - i) for i in range(1, n)])
-    inst = Instance(ps, matching, f"convex(n={n})")
+    pts = ps.points
+    if any(p.x >= q.x for p, q in zip(pts, pts[1:])):
+        raise GenerationError(f"convex n={n}: x not strictly increasing")
     if m > 2 and not all(
         orient(ps[k], ps[(k + 1) % m], ps[(k + 2) % m]) > 0 for k in range(m)
     ):
         raise GenerationError(f"convex n={n}: points not strictly convex")
-    return inst
+    _general_position.add(ps)
+    matching = Matching.from_pairs([(0, n)] + [(i, 2 * n - i) for i in range(1, n)])
+    return Instance(ps, matching, f"convex(n={n})")
 
 
 def gen_random(n: int, seed: int, bbox: tuple[int, int] = (0, 512)) -> Instance:

@@ -3,15 +3,20 @@
 Every geometric decision in this package routes through the functions here.
 All predicates are computed in integer arithmetic, so there is no epsilon
 tuning and no inconsistent answer anywhere downstream.
+
+Batched tests run on one segment-lane table (``_SegmentLanes``): a
+determinant per 64-bit lane of a big int, biased so that its sign is the
+lane's top bit. It gives the side masks of the perturbed lines, the crossing
+index of strategy runs in ``matching`` and the exact search kernel's rows.
 """
 
 from __future__ import annotations
 
-import functools
 import weakref
 from dataclasses import dataclass
-from itertools import compress, count
+from itertools import combinations, compress, count
 from operator import ne
+from struct import Struct, pack
 from typing import Iterable, NamedTuple, Sequence
 
 #: Coordinate budget. With |x|, |y| <= 2**20 every 3x3 orientation
@@ -104,56 +109,104 @@ def orient(p: Point, q: Point, r: Point) -> int:
 #: per byte, b"1" when its top bit is set and b"0" otherwise
 _TOP_BIT = bytes(48 + (i >> 7) for i in range(256))
 
+#: a lane holding a determinant d plus _BIAS has its top bit set when d > 0,
+#: and with one more, when d >= 0: |d| <= 2**43 (COORD_LIMIT), so the lane
+#: stays in [0, 2**64) and never carries into the next
+_BIAS = (1 << 63) - 1
+_LANE = Struct("<Q")
 
-def _lanes(count: int) -> int:
-    """A 1 in each of ``count`` 64-bit lanes."""
-    return ((1 << 64 * count) - 1) // ((1 << 64) - 1)
+
+def _top_bits(lanes: int, count: int) -> int:
+    """Bit k set when lane k of the ``count`` lanes has its top bit set."""
+    # big-endian top bytes run from the last lane down, highest bit first,
+    # as int(text, 2) reads them
+    return int(lanes.to_bytes(8 * count, "big")[::8].translate(_TOP_BIT), 2)
 
 
-@functools.lru_cache(maxsize=32)
+class _SegmentLanes:
+    """Segments over the points of ``ps`` in 64-bit lanes, segment k in
+    lane k: a point or a segment is tested against all of them at once.
+
+    Five bytearrays hold each segment's first and second endpoint's x and
+    y, shifted by COORD_LIMIT to be nonnegative, and the bias minus its
+    line's constant; ``write`` rewrites one lane and ``read`` reads each
+    array back as one int. The straddle test is ``segments_properly_cross``
+    for segments sharing no endpoint, and false for those that share one,
+    on any point set.
+    """
+
+    def __init__(self, ps: PointSet, segments: Sequence[Segment]):
+        self.xs = [x + COORD_LIMIT for x, _ in ps.points]
+        self.ys = [y + COORD_LIMIT for _, y in ps.points]
+        self.count = count = len(segments)
+        self.ones = ((1 << 64 * count) - 1) // ((1 << 64) - 1)  # 1 per lane
+        self.lanes = [bytearray(pack(f"<{count}Q", *column))
+                      for column in zip(*map(self._values, segments))]
+        self.read()
+
+    def _values(self, s: Segment) -> tuple[int, int, int, int, int]:
+        """Segment s's value in each of the five arrays."""
+        a, b = s
+        ax, ay, bx, by = self.xs[a], self.ys[a], self.xs[b], self.ys[b]
+        return ax, ay, bx, by, _BIAS - (bx - ax) * ay + (by - ay) * ax
+
+    def write(self, k: int, s: Segment) -> None:
+        """Lane k from segment s; ``read`` makes it count."""
+        k *= 8
+        lax, lay, lbx, lby, lq = self.lanes
+        ax, ay, bx, by, q = self._values(s)
+        _LANE.pack_into(lax, k, ax)
+        _LANE.pack_into(lay, k, ay)
+        _LANE.pack_into(lbx, k, bx)
+        _LANE.pack_into(lby, k, by)
+        _LANE.pack_into(lq, k, q)
+
+    def read(self) -> None:
+        self.ax, self.ay, self.bx, self.by, self.q = (
+            int.from_bytes(lane, "little") for lane in self.lanes)
+        self.dx = self.bx - self.ax
+        self.dy = self.by - self.ay
+
+    def sides(self, x: int, y: int) -> int:
+        """Lane k holds orient(first_k, second_k, p) + _BIAS, for the point
+        p at shifted coordinates (x, y)."""
+        return self.dx * y - self.dy * x + self.q
+
+    def straddle(self, a: int, b: int) -> int:
+        """Top bit of lane k set exactly when segment k properly crosses
+        (a, b): its endpoints lie strictly on opposite sides of line ab,
+        and a and b strictly on opposite sides of its line."""
+        xa, ya, xb, yb = self.xs[a], self.ys[a], self.xs[b], self.ys[b]
+        dx, dy, ones = xb - xa, yb - ya, self.ones
+        bias = (_BIAS - dx * ya + dy * xa) * ones
+        # orient(a, b, ·) at each segment's first and second endpoint, biased
+        first = dx * self.ay - dy * self.ax + bias
+        second = dx * self.by - dy * self.bx + bias
+        to_a, to_b = self.sides(xa, ya), self.sides(xb, yb)
+        # two determinants have strictly opposite signs when their lanes'
+        # top bits differ both for > 0 and for >= 0; twice
+        return ((first ^ second) & (first + ones ^ second + ones)
+                & (to_a ^ to_b) & (to_a + ones ^ to_b + ones))
+
+    def crossers(self, a: int, b: int) -> int:
+        """Bit k set when segment k properly crosses segment (a, b)."""
+        return _top_bits(self.straddle(a, b), self.count)
+
+
 def side_masks(ps: PointSet) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """``(pos, on)``: bit k of ``pos[r]`` is set when orient(p_a, p_b, p_r)
     > 0 and of ``on[r]`` when it is 0 (r = a, r = b, or r collinear with
-    them), for the k-th anchor pair a < b in lexicographic order, which is
-    the segment numbering of the search kernel.
-
-    Every anchor pair gets a 64-bit lane of three ints, so a point's row is
-    a few big-int operations: one determinant per lane, whose signs are read
-    off the lanes' top bits.
+    them), for the k-th anchor pair a < b in lexicographic order: the top
+    bits of each point's ``sides`` on one lane table of all pairs. Not
+    cached here; its caller, ``potentials._line_masks``, is.
     """
-    pts = ps.points
-    m = len(pts)
-    # coordinates shifted to be nonnegative, point i in lane i
-    xs = sum((x + COORD_LIMIT) << 64 * i for i, (x, _) in enumerate(pts))
-    ys = sum((y + COORD_LIMIT) << 64 * i for i, (_, y) in enumerate(pts))
-    # lane k of dx, dy and c holds anchor pair k's b - a and the constant c
-    # of orient(p_a, p_b, p_r) = dx * y_r - dy * x_r - c; one block of lanes
-    # per anchor a, prepended below the blocks of the later anchors
-    dx = dy = c = 0
-    for a in range(m - 2, -1, -1):
-        ax, ay = pts[a]
-        later = m - 1 - a
-        bx = (xs >> 64 * (a + 1)) - (ax + COORD_LIMIT) * _lanes(later)
-        by = (ys >> 64 * (a + 1)) - (ay + COORD_LIMIT) * _lanes(later)
-        dx = (dx << 64 * later) + bx
-        dy = (dy << 64 * later) + by
-        c = (c << 64 * later) + bx * ay - by * ax
-    # |determinant| <= 2**43 (COORD_LIMIT), so a lane biased by 2**63 - 1
-    # stays in [0, 2**64) and never carries into the next; its top bit is
-    # set when the determinant is > 0, and with one more per lane, >= 0
-    lanes = m * (m - 1) // 2
-    ones = _lanes(lanes)
-    c -= ((1 << 63) - 1) * ones
-    size = 8 * lanes
+    table = _SegmentLanes(ps, list(combinations(range(len(ps)), 2)))
     pos, on = [], []
-    for x, y in pts:
-        d = dx * y - dy * x - c
-        # big-endian top bytes run from the last lane down, highest bit
-        # first, as int(text, 2) reads them
-        p = int(d.to_bytes(size, "big")[::8].translate(_TOP_BIT), 2)
-        nonneg = int((d + ones).to_bytes(size, "big")[::8].translate(_TOP_BIT), 2)
+    for x, y in zip(table.xs, table.ys):
+        d = table.sides(x, y)
+        p = _top_bits(d, table.count)
         pos.append(p)
-        on.append(nonneg ^ p)
+        on.append(_top_bits(d + table.ones, table.count) ^ p)
     return tuple(pos), tuple(on)
 
 
@@ -248,8 +301,10 @@ def first_collinear_pair(p: Point, others: Sequence[Point]) -> tuple[int, int] |
 
 
 #: Point sets known to be in general position: the random generator's
-#: output, whose rejection test covered every triple, and the shears of such
-#: sets. Membership compares points, so an equal set is certified as well.
+#: output, whose rejection test covered every triple, the convex
+#: generator's, whose increasing x and counterclockwise turns order every
+#: triple, and the shears of such sets. Membership compares points, so an
+#: equal set is certified as well.
 _general_position = weakref.WeakSet()
 
 
@@ -259,7 +314,8 @@ def validate_general_position(ps: PointSet) -> tuple[int, ...] | None:
     Otherwise the first offending index pair (duplicate points) or triple
     (collinear points), scanning index combinations in lexicographic order.
     Duplicates are reported before collinearities. O(m^2) for m points, or
-    O(m) for a set certified by ``generators.gen_random`` or sheared from one.
+    O(m) for a set certified by ``generators.gen_random`` or
+    ``generators.gen_convex``, or sheared from one.
     """
     if ps in _general_position:
         return None

@@ -11,12 +11,14 @@ Crossings of one matching are found by ``geometry.crossed_by``, one exact
 pass per segment over the segments after it: two inline determinants per
 pair, and two more for a pair that straddles. Along a run of flips
 (``search._run``, the one run loop), ``_LiveCrossings`` is the run's one
-copy of its matching: it keeps the segments in slots, the crossings as
-sorted int keys, optionally ranked first by a function of a crossing's four
-endpoints, with an index of each segment's crossings, and the run's length;
-a flip retests only its two added segments, by a few big-int expressions
-over n 64-bit lanes, lane k for slot k's segment, and no step loops over the
-matching in Python.
+copy of its matching, and bookkeeping only: it keeps the segments in slots,
+the crossings as sorted int keys, optionally ranked first by a function of
+a crossing's four endpoints, with an index of each segment's crossings, and
+the run's length. Its crossing tests run on a ``geometry._SegmentLanes``
+table, lane k for slot k's segment, so a flip retests only its two added
+segments, by a few big-int expressions over n 64-bit lanes, and no step
+loops over the matching in Python. ``crossing_count`` counts on such a
+table without building the index.
 """
 
 from __future__ import annotations
@@ -28,13 +30,11 @@ from enum import Enum
 from functools import reduce
 from itertools import chain, compress
 from operator import add
-from struct import Struct
 
 from .geometry import (
-    COORD_LIMIT,
     PointSet,
     Segment,
-    _lanes,
+    _SegmentLanes,
     crossed_by,
     crossing_quad,
     seg,
@@ -209,13 +209,6 @@ class _SortedInts:
             self._split(i - 1)
 
 
-#: a lane holding a determinant d plus _BIAS has its top bit set when d > 0,
-#: and with one more, when d >= 0: |d| <= 2**43 (COORD_LIMIT), so the lane
-#: stays in [0, 2**64) and never carries into the next
-_BIAS = (1 << 63) - 1
-_LANE = Struct("<Q")
-
-
 class _LiveCrossings:
     """The crossings of a matching along a run of flips over M points.
 
@@ -231,33 +224,23 @@ class _LiveCrossings:
     canonical order, and a flip's two added segments take over its two
     removed segments' slots. ``pairs`` is read as a ``Matching``'s pairs
     are, by ``check_live`` and ``two_line_permutation``. Crossings are
-    tested on 64-bit lanes, lane k for slot k's segment, as
-    ``geometry.side_masks`` does: five bytearrays hold the lower and the
-    upper endpoint's x and y (shifted by COORD_LIMIT to be nonnegative) and
-    the bias minus the segment's line constant. A flip rewrites its two
-    slots' lanes and reads each array back as one int. A segment s is
-    crossed by the segments whose endpoints lie strictly on opposite sides
-    of s and which have s's endpoints strictly on opposite sides of their
-    own line: four biased determinant lanes, combined by their top bits. So
-    a flip costs O(n) big-int work, in C, plus O(log L) Python steps per
-    crossing it removes or adds, for L live crossings."""
+    tested on a ``geometry._SegmentLanes`` table, lane k for slot k's
+    segment: a flip rewrites its two slots' lanes, and an added segment's
+    crossers are the lanes its straddle test sets. So a flip costs O(n)
+    big-int work, in C, plus O(log L) Python steps per crossing it removes
+    or adds, for L live crossings."""
 
     def __init__(self, ps: PointSet, m: Matching, rank=None):
-        pts = ps.points
-        self.size = size = len(pts)
+        self.points = ps.points
+        self.size = size = len(ps)
         self.cube = size ** 3
         self.rank = rank
-        self.xs = [x + COORD_LIMIT for x, _ in pts]
-        self.ys = [y + COORD_LIMIT for _, y in pts]
-        slots = len(m.pairs)
-        self.ones = _lanes(slots)
         self.pairs = list(m.pairs)
         self.slot = [0] * size
-        self.lanes = [bytearray(8 * slots) for _ in range(5)]
         self.lengths = [0.0] * size
         for k, s in enumerate(m.pairs):
-            self._write(k, s)
-        self._read()
+            self._take(k, s)
+        self.lanes = _SegmentLanes(ps, m.pairs)
         self.of: list[set[int]] = [set() for _ in range(size)]
         keys = []
         for k, (a, b) in enumerate(m.pairs):
@@ -275,43 +258,18 @@ class _LiveCrossings:
         key = ((a * size + b) * size + c) * size + d
         return key + self.rank(a, b, c, d) * self.cube * size if self.rank else key
 
-    def _write(self, k: int, s: Segment) -> None:
-        """Slot k and its lanes from segment s."""
+    def _take(self, k: int, s: Segment) -> None:
+        """Slot k, its lower endpoint and their length for segment s."""
         a, b = s
         self.pairs[k] = s
         self.slot[a] = k
-        ax, ay, bx, by = self.xs[a], self.ys[a], self.xs[b], self.ys[b]
-        lax, lay, lbx, lby, lq = self.lanes
-        k *= 8
-        _LANE.pack_into(lax, k, ax)
-        _LANE.pack_into(lay, k, ay)
-        _LANE.pack_into(lbx, k, bx)
-        _LANE.pack_into(lby, k, by)
-        _LANE.pack_into(lq, k, _BIAS - (bx - ax) * ay + (by - ay) * ax)
+        (ax, ay), (bx, by) = self.points[a], self.points[b]
         self.lengths[a] = math.hypot(bx - ax, by - ay)
         self.lengths[b] = 0.0
 
-    def _read(self) -> None:
-        self.ax, self.ay, self.bx, self.by, self.q = (
-            int.from_bytes(lane, "little") for lane in self.lanes)
-        self.dx = self.bx - self.ax
-        self.dy = self.by - self.ay
-
     def _crossers(self, a: int, b: int, start: int = 0):
         """The segments in slots k >= start that cross (a, b), by slot."""
-        xa, ya, xb, yb = self.xs[a], self.ys[a], self.xs[b], self.ys[b]
-        dx, dy, ones = xb - xa, yb - ya, self.ones
-        bias = (_BIAS - dx * ya + dy * xa) * ones
-        # orient(a, b, ·) at each slot's lower and upper endpoint, biased
-        lower = dx * self.ay - dy * self.ax + bias
-        upper = dx * self.by - dy * self.bx + bias
-        # orient(lower, upper, a) and orient(lower, upper, b), biased
-        to_a = self.dx * ya - self.dy * xa + self.q
-        to_b = self.dx * yb - self.dy * xb + self.q
-        # two determinants have strictly opposite signs when their lanes'
-        # top bits differ both for > 0 and for >= 0; twice
-        bits = ((lower ^ upper) & (lower + ones ^ upper + ones)
-                & (to_a ^ to_b) & (to_a + ones ^ to_b + ones))
+        bits = self.lanes.straddle(a, b)
         pairs = self.pairs
         return compress(pairs[start:],
                         bits.to_bytes(8 * len(pairs), "little")[8 * start + 7::8])
@@ -344,11 +302,12 @@ class _LiveCrossings:
                 keys.remove(key)
                 first = key // self.cube % size
                 of[key // size % size if first == lo else first].discard(key)
-        slot = self.slot
+        slot, lanes = self.slot, self.lanes
         free = slot[removed[0][0]], slot[removed[1][0]]
         for k, s in zip(free, added):
-            self._write(k, s)
-        self._read()
+            self._take(k, s)
+            lanes.write(k, s)
+        lanes.read()
         for a, b in added:
             for c, d in self._crossers(a, b):
                 key = self._key(a, b, c, d) if a < c else self._key(c, d, a, b)
@@ -358,9 +317,11 @@ class _LiveCrossings:
 
 
 def crossing_count(ps: PointSet, m: Matching) -> int:
-    """``len(find_crossings(ps, m))``, by the lane test of ``_LiveCrossings``
-    in place of a Python pass over the matching per segment."""
-    return len(_LiveCrossings(ps, m))
+    """``len(find_crossings(ps, m))``: the crossers of every segment on one
+    lane table, counted by their top bits. Each crossing is counted from
+    both of its segments, so the sum is halved."""
+    lanes = _SegmentLanes(ps, m.pairs)
+    return sum(lanes.crossers(a, b).bit_count() for a, b in m.pairs) // 2
 
 
 def total_length(ps: PointSet, m: Matching) -> float:

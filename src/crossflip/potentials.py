@@ -19,7 +19,9 @@ four line masks and ``phi_vertical_delta`` from four x-ranks. Strategy runs
 track each potential by its delta. ``decrement_audit`` reads the crossing's
 four masks once and takes everything from the same XORs: the split and
 gained-line checks, the popcounts of ``phi_lines_delta`` and the per-type
-line counts.
+line counts. Line types have one rule, ``_quad_line_masks``: the counts
+are popcounts of its masks, and the per-line types of ``detail=True`` and
+``classify_line_vs_quad`` are read off the same masks bit by bit.
 
 Perturbed lines are bits of one int per point. With K = C(2n, 2) anchor
 pairs numbered in lexicographic order (``geometry.side_masks``), the line
@@ -205,44 +207,37 @@ def phi_vertical_bound_gaps(n: int) -> int:
     return (2 * n - 1) * n
 
 
-def _quad_sides(ps: PointSet, order) -> tuple[int, int, int, int]:
-    """The line masks x01, x12, x23, x30 of a convex quad given in ccw order
-    q0..q3, starting at its lowest index: x01 holds the lines separating q0
-    from q1, and so on around the quad. Each line is in none or two of them,
-    as it meets a quad's boundary twice, or in all four when it splits the
-    quad along its diagonals, which raises PotentialInvariantError."""
+def _quad_line_masks(ps: PointSet, order) -> tuple[int, int, int]:
+    """The line masks (l1, l2, hit) of a convex quad given in ccw order
+    q0..q3, starting at its lowest index, the one line-type rule.
+
+    With x01 the lines separating q0 from q1, and so on around the quad,
+    each line is in none or two of x01, x12, x23 and x30, as it meets a
+    quad's boundary twice, or in all four when it splits the quad along its
+    diagonals, which raises PotentialInvariantError. L1 lines are in x12
+    and x30 (l1), L2 lines in x01 and x23 (l2), and a line meeting the quad
+    is in one of x01, x12 and x23 (hit); the L3 lines are the rest of hit.
+    """
     masks = _line_masks(ps)
     m0, m1, m2, m3 = (masks[q] for q in order)
-    sides = x01, x12, x23, x30 = m0 ^ m1, m1 ^ m2, m2 ^ m3, m3 ^ m0
-    split = x01 & x12 & x23 & x30
-    if split:
+    x01, x12, x23, x30 = m0 ^ m1, m1 ^ m2, m2 ^ m3, m3 ^ m0
+    l1, l2 = x12 & x30, x01 & x23
+    if l1 & l2:
         raise PotentialInvariantError(
-            f"line {_lowest_line(ps, split)} splits quad {order} along its "
+            f"line {_lowest_line(ps, l1 & l2)} splits quad {order} along its "
             "diagonals"
         )
-    return sides
+    return l1, l2, x01 | x12 | x23
 
 
-def _quad_line_types(ps: PointSet, order) -> dict[LineType, int]:
-    """Per LineType, the mask of the lines of that type against a convex
-    quad given in ccw order (see ``_quad_sides``, which raises for a line
-    splitting it along its diagonals).
-
-    L1 lines are in x12 and x30, L2 lines in x01 and x23, and L3 lines in
-    two adjacent ones.
-    """
-    x01, x12, x23, x30 = _quad_sides(ps, order)
-    l1, l2, hit = x12 & x30, x01 & x23, x01 | x12 | x23 | x30
-    return {
-        LineType.L1: l1,
-        LineType.L2: l2,
-        LineType.L3: hit & ~(l1 | l2),
-        LineType.NO_INTERSECT: ~hit & ((1 << len(ps) * (len(ps) - 1)) - 1),
-    }
-
-
-def _type_of(types: dict[LineType, int], j: int) -> LineType:
-    return next(t for t, mask in types.items() if mask >> j & 1)
+def _line_type(quad_masks: tuple[int, int, int], j: int) -> LineType:
+    """The type of line j under a quad's ``_quad_line_masks``."""
+    l1, l2, hit = quad_masks
+    if l1 >> j & 1:
+        return LineType.L1
+    if l2 >> j & 1:
+        return LineType.L2
+    return LineType.L3 if hit >> j & 1 else LineType.NO_INTERSECT
 
 
 def classify_line_vs_quad(
@@ -255,8 +250,8 @@ def classify_line_vs_quad(
     strictly convex position (always true for a genuine crossing), or
     ``ccw_quad_order`` raises ValueError.
     """
-    types = _quad_line_types(ps, ccw_quad_order(ps, quad))
-    return _type_of(types, _lines_by_bit(ps).index(line))
+    quad_masks = _quad_line_masks(ps, ccw_quad_order(ps, quad))
+    return _line_type(quad_masks, _lines_by_bit(ps).index(line))
 
 
 @dataclass(frozen=True)
@@ -337,7 +332,7 @@ def decrement_audit(
     check_live(ps, m.pairs, crossing)
     # a live crossing's endpoints are in convex position, in this ccw order
     quad = crossing_quad(ps, crossing)
-    x01, x12, x23, x30 = _quad_sides(ps, quad)
+    quad_masks = l1, l2, hit = _quad_line_masks(ps, quad)
     added = quad_reconnections(quad)[choice is FlipChoice.RECONNECT_B]
     masks = _line_masks(ps)
     (u1, v1), (u2, v2), (u3, v3), (u4, v4) = *crossing, *added
@@ -351,26 +346,23 @@ def decrement_audit(
         )
     delta_l = (a1.bit_count() + a2.bit_count()
                - b1.bit_count() - b2.bit_count())
-    # a line meeting the quad is in two of its sides, so in one of x01,
-    # x12 and x23; the others of the m(m - 1) lines, for m points, miss it
-    hit = (x01 | x12 | x23).bit_count()
-    l1, l2 = (x12 & x30).bit_count(), (x01 & x23).bit_count()
+    # the lines outside hit, of the m(m - 1) lines for m points, miss it
+    n1, n2, n_hit = l1.bit_count(), l2.bit_count(), hit.bit_count()
     counts = {
-        LineType.L1: l1,
-        LineType.L2: l2,
-        LineType.L3: hit - l1 - l2,
-        LineType.NO_INTERSECT: len(masks) * (len(masks) - 1) - hit,
+        LineType.L1: n1,
+        LineType.L2: n2,
+        LineType.L3: n_hit - n1 - n2,
+        LineType.NO_INTERSECT: len(masks) * (len(masks) - 1) - n_hit,
     }
 
     entries = None
     if detail:
-        types = _quad_line_types(ps, quad)
         lines = _lines_by_bit(ps)
         half = len(lines) // 2
         entries = tuple(
             LineAudit(
                 lines[j],
-                _type_of(types, j),
+                _line_type(quad_masks, j),
                 (a1 >> j & 1) + (a2 >> j & 1) - (b1 >> j & 1) - (b2 >> j & 1),
             )
             for k in range(half)

@@ -8,11 +8,12 @@ Exact search runs on an int kernel of the point set (``_FlipGraph``).
 The C(2n, 2) segments get ids in lexicographic (a, b) order, so a matching is
 an int with n bits set, read in ascending order as ``Matching.pairs``. Each
 segment has a bitset of the higher-id segments it properly crosses, read off
-the point set's side masks in O(n) big-int operations with no pair test,
-and each crossing pair the XOR masks of reconnections A and B, from
-``matching.reconnections``. Both live in one memo, the kernel itself,
-filled on first use, inside the search deadline. The
-successors of M are ``M ^ mask`` by ascending lower segment, then higher
+one segment-lane table over all C(2n, 2) segments (``geometry._SegmentLanes``,
+the table strategy runs keep their matching in) in a few big-int
+operations with no pair test, and each crossing pair the XOR masks of
+reconnections A and B, from ``matching.reconnections``. Both live in one
+memo, the kernel itself, filled on first use, inside the search deadline.
+The successors of M are ``M ^ mask`` by ascending lower segment, then higher
 segment, A before B: the canonical order of ``successors``. One memoized
 iterative post-order DFS (``_Search``) gives f = 1 + max and h = 1 + min over
 successors; an on-stack revisit is fatal. ``shortest_flip_sequence`` keeps a
@@ -35,16 +36,16 @@ asks a pick function for each move. Its one copy of the matching is a
 crossings as int keys, and the length: a move is checked against the
 index's ``pairs`` by ``check_live`` and flips the index alone, and the
 final ``Matching`` is built once, at the end. So a step costs O(n) big-int
-work in C, over n 64-bit lanes, lane k for slot k's segment, plus O(log L)
-Python steps per crossing it removes or adds, for L live crossings, and no
-Python pass over the matching. Both potentials move by their four-endpoint
-deltas, ``phi_vertical_delta`` and ``phi_lines_delta``. The index orders
-its keys by an optional rank of the crossing's four endpoints, then
-canonically. Max-damage ranks by the drop in phi_vertical of the x-greedy
-response, computed once when the crossing appears, so it takes the first
-key, as greedy-x does. The x-greedy response itself is read off the
-crossing's one ``crossing_quad`` and the run's x-ranks (``_x_greedy``),
-which ``greedy_choice`` reads too.
+work in C, over the n 64-bit lanes of the index's segment-lane table, lane
+k for slot k's segment, plus O(log L) Python steps per crossing it removes
+or adds, for L live crossings, and no Python pass over the matching. Both
+potentials move by their four-endpoint deltas, ``phi_vertical_delta`` and
+``phi_lines_delta``. The index orders its keys by an optional rank of the
+crossing's four endpoints, then canonically. Max-damage ranks by the drop
+in phi_vertical of the x-greedy response, computed once when the crossing
+appears, so it takes the first key, as greedy-x does. The x-greedy response
+itself is read off the crossing's one ``crossing_quad`` and the run's
+x-ranks (``_x_greedy``), which ``greedy_choice`` reads too.
 """
 
 from __future__ import annotations
@@ -53,12 +54,9 @@ import math
 import random
 import time
 from dataclasses import dataclass
-from functools import reduce
-from itertools import compress
-from operator import or_, xor
 
 from .generators import Instance, inversion_law_violation, two_line_permutation
-from .geometry import PointSet, crossing_quad, seg, side_masks
+from .geometry import PointSet, _SegmentLanes, crossing_quad, seg
 from .matching import (
     CrossingPair,
     FlipChoice,
@@ -144,15 +142,11 @@ class _FlipGraph(dict):
     filled on first use, inside the search deadline.
 
     A segment's bit maps to its crossing row, the bitset of the higher
-    segments it properly crosses, read off the point set's side masks
-    (``geometry.side_masks``): segment t = (c, d) crosses s = (a, b) when a
-    and b lie strictly on opposite sides of line cd (bit t of
-    ``pos[a] ^ pos[b]``, outside ``on[a] | on[b]``) and c and d strictly on
-    opposite sides of line ab. The segments with exactly one endpoint on the
-    + side of ab are the XOR of those points' incident-segment masks; the
-    OR of the incident masks of the points on line ab removes the rest. A
-    row is thus O(n) big-int operations and no pair test. A crossing pair's
-    two bits map to the XOR masks of reconnections A and B, from
+    segments it properly crosses, read off one ``geometry._SegmentLanes``
+    table over all C(2n, 2) segments, lane k for segment k: the top bits of
+    the segment's straddle test against every lane. A row is thus O(1)
+    big-int operations over C(2n, 2) lanes and no pair test. A crossing
+    pair's two bits map to the XOR masks of reconnections A and B, from
     ``matching.reconnections``. The memo holds ints and tuples only, so a
     dropped kernel is freed by reference counting."""
 
@@ -160,10 +154,8 @@ class _FlipGraph(dict):
         self.ps = ps
         m = len(ps)
         self.segs = segs = [(a, b) for a in range(m) for b in range(a + 1, m)]
-        self.bit = bit = {s: 1 << k for k, s in enumerate(segs)}
-        self.incident = [sum(bit[seg(r, q)] for q in range(m) if q != r)
-                         for r in range(m)]
-        self.pos, self.on = side_masks(ps)
+        self.bit = {s: 1 << k for k, s in enumerate(segs)}
+        self.lanes = _SegmentLanes(ps, segs)
 
     def __missing__(self, key: int) -> int | tuple[int, int]:
         if key & key - 1:
@@ -172,17 +164,9 @@ class _FlipGraph(dict):
                 key | bit[e1] | bit[e2]
                 for e1, e2 in reconnections(self.ps, _crossing(self.segs, key)))
         else:
-            k = key.bit_length() - 1
-            a, b = self.segs[k]
-            pos, on, incident = self.pos, self.on, self.incident
-            # column k of the side masks: a 1 per point on the + side of
-            # line ab (of ``pos``), or on that line (of ``on``)
-            straddling = reduce(xor, compress(incident, [p >> k & 1 for p in pos]), 0)
-            # segments touching line ab, or whose line holds a or b
-            excluded = reduce(or_, compress(incident, [p >> k & 1 for p in on]),
-                              on[a] | on[b])
+            a, b = self.segs[key.bit_length() - 1]
             # -2 * key keeps the ids above the segment's
-            value = (pos[a] ^ pos[b]) & straddling & ~excluded & -2 * key
+            value = self.lanes.crossers(a, b) & -2 * key
         self[key] = value
         return value
 

@@ -37,10 +37,11 @@ blocked sorted list and lane crossing test of ``matching._LiveCrossings``
 replaced, and ``reference_point_lane_crossers`` that test on 2n point
 lanes, which the n segment-slot lanes replaced. ``reference_crossing_row``
 is the per-pair loop, and
-``reference_matchings`` the recursive enumerator, that the side-mask rows and
+``reference_matchings`` the recursive enumerator, that the lane-table rows and
 the int enumeration of the ``crossflip.search`` kernel replaced, and
 ``reference_side_mask_rows`` the up-front build of every row from transposed
-side-mask columns that its rows built on first use replaced.
+side-mask columns that its rows built on first use, and then read off one
+segment-lane table, replaced.
 ``reference_side_masks`` is the per-(anchor, point) cross-product loop that
 the packed 64-bit lanes of ``geometry.side_masks`` replaced.
 ``reference_general_position`` and ``reference_random_instance`` are the
@@ -315,7 +316,8 @@ def reference_side_mask_rows(ps: PointSet) -> list[int]:
     """Every segment's crossing row, in lexicographic segment order, built
     up front from the side masks: each mask is transposed into per-segment
     columns of point bits by one bytes translation, then each row is read
-    off its two columns as in ``search._FlipGraph``."""
+    off its two columns, as ``search._FlipGraph`` did before it read its
+    rows off a segment-lane table."""
     segs = list(combinations(range(len(ps)), 2))
     incident = [sum(1 << j for j, s in enumerate(segs) if r in s)
                 for r in range(len(ps))]

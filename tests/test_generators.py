@@ -218,8 +218,10 @@ def test_random_general_position_many_seeds():
 
 
 def test_generated_set_is_not_rescanned(monkeypatch):
-    """gen_random(20), its shear and the sheared Instance: general position
-    costs the generator's rejection tests and nothing more."""
+    """gen_random(20), its shear and the sheared Instance, and gen_convex
+    sets and their Instances: general position costs the generator's own
+    tests and nothing more. The convex sets are in general position by the
+    triple loop as well."""
     calls = {"draws": 0, "validation": 0}
 
     def counting(key):
@@ -237,7 +239,48 @@ def test_generated_set_is_not_rescanned(monkeypatch):
     assert ps != raw.points
     Instance(ps, raw.matching, raw.provenance)
     assert calls["draws"] >= 40
+    for n in (1, 2, 3, 12, 1024):
+        inst = gen_convex(n)
+        assert inst.points in geometry._general_position
+        assert shear_to_distinct_x(inst.points) is inst.points
+        Instance(inst.points, inst.matching, inst.provenance)
+        if n <= 12:
+            assert reference_general_position(inst.points) is None
     assert calls["validation"] == 0
+
+
+def _lift_middle(coords):
+    """Point n of gen_convex(n) moved up, off the parabola: x still
+    increases, but the turns at it are clockwise."""
+    x, y = coords[len(coords) // 2]
+    coords[len(coords) // 2] = (x, y + 30)
+
+
+def _swap_first_two(coords):
+    """Points 1 and 2 of gen_convex(n) exchanged: x no longer increases."""
+    coords[1], coords[2] = coords[2], coords[1]
+
+
+@pytest.mark.parametrize("mutate, why", [
+    (_swap_first_two, "x not strictly increasing"),
+    (_lift_middle, "points not strictly convex"),
+])
+def test_convex_refuses_a_set_it_cannot_certify(monkeypatch, mutate, why):
+    """gen_convex raises GenerationError, and certifies nothing, when its
+    points do not increase in x or do not turn counterclockwise."""
+    from_coords = PointSet.from_coords
+    made = []
+
+    def mutated(coords):
+        coords = list(coords)
+        mutate(coords)
+        made.append(from_coords(coords))
+        return made[-1]
+
+    monkeypatch.setattr(PointSet, "from_coords", mutated)
+    with pytest.raises(GenerationError, match=f"convex n=6: {why}"):
+        gen_convex(6)
+    assert made[0] not in geometry._general_position
 
 
 def test_random_tiny_bbox_exhausts_budget():

@@ -107,7 +107,7 @@ def test_equal_point_sets_hit_the_same_cache_entries():
     assert ps.has_distinct_x() and hash(ps) == hash(ps.points)
     twin = PointSet(tuple(ps.points))
     assert twin is not ps and twin == ps
-    for cached in (x_ranks, side_masks, potentials._line_masks):
+    for cached in (x_ranks, potentials._line_masks):
         value = cached(ps)
         before = cached.cache_info()
         assert cached(twin) is value

@@ -38,6 +38,7 @@ from crossflip.geometry import COORD_LIMIT, ccw_quad_order, crossed_by
 from crossflip.matching import (
     _LiveCrossings,
     _SortedInts,
+    crossing_count,
     crossing_quad,
     reconnections,
     replay_states,
@@ -51,6 +52,7 @@ from crossflip.scenarios import (
 
 from oracles import (
     CHOICES,
+    crossing_count_brute,
     reference_crossed_by,
     reference_ccw_quad_order,
     reference_convex_position_ccw,
@@ -496,6 +498,32 @@ def test_slot_lanes_match_point_lanes_along_flip_walks(ps, rng):
         crossing = rng.choice(crossings)
         m, rec = flip(ps, m, crossing, rng.choice(CHOICES))
         live.flip(crossing, rec.added)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(_point_sets(st.integers(0, 6), 24),  # 7x7 grid, degenerate
+                 _point_sets(st.integers(0, 6), 24, unique=False),  # repeats
+                 _point_sets(_EDGE, 24)),
+       st.randoms(use_true_random=False))
+@example(PointSet.from_coords(_CORNERS), random.Random(0))
+@example(PointSet.from_coords(
+    _CORNERS + [(0, -COORD_LIMIT), (0, COORD_LIMIT), (-COORD_LIMIT, 1),
+                (COORD_LIMIT, -1)]), random.Random(1))
+def test_crossing_count_matches_the_pair_loop(ps, rng):
+    """``crossing_count``, the halved sum of every segment's crossers on
+    one lane table, against the pair loop of ``crossing_count_brute``, at
+    the start and after every flip of a random walk, on 7x7-grid sets
+    (repeated x, collinear triples, repeated points) and on sets at the
+    coordinate budget's edges, whose determinants reach 2**43."""
+    labels = list(range(len(ps)))
+    rng.shuffle(labels)
+    m = Matching.from_pairs(zip(labels[0::2], labels[1::2]))
+    while True:
+        assert crossing_count(ps, m) == crossing_count_brute(ps, m)
+        crossings = find_crossings(ps, m)
+        if not crossings:
+            break
+        m, _ = flip(ps, m, rng.choice(crossings), rng.choice(CHOICES))
 
 
 @pytest.mark.parametrize("load", [1, 2, 3])

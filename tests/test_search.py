@@ -34,6 +34,7 @@ from crossflip import (
     trace_from_moves,
 )
 from crossflip import geometry, search
+from crossflip.geometry import COORD_LIMIT
 from crossflip.matching import replay_states
 from crossflip.scenarios import (
     crossing_surge_instance,
@@ -509,14 +510,24 @@ def _any_point_sets(coords, max_size):
         lambda pts: PointSet.from_coords(pts[: len(pts) // 2 * 2]))
 
 
+# coordinates at the budget's edges give lane determinants up to 2**43
+_EDGE = st.one_of(
+    st.sampled_from([-COORD_LIMIT, -COORD_LIMIT + 1, 0, COORD_LIMIT - 1,
+                     COORD_LIMIT]),
+    st.integers(-COORD_LIMIT, COORD_LIMIT))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(_any_point_sets(st.integers(0, 6), 16),  # 7x7 grid
-                 _any_point_sets(st.integers(-10**4, 10**4), 16)))
+                 _any_point_sets(st.integers(-10**4, 10**4), 16),
+                 _any_point_sets(_EDGE, 16)))
 def test_kernel_rows_and_masks_match_pair_tests(ps):
     """The crossing rows and the reconnection masks, built on first use,
     against the per-pair loop and the up-front build from transposed
-    side-mask columns that they replaced, on random sets and on 7x7-grid
-    sets (repeated x, collinear triples, repeated points)."""
+    side-mask columns that they replaced, on random sets, on 7x7-grid
+    sets (repeated x, collinear triples, repeated points) and on sets at
+    the coordinate budget's edges, where the rows' lane determinants reach
+    the bias bound."""
     graph = search._FlipGraph(ps)
     for k, up_front in enumerate(reference_side_mask_rows(ps)):
         row, masks = reference_crossing_row(ps, k)
@@ -542,6 +553,29 @@ def test_kernel_builds_only_the_entries_a_state_reads():
         row, masks = reference_crossing_row(inst.points, k)
         assert graph[1 << k] == row
         assert all(graph[pair] == masks[pair] for pair in pairs & masks.keys())
+
+
+def test_exact_search_never_builds_side_masks(monkeypatch):
+    """Longest and shortest runs and the extremal enumeration read their
+    crossing rows off the segment-lane table alone: they run, with the
+    same values, while every module's ``side_masks`` raises."""
+    inst, ps = gen_two_line(reverse_perm(4)), gen_random(4, seed=5).points
+
+    def values():
+        est = extremal_estimates(ps)
+        return (longest_flip_sequence(inst), shortest_flip_sequence(inst),
+                est.g_hat, est.k_hat, est.g_witness, est.k_witness)
+
+    want = values()
+
+    def refuse(ps):
+        raise AssertionError("side_masks called")
+
+    side_masks = geometry.side_masks
+    for module in list(sys.modules.values()):
+        if getattr(module, "side_masks", None) is side_masks:
+            monkeypatch.setattr(module, "side_masks", refuse)
+    assert values() == want
 
 
 def _assert_counts_are_recounts(ps, trace):
