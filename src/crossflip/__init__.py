@@ -13,7 +13,6 @@ from .geometry import (
     Point,
     PointSet,
     Segment,
-    ccw_quad_order,
     orient,
     seg,
     segments_properly_cross,
@@ -44,8 +43,6 @@ from .potentials import (
     PerturbedLine,
     PotentialInvariantError,
     Side,
-    classify_line_vs_quad,
-    crosses_perturbed_line,
     decrement_audit,
     perturbed_lines,
     phi_lines,

@@ -6,15 +6,16 @@ tuning and no inconsistent answer anywhere downstream.
 
 Batched tests run on one segment-lane table (``_SegmentLanes``): a
 determinant per 64-bit lane of a big int, biased so that its sign is the
-lane's top bit. It gives the side masks of the perturbed lines, the crossing
-index of strategy runs in ``matching`` and the exact search kernel's rows.
+lane's top bit. It gives the perturbed-line masks of ``potentials``, the
+crossing index of strategy runs in ``matching`` and the exact search
+kernel's rows.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from itertools import combinations, compress, count
+from itertools import compress, count
 from operator import ne
 from struct import Struct, pack
 from typing import Iterable, NamedTuple, Sequence
@@ -49,7 +50,8 @@ def seg(a: int, b: int) -> Segment:
 class PointSet:
     """An ordered tuple of 2n integer points; position in the tuple is identity.
 
-    Construction enforces only the size and coordinate budget. General
+    Construction enforces only the size, int coordinates and the coordinate
+    budget; a float, a string or a bool is refused, not converted. General
     position is a separate check (``validate_general_position``) so that
     degenerate inputs can be diagnosed rather than rejected blindly.
 
@@ -64,6 +66,9 @@ class PointSet:
         if len(self.points) < 2 or len(self.points) % 2 != 0:
             raise ValueError("a point set holds 2n points with n >= 1")
         for i, p in enumerate(self.points):
+            if type(p.x) is not int or type(p.y) is not int:
+                raise ValueError(f"point {i} = ({p.x!r}, {p.y!r}) has a "
+                                 "coordinate that is not an int")
             if abs(p.x) > COORD_LIMIT or abs(p.y) > COORD_LIMIT:
                 raise CoordinateOverflowError(
                     f"point {i} = ({p.x}, {p.y}) exceeds |coord| <= {COORD_LIMIT}"
@@ -77,7 +82,7 @@ class PointSet:
 
     @classmethod
     def from_coords(cls, coords: Iterable[tuple[int, int]]) -> "PointSet":
-        return cls(tuple(Point(int(x), int(y)) for x, y in coords))
+        return cls(tuple(Point(x, y) for x, y in coords))
 
     def __len__(self) -> int:
         return len(self.points)
@@ -191,23 +196,6 @@ class _SegmentLanes:
     def crossers(self, a: int, b: int) -> int:
         """Bit k set when segment k properly crosses segment (a, b)."""
         return _top_bits(self.straddle(a, b), self.count)
-
-
-def side_masks(ps: PointSet) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """``(pos, on)``: bit k of ``pos[r]`` is set when orient(p_a, p_b, p_r)
-    > 0 and of ``on[r]`` when it is 0 (r = a, r = b, or r collinear with
-    them), for the k-th anchor pair a < b in lexicographic order: the top
-    bits of each point's ``sides`` on one lane table of all pairs. Not
-    cached here; its caller, ``potentials._line_masks``, is.
-    """
-    table = _SegmentLanes(ps, list(combinations(range(len(ps)), 2)))
-    pos, on = [], []
-    for x, y in zip(table.xs, table.ys):
-        d = table.sides(x, y)
-        p = _top_bits(d, table.count)
-        pos.append(p)
-        on.append(_top_bits(d + table.ones, table.count) ^ p)
-    return tuple(pos), tuple(on)
 
 
 def segments_properly_cross(ps: PointSet, s: Segment, t: Segment) -> bool:
@@ -370,17 +358,3 @@ def crossing_quad(
         x, y = y, x
     return a, x, b, y
 
-
-def ccw_quad_order(ps: PointSet, indices: Iterable[int]) -> tuple[int, int, int, int]:
-    """Four point indices in counterclockwise convex order, starting at the
-    lowest index: the ``crossing_quad`` of the one pair of diagonals among
-    them that properly cross. Raises ValueError when no pair crosses, that
-    is, when the points are not in strictly convex position."""
-    quad = list(indices)
-    if len(quad) != 4 or len(set(quad)) != 4:
-        raise ValueError(f"need 4 distinct point indices, got {quad}")
-    p, q, r, s = quad
-    for diagonals in (((p, q), (r, s)), ((p, r), (q, s)), ((p, s), (q, r))):
-        if segments_properly_cross(ps, *diagonals):
-            return crossing_quad(ps, diagonals)
-    raise ValueError(f"quad {tuple(quad)} is not in convex position")

@@ -69,6 +69,12 @@ class Matching:
 
     @classmethod
     def from_pairs(cls, pairs) -> "Matching":
+        """The canonical matching of ``pairs`` of int point indices; a
+        float, a string or a bool index is refused, not converted."""
+        pairs = list(pairs)
+        for a, b in pairs:
+            if type(a) is not int or type(b) is not int:
+                raise ValueError(f"pair ({a!r}, {b!r}) has an index that is not an int")
         canon = tuple(sorted(seg(a, b) for a, b in pairs))
         m = 2 * len(canon)
         if sorted(chain.from_iterable(canon)) != list(range(m)):

@@ -20,17 +20,20 @@ track each potential by its delta. ``decrement_audit`` reads the crossing's
 four masks once and takes everything from the same XORs: the split and
 gained-line checks, the popcounts of ``phi_lines_delta`` and the per-type
 line counts. Line types have one rule, ``_quad_line_masks``: the counts
-are popcounts of its masks, and the per-line types of ``detail=True`` and
-``classify_line_vs_quad`` are read off the same masks bit by bit.
+are popcounts of its masks, and the per-line types of ``detail=True`` are
+read off the same masks bit by bit.
 
-Perturbed lines are bits of one int per point. With K = C(2n, 2) anchor
-pairs numbered in lexicographic order (``geometry.side_masks``), the line
-(a, b, PLUS) of anchor pair k is bit k and (a, b, MINUS) is bit K + k; a
-point's bit is set when its adjusted sign for that line is +. There is one
-adjusted-sign rule: a point on the unperturbed line (an anchor) falls to the
-side opposite the offset, so a point's PLUS half is its ``pos`` bits and its
-MINUS half ``pos | on``. The infinitesimal offset is thus exact, no epsilon
-ever appears, and segment (u, v) crosses exactly the lines of
+Perturbed lines are bits of one int per point, built by one function,
+``_line_masks``. With K = C(2n, 2) anchor pairs numbered in lexicographic
+order, the line (a, b, PLUS) of anchor pair k is bit k and (a, b, MINUS) is
+bit K + k; a point's bit is set when its adjusted sign for that line is +.
+There is one adjusted-sign rule: a point on the unperturbed line (an
+anchor) falls to the side opposite the offset, so a point's PLUS bit is
+orient(a, b, p) > 0 and its MINUS bit orient(a, b, p) >= 0. Both are
+read off one ``geometry._SegmentLanes`` table of all anchor pairs, as the
+top bits of the point's ``sides`` and of ``sides + ones``, the two
+readouts of its ``straddle`` test. The infinitesimal offset is thus exact,
+no epsilon ever appears, and segment (u, v) crosses exactly the lines of
 ``mask[u] ^ mask[v]``.
 """
 
@@ -42,7 +45,7 @@ from enum import Enum, IntEnum
 from itertools import combinations
 from typing import NamedTuple
 
-from .geometry import PointSet, Segment, ccw_quad_order, crossing_quad, side_masks
+from .geometry import PointSet, Segment, _SegmentLanes, _top_bits, crossing_quad
 from .matching import (
     CrossingPair,
     FlipChoice,
@@ -100,10 +103,14 @@ class LineType(Enum):
 
 @functools.lru_cache(maxsize=32)
 def _line_masks(ps: PointSet) -> tuple[int, ...]:
-    """Per point, the bits of the perturbed lines it has adjusted sign + for."""
-    pos, on = side_masks(ps)
-    half = len(ps) * (len(ps) - 1) // 2
-    return tuple(p | (p | z) << half for p, z in zip(pos, on))
+    """Per point, the bits of the perturbed lines it has adjusted sign + for:
+    PLUS bit k where orient > 0 against anchor pair k, MINUS bit K + k where
+    orient >= 0."""
+    table = _SegmentLanes(ps, list(combinations(range(len(ps)), 2)))
+    count, ones = table.count, table.ones
+    return tuple(
+        _top_bits(d, count) | _top_bits(d + ones, count) << count
+        for d in map(table.sides, table.xs, table.ys))
 
 
 def _lines_by_bit(ps: PointSet) -> list[PerturbedLine]:
@@ -133,14 +140,6 @@ def perturbed_lines(ps: PointSet):
     """All 2 * C(2n, 2) perturbed supporting lines of the point set."""
     pairs = combinations(range(len(ps)), 2)
     return (PerturbedLine(a, b, side) for a, b in pairs for side in Side)
-
-
-def crosses_perturbed_line(ps: PointSet, line: PerturbedLine, s: Segment) -> bool:
-    """True iff segment s crosses the perturbed line: the adjusted signs of
-    its endpoints differ."""
-    masks = _line_masks(ps)
-    u, v = s
-    return bool((masks[u] ^ masks[v]) >> _lines_by_bit(ps).index(line) & 1)
 
 
 def phi_lines(ps: PointSet, m: Matching) -> int:
@@ -238,20 +237,6 @@ def _line_type(quad_masks: tuple[int, int, int], j: int) -> LineType:
     if l2 >> j & 1:
         return LineType.L2
     return LineType.L3 if hit >> j & 1 else LineType.NO_INTERSECT
-
-
-def classify_line_vs_quad(
-    ps: PointSet, line: PerturbedLine, quad
-) -> LineType:
-    """Combinatorial type of a perturbed line against a crossing's four
-    endpoints.
-
-    ``quad`` is any ordering of the four endpoint indices; they must be in
-    strictly convex position (always true for a genuine crossing), or
-    ``ccw_quad_order`` raises ValueError.
-    """
-    quad_masks = _quad_line_masks(ps, ccw_quad_order(ps, quad))
-    return _line_type(quad_masks, _lines_by_bit(ps).index(line))
 
 
 @dataclass(frozen=True)

@@ -5,14 +5,16 @@ per (crossing, reconnection choice); it is acyclic because total segment
 length strictly decreases along every edge.
 
 Exact search runs on an int kernel of the point set (``_FlipGraph``).
-The C(2n, 2) segments get ids in lexicographic (a, b) order, so a matching is
-an int with n bits set, read in ascending order as ``Matching.pairs``. Each
-segment has a bitset of the higher-id segments it properly crosses, read off
-one segment-lane table over all C(2n, 2) segments (``geometry._SegmentLanes``,
-the table strategy runs keep their matching in) in a few big-int
-operations with no pair test, and each crossing pair the XOR masks of
-reconnections A and B, from ``matching.reconnections``. Both live in one
-memo, the kernel itself, filled on first use, inside the search deadline.
+Segment (a, b), a < b, has the id ``offset[a] + b`` (``_segment_offsets``),
+its rank among the C(2n, 2) segments in lexicographic order, shifted into a
+bit on demand; so a matching is an int with n bits set, read in ascending
+order as ``Matching.pairs``. Each segment has a bitset of the higher-id
+segments it properly crosses, read off one segment-lane table over all
+C(2n, 2) segments (``geometry._SegmentLanes``, the table strategy runs keep
+their matching in) in a few big-int operations with no pair test, and
+each crossing pair the XOR masks of reconnections A and B, from
+``matching.reconnections``. Both live in one memo, the kernel itself, filled
+on first use, inside the search deadline.
 The successors of M are ``M ^ mask`` by ascending lower segment, then higher
 segment, A before B: the canonical order of ``successors``. One memoized
 iterative post-order DFS (``_Search``) gives f = 1 + max and h = 1 + min over
@@ -131,6 +133,12 @@ def successors(
     return out
 
 
+def _segment_offsets(m: int) -> list[int]:
+    """Per point a of m points, the offset that makes ``offset[a] + b`` the
+    kernel id of segment (a, b), a < b: its rank in lexicographic order."""
+    return [a * (2 * m - a - 1) // 2 - a - 1 for a in range(m)]
+
+
 def _crossing(segs: list, pair: int) -> CrossingPair:
     """The two segments whose bits make up ``pair``, lower id first."""
     lo = pair & -pair
@@ -154,15 +162,14 @@ class _FlipGraph(dict):
         self.ps = ps
         m = len(ps)
         self.segs = segs = [(a, b) for a in range(m) for b in range(a + 1, m)]
-        self.bit = {s: 1 << k for k, s in enumerate(segs)}
+        self.offset = _segment_offsets(m)
         self.lanes = _SegmentLanes(ps, segs)
 
     def __missing__(self, key: int) -> int | tuple[int, int]:
         if key & key - 1:
-            bit = self.bit
             value = tuple(
-                key | bit[e1] | bit[e2]
-                for e1, e2 in reconnections(self.ps, _crossing(self.segs, key)))
+                key | 1 << self.offset[a] + b | 1 << self.offset[c] + d
+                for (a, b), (c, d) in reconnections(self.ps, _crossing(self.segs, key)))
         else:
             a, b = self.segs[key.bit_length() - 1]
             # -2 * key keeps the ids above the segment's
@@ -171,7 +178,7 @@ class _FlipGraph(dict):
         return value
 
     def encode(self, m: Matching) -> int:
-        return sum(map(self.bit.__getitem__, m.pairs))
+        return sum(1 << self.offset[a] + b for a, b in m.pairs)
 
     def children(self, key: int) -> list[int]:
         """The successors of ``key`` in canonical order."""
@@ -386,8 +393,7 @@ def _matchings(ps: PointSet, cap: int):
         raise EnumerationCapExceeded(
             f"n={ps.n} exceeds enumeration cap {cap}; (2n-1)!! growth")
     m = len(ps)
-    # the kernel's id of segment (a, b), a < b, is offset[a] + b
-    offset = [a * (2 * m - a - 1) // 2 - a - 1 for a in range(m)]
+    offset = _segment_offsets(m)
 
     def walk():
         # a partial matching: its key, its pairs and its free points; the

@@ -6,9 +6,7 @@ recursion over successors built here from
 ``reference_segments_properly_cross`` and ``reference_reconnection_pairs``,
 which reads ``reference_ccw_quad_order``, the comparator sort that the one
 orientation test of
-``geometry.crossing_quad`` replaced in ``matching.reconnections`` and in
-``geometry.ccw_quad_order``, where the diagonal crossing test also replaced
-``reference_convex_position_ccw``;
+``geometry.crossing_quad`` replaced in ``matching.reconnections``;
 ``reference_longest``/``reference_shortest`` are the ``Matching``-based
 memoized DFS and BFS that the int flip-graph kernel of ``crossflip.search``
 replaced, kept with their witness tie-breaks as the oracle for that kernel.
@@ -43,7 +41,9 @@ the int enumeration of the ``crossflip.search`` kernel replaced, and
 side-mask columns that its rows built on first use, and then read off one
 segment-lane table, replaced.
 ``reference_side_masks`` is the per-(anchor, point) cross-product loop that
-the packed 64-bit lanes of ``geometry.side_masks`` replaced.
+the packed 64-bit lanes of ``geometry.side_masks`` replaced, and
+``reference_line_masks`` the perturbed-line masks built from it, as
+``potentials._line_masks`` built them before it read the lanes itself.
 ``reference_general_position`` and ``reference_random_instance`` are the
 ``orient`` triple loop and rejection sampler that the direction-vector test
 of ``crossflip.geometry`` replaced, and ``direction`` and
@@ -93,7 +93,7 @@ from crossflip import (
     seg,
 )
 from crossflip import io
-from crossflip.geometry import COORD_LIMIT, crossed_by, side_masks
+from crossflip.geometry import COORD_LIMIT, crossed_by
 from crossflip.matching import FlipError, ReplayError, _flipped, crossing_pair
 from crossflip.potentials import LineAudit, phi_vertical_delta
 
@@ -271,8 +271,10 @@ def reference_reconnection_pairs(ps: PointSet, crossing, choice):
 
 
 def reference_side_masks(ps: PointSet):
-    """``geometry.side_masks`` by one cross product per (anchor pair,
-    point), each sign written as a "0" or "1" character of the row text."""
+    """``(pos, on)``: bit k of ``pos[r]`` is set when orient(p_a, p_b, p_r)
+    > 0 and of ``on[r]`` when it is 0, for the k-th anchor pair a < b in
+    lexicographic order, by one cross product per (anchor pair, point), each
+    sign written as a "0" or "1" character of the row text."""
     pts = ps.points
     # orient(p_a, p_b, p_r) has the sign of dx * y_r - dy * x_r - c; the
     # anchors run highest bit first, as int(text, 2) reads them
@@ -288,6 +290,15 @@ def reference_side_masks(ps: PointSet):
         pos.append(int("".join(["1" if d > 0 else "0" for d in dets]), 2))
         on.append(int("".join(["1" if d == 0 else "0" for d in dets]), 2))
     return tuple(pos), tuple(on)
+
+
+def reference_line_masks(ps: PointSet) -> tuple[int, ...]:
+    """Per point, its PLUS bits ``pos`` and, K = C(2n, 2) bits higher, its
+    MINUS bits ``pos | on``, from ``reference_side_masks``: an anchor falls
+    to the side opposite the offset."""
+    pos, on = reference_side_masks(ps)
+    half = len(ps) * (len(ps) - 1) // 2
+    return tuple(p | (p | z) << half for p, z in zip(pos, on))
 
 
 def reference_crossing_row(ps: PointSet, k: int):
@@ -314,14 +325,15 @@ def reference_crossing_row(ps: PointSet, k: int):
 
 def reference_side_mask_rows(ps: PointSet) -> list[int]:
     """Every segment's crossing row, in lexicographic segment order, built
-    up front from the side masks: each mask is transposed into per-segment
-    columns of point bits by one bytes translation, then each row is read
-    off its two columns, as ``search._FlipGraph`` did before it read its
-    rows off a segment-lane table."""
+    up front from the side masks of ``reference_side_masks``: each mask is
+    transposed into per-segment columns of point bits by one bytes
+    translation, then each row is read off its two columns, as
+    ``search._FlipGraph`` did before it read its rows off a segment-lane
+    table."""
     segs = list(combinations(range(len(ps)), 2))
     incident = [sum(1 << j for j, s in enumerate(segs) if r in s)
                 for r in range(len(ps))]
-    pos, on = side_masks(ps)
+    pos, on = reference_side_masks(ps)
     to_bits = bytes.maketrans(b"01", b"\0\1")
     pos_cols, on_cols = (
         zip(*[format(x, f"0{len(segs)}b")[::-1].encode().translate(to_bits)

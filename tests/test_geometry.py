@@ -9,7 +9,6 @@ from crossflip import (
     CoordinateOverflowError,
     Point,
     PointSet,
-    ccw_quad_order,
     orient,
     seg,
     segments_properly_cross,
@@ -17,7 +16,7 @@ from crossflip import (
     validate_general_position,
 )
 from crossflip import geometry, potentials
-from crossflip.geometry import first_collinear_pair, side_masks, slope_keys
+from crossflip.geometry import first_collinear_pair, slope_keys
 from crossflip.potentials import x_ranks
 
 from oracles import (
@@ -25,7 +24,7 @@ from oracles import (
     reference_first_collinear_pair,
     reference_general_position,
     reference_segments_properly_cross,
-    reference_side_masks,
+    reference_line_masks,
 )
 
 SQUARE = PointSet.from_coords([(0, 0), (2, 0), (2, 2), (0, 2)])
@@ -91,6 +90,23 @@ def test_pointset_rejects_odd_size_and_overflow():
         PointSet.from_coords([(0, 0), (1, 0), (2, 0)])
     with pytest.raises(CoordinateOverflowError):
         PointSet.from_coords([(0, 0), (COORD_LIMIT + 1, 0)])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: PointSet.from_coords([(0.5, "1"), (2.9, 3)]),
+    lambda: PointSet.from_coords([(0, 0), (2.0, 3)]),
+    lambda: PointSet.from_coords([(0, 0), (True, 3)]),
+    lambda: PointSet.from_coords([(0, "1"), (2, 3)]),
+    lambda: PointSet((Point(0.5, 1), Point(2, 3))),
+    lambda: PointSet((Point(0, 0), Point(2, 3.0))),
+], ids=["floats-and-string", "float", "bool", "string", "float-point",
+        "float-point-y"])
+def test_pointset_refuses_coordinates_that_are_not_ints(build):
+    """A float, string or bool coordinate is refused with the offending
+    point named, not converted by ``int()`` or let through to the exact
+    predicates."""
+    with pytest.raises(ValueError, match=r"point \d+ = .* not an int"):
+        build()
 
 
 def test_equal_point_sets_hit_the_same_cache_entries():
@@ -183,12 +199,6 @@ def test_positive_determinant_maps_preserve_orientation(raw, scale, shear):
                 )
 
 
-def test_ccw_quad_order_square():
-    assert ccw_quad_order(SQUARE, (0, 1, 2, 3)) == (0, 1, 2, 3)
-    # same quad handed over in any order normalizes identically
-    assert ccw_quad_order(SQUARE, (3, 1, 0, 2)) == (0, 1, 2, 3)
-
-
 # a small grid makes repeated x, collinear triples and repeated points common
 grid = st.integers(min_value=-3, max_value=3)
 small_sets = st.integers(min_value=1, max_value=5).flatmap(
@@ -202,16 +212,22 @@ small_sets = st.integers(min_value=1, max_value=5).flatmap(
 @example([Point(0, 0), Point(1, 1), Point(2, 2), Point(0, 5)])
 @example([Point(1, 0), Point(1, 2), Point(1, 2), Point(3, 1)])
 def test_side_masks_agree_with_orient(pts):
+    """Each point's perturbed-line mask (``potentials._line_masks``) holds
+    PLUS bit k when orient(p_a, p_b, p) > 0 and MINUS bit K + k when it is
+    >= 0, for the k-th of the K anchor pairs, on 7x7-grid sets."""
     ps = PointSet(tuple(pts))
-    pos, on = side_masks(ps)
+    masks = potentials._line_masks(ps)
     anchors = [(a, b) for a in range(len(pts)) for b in range(a + 1, len(pts))]
+    K = len(anchors)
     for r, p in enumerate(pts):
-        assert pos[r] >> len(anchors) == 0 and on[r] >> len(anchors) == 0
+        assert masks[r] >> 2 * K == 0
         for k, (a, b) in enumerate(anchors):
             sign = orient(pts[a], pts[b], p)
-            assert (pos[r] >> k & 1, on[r] >> k & 1) == (sign > 0, sign == 0)
-        # every anchor pair holding r puts r on its line
-        assert all(on[r] >> k & 1 for k, pair in enumerate(anchors) if r in pair)
+            plus, minus = masks[r] >> k & 1, masks[r] >> K + k & 1
+            assert (plus, minus) == (sign > 0, sign >= 0)
+        # every anchor pair holding r puts r on its line: MINUS bit, no PLUS
+        assert all(masks[r] >> K + k & 1 and not masks[r] >> k & 1
+                   for k, pair in enumerate(anchors) if r in pair)
 
 
 def _sets_of(coordinate):
@@ -236,11 +252,13 @@ edge = st.one_of(
           Point(COORD_LIMIT, -COORD_LIMIT), Point(-COORD_LIMIT, COORD_LIMIT)])
 @example([Point(COORD_LIMIT, COORD_LIMIT)] * 4)
 def test_side_masks_match_reference_loop(pts):
-    """The packed lanes against the per-(anchor, point) loop, bit for bit:
-    random sets, 7x7-grid sets with repeated points and collinear triples,
-    and sets at the coordinate budget's edges."""
+    """The perturbed-line masks read off the packed lanes
+    (``potentials._line_masks``) against those built from the
+    per-(anchor, point) loop, bit for bit: random sets, 7x7-grid sets with
+    repeated points and collinear triples, and sets at the coordinate
+    budget's edges."""
     ps = PointSet(tuple(pts))
-    assert side_masks(ps) == reference_side_masks(ps)
+    assert potentials._line_masks(ps) == reference_line_masks(ps)
 
 
 @settings(max_examples=150, deadline=None)

@@ -34,7 +34,7 @@ from crossflip import (
     trace_from_moves,
 )
 from crossflip import matching
-from crossflip.geometry import COORD_LIMIT, ccw_quad_order, crossed_by
+from crossflip.geometry import COORD_LIMIT, crossed_by
 from crossflip.matching import (
     _LiveCrossings,
     _SortedInts,
@@ -55,7 +55,6 @@ from oracles import (
     crossing_count_brute,
     reference_crossed_by,
     reference_ccw_quad_order,
-    reference_convex_position_ccw,
     reference_crossings_after_flip,
     reference_find_crossings,
     reference_live_crossings,
@@ -79,6 +78,19 @@ def test_imperfect_matchings_rejected():
         Matching.from_pairs([(0, 1), (1, 2)])
     with pytest.raises(ValueError):
         Matching.from_pairs([(0, 1), (3, 4)])
+
+
+@pytest.mark.parametrize("pairs", [
+    [(0.0, 1.0)],
+    [(0, 2), (1, 3.0)],
+    [(0, 2), (True, 3)],
+    [("0", 1)],
+])
+def test_from_pairs_refuses_indices_that_are_not_ints(pairs):
+    """A float, string or bool index is refused with the offending pair
+    named, not compared and sorted as if it were a point index."""
+    with pytest.raises(ValueError, match=r"pair \(.*\) has an index that is not"):
+        Matching.from_pairs(pairs)
 
 
 def test_canonicalization_injective_up_to_n4():
@@ -316,15 +328,7 @@ def test_total_length_is_the_hypot_loop_bit_for_bit(ps, rng):
 def test_reconnections_match_ccw_sort_reference(ps):
     """The one orientation test against the comparator sort it replaced,
     on every properly crossing pair of segments, given in either order with
-    endpoints in either order; ``ccw_quad_order`` against the sort and the
-    convexity check it replaced, on every four points of the set."""
-    for quad in combinations(range(len(ps)), 4):
-        order = reference_ccw_quad_order(ps, quad)
-        if reference_convex_position_ccw(ps, order):
-            assert ccw_quad_order(ps, quad[::-1]) == order
-        else:
-            with pytest.raises(ValueError, match="not in convex position"):
-                ccw_quad_order(ps, quad)
+    endpoints in either order."""
     segments = list(combinations(range(len(ps)), 2))
     for s, t in combinations(segments, 2):
         if set(s) & set(t) or not segments_properly_cross(ps, s, t):

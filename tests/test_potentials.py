@@ -14,8 +14,6 @@ from crossflip import (
     PotentialInvariantError,
     Side,
     apply_flip,
-    classify_line_vs_quad,
-    crosses_perturbed_line,
     decrement_audit,
     find_crossings,
     gen_random,
@@ -26,6 +24,7 @@ from crossflip import (
     seg,
     shear_to_distinct_x,
 )
+from crossflip import potentials
 from crossflip.search import enumerate_all_matchings, greedy_choice
 
 from oracles import (
@@ -41,18 +40,26 @@ DIAGONALS = Matching.from_pairs([(0, 2), (1, 3)])
 SIDES = Matching.from_pairs([(0, 1), (2, 3)])
 
 
+def _crossed_lines(ps, s):
+    """The perturbed lines segment s crosses, read off the line masks: the
+    lines its endpoints have different adjusted signs for."""
+    masks = potentials._line_masks(ps)
+    u, v = s
+    crossed = masks[u] ^ masks[v]
+    return {line for j, line in enumerate(potentials._lines_by_bit(ps))
+            if crossed >> j & 1}
+
+
 def test_segment_never_crosses_its_own_supporting_lines():
     ps = PointSet.from_coords([(0, 0), (3, 4)])
-    s = seg(0, 1)
-    assert not crosses_perturbed_line(ps, PerturbedLine(0, 1, Side.PLUS), s)
-    assert not crosses_perturbed_line(ps, PerturbedLine(0, 1, Side.MINUS), s)
+    assert _crossed_lines(ps, seg(0, 1)) == set()
 
 
 def test_square_bottom_line_against_diagonal_and_top():
     # orient((0,0),(2,0), top) > 0, so PLUS is the copy pushed toward the top
     line = PerturbedLine(0, 1, Side.PLUS)
-    assert crosses_perturbed_line(SQUARE, line, seg(0, 2))
-    assert not crosses_perturbed_line(SQUARE, line, seg(2, 3))
+    assert line in _crossed_lines(SQUARE, seg(0, 2))
+    assert line not in _crossed_lines(SQUARE, seg(2, 3))
 
 
 def test_phi_lines_single_segment_is_zero():
@@ -117,43 +124,36 @@ def test_phi_vertical_never_exceeds_quadratic_bound():
             assert phi_vertical(ps, m) <= phi_vertical_bound(3)
 
 
+def _line_types(ps, m):
+    """Each perturbed line's type against m's first crossing, from
+    ``decrement_audit(..., detail=True).lines``."""
+    audit = decrement_audit(ps, m, find_crossings(ps, m)[0],
+                            FlipChoice.RECONNECT_A, detail=True)
+    return {entry.line: entry.line_type for entry in audit.lines}
+
+
 def test_classify_square_lines():
-    quad = (0, 1, 2, 3)
+    types = _line_types(SQUARE, DIAGONALS)
     # ccw order of the square is 0,1,2,3: sides (0,1),(2,3) are choice A
     # the inward copy of each side line: sign of orient(anchor, other points)
-    assert classify_line_vs_quad(SQUARE, PerturbedLine(0, 1, Side.PLUS), quad) is LineType.L1
-    assert classify_line_vs_quad(SQUARE, PerturbedLine(2, 3, Side.PLUS), quad) is LineType.L1
-    assert classify_line_vs_quad(SQUARE, PerturbedLine(1, 2, Side.PLUS), quad) is LineType.L2
-    assert classify_line_vs_quad(SQUARE, PerturbedLine(0, 3, Side.MINUS), quad) is LineType.L2
+    assert types[PerturbedLine(0, 1, Side.PLUS)] is LineType.L1
+    assert types[PerturbedLine(2, 3, Side.PLUS)] is LineType.L1
+    assert types[PerturbedLine(1, 2, Side.PLUS)] is LineType.L2
+    assert types[PerturbedLine(0, 3, Side.MINUS)] is LineType.L2
     for anchor in ((0, 2), (1, 3)):
         for side in Side:
-            assert (
-                classify_line_vs_quad(SQUARE, PerturbedLine(*anchor, side), quad)
-                is LineType.L3
-            )
+            assert types[PerturbedLine(*anchor, side)] is LineType.L3
     # copies of a side-line facing away from the quad miss it entirely
-    assert (
-        classify_line_vs_quad(SQUARE, PerturbedLine(0, 1, Side.MINUS), quad)
-        is LineType.NO_INTERSECT
-    )
+    assert types[PerturbedLine(0, 1, Side.MINUS)] is LineType.NO_INTERSECT
 
 
 def test_classify_line_far_from_quad():
     ps = PointSet.from_coords(
         [(0, 0), (2, 0), (2, 2), (0, 2), (10, 1), (11, 5)]
     )
-    quad = (0, 1, 2, 3)
+    types = _line_types(ps, Matching.from_pairs([(0, 2), (1, 3), (4, 5)]))
     for side in Side:
-        assert (
-            classify_line_vs_quad(ps, PerturbedLine(4, 5, side), quad)
-            is LineType.NO_INTERSECT
-        )
-
-
-def test_classify_rejects_nonconvex_quad():
-    ps = PointSet.from_coords([(0, 0), (10, 0), (5, 9), (5, 3)])
-    with pytest.raises(ValueError, match="convex"):
-        classify_line_vs_quad(ps, PerturbedLine(0, 1, Side.PLUS), (0, 1, 2, 3))
+        assert types[PerturbedLine(4, 5, side)] is LineType.NO_INTERSECT
 
 
 def test_audit_square():
@@ -281,21 +281,15 @@ def test_gained_line_is_fatal(monkeypatch):
 def test_diagonal_split_is_fatal(monkeypatch):
     # point 3 lies inside triangle 0, 1, 2; its "ccw order" is (0, 1, 3, 2)
     # and the line through 1 and 2 separates {0, 3} from {1, 2}. The audit
-    # reads that order from ``crossing_quad``, the line classifier from
-    # ``ccw_quad_order``, which refuses a quad not in convex position, so
-    # each is injected on its own path.
+    # reads that order from ``crossing_quad``, so it is injected there.
     ps = PointSet.from_coords([(0, 0), (10, 0), (5, 9), (5, 3)])
     m = Matching.from_pairs([(0, 2), (1, 3)])
     monkeypatch.setattr("crossflip.potentials.check_live", lambda *args: None)
     monkeypatch.setattr("crossflip.potentials.crossing_quad",
                         lambda ps, crossing: (0, 1, 3, 2))
-    monkeypatch.setattr("crossflip.potentials.ccw_quad_order",
-                        lambda ps, quad: (0, 1, 3, 2))
     pattern = r"line 1-2/plus splits quad \(0, 1, 3, 2\) along its diagonals"
     with pytest.raises(PotentialInvariantError, match=pattern):
         decrement_audit(ps, m, m.pairs, FlipChoice.RECONNECT_A)
-    with pytest.raises(PotentialInvariantError, match=pattern):
-        classify_line_vs_quad(ps, PerturbedLine(0, 1, Side.PLUS), (0, 1, 2, 3))
 
 
 @pytest.mark.parametrize("choice", list(FlipChoice))

@@ -33,7 +33,7 @@ from crossflip import (
     shear_to_distinct_x,
     trace_from_moves,
 )
-from crossflip import geometry, search
+from crossflip import geometry, potentials, search
 from crossflip.geometry import COORD_LIMIT
 from crossflip.matching import replay_states
 from crossflip.scenarios import (
@@ -547,7 +547,7 @@ def test_kernel_builds_only_the_entries_a_state_reads():
     graph.children(start)
     ids = [graph.segs.index(s) for s in inst.matching.pairs]
     crossings = find_crossings(inst.points, inst.matching)
-    pairs = {graph.bit[s] | graph.bit[t] for s, t in crossings}
+    pairs = {graph.encode(Matching(crossing)) for crossing in crossings}
     assert set(graph) == {1 << k for k in ids} | pairs
     for k in ids:
         row, masks = reference_crossing_row(inst.points, k)
@@ -558,7 +558,8 @@ def test_kernel_builds_only_the_entries_a_state_reads():
 def test_exact_search_never_builds_side_masks(monkeypatch):
     """Longest and shortest runs and the extremal enumeration read their
     crossing rows off the segment-lane table alone: they run, with the
-    same values, while every module's ``side_masks`` raises."""
+    same values, while the perturbed-line side masks,
+    ``potentials._line_masks``, raise."""
     inst, ps = gen_two_line(reverse_perm(4)), gen_random(4, seed=5).points
 
     def values():
@@ -569,12 +570,9 @@ def test_exact_search_never_builds_side_masks(monkeypatch):
     want = values()
 
     def refuse(ps):
-        raise AssertionError("side_masks called")
+        raise AssertionError("_line_masks called")
 
-    side_masks = geometry.side_masks
-    for module in list(sys.modules.values()):
-        if getattr(module, "side_masks", None) is side_masks:
-            monkeypatch.setattr(module, "side_masks", refuse)
+    monkeypatch.setattr(potentials, "_line_masks", refuse)
     assert values() == want
 
 

@@ -30,14 +30,20 @@ def test_src_size_counts_code_lines_only(tmp_path):
         "    return x  # trailing comment\n"
     )
     (tmp_path / "b.py").write_text("class C:\n    'doc'\n    y = (1,\n         2)\n")
-    assert _sizes(tmp_path) == {"wc_l": "13", "ast_code_lines": "7"}
+    assert _sizes(tmp_path) == {"a.py": "4", "b.py": "3", "wc_l": "13",
+                                "ast_code_lines": "7"}
 
 
 def test_src_size_reports_the_package():
+    """One line per module, in file-name order, whose AST code lines sum
+    to the total, then the two totals."""
     sizes = _sizes()
     wc = sum(p.read_text().count("\n") for p in PACKAGE.glob("*.py"))
     assert int(sizes["wc_l"]) == wc
     assert 0 < int(sizes["ast_code_lines"]) < wc
+    *modules, _wc, _total = sizes
+    assert modules == sorted(p.name for p in PACKAGE.glob("*.py"))
+    assert sum(int(sizes[name]) for name in modules) == int(sizes["ast_code_lines"])
 
 
 def test_step_cost_prints_one_json_line():

@@ -5,8 +5,9 @@ lines, comment-only lines and module, class and function docstrings.
 
     python tools/src_size.py [package_dir]
 
-prints ``wc_l <lines>`` and ``ast_code_lines <lines>``, summed over the
-package's ``*.py`` files (default: ``src/crossflip`` next to this script).
+prints one ``<file> <AST code lines>`` line per module of the package's
+``*.py`` files (default: ``src/crossflip`` next to this script), then
+``wc_l <lines>`` and ``ast_code_lines <lines>``, summed over them.
 """
 
 from __future__ import annotations
@@ -41,13 +42,14 @@ def code_lines(source: str) -> int:
     return len(code - docstring_lines(ast.parse(source)))
 
 
-def package_size(package: Path) -> tuple[int, int]:
-    """(``wc -l`` lines, AST code lines) summed over ``package/*.py``."""
-    wc = ast_lines = 0
+def package_size(package: Path) -> tuple[int, dict[str, int]]:
+    """(``wc -l`` lines summed over ``package/*.py``, AST code lines per
+    file name)."""
+    wc, ast_lines = 0, {}
     for path in sorted(package.glob("*.py")):
         source = path.read_text()
         wc += source.count("\n")
-        ast_lines += code_lines(source)
+        ast_lines[path.name] = code_lines(source)
     return wc, ast_lines
 
 
@@ -56,8 +58,10 @@ def main(argv=None) -> int:
     package = Path(argv[0]) if argv else (
         Path(__file__).resolve().parent.parent / "src" / "crossflip")
     wc, ast_lines = package_size(package)
+    for name, lines in ast_lines.items():
+        print(f"{name} {lines}")
     print(f"wc_l {wc}")
-    print(f"ast_code_lines {ast_lines}")
+    print(f"ast_code_lines {sum(ast_lines.values())}")
     return 0
 
 
