@@ -28,7 +28,6 @@ from .matching import (
     Matching,
     ReplayError,
     apply_flip,
-    choice_yielding,
     crossings_after_flip,
     find_crossings,
     flip,
@@ -44,7 +43,6 @@ from .potentials import (
     PotentialInvariantError,
     Side,
     decrement_audit,
-    perturbed_lines,
     phi_lines,
     phi_lines_bound,
     phi_lines_bound_sharp,

@@ -79,7 +79,10 @@ def inversion_count(perm) -> int:
 
 
 def _check_permutation(perm) -> tuple[int, ...]:
-    pi = tuple(int(v) for v in perm)
+    pi = tuple(perm)
+    for v in pi:
+        if type(v) is not int:
+            raise ValueError(f"permutation entry {v!r} is not an int")
     if sorted(pi) != list(range(len(pi))):
         raise ValueError(f"{perm} is not a permutation of 0..{len(pi) - 1}")
     return pi
@@ -192,6 +195,7 @@ def gen_convex(n: int) -> Instance:
 def gen_random(n: int, seed: int, bbox: tuple[int, int] = (0, 512)) -> Instance:
     """2n integer points sampled uniformly in bbox^2, in general position,
     with a uniformly random perfect matching. Deterministic given the seed.
+    A bbox bound that is not an int is refused, not converted.
 
     Each candidate point is rejected if it duplicates an existing point or
     is collinear with an existing pair; a bounded rejection budget turns a
@@ -201,7 +205,9 @@ def gen_random(n: int, seed: int, bbox: tuple[int, int] = (0, 512)) -> Instance:
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    lo, hi = int(bbox[0]), int(bbox[1])
+    lo, hi = bbox
+    if type(lo) is not int or type(hi) is not int:
+        raise ValueError(f"bbox {bbox!r} has a bound that is not an int")
     if lo >= hi:
         raise ValueError(f"bbox {bbox} is empty")
     if n > hi - lo + 1:

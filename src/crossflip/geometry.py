@@ -50,10 +50,11 @@ def seg(a: int, b: int) -> Segment:
 class PointSet:
     """An ordered tuple of 2n integer points; position in the tuple is identity.
 
-    Construction enforces only the size, int coordinates and the coordinate
-    budget; a float, a string or a bool is refused, not converted. General
-    position is a separate check (``validate_general_position``) so that
-    degenerate inputs can be diagnosed rather than rejected blindly.
+    Construction enforces only a tuple of ``Point``, the size, int
+    coordinates and the coordinate budget; a float, a string or a bool is
+    refused, not converted. General position is a separate check
+    (``validate_general_position``) so that degenerate inputs can be
+    diagnosed rather than rejected blindly.
 
     The hash and ``has_distinct_x`` are computed once, at construction, so a
     cache lookup keyed by the set does not rehash its 2n points; equality
@@ -63,9 +64,13 @@ class PointSet:
     points: tuple[Point, ...]
 
     def __post_init__(self) -> None:
+        if type(self.points) is not tuple:
+            raise ValueError(f"points are a {type(self.points).__name__}, not a tuple")
         if len(self.points) < 2 or len(self.points) % 2 != 0:
             raise ValueError("a point set holds 2n points with n >= 1")
         for i, p in enumerate(self.points):
+            if type(p) is not Point:
+                raise ValueError(f"point {i} = {p!r} is not a Point")
             if type(p.x) is not int or type(p.y) is not int:
                 raise ValueError(f"point {i} = ({p.x!r}, {p.y!r}) has a "
                                  "coordinate that is not an int")

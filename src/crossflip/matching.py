@@ -9,7 +9,8 @@ flow.
 
 Crossings of one matching are found by ``geometry.crossed_by``, one exact
 pass per segment over the segments after it: two inline determinants per
-pair, and two more for a pair that straddles. Along a run of flips
+pair, and two more for a pair that straddles; at an audit's small n, a lane
+table built per call costs more than it saves. Along a run of flips
 (``search._run``, the one run loop), ``_LiveCrossings`` is the run's one
 copy of its matching, and bookkeeping only: it keeps the segments in slots,
 the crossings as sorted int keys, optionally ranked first by a function of
@@ -283,9 +284,6 @@ class _LiveCrossings:
     def __len__(self) -> int:
         return len(self.keys)
 
-    def __contains__(self, key: int) -> bool:
-        return key in self.of[key // self.cube % self.size]
-
     def crossing(self, key: int) -> CrossingPair:
         """The crossing with int key ``key``."""
         size = self.size
@@ -361,17 +359,6 @@ def reconnection_pairs(
 ) -> tuple[Segment, Segment]:
     """The two segments a flip of ``crossing`` adds under ``choice``."""
     return reconnections(ps, crossing)[choice is FlipChoice.RECONNECT_B]
-
-
-def choice_yielding(
-    ps: PointSet, crossing: CrossingPair, target: tuple[Segment, Segment]
-) -> FlipChoice:
-    """The choice whose reconnection equals ``target`` (as an unordered pair)."""
-    want = sorted(seg(a, b) for a, b in target)
-    for choice, added in zip(FlipChoice, reconnections(ps, crossing)):
-        if list(added) == want:
-            return choice
-    raise ValueError(f"{target} is not a reconnection of {crossing}")
 
 
 @dataclass(frozen=True)

@@ -116,8 +116,8 @@ def _line_masks(ps: PointSet) -> tuple[int, ...]:
 def _lines_by_bit(ps: PointSet) -> list[PerturbedLine]:
     """Every perturbed line, indexed by its bit in the line masks: the PLUS
     lines in anchor order, then the MINUS lines."""
-    lines = list(perturbed_lines(ps))
-    return lines[0::2] + lines[1::2]
+    anchors = list(combinations(range(len(ps)), 2))
+    return [PerturbedLine(a, b, side) for side in Side for a, b in anchors]
 
 
 def _lowest_line(ps: PointSet, mask: int) -> PerturbedLine:
@@ -134,12 +134,6 @@ def x_ranks(ps: PointSet) -> tuple[int, ...]:
     for r, i in enumerate(sorted(range(len(ps)), key=lambda i: ps[i].x)):
         ranks[i] = r
     return tuple(ranks)
-
-
-def perturbed_lines(ps: PointSet):
-    """All 2 * C(2n, 2) perturbed supporting lines of the point set."""
-    pairs = combinations(range(len(ps)), 2)
-    return (PerturbedLine(a, b, side) for a, b in pairs for side in Side)
 
 
 def phi_lines(ps: PointSet, m: Matching) -> int:

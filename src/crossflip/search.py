@@ -16,7 +16,8 @@ each crossing pair the XOR masks of reconnections A and B, from
 ``matching.reconnections``. Both live in one memo, the kernel itself, filled
 on first use, inside the search deadline.
 The successors of M are ``M ^ mask`` by ascending lower segment, then higher
-segment, A before B: the canonical order of ``successors``. One memoized
+segment, A before B: the canonical order, in which ``successors`` lists
+them for one matching (``children``, then ``move`` and ``decode``). One memoized
 iterative post-order DFS (``_Search``) gives f = 1 + max and h = 1 + min over
 successors; an on-stack revisit is fatal. ``shortest_flip_sequence`` keeps a
 BFS over the same ints, whose early exit beats a full DAG pass on one
@@ -47,18 +48,20 @@ crossing's four endpoints, then canonically. Max-damage ranks by the drop
 in phi_vertical of the x-greedy response, computed once when the crossing
 appears, so it takes the first key, as greedy-x does. The x-greedy response
 itself is read off the crossing's one ``crossing_quad`` and the run's
-x-ranks (``_x_greedy``), which ``greedy_choice`` reads too.
+x-ranks (``_x_greedy``), which ``greedy_choice`` reads too, and so is
+bubble's, by the quad's second point.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import re
 import time
 from dataclasses import dataclass
 
 from .generators import Instance, inversion_law_violation, two_line_permutation
-from .geometry import PointSet, _SegmentLanes, crossing_quad, seg
+from .geometry import PointSet, _SegmentLanes, crossing_quad
 from .matching import (
     CrossingPair,
     FlipChoice,
@@ -66,11 +69,7 @@ from .matching import (
     FlipTrace,
     Matching,
     _LiveCrossings,
-    apply_flip,
     check_live,
-    choice_yielding,
-    crossing_pair,
-    find_crossings,
     is_noncrossing,
     reconnection_pairs,
     reconnections,
@@ -121,18 +120,6 @@ class SearchLimits:
             raise ValueError("all search limits must be positive")
 
 
-def successors(
-    ps: PointSet, m: Matching
-) -> list[tuple[CrossingPair, FlipChoice, Matching]]:
-    """All flip successors of m in canonical order: crossings sorted, choice
-    A before choice B. Exactly 2 * (number of crossings) entries."""
-    out = []
-    for crossing in find_crossings(ps, m):
-        for choice in (FlipChoice.RECONNECT_A, FlipChoice.RECONNECT_B):
-            out.append((crossing, choice, apply_flip(ps, m, crossing, choice)))
-    return out
-
-
 def _segment_offsets(m: int) -> list[int]:
     """Per point a of m points, the offset that makes ``offset[a] + b`` the
     kernel id of segment (a, b), a < b: its rank in lexicographic order."""
@@ -180,6 +167,11 @@ class _FlipGraph(dict):
     def encode(self, m: Matching) -> int:
         return sum(1 << self.offset[a] + b for a, b in m.pairs)
 
+    def decode(self, key: int) -> Matching:
+        """The matching whose segments' bits make up ``key``."""
+        return Matching(tuple(self.segs[bit.start()]
+                              for bit in re.finditer("1", f"{key:b}"[::-1])))
+
     def children(self, key: int) -> list[int]:
         """The successors of ``key`` in canonical order."""
         out = []
@@ -202,6 +194,17 @@ class _FlipGraph(dict):
         mask = key ^ child
         pair = mask & key
         return _crossing(self.segs, pair), list(FlipChoice)[self[pair].index(mask)]
+
+
+def successors(
+    ps: PointSet, m: Matching
+) -> list[tuple[CrossingPair, FlipChoice, Matching]]:
+    """All flip successors of m in canonical order: crossings sorted, choice
+    A before choice B, read off the exact-search kernel."""
+    graph = _FlipGraph(ps)
+    key = graph.encode(m)
+    return [(*graph.move(key, child), graph.decode(child))
+            for child in graph.children(key)]
 
 
 #: Above any shortest-run length, so the first successor sets the minimum.
@@ -275,9 +278,8 @@ class _Search:
                         parent[3] = value[1]
                 continue
             if child in on_stack:
-                pairs = [s for k, s in enumerate(self.graph.segs) if child >> k & 1]
-                raise FlipGraphCycleError(
-                    f"matching revisited on the DFS stack: {pairs}")
+                raise FlipGraphCycleError("matching revisited on the DFS "
+                                          f"stack: {list(self.graph.decode(child))}")
             if self.expanded >= limits.max_states:
                 raise self._exceeded("states")
             if len(stack) >= limits.max_depth:
@@ -572,9 +574,11 @@ def _bubble_move(ps, live):
         )
     for i in range(n - 1):
         if pi[i] > pi[i + 1]:
-            crossing = crossing_pair(seg(i, n + pi[i]), seg(i + 1, n + pi[i + 1]))
-            target = (seg(i, n + pi[i + 1]), seg(i + 1, n + pi[i]))
-            return crossing, choice_yielding(ps, crossing, target)
+            crossing = (i, n + pi[i]), (i + 1, n + pi[i + 1])
+            # A pairs the quad's first point, i, with its second, x: it is
+            # the choice pairing i with n + pi[i + 1] exactly when x is that
+            x = crossing_quad(ps, crossing)[1]
+            return crossing, list(FlipChoice)[x != n + pi[i + 1]]
     raise StrategyNotApplicableError("no adjacent inversion left, yet crossings remain")
 
 
@@ -655,13 +659,15 @@ def run_strategy(
     point set has distinct x-coordinates; the line potential is attached
     only on request, at the cost of one build of the point set's line masks
     (2 * C(2n, 2) bits per point, cached per point set) plus four popcounts
-    per step. A run stopped by the step cap is returned with
-    ``complete=False``, not raised.
+    per step. A run stopped by the step cap, None or an int >= 0, is
+    returned with ``complete=False``, not raised.
     """
     ps = inst.points
     n = inst.n
     if max_steps is None:
         max_steps = 4 * n**3  # comfortably above any possible run length
+    elif type(max_steps) is not int or max_steps < 0:
+        raise ValueError(f"max_steps {max_steps!r} is not None or an int >= 0")
     # the run's one x-order, read by phi_vertical and every x-greedy move;
     # None when x repeats
     ranks = x_ranks(ps) if ps.has_distinct_x() else None

@@ -9,7 +9,9 @@ orientation test of
 ``geometry.crossing_quad`` replaced in ``matching.reconnections``;
 ``reference_longest``/``reference_shortest`` are the ``Matching``-based
 memoized DFS and BFS that the int flip-graph kernel of ``crossflip.search``
-replaced, kept with their witness tie-breaks as the oracle for that kernel.
+replaced, kept with their witness tie-breaks as the oracle for that kernel;
+``reference_successors``, the (crossing, choice, successor) list they read,
+is the body of ``search.successors`` before it read that kernel.
 The line potential is recomputed with explicit rational offsets instead of
 the adjusted-sign rule. ``reference_phi_lines`` and
 ``reference_decrement_audit`` are the per-line loops over an ``orient`` sign
@@ -53,9 +55,11 @@ its exact slope keys replaced. ``reference_middle_gap`` and
 x-greedy choice that the one rank table and the one Delta phi_K formula of
 ``crossflip.search`` replaced, and ``reference_greedy_pairs`` the rank sort
 of the four endpoints that its x-greedy rule on one ``crossing_quad``
-replaced. ``reference_replay_states`` is the replay that rebuilt a
-``Matching`` by the stateless flip at every step, which the replay on a set
-of pairs replaced. ``reference_write_trace`` and ``reference_read_trace``
+replaced. ``reference_choice_yielding`` is the search for a target
+reconnection among both choices that the bubble strategy's read of one
+``crossing_quad`` replaced. ``reference_replay_states`` is the replay that
+rebuilt a ``Matching`` by the stateless flip at every step, which the
+replay on a set of pairs replaced. ``reference_write_trace`` and ``reference_read_trace``
 are the ``csv.DictWriter`` writer, with its pair-loop crossing count of row
 0, and the ``csv.DictReader`` reader that the tuple-row trace I/O of
 ``crossflip.io`` replaced; the reader converts each field by the library's
@@ -86,7 +90,6 @@ from crossflip import (
     Side,
     StrategyNotApplicableError,
     apply_flip,
-    choice_yielding,
     find_crossings,
     is_noncrossing,
     orient,
@@ -501,7 +504,18 @@ def reference_greedy_choice(ps: PointSet, crossing) -> FlipChoice:
             "x-greedy reconnection needs distinct x among the four endpoints"
         )
     target = (seg(quad[0], quad[1]), seg(quad[2], quad[3]))
-    return choice_yielding(ps, crossing, target)
+    return reference_choice_yielding(ps, crossing, target)
+
+
+def reference_choice_yielding(ps: PointSet, crossing, target) -> FlipChoice:
+    """The choice whose reconnection equals ``target`` (as an unordered
+    pair): the search for the target among both reconnections that the
+    bubble strategy's read of ``crossing_quad`` replaced."""
+    want = tuple(sorted(seg(a, b) for a, b in target))
+    for choice in CHOICES:
+        if reference_reconnection_pairs(ps, crossing, choice) == want:
+            return choice
+    raise ValueError(f"{target} is not a reconnection of {crossing}")
 
 
 def reference_phi_vertical(ps: PointSet, m: Matching) -> int:

@@ -73,6 +73,15 @@ def test_two_line_rejects_non_permutations():
         gen_two_line((0, 0, 1))
 
 
+@pytest.mark.parametrize("perm", [[1.0, 0.0], [True, False], [1, "0"]],
+                         ids=["floats", "bools", "string"])
+def test_two_line_refuses_entries_that_are_not_ints(perm):
+    """A float, bool or string entry is refused with the entry named, not
+    converted by ``int()`` into rev2."""
+    with pytest.raises(ValueError, match=r"permutation entry .* not an int"):
+        gen_two_line(perm)
+
+
 def test_two_line_deterministic():
     assert gen_two_line((2, 0, 1)) == gen_two_line((2, 0, 1))
 
@@ -303,6 +312,15 @@ def test_random_refuses_more_pairs_than_columns_before_drawing(monkeypatch):
             with pytest.raises(GenerationError, match="too few"):
                 gen_random(n, seed=0, bbox=bbox)
     assert len(gen_random(2, seed=0, bbox=(0, 1)).points) == 4
+
+
+@pytest.mark.parametrize("bbox", [(0.5, 9.9), (0, 9.0), (False, 9), ("0", 9)],
+                         ids=["floats", "float-hi", "bool", "string"])
+def test_random_refuses_bbox_bounds_that_are_not_ints(bbox):
+    """A bbox bound that is not an int is refused with the bbox named, not
+    truncated into the box drawn from and the provenance written."""
+    with pytest.raises(ValueError, match=r"bbox .* not an int"):
+        gen_random(2, seed=0, bbox=bbox)
 
 
 def test_instance_rejects_degenerate_points():

@@ -109,6 +109,18 @@ def test_pointset_refuses_coordinates_that_are_not_ints(build):
         build()
 
 
+@pytest.mark.parametrize("points, message", [
+    (((0, 0), (1, 1)), r"point 0 = \(0, 0\) is not a Point"),
+    ((Point(0, 0), [1, 1]), r"point 1 = \[1, 1\] is not a Point"),
+    ([Point(0, 0), Point(1, 1)], "points are a list, not a tuple"),
+], ids=["plain-tuples", "list-entry", "list-container"])
+def test_pointset_refuses_entries_that_are_not_points(points, message):
+    """A plain tuple entry or a list container is refused with a
+    ValueError naming it, not an AttributeError or a failed hash."""
+    with pytest.raises(ValueError, match=message):
+        PointSet(points)
+
+
 def test_equal_point_sets_hit_the_same_cache_entries():
     """The hash and ``has_distinct_x`` are computed once per set: the hash
     is that of the points, equality still compares the points, and an equal

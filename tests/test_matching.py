@@ -17,7 +17,6 @@ from crossflip import (
     ReplayError,
     Strategy,
     apply_flip,
-    choice_yielding,
     crossings_after_flip,
     find_crossings,
     flip,
@@ -55,6 +54,7 @@ from oracles import (
     crossing_count_brute,
     reference_crossed_by,
     reference_ccw_quad_order,
+    reference_choice_yielding,
     reference_crossings_after_flip,
     reference_find_crossings,
     reference_live_crossings,
@@ -139,7 +139,7 @@ def test_square_flip_choice_a_gives_sides():
 def test_fig_six_flip_choices():
     inst = reappearing_segment_instance()
     crossing = (seg(1, 4), seg(2, 3))
-    b = choice_yielding(inst.points, crossing, (seg(1, 2), seg(3, 4)))
+    b = reference_choice_yielding(inst.points, crossing, (seg(1, 2), seg(3, 4)))
     m2 = apply_flip(inst.points, inst.matching, crossing, b)
     assert m2.pairs == ((0, 5), (1, 2), (3, 4))
     other = (
@@ -343,10 +343,10 @@ def test_reconnections_match_ccw_sort_reference(ps):
         crossing = (s, t)
         for choice, added in zip(CHOICES, want):
             assert reconnection_pairs(ps, crossing, choice) == added
-            assert choice_yielding(ps, crossing, added) is choice
-            assert choice_yielding(ps, crossing, added[::-1]) is choice
+            assert reference_choice_yielding(ps, crossing, added) is choice
+            assert reference_choice_yielding(ps, crossing, added[::-1]) is choice
         with pytest.raises(ValueError, match="is not a reconnection"):
-            choice_yielding(ps, crossing, crossing)
+            reference_choice_yielding(ps, crossing, crossing)
 
 
 @settings(max_examples=80, deadline=None)
@@ -441,7 +441,8 @@ def test_live_crossing_index_matches_full_pair_tests_along_flip_walks(
         assert [live.crossing(k) for k in live.keys] == [c for _, c in ranked]
         assert [k // len(ps) ** 4 for k in live.keys] == [r for r, _ in ranked]
         assert len(live) == len(crossings)
-        assert all(k in live for k in live.keys)
+        assert all(k in live.of[a] and k in live.of[c]
+                   for k in live.keys for (a, _), (c, _) in [live.crossing(k)])
         blocks = live.keys.blocks
         assert all(0 < len(b) <= 2 * load for b in blocks)
         assert live.keys.maxes == [b[-1] for b in blocks]
@@ -458,7 +459,7 @@ def test_live_crossing_index_matches_full_pair_tests_along_flip_walks(
         key = next(k for k in live.keys if live.crossing(k) == crossing)
         m, rec = flip(ps, m, crossing, rng.choice(CHOICES))
         live.flip(crossing, rec.added)
-        assert key not in live
+        assert all(key not in keys for keys in live.of)
         gained = sorted({live.crossing(k) for a, _ in rec.added for k in live.of[a]})
         assert gained == sorted(reference.flip(m, crossing, rec.added))
         assert gained == [c for c in reference_find_crossings(ps, m)

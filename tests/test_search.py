@@ -1,6 +1,8 @@
 import dataclasses
 import gc
+import math
 import random
+import re
 import sys
 import weakref
 
@@ -23,6 +25,7 @@ from crossflip import (
     gen_convex,
     gen_random,
     gen_two_line,
+    inversion_count,
     is_noncrossing,
     parse_strategy,
     phi_lines,
@@ -30,8 +33,10 @@ from crossflip import (
     replay,
     reverse_perm,
     run_strategy,
+    seg,
     shear_to_distinct_x,
     trace_from_moves,
+    two_line_permutation,
 )
 from crossflip import geometry, potentials, search
 from crossflip.geometry import COORD_LIMIT
@@ -56,11 +61,13 @@ from crossflip.search import (
 from oracles import (
     naive_f,
     naive_h,
+    reference_choice_yielding,
     reference_crossing_row,
     reference_longest,
     reference_matchings,
     reference_shortest,
     reference_side_mask_rows,
+    reference_successors,
 )
 
 SQUARE_INST = Instance(
@@ -297,11 +304,17 @@ def test_bfs_limit_bound_is_certified(monkeypatch):
 
 
 def test_on_stack_revisit_is_fatal(monkeypatch):
+    """An edge to an on-stack matching raises, naming that matching's
+    pairs, decoded from its kernel key: the square's start ((0, 2), (1, 3))
+    for an edge back to it, and its first child ((0, 1), (2, 3)) for a
+    self-loop on every state, which the DFS meets there first."""
     real = search._FlipGraph.children
-    monkeypatch.setattr(search._FlipGraph, "children",
-                        lambda self, key: real(self, key) + [key])
-    with pytest.raises(FlipGraphCycleError):
-        longest_flip_sequence(SQUARE_INST)
+    start = search._FlipGraph(SQUARE_INST.points).encode(SQUARE_INST.matching)
+    for back, pairs in ((start, [(0, 2), (1, 3)]), (None, [(0, 1), (2, 3)])):
+        monkeypatch.setattr(search._FlipGraph, "children",
+                            lambda self, key: real(self, key) + [back or key])
+        with pytest.raises(FlipGraphCycleError, match=re.escape(f"stack: {pairs}")):
+            longest_flip_sequence(SQUARE_INST)
 
 
 def test_search_limits_validated():
@@ -396,6 +409,15 @@ def test_step_cap_marks_trace_incomplete():
     inst = gen_two_line(reverse_perm(4))
     trace = run_strategy(inst, Strategy("bubble"), max_steps=2)
     assert not trace.complete and len(trace) == 2
+
+
+@pytest.mark.parametrize("cap", [2.5, 2.0, -1, math.nan, math.inf, True, "3"])
+def test_step_cap_refuses_values_that_are_not_counts(cap):
+    """A step cap is None or an int >= 0: a float is not rounded up, and a
+    negative or NaN cap does not silently stop the run at once."""
+    inst = gen_two_line(reverse_perm(4))
+    with pytest.raises(ValueError, match="max_steps .* not None or an int >= 0"):
+        run_strategy(inst, Strategy("bubble"), max_steps=cap)
 
 
 def test_restrict_choice_only_for_free_strategies():
@@ -534,6 +556,55 @@ def test_kernel_rows_and_masks_match_pair_tests(ps):
         assert graph[1 << k] == row == up_front
         for pair, both in masks.items():
             assert graph[pair] == both
+
+
+@st.composite
+def _matched_point_sets(draw, coords):
+    """An even-sized point list, repeated points allowed, with a perfect
+    matching drawn on it."""
+    ps = draw(_any_point_sets(coords, 16))
+    labels = draw(st.permutations(range(len(ps))))
+    return ps, Matching.from_pairs(zip(labels[0::2], labels[1::2]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_matched_point_sets(st.integers(0, 6)),  # 7x7 grid
+                 _matched_point_sets(st.integers(-10**4, 10**4)),
+                 _matched_point_sets(_EDGE)))
+def test_successors_match_reference(ps_m):
+    """``successors``, read off the kernel, against the ``find_crossings``
+    and ``apply_flip`` body it replaced, in value and order: random sets,
+    7x7-grid sets (repeated x, collinear triples, repeated points) and sets
+    at the coordinate budget's edges."""
+    ps, m = ps_m
+    assert successors(ps, m) == reference_successors(ps, m)
+
+
+def _bubble_perms():
+    rng = random.Random(21)
+    yield from (reverse_perm(n) for n in range(2, 9))
+    for _ in range(40):
+        perm = list(range(rng.randint(2, 12)))
+        rng.shuffle(perm)
+        yield tuple(perm)
+
+
+@pytest.mark.parametrize("perm", list(_bubble_perms()))
+def test_bubble_choice_matches_reference(perm):
+    """At every step of bubble, the first adjacent inversion i is flipped,
+    and the choice read off its ``crossing_quad`` is the one whose
+    reconnection pairs i with the top point of i + 1, found among both
+    reconnections by the search it replaced."""
+    inst = gen_two_line(perm)
+    ps, n = inst.points, inst.n
+    trace = run_strategy(inst, Strategy("bubble"))
+    assert trace.complete and len(trace) == inversion_count(perm)
+    for m, rec in zip(replay_states(ps, trace.initial, trace.records), trace.records):
+        pi = two_line_permutation(m, n)
+        i = next(i for i in range(n - 1) if pi[i] > pi[i + 1])
+        assert rec.crossing == ((i, n + pi[i]), (i + 1, n + pi[i + 1]))
+        target = (seg(i, n + pi[i + 1]), seg(i + 1, n + pi[i]))
+        assert rec.choice is reference_choice_yielding(ps, rec.crossing, target)
 
 
 def test_kernel_builds_only_the_entries_a_state_reads():
