@@ -32,7 +32,6 @@ from .matching import (
     find_crossings,
     flip,
     is_noncrossing,
-    reconnection_pairs,
     replay,
     total_length,
 )

@@ -168,13 +168,14 @@ def gen_convex(n: int) -> Instance:
     consecutive points increase, so orient(p_i, p_j, p_k) > 0 for every
     i < j < k, which certifies general position for ``Instance``. Every
     coordinate is at most n^2 in absolute value, within ``COORD_LIMIT`` for
-    n <= 1024; a larger n raises GenerationError.
+    n <= 1024; a larger n raises GenerationError, and an n that is not an
+    int, a bool included, ValueError.
 
     The matching pairs point 0 with point n, and point i with point 2n - i
     for 0 < i < n: one long chord crossed by n - 1 mutually nested chords.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
+    if type(n) is not int or n < 1:
+        raise ValueError(f"n {n!r} is not an int >= 1")
     m = 2 * n
     try:
         ps = PointSet.from_coords([(n * (k - n), (k - n) ** 2) for k in range(m)])
@@ -195,7 +196,8 @@ def gen_convex(n: int) -> Instance:
 def gen_random(n: int, seed: int, bbox: tuple[int, int] = (0, 512)) -> Instance:
     """2n integer points sampled uniformly in bbox^2, in general position,
     with a uniformly random perfect matching. Deterministic given the seed.
-    A bbox bound that is not an int is refused, not converted.
+    An n, a seed or a bbox bound that is not an int, a bool included, is
+    refused, not converted.
 
     Each candidate point is rejected if it duplicates an existing point or
     is collinear with an existing pair; a bounded rejection budget turns a
@@ -203,8 +205,10 @@ def gen_random(n: int, seed: int, bbox: tuple[int, int] = (0, 512)) -> Instance:
     columns holds at most 2k points with no three collinear, two per
     column, so n > k is refused before the first draw.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
+    if type(n) is not int or n < 1:
+        raise ValueError(f"n {n!r} is not an int >= 1")
+    if type(seed) is not int:
+        raise ValueError(f"seed {seed!r} is not an int")
     lo, hi = bbox
     if type(lo) is not int or type(hi) is not int:
         raise ValueError(f"bbox {bbox!r} has a bound that is not an int")

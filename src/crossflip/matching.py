@@ -2,7 +2,11 @@
 
 A matching is an immutable canonical pairing of point indices. A flip removes
 two crossing segments and reconnects their four endpoints one of the two
-non-crossing ways. Total segment length is tracked as a float-valued monitor,
+non-crossing ways. Every flip path (``flip`` and ``apply_flip``, replay, the
+run loop, ``potentials.decrement_audit``) takes one checked step,
+``check_live``: it refuses a stale or non-crossing pair and returns the
+crossing's ``crossing_quad``, off which ``quad_reconnections`` reads the
+added segments. Total segment length is tracked as a float-valued monitor,
 ``total_length``, a sum in C of ``math.dist`` per segment in the matching's
 order; it strictly decreases across every flip, but it never drives control
 flow.
@@ -346,21 +350,6 @@ def quad_reconnections(
     return ((a, x), seg(b, y)), ((a, y), seg(b, x))
 
 
-def reconnections(
-    ps: PointSet, crossing: CrossingPair
-) -> tuple[tuple[Segment, Segment], tuple[Segment, Segment]]:
-    """The sorted segment pairs a flip of ``crossing`` adds under choices A
-    and B."""
-    return quad_reconnections(crossing_quad(ps, crossing))
-
-
-def reconnection_pairs(
-    ps: PointSet, crossing: CrossingPair, choice: FlipChoice
-) -> tuple[Segment, Segment]:
-    """The two segments a flip of ``crossing`` adds under ``choice``."""
-    return reconnections(ps, crossing)[choice is FlipChoice.RECONNECT_B]
-
-
 @dataclass(frozen=True)
 class FlipRecord:
     """One applied flip with its monitor values.
@@ -399,14 +388,19 @@ class FlipTrace:
         return len(self.records)
 
 
-def check_live(ps: PointSet, pairs, crossing: CrossingPair) -> None:
-    """Raise FlipError unless ``crossing`` is a live proper crossing of the
-    matching whose segments are ``pairs`` (any container of them)."""
+def check_live(
+    ps: PointSet, pairs, crossing: CrossingPair
+) -> tuple[int, int, int, int]:
+    """The ``crossing_quad`` of ``crossing``, the one step every flip takes
+    before reading its added segments off ``quad_reconnections``; raises
+    FlipError unless ``crossing`` is a live proper crossing of the matching
+    whose segments are ``pairs`` (any container of them)."""
     e1, e2 = crossing
     if e1 not in pairs or e2 not in pairs:
         raise FlipError(f"crossing {crossing} is not part of the matching")
     if e1 == e2 or not segments_properly_cross(ps, e1, e2):
         raise FlipError(f"segments {e1} and {e2} do not cross")
+    return crossing_quad(ps, crossing)
 
 
 def _flipped(
@@ -416,8 +410,8 @@ def _flipped(
     matching and the two segments the flip adds. Raises FlipError for a
     stale or corrupt crossing. A run loop flips its ``_LiveCrossings`` index
     instead, and a replay its set of pairs."""
-    check_live(ps, m.pairs, crossing)
-    added = reconnection_pairs(ps, crossing, choice)
+    quad = check_live(ps, m.pairs, crossing)
+    added = quad_reconnections(quad)[choice is FlipChoice.RECONNECT_B]
     pairs = list(m.pairs)
     pairs.remove(crossing[0])
     pairs.remove(crossing[1])
@@ -457,10 +451,10 @@ def _replayed(ps: PointSet, initial: Matching, records, states=None) -> Matching
     pairs = set(initial.pairs)
     for i, rec in enumerate(records):
         try:
-            check_live(ps, pairs, rec.crossing)
+            quad = check_live(ps, pairs, rec.crossing)
         except FlipError as exc:
             raise ReplayError(i, str(exc)) from exc
-        added = reconnection_pairs(ps, rec.crossing, rec.choice)
+        added = quad_reconnections(quad)[rec.choice is FlipChoice.RECONNECT_B]
         if added != rec.added:
             raise ReplayError(
                 i, f"recorded segments {rec.added} differ from reconnection {added}"

@@ -16,12 +16,14 @@ shortest run. Both it and its change under a flip read the one x-order,
 
 Both potentials thus have a four-endpoint delta, ``phi_lines_delta`` from
 four line masks and ``phi_vertical_delta`` from four x-ranks. Strategy runs
-track each potential by its delta. ``decrement_audit`` reads the crossing's
-four masks once and takes everything from the same XORs: the split and
-gained-line checks, the popcounts of ``phi_lines_delta`` and the per-type
-line counts. Line types have one rule, ``_quad_line_masks``: the counts
-are popcounts of its masks, and the per-line types of ``detail=True`` are
-read off the same masks bit by bit.
+track each potential by its delta. ``decrement_audit`` takes the quad from
+the one checked flip step, ``check_live``, and reads its four masks for the
+split check and the per-type line counts, then eight more, the endpoints of
+the removed and added segments, for the gained-line check and the
+popcounts of ``phi_lines_delta``: an independent check that the added
+segments gain no line. Line types have one rule, ``_quad_line_masks``: the
+counts are popcounts of its masks, and the per-line types of
+``detail=True`` are read off the same masks bit by bit.
 
 Perturbed lines are bits of one int per point, built by one function,
 ``_line_masks``. With K = C(2n, 2) anchor pairs numbered in lexicographic
@@ -45,7 +47,7 @@ from enum import Enum, IntEnum
 from itertools import combinations
 from typing import NamedTuple
 
-from .geometry import PointSet, Segment, _SegmentLanes, _top_bits, crossing_quad
+from .geometry import PointSet, Segment, _SegmentLanes, _top_bits
 from .matching import (
     CrossingPair,
     FlipChoice,
@@ -308,9 +310,8 @@ def decrement_audit(
     lowest such line. ``phi_l_before`` may be passed by callers that track
     the potential incrementally, saving the full recount.
     """
-    check_live(ps, m.pairs, crossing)
     # a live crossing's endpoints are in convex position, in this ccw order
-    quad = crossing_quad(ps, crossing)
+    quad = check_live(ps, m.pairs, crossing)
     quad_masks = l1, l2, hit = _quad_line_masks(ps, quad)
     added = quad_reconnections(quad)[choice is FlipChoice.RECONNECT_B]
     masks = _line_masks(ps)

@@ -12,8 +12,8 @@ order as ``Matching.pairs``. Each segment has a bitset of the higher-id
 segments it properly crosses, read off one segment-lane table over all
 C(2n, 2) segments (``geometry._SegmentLanes``, the table strategy runs keep
 their matching in) in a few big-int operations with no pair test, and
-each crossing pair the XOR masks of reconnections A and B, from
-``matching.reconnections``. Both live in one memo, the kernel itself, filled
+each crossing pair the XOR masks of reconnections A and B, read off its
+``crossing_quad``. Both live in one memo, the kernel itself, filled
 on first use, inside the search deadline.
 The successors of M are ``M ^ mask`` by ascending lower segment, then higher
 segment, A before B: the canonical order, in which ``successors`` lists
@@ -31,13 +31,15 @@ shortest move sequence in canonical order, which BFS with first-discovery
 parents and the DFS's first successor attaining the min both yield. Each is
 rebuilt through the checked ``trace_from_moves``. ``SearchLimits`` hold per
 public call: one deadline, set before the kernel is built, and one state
-count, the clock read on every DFS step and every BFS expansion.
+count, the clock read on every DFS step, every BFS expansion and before
+each crossing row of the start (``_Search.start_rows``).
 
 Strategy runs and scripted traces share one run loop (``_run``), which
 asks a pick function for each move. Its one copy of the matching is a
 ``matching._LiveCrossings`` index, which keeps the segments in slots, the
-crossings as int keys, and the length: a move is checked against the
-index's ``pairs`` by ``check_live`` and flips the index alone, and the
+crossings as int keys, and the length: a move's one checked step,
+``check_live`` against the index's ``pairs``, gives the crossing's quad,
+its added segments are read off the quad, it flips the index alone, and the
 final ``Matching`` is built once, at the end. So a step costs O(n) big-int
 work in C, over the n 64-bit lanes of the index's segment-lane table, lane
 k for slot k's segment, plus O(log L) Python steps per crossing it removes
@@ -71,8 +73,7 @@ from .matching import (
     _LiveCrossings,
     check_live,
     is_noncrossing,
-    reconnection_pairs,
-    reconnections,
+    quad_reconnections,
 )
 from .potentials import (phi_lines, phi_lines_delta, phi_vertical,
                          phi_vertical_delta, x_ranks)
@@ -141,9 +142,10 @@ class _FlipGraph(dict):
     table over all C(2n, 2) segments, lane k for segment k: the top bits of
     the segment's straddle test against every lane. A row is thus O(1)
     big-int operations over C(2n, 2) lanes and no pair test. A crossing
-    pair's two bits map to the XOR masks of reconnections A and B, from
-    ``matching.reconnections``. The memo holds ints and tuples only, so a
-    dropped kernel is freed by reference counting."""
+    pair's two bits map to the XOR masks of reconnections A and B, read
+    off its ``crossing_quad`` with no liveness test: the pair crosses by
+    construction. The memo holds ints and tuples only, so a dropped kernel
+    is freed by reference counting."""
 
     def __init__(self, ps: PointSet):
         self.ps = ps
@@ -154,9 +156,9 @@ class _FlipGraph(dict):
 
     def __missing__(self, key: int) -> int | tuple[int, int]:
         if key & key - 1:
-            value = tuple(
-                key | 1 << self.offset[a] + b | 1 << self.offset[c] + d
-                for (a, b), (c, d) in reconnections(self.ps, _crossing(self.segs, key)))
+            quad = crossing_quad(self.ps, _crossing(self.segs, key))
+            value = tuple(key | 1 << self.offset[a] + b | 1 << self.offset[c] + d
+                          for (a, b), (c, d) in quad_reconnections(quad))
         else:
             a, b = self.segs[key.bit_length() - 1]
             # -2 * key keeps the ids above the segment's
@@ -235,6 +237,20 @@ class _Search:
             why, states_expanded=self.expanded,
             best_bound=self.best_lower if bound is None else bound)
 
+    def start_rows(self, start: int, bound: int | None = None) -> None:
+        """Build the crossing rows of ``start``'s segments one at a time,
+        with a clock read before each missing one: a row is big-int work
+        over all C(2n, 2) lanes, so at large n the start frame's rows alone
+        can outlast a short budget. A time-out raises with ``bound`` as
+        ``_exceeded`` does."""
+        graph, rest = self.graph, start
+        while rest:
+            lo = rest & -rest
+            rest ^= lo
+            if lo not in graph and time.monotonic() > self.deadline:
+                raise self._exceeded("time", bound)
+            graph[lo]  # a miss builds the row
+
     def solve(self, start: int) -> tuple[int, int]:
         """(f, h) of ``start`` by iterative post-order DFS."""
         clock, deadline, limits = time.monotonic, self.deadline, self.limits
@@ -243,6 +259,7 @@ class _Search:
             raise self._exceeded("time")
         if start in memo:
             return memo[start]
+        self.start_rows(start)
         on_stack = {start}
         # frame: [state, iterator over its successors, max f and min h
         # over the successors taken so far]; no successor leaves max f at -1
@@ -313,6 +330,7 @@ class _Search:
         deepest level generated completely: it holds no non-crossing
         matching."""
         clock, limits, children = time.monotonic, self.limits, self.graph.children
+        self.start_rows(start, 1)
         parents = {start: None}
         self.expanded = 1
         frontier = [(start, children(start))]
@@ -616,8 +634,8 @@ def _run(instance_id: str, ps: PointSet, initial: Matching, pick,
     phi_l = phi_lines(ps, initial) if with_phi_lines else None
     while len(records) < max_steps and (move := pick(live)) is not None:
         crossing, choice = move
-        check_live(ps, live.pairs, crossing)
-        added = reconnection_pairs(ps, crossing, choice)
+        quad = check_live(ps, live.pairs, crossing)
+        added = quad_reconnections(quad)[choice is FlipChoice.RECONNECT_B]
         live.flip(crossing, added)
         phi_k_before, phi_l_before = phi_k, phi_l
         if ranks:

@@ -5,8 +5,9 @@ extrema come three ways: ``naive_f``/``naive_h`` use plain unmemoized
 recursion over successors built here from
 ``reference_segments_properly_cross`` and ``reference_reconnection_pairs``,
 which reads ``reference_ccw_quad_order``, the comparator sort that the one
-orientation test of
-``geometry.crossing_quad`` replaced in ``matching.reconnections``;
+orientation test of ``geometry.crossing_quad`` replaced: ``matching.check_live``,
+the one checked flip step, returns that quad, and the search kernel reads it
+directly;
 ``reference_longest``/``reference_shortest`` are the ``Matching``-based
 memoized DFS and BFS that the int flip-graph kernel of ``crossflip.search``
 replaced, kept with their witness tie-breaks as the oracle for that kernel;

@@ -323,6 +323,26 @@ def test_random_refuses_bbox_bounds_that_are_not_ints(bbox):
         gen_random(2, seed=0, bbox=bbox)
 
 
+@pytest.mark.parametrize("n", [True, 2.5, 2.0, "2"],
+                         ids=["bool", "float", "whole-float", "string"])
+def test_generators_refuse_n_that_is_not_an_int(n):
+    """An n that is not an int is refused with n named, not built as
+    n = 1, passed to ``range`` or written into the provenance."""
+    with pytest.raises(ValueError, match=rf"n {n!r} is not an int >= 1"):
+        gen_random(n, seed=0)
+    with pytest.raises(ValueError, match=rf"n {n!r} is not an int >= 1"):
+        gen_convex(n)
+
+
+@pytest.mark.parametrize("seed", [1.5, True, 1.0, "1", None],
+                         ids=["float", "bool", "whole-float", "string", "none"])
+def test_random_refuses_seeds_that_are_not_ints(seed):
+    """A seed that is not an int is refused with the seed named, not drawn
+    from and written into the provenance."""
+    with pytest.raises(ValueError, match=rf"seed {seed!r} is not an int"):
+        gen_random(2, seed=seed)
+
+
 def test_instance_rejects_degenerate_points():
     ps = PointSet.from_coords([(0, 0), (1, 1), (2, 2), (5, 0)])
     with pytest.raises(ValueError, match="collinear"):

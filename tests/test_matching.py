@@ -23,7 +23,6 @@ from crossflip import (
     gen_random,
     gen_two_line,
     is_noncrossing,
-    reconnection_pairs,
     replay,
     run_strategy,
     seg,
@@ -37,9 +36,10 @@ from crossflip.geometry import COORD_LIMIT, crossed_by
 from crossflip.matching import (
     _LiveCrossings,
     _SortedInts,
+    check_live,
     crossing_count,
     crossing_quad,
-    reconnections,
+    quad_reconnections,
     replay_states,
 )
 from crossflip.scenarios import (
@@ -146,7 +146,8 @@ def test_fig_six_flip_choices():
         FlipChoice.RECONNECT_A if b is FlipChoice.RECONNECT_B
         else FlipChoice.RECONNECT_B
     )
-    added = reconnection_pairs(inst.points, crossing, other)
+    added = quad_reconnections(crossing_quad(inst.points, crossing))[
+        other is FlipChoice.RECONNECT_B]
     assert added == (seg(1, 3), seg(2, 4))
     assert not inst.points[added[0][0]] == inst.points[added[1][0]]
     from crossflip import segments_properly_cross
@@ -235,7 +236,8 @@ def test_replay_on_a_set_matches_the_stateless_flip(seed, n, edit, i, j):
             other = [c for c in FlipChoice if c is not rec.choice][0]
             records[i] = dataclasses.replace(rec, choice=other)
         elif edit == "added":  # the other choice's segments
-            other = [a for a in reconnections(ps, rec.crossing) if a != rec.added][0]
+            both = quad_reconnections(crossing_quad(ps, rec.crossing))
+            other = [a for a in both if a != rec.added][0]
             records[i] = dataclasses.replace(rec, added=other)
         else:  # two segments of the start: stale, non-crossing or live
             e1, e2 = m.pairs[i % n], m.pairs[j % n]
@@ -338,11 +340,12 @@ def test_reconnections_match_ccw_sort_reference(ps):
         for e1, e2 in ((s, t), (t, s)):
             for f1 in (e1, e1[::-1]):
                 for f2 in (e2, e2[::-1]):
-                    assert reconnections(ps, (f1, f2)) == want
                     assert crossing_quad(ps, (f1, f2)) == quad
+                    assert quad_reconnections(crossing_quad(ps, (f1, f2))) == want
         crossing = (s, t)
         for choice, added in zip(CHOICES, want):
-            assert reconnection_pairs(ps, crossing, choice) == added
+            assert quad_reconnections(crossing_quad(ps, crossing))[
+                choice is FlipChoice.RECONNECT_B] == added
             assert reference_choice_yielding(ps, crossing, added) is choice
             assert reference_choice_yielding(ps, crossing, added[::-1]) is choice
         with pytest.raises(ValueError, match="is not a reconnection"):
@@ -464,6 +467,44 @@ def test_live_crossing_index_matches_full_pair_tests_along_flip_walks(
         assert gained == sorted(reference.flip(m, crossing, rec.added))
         assert gained == [c for c in reference_find_crossings(ps, m)
                           if set(c) & set(rec.added)]
+
+
+def _flip_error_text(ps, pairs, crossing) -> str:
+    with pytest.raises(FlipError) as info:
+        check_live(ps, pairs, crossing)
+    return str(info.value)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_point_sets(st.integers(0, 6)),  # 7x7 grid, degenerate
+                 _point_sets(st.integers(-10**4, 10**4)),
+                 _point_sets(_EDGE)),
+       st.randoms(use_true_random=False))
+@example(PointSet.from_coords(_CORNERS), random.Random(0))
+def test_check_live_returns_the_crossing_quad(ps, rng):
+    """The one checked flip step against its two parts, for pairs given as
+    the matching's tuple (``flip``, ``decrement_audit``), as a list (the
+    run index's slots) and as a set (replay's): every live crossing of a
+    drawn matching gets its ``crossing_quad``, and a stale crossing, a
+    non-crossing pair of the matching and a segment paired with itself
+    raise FlipError with one text for all three containers."""
+    labels = list(range(len(ps)))
+    rng.shuffle(labels)
+    m = Matching.from_pairs(zip(labels[0::2], labels[1::2]))
+    containers = (m.pairs, list(m.pairs), set(m.pairs))
+    crossings = reference_find_crossings(ps, m)
+    for crossing in crossings:
+        quad = crossing_quad(ps, crossing)
+        assert [check_live(ps, pairs, crossing) for pairs in containers] == [quad] * 3
+    s = m.pairs[0]
+    stale = [(s, t) for t in combinations(range(len(ps)), 2)
+             if t not in m.pairs and not set(s) & set(t)]
+    quiet = [c for c in combinations(m.pairs, 2) if c not in crossings]
+    for bad in stale + quiet + [(t, t) for t in m.pairs]:
+        texts = {_flip_error_text(ps, pairs, bad) for pairs in containers}
+        stale_text = f"crossing {bad} is not part of the matching"
+        assert texts == {stale_text if bad in stale else
+                         f"segments {bad[0]} and {bad[1]} do not cross"}
 
 
 @settings(max_examples=100, deadline=None)

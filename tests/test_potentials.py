@@ -7,22 +7,27 @@ from hypothesis import strategies as st
 from crossflip import (
     FlipChoice,
     FlipError,
+    FlipRecord,
     LineType,
     Matching,
     PerturbedLine,
     PointSet,
     PotentialInvariantError,
+    ReplayError,
     Side,
     apply_flip,
     decrement_audit,
     find_crossings,
+    flip,
     gen_random,
     phi_lines,
     phi_lines_bound,
     phi_vertical,
     phi_vertical_bound,
+    replay,
     seg,
     shear_to_distinct_x,
+    trace_from_moves,
 )
 from crossflip import potentials
 from crossflip.search import enumerate_all_matchings, greedy_choice
@@ -265,10 +270,9 @@ def test_potentials_match_reference_loops():
 def test_gained_line_is_fatal(monkeypatch):
     # "flipping" two sides of the square into its diagonals: the lowest line,
     # 0-1 pushed toward the square, misses both sides and meets both diagonals.
-    # The sides do not cross, so the square's ccw order is injected too.
-    monkeypatch.setattr("crossflip.potentials.check_live", lambda *args: None)
-    monkeypatch.setattr("crossflip.potentials.crossing_quad",
-                        lambda ps, crossing: (0, 1, 2, 3))
+    # The sides do not cross, so the check returns the square's ccw order.
+    monkeypatch.setattr("crossflip.potentials.check_live",
+                        lambda *args: (0, 1, 2, 3))
     monkeypatch.setattr(
         "crossflip.potentials.quad_reconnections",
         lambda quad: (DIAGONALS.pairs, DIAGONALS.pairs),
@@ -281,12 +285,11 @@ def test_gained_line_is_fatal(monkeypatch):
 def test_diagonal_split_is_fatal(monkeypatch):
     # point 3 lies inside triangle 0, 1, 2; its "ccw order" is (0, 1, 3, 2)
     # and the line through 1 and 2 separates {0, 3} from {1, 2}. The audit
-    # reads that order from ``crossing_quad``, so it is injected there.
+    # reads that order from ``check_live``, so it is injected there.
     ps = PointSet.from_coords([(0, 0), (10, 0), (5, 9), (5, 3)])
     m = Matching.from_pairs([(0, 2), (1, 3)])
-    monkeypatch.setattr("crossflip.potentials.check_live", lambda *args: None)
-    monkeypatch.setattr("crossflip.potentials.crossing_quad",
-                        lambda ps, crossing: (0, 1, 3, 2))
+    monkeypatch.setattr("crossflip.potentials.check_live",
+                        lambda *args: (0, 1, 3, 2))
     pattern = r"line 1-2/plus splits quad \(0, 1, 3, 2\) along its diagonals"
     with pytest.raises(PotentialInvariantError, match=pattern):
         decrement_audit(ps, m, m.pairs, FlipChoice.RECONNECT_A)
@@ -308,3 +311,19 @@ def test_audit_rejects_pair_that_is_not_a_live_crossing(choice):
         decrement_audit(SQUARE, DIAGONALS, twice, choice)
     with pytest.raises(FlipError, match="do not cross"):
         apply_flip(SQUARE, DIAGONALS, twice, choice)
+    # every flip path raises the one check's text, and replay names the step
+    for m, crossing in ((SIDES, SIDES.pairs), (SIDES, DIAGONALS.pairs),
+                        (DIAGONALS, twice)):
+        texts = set()
+        for call in (flip, apply_flip, decrement_audit):
+            with pytest.raises(FlipError) as info:
+                call(SQUARE, m, crossing, choice)
+            texts.add(str(info.value))
+        with pytest.raises(FlipError) as info:
+            trace_from_moves("square", SQUARE, m, [(crossing, choice)])
+        texts.add(str(info.value))
+        assert len(texts) == 1
+        record = FlipRecord(crossing, choice, crossing, 0.0, 0.0)
+        with pytest.raises(ReplayError) as info:
+            replay(SQUARE, m, [record])
+        assert (info.value.step, str(info.value)) == (0, f"step 0: {texts.pop()}")

@@ -239,17 +239,37 @@ def _pair_test_clock_readings(monkeypatch, clock):
     return readings
 
 
-def test_large_kernel_reads_the_clock_after_the_start_frame(monkeypatch):
+def test_large_kernel_reads_the_clock_before_each_start_row(monkeypatch):
     """At n = 60 building the kernel and the start frame makes no pair test,
-    and a call over its budget stops at the first clock read after the
-    start frame: the deadline, the top of ``solve``, then the DFS loop."""
+    and a call over its budget stops at the first clock read past its
+    deadline, with no state expanded. The DFS reads the deadline, the top
+    of ``solve``, then the clock before each of the start's crossing rows;
+    the BFS reads the deadline, then the clock before each row. A deadline
+    between two rows stops with the rows before it built, and the bound is
+    the one each search certifies at its start: 0 for the DFS, 1 for the
+    BFS."""
     inst = gen_random(60, seed=1)
     clock = FakeClock()
     monkeypatch.setattr(search, "time", clock)
     readings = _pair_test_clock_readings(monkeypatch, clock)
-    with pytest.raises(SearchLimitsExceeded, match="time budget") as info:
-        longest_flip_sequence(inst, SearchLimits(time_budget=1.5))
-    assert clock.now == 3 and info.value.states_expanded == 1
+    rows = []
+    real = geometry._SegmentLanes.crossers
+
+    def counted(self, a, b):
+        rows.append((a, b))
+        return real(self, a, b)
+
+    monkeypatch.setattr(geometry._SegmentLanes, "crossers", counted)
+    for run, budget, now, built, bound in (
+            (longest_flip_sequence, 1.5, 3, 0, 0),
+            (longest_flip_sequence, 4.5, 6, 3, 0),
+            (shortest_flip_sequence, 3.5, 5, 3, 1)):
+        clock.now = 0.0
+        rows.clear()
+        with pytest.raises(SearchLimitsExceeded, match="time budget") as info:
+            run(inst, SearchLimits(time_budget=budget))
+        assert clock.now == now and len(rows) == built
+        assert (info.value.states_expanded, info.value.best_bound) == (0, bound)
     # only the non-crossing check before the search tests pairs
     assert readings and set(readings) == {0.0}
 
