@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .generators import Instance
-from .geometry import PointSet, seg
+from .geometry import PointSet
 from .matching import (
     FlipChoice,
     FlipRecord,
@@ -163,8 +163,12 @@ def _length(text: str) -> float:
 
 
 def _parse_seg(text: str):
-    a, b = text.split("-")
-    return seg(_int(a), _int(b))
+    """A segment ``a-b``, a < b, as ``write_trace`` writes it: a segment
+    written high end first is refused, not silently reordered."""
+    a, b = map(_int, text.split("-"))
+    if not a < b:
+        raise ValueError(f"{text!r} is not a-b with a < b, as write_trace writes it")
+    return a, b
 
 
 def read_trace(path) -> list[TraceRow]:
@@ -172,8 +176,8 @@ def read_trace(path) -> list[TraceRow]:
 
     Blank lines are skipped. A field parses only in the form ``write_trace``
     writes it, so nothing is coerced: counts and indices are nonnegative
-    ints as ``str`` writes them, and a length is a finite float as ``repr``
-    writes it."""
+    ints as ``str`` writes them, a segment is ``a-b`` with a < b, and a
+    length is a finite float as ``repr`` writes it."""
     rows = []
     try:
         with open(path, newline="") as fh:

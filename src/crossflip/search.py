@@ -31,8 +31,13 @@ shortest move sequence in canonical order, which BFS with first-discovery
 parents and the DFS's first successor attaining the min both yield. Each is
 rebuilt through the checked ``trace_from_moves``. ``SearchLimits`` hold per
 public call: one deadline, set before the kernel is built, and one state
-count, the clock read on every DFS step, every BFS expansion and before
-each crossing row of the start (``_Search.start_rows``).
+count. Every generated state, a DFS push or a BFS discovery, passes one
+limit gate (``_Search.admit``): a clock read, the state cap and the depth
+cap, then the count. Besides it the clock is read when ``solve`` takes up
+a start it has not solved, when a DFS frame resumes, and before each
+crossing row the row builder (``_Search.crossed``) has to build: every row
+of a start and, in the BFS, of a discovered state, whose crossing test it
+is.
 
 Strategy runs and scripted traces share one run loop (``_run``), which
 asks a pick function for each move. Its one copy of the matching is a
@@ -49,14 +54,16 @@ potentials move by their four-endpoint deltas, ``phi_vertical_delta`` and
 crossing's four endpoints, then canonically. Max-damage ranks by the drop
 in phi_vertical of the x-greedy response, computed once when the crossing
 appears, so it takes the first key, as greedy-x does. The x-greedy response
-itself is read off the crossing's one ``crossing_quad`` and the run's
-x-ranks (``_x_greedy``), which ``greedy_choice`` reads too, and so is
-bubble's, by the quad's second point.
+itself is read off the crossing's ``crossing_quad`` and the run's x-ranks
+(``_x_greedy``), which ``greedy_choice`` reads too, and so is bubble's, by
+the quad's second point. The pick computes that quad, and the run loop's
+``check_live`` computes it a second time.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import random
 import re
 import time
@@ -109,16 +116,22 @@ class StrategyNotApplicableError(RuntimeError):
 @dataclass(frozen=True)
 class SearchLimits:
     """Limits of one public search call. A state at edge distance d from
-    the start is generated only when d < max_depth."""
+    the start is generated only when d < max_depth. The two caps are ints
+    and the budget is a real number of seconds, inf included; a bool is
+    neither."""
 
     max_states: int = 10_000_000
     max_depth: int = 100_000
     time_budget: float = 60.0
 
     def __post_init__(self):
-        # not written as <= 0, which a NaN time budget would pass
-        if not (self.max_states > 0 and self.max_depth > 0 and self.time_budget > 0):
-            raise ValueError("all search limits must be positive")
+        for name, kind, what in (("max_states", int, "an int"),
+                                 ("max_depth", int, "an int"),
+                                 ("time_budget", numbers.Real, "a real number")):
+            value = getattr(self, name)
+            # not written as <= 0, which a NaN time budget would pass
+            if isinstance(value, bool) or not isinstance(value, kind) or not value > 0:
+                raise ValueError(f"{name} must be positive and {what}, got {value!r}")
 
 
 def _segment_offsets(m: int) -> list[int]:
@@ -215,7 +228,9 @@ _NO_H = 1 << 62
 
 class _Search:
     """One public search call on the int kernel of one point set: its
-    limits, its one deadline and state count, and the DAG pass memo."""
+    limits, its one deadline and state count, the one limit gate
+    (``admit``) and the row builder (``crossed``) that alone compare them,
+    and the DAG pass memo."""
 
     def __init__(self, ps: PointSet, limits: SearchLimits | None):
         self.limits = limits = limits or SearchLimits()
@@ -228,46 +243,58 @@ class _Search:
         #: longest run of the start whose DFS reached them
         self.best_lower = 0
 
-    def _exceeded(self, which: str, bound: int | None = None):
-        limits = self.limits
-        why = {"states": f"state cap {limits.max_states} hit",
-               "depth": f"depth cap {limits.max_depth} hit",
-               "time": f"time budget {limits.time_budget}s exhausted"}[which]
-        return SearchLimitsExceeded(
-            why, states_expanded=self.expanded,
-            best_bound=self.best_lower if bound is None else bound)
+    def _exceeded(self, why: str, bound: int | None) -> SearchLimitsExceeded:
+        bound = self.best_lower if bound is None else bound
+        return SearchLimitsExceeded(why, states_expanded=self.expanded, best_bound=bound)
 
-    def start_rows(self, start: int, bound: int | None = None) -> None:
-        """Build the crossing rows of ``start``'s segments one at a time,
-        with a clock read before each missing one: a row is big-int work
-        over all C(2n, 2) lanes, so at large n the start frame's rows alone
-        can outlast a short budget. A time-out raises with ``bound`` as
-        ``_exceeded`` does."""
-        graph, rest = self.graph, start
+    def on_time(self, bound: int | None = None) -> None:
+        """The gate's clock read, on its own where no state is generated:
+        when ``solve`` takes up an unsolved start, when a DFS frame resumes,
+        and before each row ``crossed`` builds."""
+        if time.monotonic() > self.deadline:
+            raise self._exceeded(
+                f"time budget {self.limits.time_budget}s exhausted", bound)
+
+    def admit(self, depth: int, bound: int | None = None) -> None:
+        """The one limit gate every generated state passes, a DFS push or a
+        BFS discovery at edge distance ``depth`` from the start: a clock
+        read, the state cap and the depth cap, then the state is counted.
+        A hit raises with ``bound`` as ``_exceeded`` does."""
+        self.on_time(bound)
+        limits = self.limits
+        if self.expanded >= limits.max_states:
+            raise self._exceeded(f"state cap {limits.max_states} hit", bound)
+        if depth >= limits.max_depth:
+            raise self._exceeded(f"depth cap {limits.max_depth} hit", bound)
+        self.expanded += 1
+
+    def crossed(self, key: int, bound: int | None = None) -> bool:
+        """Whether ``key`` has a crossing, from the crossing rows of its
+        segments, built one at a time with a clock read before each missing
+        one: a row is big-int work over all C(2n, 2) lanes, so at large n a
+        start's rows alone can outlast a short budget."""
+        graph, rest, hit = self.graph, key, 0
         while rest:
             lo = rest & -rest
             rest ^= lo
-            if lo not in graph and time.monotonic() > self.deadline:
-                raise self._exceeded("time", bound)
-            graph[lo]  # a miss builds the row
+            if lo not in graph:
+                self.on_time(bound)
+            hit |= graph[lo] & key  # a miss builds the row
+        return bool(hit)
 
     def solve(self, start: int) -> tuple[int, int]:
         """(f, h) of ``start`` by iterative post-order DFS."""
-        clock, deadline, limits = time.monotonic, self.deadline, self.limits
         memo, children = self.memo, self.graph.children
-        if clock() > deadline:
-            raise self._exceeded("time")
         if start in memo:
             return memo[start]
-        self.start_rows(start)
+        self.on_time()
+        self.crossed(start)  # builds the start's rows, each under the clock
+        self.admit(0)
         on_stack = {start}
         # frame: [state, iterator over its successors, max f and min h
         # over the successors taken so far]; no successor leaves max f at -1
         stack = [[start, iter(children(start)), -1, _NO_H]]
-        self.expanded += 1
         while stack:
-            if clock() > deadline:
-                raise self._exceeded("time")
             frame = stack[-1]
             best_f, best_h = frame[2], frame[3]
             for child in frame[1]:
@@ -293,18 +320,15 @@ class _Search:
                         parent[2] = value[0]
                     if value[1] < parent[3]:
                         parent[3] = value[1]
+                    self.on_time()
                 continue
             if child in on_stack:
                 raise FlipGraphCycleError("matching revisited on the DFS "
                                           f"stack: {list(self.graph.decode(child))}")
-            if self.expanded >= limits.max_states:
-                raise self._exceeded("states")
-            if len(stack) >= limits.max_depth:
-                raise self._exceeded("depth")
+            self.admit(len(stack))
             frame[2], frame[3] = best_f, best_h
             on_stack.add(child)
             stack.append([child, iter(children(child)), -1, _NO_H])
-            self.expanded += 1
         return memo[start]
 
     def witness(self, start: int, which: int) -> list:
@@ -325,39 +349,33 @@ class _Search:
 
     def shortest_moves(self, start: int) -> list:
         """Level-order BFS with first-discovery parents, stopping at the
-        first non-crossing matching discovered; every discovered state
-        counts as expanded. A limit hit certifies h >= d + 1, where d is the
+        first non-crossing matching discovered. The frontier holds keys; a
+        state's successors are listed once, when it is expanded, and each
+        newly discovered one passes the gate and is tested for a crossing
+        by its rows. A limit hit certifies h >= d + 1, where d is the
         deepest level generated completely: it holds no non-crossing
         matching."""
-        clock, limits, children = time.monotonic, self.limits, self.graph.children
-        self.start_rows(start, 1)
+        self.crossed(start, 1)
+        self.admit(0, 1)
         parents = {start: None}
-        self.expanded = 1
-        frontier = [(start, children(start))]
+        frontier = [start]
         depth = 0
         while frontier:
             # level ``depth`` is complete and holds no non-crossing matching
-            if depth + 1 >= limits.max_depth:
-                raise self._exceeded("depth", depth + 1)
             level = []
-            for state, kids in frontier:
-                if clock() > self.deadline:
-                    raise self._exceeded("time", depth + 1)
-                for child in kids:
+            for state in frontier:
+                for child in self.graph.children(state):
                     if child in parents:
                         continue
+                    self.admit(depth + 1, depth + 1)
                     parents[child] = state
-                    self.expanded += 1
-                    grandkids = children(child)
-                    if not grandkids:
+                    if not self.crossed(child, depth + 1):
                         moves = []
                         while child != start:
                             moves.append(self.graph.move(parents[child], child))
                             child = parents[child]
                         return moves[::-1]
-                    if self.expanded >= limits.max_states:
-                        raise self._exceeded("states", depth + 1)
-                    level.append((child, grandkids))
+                    level.append(child)
             frontier = level
             depth += 1
         raise FlipGraphCycleError(

@@ -278,6 +278,32 @@ def test_read_trace_rejects_fields_write_trace_never_writes(tmp_path, column,
                  "-o", str(tmp_path / "f.svg")]) == 2
 
 
+@pytest.mark.parametrize("column", ["removed_1", "removed_2", "added_1", "added_2"])
+def test_read_trace_refuses_a_segment_written_high_end_first(tmp_path, column):
+    """``write_trace`` writes a segment low end first. One written high end
+    first, or with both ends equal, is refused by ``read_trace`` and by the
+    CLI with exit 2, not read back as its reordered self, which would
+    replay."""
+    raw = gen_random(6, seed=3, bbox=(0, 200))
+    inst = Instance(shear_to_distinct_x(raw.points), raw.matching, raw.provenance)
+    inst_path = tmp_path / "inst.json"
+    save_instance(inst, inst_path)
+    path = tmp_path / "run.trace.csv"
+    write_trace(inst, run_strategy(inst, Strategy("greedy-x")), path)
+    lines = path.read_text().splitlines(keepends=True)
+    fields = lines[2].rstrip("\n").split(",")
+    a, b = fields[TRACE_COLUMNS.index(column)].split("-")
+    for text in (f"{b}-{a}", f"{a}-{a}"):
+        fields[TRACE_COLUMNS.index(column)] = text
+        lines[2] = ",".join(fields) + "\n"
+        path.write_text("".join(lines))
+        with pytest.raises(TraceFormatError,
+                           match=f"'{text}' is not a-b with a < b, as write_trace"):
+            read_trace(path)
+        assert main(["render", str(inst_path), "--trace", str(path), "--frame", "0",
+                     "-o", str(tmp_path / "f.svg")]) == 2
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 9), st.integers(0, 10**6), st.sampled_from(
     ["random", "first", "greedy-x", "adversary:max-damage", "none"]),

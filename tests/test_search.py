@@ -191,6 +191,31 @@ def test_search_limits_refuse_values_that_are_not_positive(field, value):
         SearchLimits(**{field: value})
 
 
+@pytest.mark.parametrize("field, value, what", [
+    ("max_states", True, "an int"), ("max_states", 2.0, "an int"),
+    ("max_states", math.inf, "an int"), ("max_depth", 2.5, "an int"),
+    ("max_depth", False, "an int"), ("max_depth", "5", "an int"),
+    ("time_budget", True, "a real number"), ("time_budget", "5", "a real number"),
+    ("time_budget", None, "a real number"), ("time_budget", 1j, "a real number"),
+])
+def test_search_limits_refuse_values_of_the_wrong_type(field, value, what):
+    """A cap is an int and a budget a real number, a bool being neither: a
+    bool, float or string cap and a bool, string or complex budget are
+    refused with a ValueError that names the field, not coerced or left to
+    a TypeError at the first comparison."""
+    with pytest.raises(ValueError, match=f"^{field} must be positive and {what}, got "):
+        SearchLimits(**{field: value})
+
+
+def test_search_limits_keep_int_and_infinite_budgets():
+    # the CLI's --time-budget is a float, so inf stays a budget
+    assert SearchLimits(time_budget=math.inf).time_budget == math.inf
+    assert SearchLimits(max_states=3, max_depth=2, time_budget=5).time_budget == 5
+    with pytest.raises(
+            ValueError, match="^max_depth must be positive and an int, got 0$"):
+        SearchLimits(max_depth=0)
+
+
 class FakeClock:
     """Stands in for the ``time`` module of ``crossflip.search``: every read
     of the clock advances it by one second."""
@@ -321,6 +346,52 @@ def test_bfs_limit_bound_is_certified(monkeypatch):
     bounds.append(info.value.best_bound)
     assert all(1 <= b <= h for b in bounds)
     assert max(bounds) == h
+
+
+def test_bfs_passes_each_generated_state_through_one_gate(monkeypatch):
+    """The BFS reads the clock once per generated state, in the gate
+    ``_Search.admit`` that the start and every newly discovered state pass,
+    plus once for the deadline and once before each crossing row it builds.
+    It lists successors only for the states it expands, each once, never
+    for a discovered state it does not expand: not for the non-crossing
+    matching it stops at on ``gen_convex(5)``, and at n = 60 only for the
+    start, when the budget runs out in the first level."""
+    clock = FakeClock()
+    monkeypatch.setattr(search, "time", clock)
+    rows, listed = [], []
+    real_row, real_children = geometry._SegmentLanes.crossers, search._FlipGraph.children
+
+    def counted_row(self, a, b):
+        rows.append((a, b))
+        return real_row(self, a, b)
+
+    def counted_children(self, key):
+        listed.append(key)
+        return real_children(self, key)
+
+    monkeypatch.setattr(geometry._SegmentLanes, "crossers", counted_row)
+    monkeypatch.setattr(search._FlipGraph, "children", counted_children)
+    inst = gen_convex(5)
+    graph = search._FlipGraph(inst.points)
+    start = graph.encode(inst.matching)
+    stats = {}
+    h, trace = shortest_flip_sequence(inst, SearchLimits(time_budget=10**9), stats)
+    states = stats["states_expanded"]
+    assert h == 4 and clock.now == 1 + states + len(rows)
+    assert listed[0] == start and len(set(listed)) == len(listed) < states
+    assert graph.encode(trace.final) not in listed
+
+    inst = gen_random(60, seed=1)
+    clock.now = 0.0
+    rows.clear()
+    listed.clear()
+    with pytest.raises(SearchLimitsExceeded, match="time budget") as info:
+        shortest_flip_sequence(inst, SearchLimits(time_budget=400))
+    states = info.value.states_expanded
+    # the last read, past the deadline, is a gate's or a row's
+    assert clock.now == 402 == 2 + states + len(rows)
+    assert info.value.best_bound == 1 and states > 1
+    assert listed == [search._FlipGraph(inst.points).encode(inst.matching)]
 
 
 def test_on_stack_revisit_is_fatal(monkeypatch):

@@ -7,6 +7,7 @@ from pathlib import Path
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "src_size.py"
 STEP_COST = TOOL.with_name("step_cost.py")
 TRACE_DIGEST = TOOL.with_name("trace_digest.py")
+BUDGET_PROBE = TOOL.with_name("budget_probe.py")
 PACKAGE = TOOL.parents[1] / "src" / "crossflip"
 
 
@@ -72,6 +73,24 @@ def test_step_cost_refuses_a_set_it_cannot_shear():
         capture_output=True, text=True, timeout=60, env=env)
     assert proc.returncode == 2 and proc.stdout == ""
     assert "exceeds" in proc.stderr
+
+
+def test_budget_probe_prints_one_json_line():
+    """A budgeted longest-run search at n = 20 outlasts a 0.2 s budget: the
+    probe reports the limit hit, its states and certified bound, the time
+    from the call to the raise and the peak resident set."""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run(
+        [sys.executable, str(BUDGET_PROBE), "20", "1", "f", "0.2", "--cap-mb", "512"],
+        capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    (line,) = proc.stdout.splitlines()
+    out = json.loads(line)
+    assert (out["n"], out["seed"], out["which"], out["budget"], out["cap_mb"]) == (
+        20, 1, "f", 0.2, 512)
+    assert out["outcome"] == "limit" and out["value"] is None
+    assert out["states"] > 0 and out["best_bound"] >= 0
+    assert 0.2 <= out["seconds"] < 10 and out["peak_rss_mb"] > 0
 
 
 def test_trace_digest_matches_the_pinned_outputs():
