@@ -16,14 +16,18 @@ each crossing pair the XOR masks of reconnections A and B, read off its
 ``crossing_quad``. Both live in one memo, the kernel itself, filled
 on first use, inside the search deadline.
 The successors of M are ``M ^ mask`` by ascending lower segment, then higher
-segment, A before B: the canonical order, in which ``successors`` lists
-them for one matching (``children``, then ``move`` and ``decode``). One memoized
-iterative post-order DFS (``_Search``) gives f = 1 + max and h = 1 + min over
-successors; an on-stack revisit is fatal. ``shortest_flip_sequence`` keeps a
-BFS over the same ints, whose early exit beats a full DAG pass on one
-instance. Enumeration walks every matching's int key and pairs in canonical
-order with an explicit stack (``_matchings``); ``extremal_estimates`` reads
-the keys and ``enumerate_all_matchings`` wraps the pairs.
+segment, A before B: the canonical order, in which ``children`` generates
+them lazily, reading a row or a pair's masks only when the first successor
+that needs it is asked for, and ``successors`` lists them for one matching
+(``children``, then ``move`` and ``decode``). One memoized iterative
+post-order DFS (``_Search``) gives f = 1 + max and h = 1 + min over
+successors; each frame keeps its state's ``children`` generator, so it
+builds a successor only when it takes it up, and an on-stack revisit is
+fatal. ``shortest_flip_sequence`` keeps a BFS over the same ints, whose
+early exit beats a full DAG pass on one instance. Enumeration walks every
+matching's int key and pairs in canonical order with an explicit stack that
+emits its last two levels directly (``_matchings``); ``extremal_estimates``
+reads the keys and ``enumerate_all_matchings`` wraps the pairs.
 
 Witnesses are pinned: the f witness takes the first successor in canonical
 order attaining the max; the h witness is the lexicographically first
@@ -37,7 +41,9 @@ cap, then the count. Besides it the clock is read when ``solve`` takes up
 a start it has not solved, when a DFS frame resumes, and before each
 crossing row the row builder (``_Search.crossed``) has to build: every row
 of a start and, in the BFS, of a discovered state, whose crossing test it
-is.
+is. Any other row, and every reconnection mask, is built by a frame's
+generator as it reaches the successor that reads it, so the work between
+two clock reads of a DFS is one successor's, not one state's whole list.
 
 Strategy runs and scripted traces share one run loop (``_run``), which
 asks a pick function for each move. Its one copy of the matching is a
@@ -187,9 +193,11 @@ class _FlipGraph(dict):
         return Matching(tuple(self.segs[bit.start()]
                               for bit in re.finditer("1", f"{key:b}"[::-1])))
 
-    def children(self, key: int) -> list[int]:
-        """The successors of ``key`` in canonical order."""
-        out = []
+    def children(self, key: int):
+        """The successors of ``key`` in canonical order, generated lazily: a
+        segment's crossing row, and a crossing's reconnection masks, are
+        read, and on a miss built, only when the first successor that needs
+        them is asked for."""
         rest = key
         while rest:
             lo = rest & -rest
@@ -199,9 +207,8 @@ class _FlipGraph(dict):
                 hi = crossed & -crossed
                 crossed ^= hi
                 mask_a, mask_b = self[lo | hi]
-                out.append(key ^ mask_a)
-                out.append(key ^ mask_b)
-        return out
+                yield key ^ mask_a
+                yield key ^ mask_b
 
     def move(self, key: int, child: int) -> tuple[CrossingPair, FlipChoice]:
         """The (crossing, choice) that turns ``key`` into its successor
@@ -283,7 +290,10 @@ class _Search:
         return bool(hit)
 
     def solve(self, start: int) -> tuple[int, int]:
-        """(f, h) of ``start`` by iterative post-order DFS."""
+        """(f, h) of ``start`` by iterative post-order DFS. A frame keeps
+        its state's ``children`` generator and takes its successors up one
+        at a time, so a successor, with the rows and masks it reads, is
+        built only when the frame reaches it."""
         memo, children = self.memo, self.graph.children
         if start in memo:
             return memo[start]
@@ -291,9 +301,9 @@ class _Search:
         self.crossed(start)  # builds the start's rows, each under the clock
         self.admit(0)
         on_stack = {start}
-        # frame: [state, iterator over its successors, max f and min h
+        # frame: [state, generator of its successors, max f and min h
         # over the successors taken so far]; no successor leaves max f at -1
-        stack = [[start, iter(children(start)), -1, _NO_H]]
+        stack = [[start, children(start), -1, _NO_H]]
         while stack:
             frame = stack[-1]
             best_f, best_h = frame[2], frame[3]
@@ -328,7 +338,7 @@ class _Search:
             self.admit(len(stack))
             frame[2], frame[3] = best_f, best_h
             on_stack.add(child)
-            stack.append([child, iter(children(child)), -1, _NO_H])
+            stack.append([child, children(child), -1, _NO_H])
         return memo[start]
 
     def witness(self, start: int, which: int) -> list:
@@ -425,8 +435,11 @@ def shortest_flip_sequence(
 def _matchings(ps: PointSet, cap: int):
     """The int key and the pairs of every perfect matching of ps, streamed in
     canonical order (ascending pairs: the lowest free point takes each free
-    partner in turn). Refuses point sets beyond the enumeration cap at once,
-    before the first matching is asked for."""
+    partner in turn). The last two levels are emitted directly, so no leaf
+    is pushed: a partial matching with free points a < b < c < d yields
+    ab|cd, ac|bd and ad|bc, one with two free points its one completion.
+    Refuses point sets beyond the enumeration cap at once, before the first
+    matching is asked for."""
     if ps.n > cap:
         raise EnumerationCapExceeded(
             f"n={ps.n} exceeds enumeration cap {cap}; (2n-1)!! growth")
@@ -439,8 +452,17 @@ def _matchings(ps: PointSet, cap: int):
         stack = [(0, (), tuple(range(m)))]
         while stack:
             key, pairs, free = stack.pop()
-            if not free:
-                yield key, pairs
+            if len(free) == 4:
+                a, b, c, d = free
+                yield (key | 1 << offset[a] + b | 1 << offset[c] + d,
+                       pairs + ((a, b), (c, d)))
+                yield (key | 1 << offset[a] + c | 1 << offset[b] + d,
+                       pairs + ((a, c), (b, d)))
+                yield (key | 1 << offset[a] + d | 1 << offset[b] + c,
+                       pairs + ((a, d), (b, c)))
+                continue
+            if len(free) == 2:
+                yield key | 1 << offset[free[0]] + free[1], pairs + (free,)
                 continue
             a, rest = free[0], free[1:]
             stack += [(key | 1 << offset[a] + b, pairs + ((a, b),),

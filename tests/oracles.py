@@ -39,7 +39,10 @@ replaced, and ``reference_point_lane_crossers`` that test on 2n point
 lanes, which the n segment-slot lanes replaced. ``reference_crossing_row``
 is the per-pair loop, and
 ``reference_matchings`` the recursive enumerator, that the lane-table rows and
-the int enumeration of the ``crossflip.search`` kernel replaced, and
+the int enumeration of the ``crossflip.search`` kernel replaced,
+``reference_stack_matchings`` that int enumeration's explicit stack with one
+entry per leaf, which its walk emitting the last two levels directly
+replaced, and
 ``reference_side_mask_rows`` the up-front build of every row from transposed
 side-mask columns that its rows built on first use, and then read off one
 segment-lane table, replaced.
@@ -365,6 +368,26 @@ def reference_matchings(m: int):
                 yield ((first, avail[i]),) + tail
 
     return rec(tuple(range(m)))
+
+
+def reference_stack_matchings(m: int):
+    """The kernel key and the pairs of every perfect matching of points
+    0..m-1 in canonical order, by an explicit stack with one entry per
+    partial matching, leaves included. A segment's bit is its rank among
+    the C(m, 2) segments in lexicographic order."""
+    rank = {seg: k for k, seg in enumerate(combinations(range(m), 2))}
+    # a partial matching: its key, its pairs and its free points; the
+    # partners are pushed in reverse, so the lowest pops first
+    stack = [(0, (), tuple(range(m)))]
+    while stack:
+        key, pairs, free = stack.pop()
+        if not free:
+            yield key, pairs
+            continue
+        a, rest = free[0], free[1:]
+        stack += [(key | 1 << rank[a, b], pairs + ((a, b),),
+                   rest[:i] + rest[i + 1:])
+                  for i, b in reversed(list(enumerate(rest)))]
 
 
 def naive_successors(ps: PointSet, m: Matching) -> list[Matching]:

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import itertools
 import math
 import random
 import re
@@ -67,6 +68,7 @@ from oracles import (
     reference_matchings,
     reference_shortest,
     reference_side_mask_rows,
+    reference_stack_matchings,
     reference_successors,
 )
 
@@ -155,6 +157,19 @@ def test_enumeration_counts_and_order():
         graph = search._FlipGraph(inst.points)
         assert [(graph.encode(Matching(p)), p) for p in seen] == list(
             search._matchings(inst.points, cap=5))
+
+
+def test_matchings_walk_equals_the_stack_walk():
+    """The walk that emits its last two levels directly gives the keys, the
+    pairs and the order of the stack walk with one entry per leaf that it
+    replaced, and the public enumeration those of the recursive reference,
+    for n = 1 to 6 (10,395 matchings at n = 6)."""
+    for n in range(1, 7):
+        ps = gen_random(n, seed=5, bbox=(0, 300)).points
+        assert list(search._matchings(ps, cap=6)) == list(
+            reference_stack_matchings(2 * n))
+        assert [m.pairs for m in enumerate_all_matchings(ps, cap=6)] == list(
+            reference_matchings(2 * n))
 
 
 def test_enumeration_cap():
@@ -307,7 +322,7 @@ def test_dropped_flip_graph_is_freed_by_reference_counting():
     gc.disable()
     try:
         graph = search._FlipGraph(inst.points)
-        assert graph.children(graph.encode(inst.matching)) and graph
+        assert list(graph.children(graph.encode(inst.matching))) and graph
         dropped = weakref.ref(graph)
         del graph
         assert dropped() is None
@@ -403,9 +418,51 @@ def test_on_stack_revisit_is_fatal(monkeypatch):
     start = search._FlipGraph(SQUARE_INST.points).encode(SQUARE_INST.matching)
     for back, pairs in ((start, [(0, 2), (1, 3)]), (None, [(0, 1), (2, 3)])):
         monkeypatch.setattr(search._FlipGraph, "children",
-                            lambda self, key: real(self, key) + [back or key])
+                            lambda self, key: itertools.chain(real(self, key),
+                                                              [back or key]))
         with pytest.raises(FlipGraphCycleError, match=re.escape(f"stack: {pairs}")):
             longest_flip_sequence(SQUARE_INST)
+
+
+def test_back_edge_after_other_successors_is_fatal(monkeypatch):
+    """A back edge that a frame yields after its real successors, so only
+    once the frame has taken up and solved each of them and resumed, still
+    raises, naming the on-stack matching it leads to: here the start, from
+    its first child on rev4."""
+    inst = gen_two_line(reverse_perm(4))
+    real = search._FlipGraph.children
+    graph = search._FlipGraph(inst.points)
+    start = graph.encode(inst.matching)
+    first = next(real(graph, start))
+    late = list(real(graph, first))
+    assert late
+
+    def children(self, key):
+        return itertools.chain(real(self, key), [start] if key == first else [])
+
+    monkeypatch.setattr(search._FlipGraph, "children", children)
+    dfs = search._Search(inst.points, None)
+    with pytest.raises(FlipGraphCycleError,
+                       match=re.escape(f"stack: {list(inst.matching.pairs)}")):
+        dfs.longest_moves(start)
+    assert first not in dfs.memo and all(child in dfs.memo for child in late)
+
+
+def test_dfs_frames_generate_successors_lazily(monkeypatch):
+    """A DFS frame builds a successor, and the crossing rows and
+    reconnection masks it reads, only when it takes that successor up. At
+    n = 60, when the budget runs out, the kernel holds at most one
+    reconnection entry (a key with two bits) per state expanded: frames
+    that held their full successor lists had built 1,007 at the same 230
+    states."""
+    monkeypatch.setattr(search, "time", FakeClock())
+    inst = gen_random(60, seed=1)
+    dfs = search._Search(inst.points, SearchLimits(time_budget=400))
+    with pytest.raises(SearchLimitsExceeded, match="time budget") as info:
+        dfs.longest_moves(dfs.graph.encode(inst.matching))
+    states = info.value.states_expanded
+    assert (states, info.value.best_bound) == (230, 122)
+    assert sum(1 for key in dfs.graph if key & key - 1) <= states
 
 
 def test_search_limits_validated():
@@ -706,7 +763,7 @@ def test_kernel_builds_only_the_entries_a_state_reads():
     graph = search._FlipGraph(inst.points)
     assert len(graph) == 0
     start = graph.encode(inst.matching)
-    graph.children(start)
+    list(graph.children(start))
     ids = [graph.segs.index(s) for s in inst.matching.pairs]
     crossings = find_crossings(inst.points, inst.matching)
     pairs = {graph.encode(Matching(crossing)) for crossing in crossings}
