@@ -21,8 +21,8 @@ from .geometry import (
     CoordinateOverflowError,
     Point,
     PointSet,
+    _collinear_with_pair,
     _general_position,
-    first_collinear_pair,
     orient,
     seg,
     segments_properly_cross,
@@ -199,9 +199,12 @@ def gen_random(n: int, seed: int, bbox: tuple[int, int] = (0, 512)) -> Instance:
     An n, a seed or a bbox bound that is not an int, a bool included, is
     refused, not converted.
 
-    Each candidate point is rejected if it duplicates an existing point or
-    is collinear with an existing pair; a bounded rejection budget turns a
-    hopeless bbox into an error instead of a hang. A box of k integer
+    Each candidate point is rejected if it duplicates an existing point (a
+    set lookup) or is collinear with an existing pair: its slope keys to the
+    accepted points, at the one scale (hi - lo)**2 that bounds every |dx|
+    squared in the box, repeat (``geometry._collinear_with_pair``). A
+    bounded rejection budget turns a hopeless bbox into an error instead of
+    a hang. A box of k integer
     columns holds at most 2k points with no three collinear, two per
     column, so n > k is refused before the first draw.
     """
@@ -221,6 +224,9 @@ def gen_random(n: int, seed: int, bbox: tuple[int, int] = (0, 512)) -> Instance:
         )
     rng = random.Random(seed)
     pts: list[Point] = []
+    seen: set[Point] = set()
+    # every |dx| within the box is at most hi - lo: one exact slope scale
+    scale = (hi - lo) ** 2
     budget = 4000 * n
     draws = 0
     while len(pts) < 2 * n:
@@ -231,9 +237,10 @@ def gen_random(n: int, seed: int, bbox: tuple[int, int] = (0, 512)) -> Instance:
             )
         draws += 1
         cand = Point(rng.randint(lo, hi), rng.randint(lo, hi))
-        if cand in pts or first_collinear_pair(cand, pts) is not None:
+        if cand in seen or _collinear_with_pair(cand, pts, scale):
             continue
         pts.append(cand)
+        seen.add(cand)
     order = list(range(2 * n))
     rng.shuffle(order)
     matching = Matching.from_pairs(

@@ -293,6 +293,15 @@ def first_collinear_pair(p: Point, others: Sequence[Point]) -> tuple[int, int] |
     return _first_repeat(slope_keys(p, others))
 
 
+def _collinear_with_pair(p: Point, others: Sequence[Point], scale: int) -> bool:
+    """Whether p is collinear with two points of ``others`` (none equal to
+    p), by one set-size check: whether their ``slope_keys`` repeat, taken
+    at a fixed K = ``scale``, which is exact when scale >= (max |dx|)**2."""
+    px, py = p
+    return len({scale * (y - py) // (x - px) if x != px else None
+                for x, y in others}) < len(others)
+
+
 #: Point sets known to be in general position: the random generator's
 #: output, whose rejection test covered every triple, the convex
 #: generator's, whose increasing x and counterclockwise turns order every

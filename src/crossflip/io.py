@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -162,10 +163,22 @@ def _length(text: str) -> float:
     return value
 
 
+#: A segment as ``write_trace`` writes it: two nonnegative ints as ``str``
+#: writes them, in ASCII digits, joined by "-".
+_SEGMENT = re.compile(r"(0|[1-9][0-9]*)-(0|[1-9][0-9]*)")
+
+#: The choice column's two values.
+_CHOICES = {choice.value: choice for choice in FlipChoice}
+
+
 def _parse_seg(text: str):
     """A segment ``a-b``, a < b, as ``write_trace`` writes it: a segment
     written high end first is refused, not silently reordered."""
-    a, b = map(_int, text.split("-"))
+    match = _SEGMENT.fullmatch(text)
+    if match is None:
+        raise ValueError(f"{text!r} is not a-b of two nonnegative integers, "
+                         "each as str writes it")
+    a, b = int(match[1]), int(match[2])
     if not a < b:
         raise ValueError(f"{text!r} is not a-b with a < b, as write_trace writes it")
     return a, b
@@ -202,7 +215,9 @@ def read_trace(path) -> list[TraceRow]:
                 else:
                     r1, r2, a1, a2 = map(_parse_seg, raw[1:5])
                     removed, added = (r1, r2), (a1, a2)
-                    choice = FlipChoice(raw[5])
+                    choice = _CHOICES.get(raw[5])
+                    if choice is None:
+                        raise ValueError(f"{raw[5]!r} is not a valid FlipChoice")
                 rows.append(TraceRow(step, removed, added, choice, _opt_int(raw[6]),
                                      _length(raw[7]), _opt_int(raw[8]),
                                      _opt_int(raw[9])))

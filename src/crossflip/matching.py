@@ -17,23 +17,28 @@ pair, and two more for a pair that straddles; at an audit's small n, a lane
 table built per call costs more than it saves. Along a run of flips
 (``search._run``, the one run loop), ``_LiveCrossings`` is the run's one
 copy of its matching, and bookkeeping only: it keeps the segments in slots,
-the crossings as sorted int keys, optionally ranked first by a function of
-a crossing's four endpoints, with an index of each segment's crossings, and
-the run's length. Its crossing tests run on a ``geometry._SegmentLanes``
-table, lane k for slot k's segment, so a flip retests only its two added
-segments, by a few big-int expressions over n 64-bit lanes, and no step
-loops over the matching in Python. ``crossing_count`` counts on such a
-table without building the index.
+each point's mate, the crossings as two bitset rows per lower endpoint (a
+segment is named by its lower endpoint, a crossing by its two), and the
+run's length. It is a sequence of its crossings in canonical order, read
+off prefix popcounts of the rows, and gives the first crossing, canonically
+or, with a rank function of a crossing's four endpoints, by rank from a
+lazily pruned heap of int keys. Its crossing tests run on a
+``geometry._SegmentLanes`` table, lane k for slot k's segment, so a flip
+retests only its two added segments, by a few big-int expressions over n
+64-bit lanes, and sets or clears one bit in a partner's row per crossing it
+adds or removes; no step loops over the matching in Python. ``crossing_count``
+counts on such a table without building the index.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, insort
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import reduce
-from itertools import chain, compress
+from heapq import heapify, heappop, heappush
+from itertools import accumulate, chain, compress, count
 from operator import add
 
 from .geometry import (
@@ -145,135 +150,71 @@ def crossings_after_flip(
     return out
 
 
-#: Block size of ``_SortedInts``, as in sortedcontainers' SortedList.
-_LOAD = 1000
-
-
-class _SortedInts:
-    """Distinct ints in ascending order, in blocks of at most 2 * load: the
-    design of sortedcontainers' SortedList, without the package. A block is
-    found by bisecting the blocks' maxima, so an insert or a delete moves at
-    most 2 * load ints, in C. A block cut to load / 2 ints or fewer is
-    merged into a neighbour. ``[k]`` walks the blocks, for 0 <= k < len."""
-
-    def __init__(self, values: list[int]):
-        self.load = load = _LOAD
-        self.blocks = [values[i:i + load] for i in range(0, len(values), load)]
-        self.maxes = [block[-1] for block in self.blocks]
-        self.len = len(values)
-
-    def __len__(self) -> int:
-        return self.len
-
-    def __iter__(self):
-        return chain.from_iterable(self.blocks)
-
-    def __getitem__(self, k: int) -> int:
-        for block in self.blocks:
-            if k < len(block):
-                return block[k]
-            k -= len(block)
-        raise IndexError(k)
-
-    def _split(self, i: int) -> None:
-        """Cut block i, longer than 2 * load, after its first load ints."""
-        block = self.blocks[i]
-        self.blocks.insert(i + 1, block[self.load:])
-        del block[self.load:]
-        self.maxes.insert(i, block[-1])
-
-    def add(self, value: int) -> None:
-        blocks, maxes = self.blocks, self.maxes
-        self.len += 1
-        if not blocks:
-            blocks.append([value])
-            maxes.append(value)
-            return
-        i = bisect_left(maxes, value)
-        if i == len(maxes):
-            i -= 1
-            blocks[i].append(value)
-            maxes[i] = value
-        else:
-            insort(blocks[i], value)
-        if len(blocks[i]) > 2 * self.load:
-            self._split(i)
-
-    def remove(self, value: int) -> None:
-        """Delete ``value``, which must be present."""
-        blocks, maxes = self.blocks, self.maxes
-        self.len -= 1
-        i = bisect_left(maxes, value)
-        block = blocks[i]
-        del block[bisect_left(block, value)]
-        if len(block) > self.load >> 1 or len(blocks) == 1:
-            if block:
-                maxes[i] = block[-1]
-            else:
-                del blocks[i], maxes[i]
-            return
-        i = max(i, 1)  # merge block i into block i - 1
-        blocks[i - 1] += blocks.pop(i)
-        del maxes[i]
-        maxes[i - 1] = blocks[i - 1][-1]
-        if len(blocks[i - 1]) > 2 * self.load:
-            self._split(i - 1)
+#: A ranked index cuts its heap back to the live keys once it holds more
+#: than this many keys per live crossing.
+_HEAP_SLACK = 2
 
 
 class _LiveCrossings:
     """The crossings of a matching along a run of flips over M points.
 
-    Crossing ((a, b), (c, d)) has the int key ((a*M + b)*M + c)*M + d, which
-    keeps canonical order, plus rank(a, b, c, d) * M**4 when a ``rank``
-    function is given, so the keys run by (rank, crossing). ``keys`` holds
-    the live keys in a ``_SortedInts``, and ``of[r]`` the keys of the
-    segment whose lower endpoint is r. ``lengths[r]`` holds that segment's
-    length, and 0.0 at upper endpoints.
+    A point lies on exactly one segment, so a segment is named by its lower
+    endpoint, and crossing ((a, b), (c, d)), a < c, by (a, c): canonical
+    order is the order of (a, c). ``mate[p]`` is p's partner. ``up[a]`` has
+    bit c set for each segment (c, d) crossing (a, b) with c > a, and
+    ``down[a]`` bit c for each with c < a; both rows are 0 at an upper
+    endpoint. ``count`` is the number of live crossings, and ``lengths[r]``
+    the length of the segment with lower endpoint r, 0.0 at upper endpoints.
+
+    The index is a sequence of its crossings in canonical order: ``live[k]``
+    bisects the prefix popcounts of the ``up`` rows for a, then reads c off
+    row a, so ``rng.choice(live)`` draws what ``rng.choice`` draws from a
+    sorted list of the crossings. ``first()`` is the canonically first crossing, the lowest
+    bit of the first nonzero ``up`` row. When a ``rank`` function is given,
+    ``first()`` is the first by (rank(a, b, c, d), crossing) instead: the top
+    of a heap of the int keys ((((rank*M + a)*M + b)*M + c)*M + d), one
+    pushed as each crossing appears, and popped, once ``mate`` shows one of
+    its segments gone, when it reaches the top. The heap is cut back to its
+    live keys when it holds more than ``_HEAP_SLACK`` keys per live crossing.
 
     The n segments sit in n slots, ``pairs[k]`` in slot k and ``slot[r]``
     the slot of the segment with lower endpoint r; at the start they run in
     canonical order, and a flip's two added segments take over its two
     removed segments' slots. ``pairs`` is read as a ``Matching``'s pairs
-    are, by ``check_live`` and ``two_line_permutation``. Crossings are
-    tested on a ``geometry._SegmentLanes`` table, lane k for slot k's
-    segment: a flip rewrites its two slots' lanes, and an added segment's
-    crossers are the lanes its straddle test sets. So a flip costs O(n)
-    big-int work, in C, plus O(log L) Python steps per crossing it removes
-    or adds, for L live crossings."""
+    are, by ``two_line_permutation``, and ``check_live`` tests a segment by
+    ``in``, which reads ``mate``. Crossings are tested on a
+    ``geometry._SegmentLanes`` table, lane k for slot k's segment: a flip
+    rewrites its two slots' lanes, and an added segment's crossers are the
+    lanes its straddle test sets. So a flip costs O(n) big-int work, in C,
+    plus two bit operations per crossing it removes or adds, and a heap
+    push per crossing it adds to a ranked index."""
 
     def __init__(self, ps: PointSet, m: Matching, rank=None):
         self.points = ps.points
         self.size = size = len(ps)
-        self.cube = size ** 3
+        self.square, self.cube = size ** 2, size ** 3
         self.rank = rank
+        self.slack = _HEAP_SLACK
+        self.heap = [] if rank else None
         self.pairs = list(m.pairs)
         self.slot = [0] * size
+        self.mate = [0] * size
         self.lengths = [0.0] * size
         for k, s in enumerate(m.pairs):
             self._take(k, s)
         self.lanes = _SegmentLanes(ps, m.pairs)
-        self.of: list[set[int]] = [set() for _ in range(size)]
-        keys = []
+        self.up = [0] * size
+        self.down = [0] * size
+        self.count = 0
         for k, (a, b) in enumerate(m.pairs):
-            for c, d in self._crossers(a, b, k + 1):
-                key = self._key(a, b, c, d)
-                keys.append(key)
-                self.of[a].add(key)
-                self.of[c].add(key)
-        keys.sort()
-        self.keys = _SortedInts(keys)
-
-    def _key(self, a: int, b: int, c: int, d: int) -> int:
-        """The key of crossing ((a, b), (c, d)), where (a, b) < (c, d)."""
-        size = self.size
-        key = ((a * size + b) * size + c) * size + d
-        return key + self.rank(a, b, c, d) * self.cube * size if self.rank else key
+            self._add(a, b, k + 1)
 
     def _take(self, k: int, s: Segment) -> None:
-        """Slot k, its lower endpoint and their length for segment s."""
+        """Slot k, its lower endpoint, the mates and the length for s."""
         a, b = s
         self.pairs[k] = s
         self.slot[a] = k
+        self.mate[a], self.mate[b] = b, a
         (ax, ay), (bx, by) = self.points[a], self.points[b]
         self.lengths[a] = math.hypot(bx - ax, by - ay)
         self.lengths[b] = 0.0
@@ -285,16 +226,75 @@ class _LiveCrossings:
         return compress(pairs[start:],
                         bits.to_bytes(8 * len(pairs), "little")[8 * start + 7::8])
 
+    def _add(self, a: int, b: int, start: int = 0) -> None:
+        """Record the crossings of (a, b) with the segments in slots >= start."""
+        up, down, bit = self.up, self.down, 1 << a
+        above = below = 0
+        crossers = list(self._crossers(a, b, start))
+        for c, _ in crossers:
+            if a < c:
+                above |= 1 << c
+                down[c] |= bit
+            else:
+                below |= 1 << c
+                up[c] |= bit
+        up[a] |= above
+        down[a] |= below
+        self.count += len(crossers)
+        if rank := self.rank:
+            size, square, heap = self.size, self.square, self.heap
+            ab = a * size + b
+            for c, d in crossers:
+                cd = c * size + d
+                heappush(heap, (rank(a, b, c, d) * square + ab) * square + cd
+                         if a < c else (rank(c, d, a, b) * square + cd) * square + ab)
+
     def __len__(self) -> int:
-        return len(self.keys)
+        return self.count
+
+    def __contains__(self, s) -> bool:
+        """Whether s is a segment of the matching: a tuple (a, b) of int
+        point indices, a < b, with b the mate of a."""
+        if type(s) is not tuple or len(s) != 2:
+            return False
+        a, b = s
+        return type(a) is type(b) is int and 0 <= a < b < self.size and self.mate[a] == b
+
+    def __getitem__(self, k: int) -> CrossingPair:
+        """The k-th live crossing in canonical order, 0 <= k < len."""
+        if not 0 <= k < self.count:
+            raise IndexError(k)
+        ends = list(accumulate(map(int.bit_count, self.up)))
+        a = bisect_right(ends, k)
+        row = self.up[a]
+        for _ in range(k - ends[a] + row.bit_count()):  # the row's lower bits
+            row &= row - 1
+        c = (row & -row).bit_length() - 1
+        return (a, self.mate[a]), (c, self.mate[c])
+
+    def first(self) -> CrossingPair:
+        """The first live crossing: canonically, or by (rank, crossing) in a
+        ranked index; the index must not be empty."""
+        mate, heap = self.mate, self.heap
+        if heap is None:
+            a = next(compress(count(), self.up))
+            c = (self.up[a] & -self.up[a]).bit_length() - 1
+            return (a, mate[a]), (c, mate[c])
+        while not self._is_live(heap[0]):
+            heappop(heap)
+        return self.crossing(heap[0])
+
+    def _is_live(self, key: int) -> bool:
+        """Whether both segments of the crossing with int key ``key`` are
+        still segments of the matching: each end has its mate."""
+        size, mate = self.size, self.mate
+        return (mate[key // self.cube % size] == key // self.square % size
+                and mate[key // size % size] == key % size)
 
     def crossing(self, key: int) -> CrossingPair:
         """The crossing with int key ``key``."""
-        size = self.size
-        key, d = divmod(key, size)
-        key, c = divmod(key, size)
-        a, b = divmod(key % (size * size), size)
-        return (a, b), (c, d)
+        ab, cd = divmod(key % self.square ** 2, self.square)
+        return divmod(ab, self.size), divmod(cd, self.size)
 
     def length(self) -> float:
         """``total_length`` of the matching, bit for bit: the same sum in
@@ -303,13 +303,17 @@ class _LiveCrossings:
 
     def flip(self, removed: CrossingPair, added: tuple[Segment, Segment]) -> None:
         """Move on by a flip of ``removed`` that added ``added``."""
-        keys, of, size = self.keys, self.of, self.size
-        for lo, _ in removed:
-            gone, of[lo] = of[lo], set()
-            for key in gone:
-                keys.remove(key)
-                first = key // self.cube % size
-                of[key // size % size if first == lo else first].discard(key)
+        up, down = self.up, self.down
+        for a, _ in removed:
+            bit = 1 << a
+            # clear a from the rows of its partners above, then below
+            for rows, row in ((down, up[a]), (up, down[a])):
+                self.count -= row.bit_count()
+                while row:
+                    low = row & -row
+                    rows[low.bit_length() - 1] ^= bit
+                    row ^= low
+            up[a] = down[a] = 0
         slot, lanes = self.slot, self.lanes
         free = slot[removed[0][0]], slot[removed[1][0]]
         for k, s in zip(free, added):
@@ -317,11 +321,11 @@ class _LiveCrossings:
             lanes.write(k, s)
         lanes.read()
         for a, b in added:
-            for c, d in self._crossers(a, b):
-                key = self._key(a, b, c, d) if a < c else self._key(c, d, a, b)
-                keys.add(key)
-                of[a].add(key)
-                of[c].add(key)
+            self._add(a, b)
+        heap = self.heap
+        if heap and len(heap) > self.slack * self.count:
+            heap[:] = set(filter(self._is_live, heap))  # each live key once
+            heapify(heap)
 
 
 def crossing_count(ps: PointSet, m: Matching) -> int:
@@ -394,7 +398,8 @@ def check_live(
     """The ``crossing_quad`` of ``crossing``, the one step every flip takes
     before reading its added segments off ``quad_reconnections``; raises
     FlipError unless ``crossing`` is a live proper crossing of the matching
-    whose segments are ``pairs`` (any container of them)."""
+    whose segments are ``pairs`` (any container of them: a run passes its
+    ``_LiveCrossings`` index, whose ``in`` reads the mates)."""
     e1, e2 = crossing
     if e1 not in pairs or e2 not in pairs:
         raise FlipError(f"crossing {crossing} is not part of the matching")

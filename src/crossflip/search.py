@@ -47,23 +47,28 @@ two clock reads of a DFS is one successor's, not one state's whole list.
 
 Strategy runs and scripted traces share one run loop (``_run``), which
 asks a pick function for each move. Its one copy of the matching is a
-``matching._LiveCrossings`` index, which keeps the segments in slots, the
-crossings as int keys, and the length: a move's one checked step,
-``check_live`` against the index's ``pairs``, gives the crossing's quad,
-its added segments are read off the quad, it flips the index alone, and the
-final ``Matching`` is built once, at the end. So a step costs O(n) big-int
-work in C, over the n 64-bit lanes of the index's segment-lane table, lane
-k for slot k's segment, plus O(log L) Python steps per crossing it removes
-or adds, for L live crossings, and no Python pass over the matching. Both
-potentials move by their four-endpoint deltas, ``phi_vertical_delta`` and
-``phi_lines_delta``. The index orders its keys by an optional rank of the
-crossing's four endpoints, then canonically. Max-damage ranks by the drop
-in phi_vertical of the x-greedy response, computed once when the crossing
-appears, so it takes the first key, as greedy-x does. The x-greedy response
-itself is read off the crossing's ``crossing_quad`` and the run's x-ranks
-(``_x_greedy``), which ``greedy_choice`` reads too, and so is bubble's, by
-the quad's second point. The pick computes that quad, and the run loop's
-``check_live`` computes it a second time.
+``matching._LiveCrossings`` index, which keeps the segments in slots, each
+point's mate, the crossings as bitset rows per lower endpoint, and the
+length: a move's one checked step, ``check_live`` against the index, whose
+``in`` reads the mates, gives the crossing's quad, its added segments are
+read off the quad, it flips the index alone, and the final ``Matching`` is
+built once, at the end. So a step costs O(n) big-int work in C, over the n
+64-bit lanes of the index's segment-lane table, lane k for slot k's
+segment, plus one bit operation in a partner's row per crossing it removes
+or adds, and no Python pass over the matching. Both potentials move by
+their four-endpoint deltas, ``phi_vertical_delta`` and ``phi_lines_delta``.
+Greedy-x and the first-crossing picks take the index's canonically first
+crossing, the lowest bit of its first nonzero row; a seeded draw takes
+``rng.choice`` of the index, which reads the k-th crossing off prefix
+popcounts of the rows. Max-damage ranks the index by the drop in
+phi_vertical of the x-greedy response, computed once when the crossing
+appears and pushed on a heap of int keys that drops a key once one of its
+segments is gone, so it too takes the index's first crossing. The x-greedy
+response itself is read off the crossing's ``crossing_quad`` and the run's
+x-ranks (``_x_greedy``), which ``greedy_choice`` reads too, and so is
+bubble's, by the quad's second point. An x-greedy pick returns the
+``_X_GREEDY`` choice, and the run loop reads the response off the quad of
+its one checked step, so a step computes one quad.
 """
 
 from __future__ import annotations
@@ -640,21 +645,24 @@ def _bubble_move(ps, live):
     raise StrategyNotApplicableError("no adjacent inversion left, yet crossings remain")
 
 
-def _pick(strategy, ps, ranks, live, rng, restrict_choice):
+#: the choice a pick returns for the x-greedy response to its crossing
+_X_GREEDY = object()
+
+
+def _pick(strategy, ps, live, rng, restrict_choice):
     if strategy.kind == "bubble":
         return _bubble_move(ps, live)
-    keys = live.keys
-    # the first key: the canonically first crossing, or under max-damage
-    # the first of the smallest drop
+    # the first crossing: the canonically first, or under max-damage the
+    # first of the smallest drop
     drawn = strategy.kind == "random" or strategy.adversary == "random"
-    crossing = live.crossing(rng.choice(keys) if drawn else keys[0])
+    crossing = rng.choice(live) if drawn else live.first()
     if strategy.kind == "first":
         return crossing, restrict_choice or FlipChoice.RECONNECT_A
     if strategy.kind == "random":
         return crossing, restrict_choice or rng.choice(tuple(FlipChoice))
     # greedy-x, or an adversary imposing the crossing; the response is
-    # always x-greedy
-    return crossing, _x_greedy(ranks, crossing_quad(ps, crossing))
+    # always x-greedy, which the run loop reads off the crossing's quad
+    return crossing, _X_GREEDY
 
 
 def _run(instance_id: str, ps: PointSet, initial: Matching, pick,
@@ -663,10 +671,11 @@ def _run(instance_id: str, ps: PointSet, initial: Matching, pick,
     """The one run loop: flip ``pick(live)`` until it returns None or
     ``max_steps`` flips are made, where ``live`` is the ``_LiveCrossings``
     index ordered by ``rank``, the run's one copy of its matching. A move
-    is checked against the index's ``pairs`` and flips the index alone;
-    the final ``Matching`` is built once, at the end. phi_vertical is
-    tracked under ``ranks = x_ranks(ps)``, and phi_lines on request, each
-    from its start value by its four-endpoint delta."""
+    is checked against the index and flips the index alone; a move whose
+    choice is ``_X_GREEDY`` takes the x-greedy choice off the checked
+    step's quad. The final ``Matching`` is built once, at the end.
+    phi_vertical is tracked under ``ranks = x_ranks(ps)``, and phi_lines on
+    request, each from its start value by its four-endpoint delta."""
     live = _LiveCrossings(ps, initial, rank)
     length = live.length()
     records = []
@@ -674,7 +683,9 @@ def _run(instance_id: str, ps: PointSet, initial: Matching, pick,
     phi_l = phi_lines(ps, initial) if with_phi_lines else None
     while len(records) < max_steps and (move := pick(live)) is not None:
         crossing, choice = move
-        quad = check_live(ps, live.pairs, crossing)
+        quad = check_live(ps, live, crossing)
+        if choice is _X_GREEDY:
+            choice = _x_greedy(ranks, quad)
         added = quad_reconnections(quad)[choice is FlipChoice.RECONNECT_B]
         live.flip(crossing, added)
         phi_k_before, phi_l_before = phi_k, phi_l
@@ -747,12 +758,18 @@ def run_strategy(
         def rank(a, b, c, d):
             # -phi_vertical_delta of the x-greedy response: crossing
             # segments' x-ranks interleave or nest, so pairing the two
-            # leftmost and the two rightmost drops twice the middle gap
-            _, q1, q2, _ = sorted((ranks[a], ranks[b], ranks[c], ranks[d]))
-            return 2 * (q2 - q1)
+            # leftmost and the two rightmost drops twice the middle gap,
+            # from the larger of the segments' left ends to the smaller of
+            # their right ends
+            ra, rb, rc, rd = ranks[a], ranks[b], ranks[c], ranks[d]
+            if ra > rb:
+                ra, rb = rb, ra
+            if rc > rd:
+                rc, rd = rd, rc
+            return 2 * ((rb if rb < rd else rd) - (ra if ra > rc else rc))
 
     def pick(live):
-        return _pick(strategy, ps, ranks, live, rng, restrict_choice) if live else None
+        return _pick(strategy, ps, live, rng, restrict_choice) if live else None
 
     return _run(inst.provenance, ps, inst.matching, pick, max_steps, rank,
                 ranks, with_phi_lines)

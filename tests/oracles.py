@@ -36,7 +36,11 @@ keys of the live index, of ``crossflip.search`` replaced, and
 crossing tuples, kept by ``insort`` and ``crossed_by``, that the int keys,
 blocked sorted list and lane crossing test of ``matching._LiveCrossings``
 replaced, and ``reference_point_lane_crossers`` that test on 2n point
-lanes, which the n segment-slot lanes replaced. ``reference_crossing_row``
+lanes, which the n segment-slot lanes replaced.
+``reference_keyed_crossings`` is that index of int keys in a blocked sorted
+list (``reference_sorted_ints``) with a per-segment set of keys, which the
+bitset rows per lower endpoint and the lazily pruned ranked heap of
+``matching._LiveCrossings`` replaced. ``reference_crossing_row``
 is the per-pair loop, and
 ``reference_matchings`` the recursive enumerator, that the lane-table rows and
 the int enumeration of the ``crossflip.search`` kernel replaced,
@@ -52,7 +56,10 @@ the packed 64-bit lanes of ``geometry.side_masks`` replaced, and
 ``potentials._line_masks`` built them before it read the lanes itself.
 ``reference_general_position`` and ``reference_random_instance`` are the
 ``orient`` triple loop and rejection sampler that the direction-vector test
-of ``crossflip.geometry`` replaced, and ``direction`` and
+of ``crossflip.geometry`` replaced, ``reference_slope_key_sampler`` the
+sampler by a list membership test and ``first_collinear_pair`` at a
+per-draw slope scale that ``gen_random``'s set lookup and set-size check at
+one scale per box replaced, and ``direction`` and
 ``reference_first_collinear_pair`` that reduced direction-vector test, which
 its exact slope keys replaced. ``reference_middle_gap`` and
 ``reference_greedy_choice`` are the max-damage key and the raw-x sort of the
@@ -77,8 +84,8 @@ import random
 from bisect import bisect_left, insort
 from collections import defaultdict, deque
 from fractions import Fraction
-from itertools import combinations, compress
-from operator import or_, xor
+from itertools import chain, combinations, compress
+from operator import add, or_, xor
 from struct import pack
 
 from crossflip import (
@@ -100,7 +107,7 @@ from crossflip import (
     seg,
 )
 from crossflip import io
-from crossflip.geometry import COORD_LIMIT, crossed_by
+from crossflip.geometry import COORD_LIMIT, _SegmentLanes, crossed_by, first_collinear_pair
 from crossflip.matching import FlipError, ReplayError, _flipped, crossing_pair
 from crossflip.potentials import LineAudit, phi_vertical_delta
 
@@ -239,6 +246,168 @@ class reference_live_crossings:
             of[c[0]].add(c)
             of[c[1]].add(c)
         return new
+
+
+#: Block size of ``reference_sorted_ints``, as in sortedcontainers' SortedList.
+SORTED_INTS_LOAD = 1000
+
+
+class reference_sorted_ints:
+    """Distinct ints in ascending order, in blocks of at most 2 * load: the
+    design of sortedcontainers' SortedList, without the package. A block is
+    found by bisecting the blocks' maxima, so an insert or a delete moves at
+    most 2 * load ints, in C. A block cut to load / 2 ints or fewer is
+    merged into a neighbour. ``[k]`` walks the blocks, for 0 <= k < len."""
+
+    def __init__(self, values: list[int]):
+        self.load = load = SORTED_INTS_LOAD
+        self.blocks = [values[i:i + load] for i in range(0, len(values), load)]
+        self.maxes = [block[-1] for block in self.blocks]
+        self.len = len(values)
+
+    def __len__(self) -> int:
+        return self.len
+
+    def __iter__(self):
+        return chain.from_iterable(self.blocks)
+
+    def __getitem__(self, k: int) -> int:
+        for block in self.blocks:
+            if k < len(block):
+                return block[k]
+            k -= len(block)
+        raise IndexError(k)
+
+    def _split(self, i: int) -> None:
+        """Cut block i, longer than 2 * load, after its first load ints."""
+        block = self.blocks[i]
+        self.blocks.insert(i + 1, block[self.load:])
+        del block[self.load:]
+        self.maxes.insert(i, block[-1])
+
+    def add(self, value: int) -> None:
+        blocks, maxes = self.blocks, self.maxes
+        self.len += 1
+        if not blocks:
+            blocks.append([value])
+            maxes.append(value)
+            return
+        i = bisect_left(maxes, value)
+        if i == len(maxes):
+            i -= 1
+            blocks[i].append(value)
+            maxes[i] = value
+        else:
+            insort(blocks[i], value)
+        if len(blocks[i]) > 2 * self.load:
+            self._split(i)
+
+    def remove(self, value: int) -> None:
+        """Delete ``value``, which must be present."""
+        blocks, maxes = self.blocks, self.maxes
+        self.len -= 1
+        i = bisect_left(maxes, value)
+        block = blocks[i]
+        del block[bisect_left(block, value)]
+        if len(block) > self.load >> 1 or len(blocks) == 1:
+            if block:
+                maxes[i] = block[-1]
+            else:
+                del blocks[i], maxes[i]
+            return
+        i = max(i, 1)  # merge block i into block i - 1
+        blocks[i - 1] += blocks.pop(i)
+        del maxes[i]
+        maxes[i - 1] = blocks[i - 1][-1]
+        if len(blocks[i - 1]) > 2 * self.load:
+            self._split(i - 1)
+
+
+class reference_keyed_crossings:
+    """The crossings of a matching along a run of flips over M points as
+    ``matching._LiveCrossings`` kept them before its bitset rows and ranked
+    heap: crossing ((a, b), (c, d)) has the int key ((a*M + b)*M + c)*M + d,
+    plus rank(a, b, c, d) * M**4 when a ``rank`` function is given, so the
+    keys run by (rank, crossing). ``keys`` holds the live keys in a
+    ``reference_sorted_ints``, and ``of[r]`` the keys of the segment whose
+    lower endpoint is r. Crossings are tested on the same slot lanes, and
+    the length is kept the same way."""
+
+    def __init__(self, ps: PointSet, m: Matching, rank=None):
+        self.points = ps.points
+        self.size = size = len(ps)
+        self.cube = size ** 3
+        self.rank = rank
+        self.pairs = list(m.pairs)
+        self.slot = [0] * size
+        self.lengths = [0.0] * size
+        for k, s in enumerate(m.pairs):
+            self._take(k, s)
+        self.lanes = _SegmentLanes(ps, m.pairs)
+        self.of: list[set[int]] = [set() for _ in range(size)]
+        keys = []
+        for k, (a, b) in enumerate(m.pairs):
+            for c, d in self._crossers(a, b, k + 1):
+                key = self._key(a, b, c, d)
+                keys.append(key)
+                self.of[a].add(key)
+                self.of[c].add(key)
+        keys.sort()
+        self.keys = reference_sorted_ints(keys)
+
+    def _key(self, a: int, b: int, c: int, d: int) -> int:
+        """The key of crossing ((a, b), (c, d)), where (a, b) < (c, d)."""
+        size = self.size
+        key = ((a * size + b) * size + c) * size + d
+        return key + self.rank(a, b, c, d) * self.cube * size if self.rank else key
+
+    def _take(self, k: int, s) -> None:
+        a, b = s
+        self.pairs[k] = s
+        self.slot[a] = k
+        (ax, ay), (bx, by) = self.points[a], self.points[b]
+        self.lengths[a] = math.hypot(bx - ax, by - ay)
+        self.lengths[b] = 0.0
+
+    def _crossers(self, a: int, b: int, start: int = 0):
+        bits = self.lanes.straddle(a, b)
+        pairs = self.pairs
+        return compress(pairs[start:],
+                        bits.to_bytes(8 * len(pairs), "little")[8 * start + 7::8])
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def crossing(self, key: int):
+        size = self.size
+        key, d = divmod(key, size)
+        key, c = divmod(key, size)
+        a, b = divmod(key % (size * size), size)
+        return (a, b), (c, d)
+
+    def length(self) -> float:
+        return functools.reduce(add, self.lengths, 0.0)
+
+    def flip(self, removed, added) -> None:
+        keys, of, size = self.keys, self.of, self.size
+        for lo, _ in removed:
+            gone, of[lo] = of[lo], set()
+            for key in gone:
+                keys.remove(key)
+                first = key // self.cube % size
+                of[key // size % size if first == lo else first].discard(key)
+        slot, lanes = self.slot, self.lanes
+        free = slot[removed[0][0]], slot[removed[1][0]]
+        for k, s in zip(free, added):
+            self._take(k, s)
+            lanes.write(k, s)
+        lanes.read()
+        for a, b in added:
+            for c, d in self._crossers(a, b):
+                key = self._key(a, b, c, d) if a < c else self._key(c, d, a, b)
+                keys.add(key)
+                of[a].add(key)
+                of[c].add(key)
 
 
 def reference_ccw_quad_order(ps: PointSet, indices):
@@ -734,6 +903,38 @@ def reference_random_instance(n: int, seed: int, bbox=(0, 512)):
             orient(pts[i], pts[j], cand) == 0
             for i, j in combinations(range(len(pts)), 2)
         ):
+            continue
+        pts.append(cand)
+    order = list(range(2 * n))
+    rng.shuffle(order)
+    return tuple(pts), [(order[2 * i], order[2 * i + 1]) for i in range(n)]
+
+
+def reference_slope_key_sampler(n: int, seed: int, bbox=(0, 512)):
+    """``gen_random``'s points and matching pairs by the loop its set-size
+    rejection replaced: a candidate is rejected when it is in the list of
+    accepted points or ``first_collinear_pair`` finds a pair, at the slope
+    scale of the accepted points' x-span from it. Refuses a box of too few
+    columns as ``gen_random`` does."""
+    lo, hi = bbox
+    if n > hi - lo + 1:
+        raise GenerationError(
+            f"bbox {bbox} has {hi - lo + 1} columns, too few for {2 * n} "
+            "points in general position (at most two per column)"
+        )
+    rng = random.Random(seed)
+    pts: list[Point] = []
+    budget = 4000 * n
+    draws = 0
+    while len(pts) < 2 * n:
+        if draws >= budget:
+            raise GenerationError(
+                f"rejection budget exhausted after {draws} draws; bbox {bbox} "
+                f"too small for {2 * n} points in general position"
+            )
+        draws += 1
+        cand = Point(rng.randint(lo, hi), rng.randint(lo, hi))
+        if cand in pts or first_collinear_pair(cand, pts) is not None:
             continue
         pts.append(cand)
     order = list(range(2 * n))

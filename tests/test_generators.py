@@ -1,6 +1,8 @@
 from itertools import permutations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from crossflip import (
     FlipChoice,
@@ -27,7 +29,11 @@ from crossflip import (
 from crossflip import geometry
 from crossflip.geometry import first_collinear_pair
 
-from oracles import reference_general_position, reference_random_instance
+from oracles import (
+    reference_general_position,
+    reference_random_instance,
+    reference_slope_key_sampler,
+)
 
 
 def test_identity_is_noncrossing():
@@ -229,20 +235,21 @@ def test_random_general_position_many_seeds():
 def test_generated_set_is_not_rescanned(monkeypatch):
     """gen_random(20), its shear and the sheared Instance, and gen_convex
     sets and their Instances: general position costs the generator's own
-    tests and nothing more. The convex sets are in general position by the
-    triple loop as well."""
+    tests, one ``_collinear_with_pair`` per draw, and nothing more: the
+    validation's ``first_collinear_pair`` is never called. The convex sets
+    are in general position by the triple loop as well."""
     calls = {"draws": 0, "validation": 0}
 
-    def counting(key):
+    def counting(key, real):
         def wrapped(*args):
             calls[key] += 1
-            return first_collinear_pair(*args)
+            return real(*args)
         return wrapped
 
-    monkeypatch.setattr("crossflip.generators.first_collinear_pair",
-                        counting("draws"))
+    monkeypatch.setattr("crossflip.generators._collinear_with_pair",
+                        counting("draws", geometry._collinear_with_pair))
     monkeypatch.setattr("crossflip.geometry.first_collinear_pair",
-                        counting("validation"))
+                        counting("validation", first_collinear_pair))
     raw = gen_random(20, seed=3)
     ps = shear_to_distinct_x(raw.points)
     assert ps != raw.points
@@ -307,7 +314,7 @@ def test_random_refuses_more_pairs_than_columns_before_drawing(monkeypatch):
         raise AssertionError("a hopeless request drew a point")
 
     with monkeypatch.context() as patch:
-        patch.setattr("crossflip.generators.first_collinear_pair", no_draw)
+        patch.setattr("crossflip.generators._collinear_with_pair", no_draw)
         for n, bbox in ((60, (0, 20)), (3, (0, 1)), (12, (-5, 5))):
             with pytest.raises(GenerationError, match="too few"):
                 gen_random(n, seed=0, bbox=bbox)
@@ -372,3 +379,31 @@ def test_random_matches_reference_sampler(bbox, sizes):
             inst = gen_random(n, seed=seed, bbox=bbox)
             assert inst.points.points == pts
             assert inst.matching == Matching.from_pairs(pairs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 10**6),
+       st.one_of(st.tuples(st.integers(-40, 40), st.integers(0, 40)),
+                 st.tuples(st.integers(-2**20, 2**20 - 1), st.integers(1, 2**21)))
+       .map(lambda b: (b[0], min(b[0] + b[1], 2**20)))
+       .filter(lambda b: b[0] < b[1]))
+@example(7, 0, (0, 8))
+@example(7, 7, (0, 8))
+@example(3, 0, (-2**20, 2**20))
+def test_random_draws_what_the_first_pair_sampler_drew(n, seed, bbox):
+    """``gen_random``'s set-size rejection at the box's one slope scale
+    against the loop it replaced (``reference_slope_key_sampler``), which
+    tested membership in the point list and searched the first collinear
+    pair at a per-draw scale: the same points and matching, or the same
+    ``GenerationError``, on tight boxes that exhaust the rejection budget
+    or have too few columns, and on boxes up to the coordinate budget."""
+    try:
+        pts, pairs = reference_slope_key_sampler(n, seed, bbox)
+    except GenerationError as expected:
+        with pytest.raises(GenerationError) as got:
+            gen_random(n, seed=seed, bbox=bbox)
+        assert str(got.value) == str(expected)
+        return
+    inst = gen_random(n, seed=seed, bbox=bbox)
+    assert inst.points.points == pts
+    assert inst.matching == Matching.from_pairs(pairs)

@@ -35,9 +35,9 @@ from crossflip import matching
 from crossflip.geometry import COORD_LIMIT, crossed_by
 from crossflip.matching import (
     _LiveCrossings,
-    _SortedInts,
     check_live,
     crossing_count,
+    crossing_pair,
     crossing_quad,
     quad_reconnections,
     replay_states,
@@ -49,6 +49,7 @@ from crossflip.scenarios import (
     reappearing_segment_trace,
 )
 
+import oracles
 from oracles import (
     CHOICES,
     crossing_count_brute,
@@ -57,10 +58,12 @@ from oracles import (
     reference_choice_yielding,
     reference_crossings_after_flip,
     reference_find_crossings,
+    reference_keyed_crossings,
     reference_live_crossings,
     reference_point_lane_crossers,
     reference_reconnection_pairs,
     reference_replay_states,
+    reference_sorted_ints,
     reference_total_length,
 )
 
@@ -202,6 +205,36 @@ def test_replay_reports_failing_step():
     # drop the first record: the second one is now stale
     with pytest.raises(ReplayError, match="step 0"):
         replay(inst.points, inst.matching, trace.records[1:])
+
+
+@pytest.mark.parametrize("segment", [
+    (4, 1), (1, 6), (-1, 4), (1.0, 4), (1, 4.0), (True, 4), ("1", 4), [1, 4],
+    (1, 4, 0)], ids=["reversed", "past-the-end", "negative", "float-low",
+                     "float-high", "bool", "string", "list", "triple"])
+@pytest.mark.parametrize("position", [0, 1])
+def test_scripted_move_off_the_matching_raises_flip_error(segment, position):
+    """A scripted move naming segment (1, 4) of the reappearing-segment
+    script in any other form than the sorted tuple of two int point
+    indices the matching holds is refused by the run index with the stale
+    crossing's FlipError, not read as (1, 4) nor failing on an index."""
+    inst = reappearing_segment_instance()
+    (first, second), choice = reappearing_segment_moves()[0]
+    assert first == (1, 4)
+    crossing = (segment, second) if position == 0 else (second, segment)
+    with pytest.raises(FlipError) as info:
+        trace_from_moves(inst.provenance, inst.points, inst.matching,
+                         [(crossing, choice)])
+    assert str(info.value) == f"crossing {crossing} is not part of the matching"
+
+
+def test_scripted_move_on_a_removed_segment_raises_flip_error():
+    """A scripted move repeated after its flip names two removed segments:
+    the run index refuses it as stale."""
+    inst = reappearing_segment_instance()
+    move = reappearing_segment_moves()[0]
+    with pytest.raises(FlipError) as info:
+        trace_from_moves(inst.provenance, inst.points, inst.matching, [move, move])
+    assert str(info.value) == f"crossing {move[0]} is not part of the matching"
 
 
 def _outcome(replayer, *args):
@@ -400,31 +433,51 @@ def _signed_rank(a, b, c, d):
     return d - a - c
 
 
+def _bits(row: int) -> list[int]:
+    """The positions of the set bits of ``row``, ascending."""
+    return [k for k in range(row.bit_length()) if row >> k & 1]
+
+
+def _heap_crossings(live) -> list:
+    """The distinct keys of a ranked index's heap whose two segments are
+    both live, ascending, as (rank, crossing) pairs."""
+    quad = len(live.mate) ** 4
+    return [(key // quad, live.crossing(key)) for key in sorted(set(live.heap))
+            if all(s in live for s in live.crossing(key))]
+
+
+_INDEX_SETS = st.one_of(_point_sets(st.integers(0, 6), 24),  # 7x7 grid, degenerate
+                        _point_sets(st.integers(0, 6), 24, unique=False),  # repeats
+                        _point_sets(st.integers(-10**4, 10**4), 24),
+                        _point_sets(_EDGE, 24))
+
+
 @settings(max_examples=100, deadline=None)
-@given(st.one_of(_point_sets(st.integers(0, 6), 24),  # 7x7 grid, degenerate
-                 _point_sets(st.integers(0, 6), 24, unique=False),  # repeats
-                 _point_sets(st.integers(-10**4, 10**4), 24),
-                 _point_sets(_EDGE, 24)),
+@given(_INDEX_SETS,
        st.randoms(use_true_random=False),
-       st.sampled_from([1, 2, 3, matching._LOAD]),
+       st.sampled_from([1, 1.5, 3, matching._HEAP_SLACK]),
        st.sampled_from([None, _tied_rank, _signed_rank]))
 @example(PointSet.from_coords(_CORNERS), random.Random(0), 1, None)
 @example(PointSet.from_coords(
     _CORNERS + [(0, -COORD_LIMIT), (0, COORD_LIMIT), (-COORD_LIMIT, 1),
-                (COORD_LIMIT, -1)]), random.Random(1), 2, _signed_rank)
+                (COORD_LIMIT, -1)]), random.Random(1), 1, _signed_rank)
 def test_live_crossing_index_matches_full_pair_tests_along_flip_walks(
-        ps, rng, load, rank):
-    """The lane index of live crossings against full pair tests and against
-    the tuple list it replaced, at the start and after every flip of a
-    random walk, on random sets, on 7x7-grid sets (repeated x, collinear
-    triples, repeated points) and on sets at the coordinate budget's edges:
-    the index's keys decode to the reference list in order, or with a rank
-    function to the reference list sorted by rank (ties in canonical order)
-    and to each crossing's rank, each segment's set holds exactly the
-    crossings that contain it, after a flip the added segments' sets hold
-    the crossings the reference gains, and the run length equals
-    ``total_length`` bit for bit. Tiny block loads make the sorted list
-    split and merge blocks. ``crossed_by`` agrees with
+        ps, rng, slack, rank):
+    """The bitset index of live crossings against full pair tests and
+    against the tuple list it replaced, at the start and after every flip
+    of a random walk, on random sets, on 7x7-grid sets (repeated x,
+    collinear triples, repeated points) and on sets at the coordinate
+    budget's edges: ``live[k]`` runs through the reference list in order;
+    with a rank function the heap's live keys decode to the reference list
+    sorted by rank (ties in canonical order) and to each crossing's rank,
+    and ``first()`` is the first of them; each segment's rows hold exactly
+    the lower endpoints of the segments crossing it, ``up`` the higher and
+    ``down`` the lower, each bit mirrored in the partner's other row, and
+    an upper endpoint's rows are empty; after a flip the removed crossing
+    is gone and the added segments' rows hold the crossings the reference
+    gains, and the run length equals ``total_length`` bit for bit. A tiny
+    heap slack makes the heap rebuild, and after every flip it holds at
+    most ``slack`` keys per live crossing. ``crossed_by`` agrees with
     ``segments_properly_cross`` pair by pair."""
     labels = list(range(len(ps)))
     rng.shuffle(labels)
@@ -433,40 +486,87 @@ def test_live_crossing_index_matches_full_pair_tests_along_flip_walks(
     for s in m.pairs:  # every segment of the set disjoint from s
         _assert_batch_test_matches_pair_tests(
             ps, s, [t for t in segments if not set(s) & set(t)])
-    with mock.patch.object(matching, "_LOAD", load):
+    with mock.patch.object(matching, "_HEAP_SLACK", slack):
         live = _LiveCrossings(ps, m, rank)
     reference = reference_live_crossings(ps, m)
     while True:
         crossings = reference_find_crossings(ps, m)
         assert crossings == reference.sorted
-        ranks = [rank(*s, *t) if rank else 0 for s, t in crossings]
-        ranked = sorted(zip(ranks, crossings))
-        assert [live.crossing(k) for k in live.keys] == [c for _, c in ranked]
-        assert [k // len(ps) ** 4 for k in live.keys] == [r for r, _ in ranked]
+        assert [live[k] for k in range(len(live))] == crossings
         assert len(live) == len(crossings)
-        assert all(k in live.of[a] and k in live.of[c]
-                   for k in live.keys for (a, _), (c, _) in [live.crossing(k)])
-        blocks = live.keys.blocks
-        assert all(0 < len(b) <= 2 * load for b in blocks)
-        assert live.keys.maxes == [b[-1] for b in blocks]
+        with pytest.raises(IndexError):
+            live[len(live)]
+        if rank:
+            ranked = sorted((rank(*s, *t), (s, t)) for s, t in crossings)
+            assert _heap_crossings(live) == ranked
+            assert len(live.heap) <= slack * len(live) or not live.heap
+        if crossings:
+            assert live.first() == (ranked[0][1] if rank else crossings[0])
         assert live.length().hex() == total_length(ps, m).hex()
-        for s in m.pairs:
-            assert {live.crossing(k) for k in live.of[s[0]]} == {
-                c for c in crossings if s in c}
-            assert not live.of[s[1]]
+        for a, b in m.pairs:
+            assert live.mate[a] == b and live.mate[b] == a
+            assert _bits(live.up[a]) == sorted(
+                t[0] for s, t in crossings if s[0] == a)
+            assert _bits(live.down[a]) == sorted(
+                s[0] for s, t in crossings if t[0] == a)
+            assert all(live.down[c] >> a & 1 for c in _bits(live.up[a]))
+            assert not live.up[b] and not live.down[b]
             _assert_batch_test_matches_pair_tests(
-                ps, s, [t for t in m.pairs if t != s])
+                ps, (a, b), [t for t in m.pairs if t != (a, b)])
         if not crossings:
             break
         crossing = rng.choice(crossings)
-        key = next(k for k in live.keys if live.crossing(k) == crossing)
         m, rec = flip(ps, m, crossing, rng.choice(CHOICES))
         live.flip(crossing, rec.added)
-        assert all(key not in keys for keys in live.of)
-        gained = sorted({live.crossing(k) for a, _ in rec.added for k in live.of[a]})
+        assert crossing not in [live[k] for k in range(len(live))]
+        gained = sorted({crossing_pair((a, b), (c, live.mate[c]))
+                         for a, b in rec.added
+                         for c in _bits(live.up[a] | live.down[a])})
         assert gained == sorted(reference.flip(m, crossing, rec.added))
         assert gained == [c for c in reference_find_crossings(ps, m)
                           if set(c) & set(rec.added)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_INDEX_SETS,
+       st.randoms(use_true_random=False),
+       st.sampled_from([1, 1.5, 3, matching._HEAP_SLACK]),
+       st.sampled_from([None, _tied_rank, _signed_rank]))
+@example(PointSet.from_coords(_CORNERS), random.Random(0), 1, _tied_rank)
+def test_bitset_index_matches_the_sorted_key_index_along_flip_walks(
+        ps, rng, slack, rank):
+    """The bitset rows and ranked heap of ``_LiveCrossings`` against the
+    sorted int keys they replaced (``reference_keyed_crossings``), unranked
+    and ranked, at the start and after every flip of a random walk on the
+    sets of the index test above: the same length, ``live[k]`` the k-th
+    canonical crossing for every k, the same canonical first crossing, the
+    same first crossing by rank, the same seeded draw (``rng.choice(live)``
+    against ``rng.choice(keys)`` of the unranked keys) and the same
+    ``length()``, bit for bit. A tiny heap slack forces heap rebuilds."""
+    labels = list(range(len(ps)))
+    rng.shuffle(labels)
+    m = Matching.from_pairs(zip(labels[0::2], labels[1::2]))
+    with mock.patch.object(matching, "_HEAP_SLACK", slack):
+        live = _LiveCrossings(ps, m, rank)
+    plain = reference_keyed_crossings(ps, m)
+    ranked = reference_keyed_crossings(ps, m, rank)
+    seed = rng.getrandbits(32)
+    while True:
+        assert len(live) == len(plain) == len(ranked)
+        assert [live[k] for k in range(len(live))] == [
+            plain.crossing(key) for key in plain.keys]
+        assert live.length().hex() == plain.length().hex() == ranked.length().hex()
+        if not live:
+            break
+        assert live[0] == plain.crossing(plain.keys[0])
+        assert live.first() == ranked.crossing(ranked.keys[0])
+        assert random.Random(seed).choice(live) == plain.crossing(
+            random.Random(seed).choice(plain.keys))
+        crossing = rng.choice([live[k] for k in range(len(live))])
+        added = quad_reconnections(crossing_quad(ps, crossing))[rng.random() < 0.5]
+        for index in (live, plain, ranked):
+            index.flip(crossing, added)
+        seed += 1
 
 
 def _flip_error_text(ps, pairs, crossing) -> str:
@@ -522,8 +622,10 @@ def test_slot_lanes_match_point_lanes_along_flip_walks(ps, rng):
     ``_LiveCrossings`` against the 2n point lanes they replaced, at the
     start and after every flip of a random walk, on the sets of the index
     test above, whose determinants reach 2**43: the same segments, in slot
-    order, with slot k holding ``pairs[k]`` and ``slot`` mapping each lower
-    endpoint back to its slot."""
+    order, with slot k holding ``pairs[k]``, ``slot`` mapping each lower
+    endpoint back to its slot, ``mate`` each endpoint to its partner, and
+    the segment's two crossing rows holding exactly those segments' lower
+    endpoints."""
     labels = list(range(len(ps)))
     rng.shuffle(labels)
     m = Matching.from_pairs(zip(labels[0::2], labels[1::2]))
@@ -533,11 +635,13 @@ def test_slot_lanes_match_point_lanes_along_flip_walks(ps, rng):
         assert sorted(live.pairs) == list(m.pairs)
         assert all(live.slot[a] == k for k, (a, _) in enumerate(live.pairs))
         partner = dict(m.pairs)
+        assert all(live.mate[a] == b and live.mate[b] == a for a, b in m.pairs)
         for s in m.pairs:
             got = list(live._crossers(*s))
             assert got == sorted(got, key=live.pairs.index)
-            assert sorted(got) == [(r, partner[r]) for r in
-                                   reference_point_lane_crossers(ps, m, s)]
+            lows = reference_point_lane_crossers(ps, m, s)
+            assert sorted(got) == [(r, partner[r]) for r in lows]
+            assert _bits(live.up[s[0]] | live.down[s[0]]) == lows
         crossings = find_crossings(ps, m)
         if not crossings:
             break
@@ -575,12 +679,13 @@ def test_crossing_count_matches_the_pair_loop(ps, rng):
 @pytest.mark.parametrize("load", [1, 2, 3])
 def test_sorted_ints_split_and_merge_blocks_like_a_sorted_list(
         monkeypatch, load):
-    """Random inserts and deletes against a plain sorted list, with tiny
-    block loads: length, iteration, every index, and the block bounds."""
-    monkeypatch.setattr(matching, "_LOAD", load)
+    """The blocked sorted list of the key-index oracle: random inserts and
+    deletes against a plain sorted list, with tiny block loads: length,
+    iteration, every index, and the block bounds."""
+    monkeypatch.setattr(oracles, "SORTED_INTS_LOAD", load)
     rng = random.Random(load)
     want = sorted(rng.sample(range(1000), 40))
-    got = _SortedInts(list(want))
+    got = reference_sorted_ints(list(want))
     counts = []
     for step in range(600):
         if want and (step // 150 % 2 or rng.random() < 0.4):

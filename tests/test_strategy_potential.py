@@ -237,10 +237,11 @@ def test_max_damage_takes_the_first_of_tied_crossings():
 def test_max_damage_ranked_keys_hold_each_live_crossing_once_by_drop(
         monkeypatch):
     """Max-damage orders the live index by rank: after every step's pick
-    the index holds exactly one key per live crossing, each key's rank is
-    the drop in phi_vertical of the crossing's x-greedy response, the keys
-    run by (rank, crossing), and the pick, the first key, is the per-run
-    key dict's."""
+    the index's rows list each live crossing once, ``live[k]`` in canonical
+    order; its heap holds one distinct live key per live crossing, each
+    key's rank is the drop in phi_vertical of the crossing's x-greedy
+    response, and the ranked first, the first by (rank, crossing), is the
+    pick and the per-run key dict's."""
     inst = _sheared(60, 4107)
     ps = inst.points
     ranks, keys = x_ranks(ps), {}
@@ -250,16 +251,18 @@ def test_max_damage_ranked_keys_hold_each_live_crossing_once_by_drop(
 
     def pick(*args):
         out = real(*args)
-        live = args[3]
+        live = args[2]
         crossings = find_crossings(ps, Matching.from_pairs(live.pairs))
-        ranked = [divmod(k, quad) for k in live.keys]
-        assert len(live) == len(ranked) == len(crossings)
-        assert sorted(live.crossing(k) for k in live.keys) == crossings
-        for key, (rank, _) in zip(live.keys, ranked):
+        assert len(live) == len(crossings)
+        assert [live[k] for k in range(len(live))] == crossings
+        ranked = sorted(divmod(k, quad) for k in set(live.heap)
+                        if all(s in live for s in live.crossing(k)))
+        assert sorted(live.crossing(k) for _, k in ranked) == crossings
+        for rank, key in ranked:
             c = live.crossing(key)
             greedy = reference_greedy_pairs(ranks, c)
             assert rank == -phi_vertical_delta(ranks, c, greedy)
-        assert ranked == sorted(ranked)
+        assert out[0] == live.first() == live.crossing(ranked[0][1])
         assert out[0] == reference_max_damage_pick(ranks, crossings, keys)
         picks.append(out[0])
         return out
@@ -297,6 +300,23 @@ def test_strategy_steps_make_one_pair_test_each(monkeypatch, text):
     trace = run_strategy(inst, parse_strategy(text))
     assert trace.complete and len(trace) > 50
     assert len(calls) == len(trace)
+
+
+@pytest.mark.parametrize("text, steps", [
+    ("greedy-x", 37), ("adversary:max-damage", 53), ("first", 44),
+    ("adversary:first", None), ("adversary:random:5", None)])
+def test_strategy_steps_compute_one_quad_each(monkeypatch, text, steps):
+    """A step's only ``crossing_quad`` call is the run loop's one checked
+    step: an x-greedy pick reads its choice off that quad, not off one of
+    its own."""
+    inst = _sheared(30, 3)
+    calls = _calls_of(monkeypatch, "crossing_quad")
+    trace = run_strategy(inst, parse_strategy(text))
+    assert trace.complete and len(calls) == len(trace)
+    assert steps is None or len(trace) == steps
+    if text != "first":
+        _assert_x_greedy_moves(inst, trace, text == "adversary:max-damage",
+                               recount_crossings=False)
 
 
 def test_strategy_runs_make_no_scalar_batch_crossing_test(monkeypatch):

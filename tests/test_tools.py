@@ -66,6 +66,20 @@ def test_step_cost_prints_one_json_line():
     assert 0 < out["gen_scaled_seconds"] < float("inf")
 
 
+def test_step_cost_stops_at_max_steps():
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    runs = []
+    for cap in ("3", "100000"):
+        proc = subprocess.run(
+            [sys.executable, str(STEP_COST), "20", "--seed", "3",
+             "--strategy", "random:7", "--max-steps", cap],
+            capture_output=True, text=True, timeout=60, env=env)
+        assert proc.returncode == 0, proc.stderr
+        runs.append(json.loads(proc.stdout))
+    assert runs[0]["steps"] == 3 and runs[0]["complete"] is False
+    assert runs[1]["steps"] > 3 and runs[1]["complete"] is True
+
+
 def test_step_cost_refuses_a_set_it_cannot_shear():
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     proc = subprocess.run(

@@ -1,10 +1,12 @@
 """Per-step cost of one strategy run, without a profiler.
 
     python tools/step_cost.py N [--seed S] [--bbox LO HI] [--strategy SPEC]
+                                [--max-steps K]
 
 draws ``gen_random(N, seed=S, bbox=(LO, HI))``, shears it to distinct x when
-x repeats, runs the strategy (default ``greedy-x``) to the end and prints
-one JSON line: ``steps``, ``seconds`` (the run alone), ``scaled_seconds``
+x repeats, runs the strategy (default ``greedy-x``) to the end, or for at
+most K steps, and prints one JSON line: ``steps``, ``complete`` (whether the
+run ended without crossings), ``seconds`` (the run alone), ``scaled_seconds``
 (the same time scaled to the reference machine speed of the benchmark's
 speed probe, ``bench/speed.py``, so that runs on a shared machine compare),
 ``ms_per_step`` (unscaled), ``gen_seconds`` and ``gen_scaled_seconds`` (the
@@ -41,6 +43,7 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--bbox", type=int, nargs=2, default=(0, 512), metavar=("LO", "HI"))
     ap.add_argument("--strategy", default="greedy-x")
+    ap.add_argument("--max-steps", type=int, default=None, metavar="K")
     args = ap.parse_args(argv)
     strategy = parse_strategy(args.strategy)
     with SpeedProbe() as speed:
@@ -53,14 +56,14 @@ def main(argv=None) -> int:
             return 2
         inst = Instance(ps, raw.matching, raw.provenance)
         start = time.perf_counter()
-        trace = run_strategy(inst, strategy)
+        trace = run_strategy(inst, strategy, max_steps=args.max_steps)
         end = time.perf_counter()
     seconds = end - start
     gen_seconds = start - gen_start
     steps = len(trace)
     print(json.dumps({
         "n": args.n, "seed": args.seed, "bbox": list(args.bbox),
-        "strategy": args.strategy, "steps": steps,
+        "strategy": args.strategy, "steps": steps, "complete": trace.complete,
         "seconds": seconds,
         "scaled_seconds": seconds * speed.scale(start, end),
         "ms_per_step": 1000 * seconds / steps if steps else None,
