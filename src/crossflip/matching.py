@@ -399,9 +399,12 @@ def check_live(
     before reading its added segments off ``quad_reconnections``; raises
     FlipError unless ``crossing`` is a live proper crossing of the matching
     whose segments are ``pairs`` (any container of them: a run passes its
-    ``_LiveCrossings`` index, whose ``in`` reads the mates)."""
+    ``_LiveCrossings`` index, whose ``in`` reads the mates). A segment
+    equal to one of ``pairs`` but with an endpoint that is not an int, such
+    as (True, 9) for (1, 9), is not part of the matching either."""
     e1, e2 = crossing
-    if e1 not in pairs or e2 not in pairs:
+    if (e1 not in pairs or e2 not in pairs
+            or not type(e1[0]) is type(e1[1]) is type(e2[0]) is type(e2[1]) is int):
         raise FlipError(f"crossing {crossing} is not part of the matching")
     if e1 == e2 or not segments_properly_cross(ps, e1, e2):
         raise FlipError(f"segments {e1} and {e2} do not cross")

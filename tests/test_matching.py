@@ -227,6 +227,37 @@ def test_scripted_move_off_the_matching_raises_flip_error(segment, position):
     assert str(info.value) == f"crossing {crossing} is not part of the matching"
 
 
+@pytest.mark.parametrize("crossing", [
+    ((0, 7), (True, 9)), ((False, 7), (1, 9)), ((0, 7), (1.0, 9)),
+    ((0, 7.0), (1, 9))], ids=["bool-second", "bool-first", "float-low",
+                               "float-high"])
+@pytest.mark.parametrize("path", ["flip", "apply_flip", "decrement_audit", "replay"])
+def test_stateless_flip_paths_refuse_a_non_int_endpoint(crossing, path):
+    """The one crossing of sheared ``gen_random(6, seed=3, bbox=(0, 200))``
+    is ((0, 7), (1, 9)). Named with a bool or a float endpoint, it is not
+    part of the matching on every stateless flip path, as in a run: ``flip``
+    once returned a ``Matching`` holding (0, True), and a float endpoint
+    raised TypeError."""
+    from crossflip import FlipRecord, decrement_audit
+
+    raw = gen_random(6, seed=3, bbox=(0, 200))
+    ps, m = shear_to_distinct_x(raw.points), raw.matching
+    assert find_crossings(ps, m) == [((0, 7), (1, 9))]
+    choice = FlipChoice.RECONNECT_A
+    text = f"crossing {crossing} is not part of the matching"
+    if path == "replay":
+        added = flip(ps, m, ((0, 7), (1, 9)), choice)[1].added
+        with pytest.raises(ReplayError) as info:
+            replay(ps, m, [FlipRecord(crossing, choice, added, 0.0, 0.0)])
+        assert str(info.value) == f"step 0: {text}"
+        return
+    step = {"flip": flip, "apply_flip": apply_flip,
+            "decrement_audit": decrement_audit}[path]
+    with pytest.raises(FlipError) as info:
+        step(ps, m, crossing, choice)
+    assert str(info.value) == text
+
+
 def test_scripted_move_on_a_removed_segment_raises_flip_error():
     """A scripted move repeated after its flip names two removed segments:
     the run index refuses it as stale."""
