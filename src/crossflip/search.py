@@ -254,9 +254,12 @@ class _Search:
         #: largest (depth + f) over finished DFS states: a lower bound on the
         #: longest run of the start whose DFS reached them
         self.best_lower = 0
+        #: the largest edge distance of an admitted state from its start: a
+        #: pushed state's stack path is a run that long, a lower bound too
+        self.deepest = 0
 
     def _exceeded(self, why: str, bound: int | None) -> SearchLimitsExceeded:
-        bound = self.best_lower if bound is None else bound
+        bound = max(self.best_lower, self.deepest) if bound is None else bound
         return SearchLimitsExceeded(why, states_expanded=self.expanded, best_bound=bound)
 
     def on_time(self, bound: int | None = None) -> None:
@@ -279,6 +282,8 @@ class _Search:
         if depth >= limits.max_depth:
             raise self._exceeded(f"depth cap {limits.max_depth} hit", bound)
         self.expanded += 1
+        if depth > self.deepest:
+            self.deepest = depth
 
     def crossed(self, key: int, bound: int | None = None) -> bool:
         """Whether ``key`` has a crossing, from the crossing rows of its

@@ -330,6 +330,24 @@ def test_dropped_flip_graph_is_freed_by_reference_counting():
         gc.enable()
 
 
+def test_state_cap_hit_reports_the_deepest_push():
+    """A state pushed at edge distance d from its start ends a run of d
+    flips, so a longest-run limit hit certifies f >= d for the deepest push,
+    finished or not. At n = 60 a cap of 100 states stops the first descent
+    99 flips deep, before any state has finished: ``best_bound`` read 0
+    there, for one start and for an enumeration whose first start is the
+    canonical matching. The BFS bound is the deepest complete level, as
+    before."""
+    inst = gen_random(60, seed=1)
+    limits = SearchLimits(max_states=100)
+    for run, bound in ((lambda: longest_flip_sequence(inst, limits), 99),
+                       (lambda: extremal_estimates(inst.points, limits, cap=60), 99),
+                       (lambda: shortest_flip_sequence(inst, limits), 1)):
+        with pytest.raises(SearchLimitsExceeded, match="state cap 100") as info:
+            run()
+        assert (info.value.states_expanded, info.value.best_bound) == (100, bound)
+
+
 def test_depth_cap_is_the_same_for_dfs_and_bfs():
     # a state at edge distance d is generated only when d < max_depth
     inst = gen_convex(5)
