@@ -150,8 +150,13 @@ class _SegmentLanes:
         self.ys = [y + COORD_LIMIT for _, y in ps.points]
         self.count = count = len(segments)
         self.ones = ((1 << 64 * count) - 1) // ((1 << 64) - 1)  # 1 per lane
+        xs, ys = self.xs, self.ys
+        ax, ay = [xs[a] for a, _ in segments], [ys[a] for a, _ in segments]
+        bx, by = [xs[b] for _, b in segments], [ys[b] for _, b in segments]
+        q = [_BIAS - (x2 - x1) * y1 + (y2 - y1) * x1
+             for x1, y1, x2, y2 in zip(ax, ay, bx, by)]
         self.lanes = [bytearray(pack(f"<{count}Q", *column))
-                      for column in zip(*map(self._values, segments))]
+                      for column in (ax, ay, bx, by, q)]
         self.read()
 
     def _values(self, s: Segment) -> tuple[int, int, int, int, int]:
@@ -257,6 +262,42 @@ def crossed_by(ps: PointSet, s: Segment, segments: Iterable[Segment]) -> list[Se
             q = tx * (by - cy) - ty * (bx - cx)
             if p > 0 > q or p < 0 < q:
                 out.append(t)
+    return out
+
+
+def crossed_by_either(
+    ps: PointSet, s: Segment, u: Segment, segments: Iterable[Segment]
+) -> list[tuple[Segment, Segment]]:
+    """The crossings of s or u with the segments of ``segments``, each as
+    its two segments, the lower first, in the order of the crossing
+    segment: ``crossed_by`` of both in one pass, which reads each segment's
+    endpoints once for the two tests."""
+    pts = ps.points
+    (ax, ay), (bx, by) = pts[s[0]], pts[s[1]]
+    (ex, ey), (fx, fy) = pts[u[0]], pts[u[1]]
+    dx, dy, gx, gy = bx - ax, by - ay, fx - ex, fy - ey
+    line, uline = dx * ay - dy * ax, gx * ey - gy * ex
+    out = []
+    for t in segments:
+        c, d = t
+        (cx, cy), (tx, ty) = pts[c], pts[d]
+        # crossed_by's two tests, against s and then against u
+        p = dx * cy - dy * cx
+        q = dx * ty - dy * tx
+        if p > line > q or p < line < q:
+            hx, hy = tx - cx, ty - cy
+            p = hx * (ay - cy) - hy * (ax - cx)
+            q = hx * (by - cy) - hy * (bx - cx)
+            if p > 0 > q or p < 0 < q:
+                out.append((s, t) if s < t else (t, s))
+        p = gx * cy - gy * cx
+        q = gx * ty - gy * tx
+        if p > uline > q or p < uline < q:
+            hx, hy = tx - cx, ty - cy
+            p = hx * (ey - cy) - hy * (ex - cx)
+            q = hx * (fy - cy) - hy * (fx - cx)
+            if p > 0 > q or p < 0 < q:
+                out.append((u, t) if u < t else (t, u))
     return out
 
 

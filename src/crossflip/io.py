@@ -22,6 +22,7 @@ from .matching import (
     FlipRecord,
     FlipTrace,
     Matching,
+    _record,
     crossing_count,
     total_length,
 )
@@ -236,20 +237,10 @@ def records_from_rows(rows: list[TraceRow]) -> list[FlipRecord]:
     records = []
     prev = rows[0]
     for row in rows[1:]:
-        records.append(
-            FlipRecord(
-                crossing=row.removed,
-                choice=row.choice,
-                added=row.added,
-                length_before=prev.length_after,
-                length_after=row.length_after,
-                crossings_after=row.crossings_after,
-                phi_l_before=prev.phi_l_after,
-                phi_l_after=row.phi_l_after,
-                phi_k_before=prev.phi_k_after,
-                phi_k_after=row.phi_k_after,
-            )
-        )
+        records.append(_record(
+            FlipRecord, row.removed, row.choice, row.added, prev.length_after,
+            row.length_after, row.crossings_after, prev.phi_l_after,
+            row.phi_l_after, prev.phi_k_after, row.phi_k_after))
         prev = row
     return records
 

@@ -46,6 +46,7 @@ from .geometry import (
     Segment,
     _SegmentLanes,
     crossed_by,
+    crossed_by_either,
     crossing_quad,
     seg,
     segments_properly_cross,
@@ -76,6 +77,9 @@ class Matching:
     """
 
     pairs: tuple[Segment, ...]
+
+    #: what the matching remembers for one point set: see ``_memo_for``
+    _memo = None
 
     @classmethod
     def from_pairs(cls, pairs) -> "Matching":
@@ -144,8 +148,7 @@ def crossings_after_flip(
     """
     gone = set(removed)
     out = [c for c in old_crossings if c[0] not in gone and c[1] not in gone]
-    out += [crossing_pair(s, t) for s in added
-            for t in crossed_by(ps, s, new_matching.pairs)]
+    out += crossed_by_either(ps, *added, new_matching.pairs)
     out.sort()
     return out
 
@@ -336,13 +339,32 @@ def crossing_count(ps: PointSet, m: Matching) -> int:
     return sum(lanes.crossers(a, b).bit_count() for a, b in m.pairs) // 2
 
 
+def _memo_for(ps: PointSet, m: Matching) -> list:
+    """The list [ps, length, crossing, quad] that m remembers for ps: its
+    ``total_length`` and the last crossing it passed ``check_live`` with,
+    with that crossing's quad, each None until found. A memo for another
+    point set is replaced, so m remembers for one set at a time. Both
+    objects are immutable, so the memo cannot go stale, and it holds no
+    other matching."""
+    memo = m._memo
+    if memo is None or memo[0] is not ps:
+        memo = [ps, None, None, None]
+        object.__setattr__(m, "_memo", memo)
+    return memo
+
+
 def total_length(ps: PointSet, m: Matching) -> float:
     """Euclidean length of the matching; a monitor, never a control value.
 
     The segment lengths are summed in C, in the matching's order from 0.0,
-    so the float is the one a Python loop adding them up would give."""
-    pts = ps.points
-    return reduce(add, [math.dist(pts[a], pts[b]) for a, b in m.pairs], 0.0)
+    so the float is the one a Python loop adding them up would give. The
+    sum is remembered on m for ps, so a run of ``flip`` calls sums each
+    matching once."""
+    memo = _memo_for(ps, m)
+    if memo[1] is None:
+        pts = ps.points
+        memo[1] = reduce(add, [math.dist(pts[a], pts[b]) for a, b in m.pairs], 0.0)
+    return memo[1]
 
 
 def quad_reconnections(
@@ -351,7 +373,9 @@ def quad_reconnections(
     """The sorted segment pairs a flip adds under choices A and B, given the
     crossing's ``crossing_quad`` (a, x, b, y): opposite sides of the quad."""
     a, x, b, y = quad
-    return ((a, x), seg(b, y)), ((a, y), seg(b, x))
+    # a is the lowest of the four, so only the sides at b need sorting
+    return (((a, x), (b, y) if b < y else (y, b)),
+            ((a, y), (b, x) if b < x else (x, b)))
 
 
 @dataclass(frozen=True)
@@ -372,6 +396,18 @@ class FlipRecord:
     phi_l_after: int | None = None
     phi_k_before: int | None = None
     phi_k_after: int | None = None
+
+
+def _record(cls, *values):
+    """An instance of the frozen dataclass ``cls`` holding ``values``, every
+    field given, in field order: the private constructor of records built
+    per step. It fills the instance dict at once, where the dataclass
+    ``__init__`` sets each field through ``object.__setattr__``; the
+    instance compares, hashes and reprs as ``cls(*values)`` does, and
+    refuses assignment as it does."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(zip(cls.__dataclass_fields__, values))
+    return obj
 
 
 @dataclass(frozen=True)
@@ -398,17 +434,32 @@ def check_live(
     """The ``crossing_quad`` of ``crossing``, the one step every flip takes
     before reading its added segments off ``quad_reconnections``; raises
     FlipError unless ``crossing`` is a live proper crossing of the matching
-    whose segments are ``pairs`` (any container of them: a run passes its
-    ``_LiveCrossings`` index, whose ``in`` reads the mates). A segment
-    equal to one of ``pairs`` but with an endpoint that is not an int, such
-    as (True, 9) for (1, 9), is not part of the matching either."""
+    whose segments are ``pairs``: a ``Matching``, or any container of its
+    segments (a run passes its ``_LiveCrossings`` index, whose ``in`` reads
+    the mates). A segment equal to one of ``pairs`` but with an endpoint
+    that is not an int, such as (True, 9) for (1, 9), is not part of the
+    matching either.
+
+    A ``Matching`` remembers the last tuple crossing it passed for ps, and
+    its quad (``_memo_for``), so an audit after the flip of the same crossing
+    object reads the quad back instead of testing again. A crossing is
+    matched by identity, and only one that passed is remembered."""
+    memo = None
+    if type(pairs) is Matching:
+        memo = _memo_for(ps, pairs)
+        if memo[3] and memo[2] is crossing:
+            return memo[3]
+        pairs = pairs.pairs
     e1, e2 = crossing
     if (e1 not in pairs or e2 not in pairs
             or not type(e1[0]) is type(e1[1]) is type(e2[0]) is type(e2[1]) is int):
         raise FlipError(f"crossing {crossing} is not part of the matching")
     if e1 == e2 or not segments_properly_cross(ps, e1, e2):
         raise FlipError(f"segments {e1} and {e2} do not cross")
-    return crossing_quad(ps, crossing)
+    quad = crossing_quad(ps, crossing)
+    if memo is not None and type(crossing) is tuple:
+        memo[2:] = crossing, quad
+    return quad
 
 
 def _flipped(
@@ -418,7 +469,7 @@ def _flipped(
     matching and the two segments the flip adds. Raises FlipError for a
     stale or corrupt crossing. A run loop flips its ``_LiveCrossings`` index
     instead, and a replay its set of pairs."""
-    quad = check_live(ps, m.pairs, crossing)
+    quad = check_live(ps, m, crossing)
     added = quad_reconnections(quad)[choice is FlipChoice.RECONNECT_B]
     pairs = list(m.pairs)
     pairs.remove(crossing[0])
@@ -441,11 +492,12 @@ def flip(
     """Apply one flip and record it.
 
     Raises FlipError when ``crossing`` is stale (not in ``m``) or corrupt
-    (its segments do not cross).
+    (its segments do not cross). The lengths are remembered on both
+    matchings, so the next flip of ``new`` sums only its successor.
     """
     new, added = _flipped(ps, m, crossing, choice)
-    return new, FlipRecord(crossing, choice, added,
-                           total_length(ps, m), total_length(ps, new))
+    return new, _record(FlipRecord, crossing, choice, added, total_length(ps, m),
+                        total_length(ps, new), None, None, None, None, None)
 
 
 def _replayed(ps: PointSet, initial: Matching, records, states=None) -> Matching:

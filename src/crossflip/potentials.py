@@ -52,6 +52,7 @@ from .matching import (
     CrossingPair,
     FlipChoice,
     Matching,
+    _record,
     check_live,
     quad_reconnections,
 )
@@ -101,6 +102,14 @@ class LineType(Enum):
     L2 = "L2"
     L3 = "L3"
     NO_INTERSECT = "none"
+
+    # members are singletons, so identity hashing is exact, and runs in C
+    # where Enum's hashes each member's name in Python
+    __hash__ = object.__hash__
+
+
+#: L1, L2, L3 and NO_INTERSECT, the keys of an audit's line type counts
+_LINE_TYPES = tuple(LineType)
 
 
 @functools.lru_cache(maxsize=32)
@@ -182,14 +191,17 @@ def phi_vertical(ps: PointSet, m: Matching) -> int:
 
 
 def _rank_spans(ranks, segments) -> int:
-    return sum(abs(ranks[u] - ranks[v]) for u, v in segments)
+    return sum([abs(ranks[u] - ranks[v]) for u, v in segments])
 
 
 def phi_vertical_delta(ranks, removed, added) -> int:
     """The change of ``phi_vertical`` when a flip replaces the segments
     ``removed`` by ``added``: their rank spans under ``ranks = x_ranks(ps)``,
     read off the four endpoints alone."""
-    return _rank_spans(ranks, added) - _rank_spans(ranks, removed)
+    (a, b), (c, d) = removed
+    (e, f), (g, h) = added
+    return (abs(ranks[e] - ranks[f]) + abs(ranks[g] - ranks[h])
+            - abs(ranks[a] - ranks[b]) - abs(ranks[c] - ranks[d]))
 
 
 def phi_vertical_bound(n: int) -> int:
@@ -202,9 +214,10 @@ def phi_vertical_bound_gaps(n: int) -> int:
     return (2 * n - 1) * n
 
 
-def _quad_line_masks(ps: PointSet, order) -> tuple[int, int, int]:
+def _quad_line_masks(ps: PointSet, masks, order) -> tuple[int, int, int]:
     """The line masks (l1, l2, hit) of a convex quad given in ccw order
-    q0..q3, starting at its lowest index, the one line-type rule.
+    q0..q3, starting at its lowest index, under ps's line ``masks``: the
+    one line-type rule.
 
     With x01 the lines separating q0 from q1, and so on around the quad,
     each line is in none or two of x01, x12, x23 and x30, as it meets a
@@ -213,8 +226,8 @@ def _quad_line_masks(ps: PointSet, order) -> tuple[int, int, int]:
     and x30 (l1), L2 lines in x01 and x23 (l2), and a line meeting the quad
     is in one of x01, x12 and x23 (hit); the L3 lines are the rest of hit.
     """
-    masks = _line_masks(ps)
-    m0, m1, m2, m3 = (masks[q] for q in order)
+    q0, q1, q2, q3 = order
+    m0, m1, m2, m3 = masks[q0], masks[q1], masks[q2], masks[q3]
     x01, x12, x23, x30 = m0 ^ m1, m1 ^ m2, m2 ^ m3, m3 ^ m0
     l1, l2 = x12 & x30, x01 & x23
     if l1 & l2:
@@ -310,11 +323,12 @@ def decrement_audit(
     lowest such line. ``phi_l_before`` may be passed by callers that track
     the potential incrementally, saving the full recount.
     """
-    # a live crossing's endpoints are in convex position, in this ccw order
-    quad = check_live(ps, m.pairs, crossing)
-    quad_masks = l1, l2, hit = _quad_line_masks(ps, quad)
-    added = quad_reconnections(quad)[choice is FlipChoice.RECONNECT_B]
+    # a live crossing's endpoints are in convex position, in this ccw order;
+    # after ``flip`` of the same crossing, ``check_live`` reads m's memo
+    quad = check_live(ps, m, crossing)
     masks = _line_masks(ps)
+    quad_masks = l1, l2, hit = _quad_line_masks(ps, masks, quad)
+    added = quad_reconnections(quad)[choice is FlipChoice.RECONNECT_B]
     (u1, v1), (u2, v2), (u3, v3), (u4, v4) = *crossing, *added
     b1, b2 = masks[u1] ^ masks[v1], masks[u2] ^ masks[v2]
     a1, a2 = masks[u3] ^ masks[v3], masks[u4] ^ masks[v4]
@@ -328,12 +342,8 @@ def decrement_audit(
                - b1.bit_count() - b2.bit_count())
     # the lines outside hit, of the m(m - 1) lines for m points, miss it
     n1, n2, n_hit = l1.bit_count(), l2.bit_count(), hit.bit_count()
-    counts = {
-        LineType.L1: n1,
-        LineType.L2: n2,
-        LineType.L3: n_hit - n1 - n2,
-        LineType.NO_INTERSECT: len(masks) * (len(masks) - 1) - n_hit,
-    }
+    counts = dict(zip(_LINE_TYPES, (n1, n2, n_hit - n1 - n2,
+                                    len(masks) * (len(masks) - 1) - n_hit)))
 
     entries = None
     if detail:
@@ -350,25 +360,15 @@ def decrement_audit(
         )
 
     if phi_l_before is None:
-        phi_l_before = phi_lines(ps, m)
+        phi_l_before = _line_spans(masks, m.pairs)
 
+    delta_k = phi_k_before = phi_k_after = None
     if ps.has_distinct_x():
-        delta_k = phi_vertical_delta(x_ranks(ps), crossing, added)
-        phi_k_before = phi_vertical(ps, m)
+        ranks = x_ranks(ps)
+        delta_k = phi_vertical_delta(ranks, crossing, added)
+        phi_k_before = _rank_spans(ranks, m.pairs)
         phi_k_after = phi_k_before + delta_k
-    else:
-        delta_k = phi_k_before = phi_k_after = None
 
-    return DecrementAudit(
-        crossing=crossing,
-        choice=choice,
-        added=added,
-        line_type_counts=counts,
-        delta_phi_l=delta_l,
-        phi_l_before=phi_l_before,
-        phi_l_after=phi_l_before + delta_l,
-        delta_phi_k=delta_k,
-        phi_k_before=phi_k_before,
-        phi_k_after=phi_k_after,
-        lines=entries,
-    )
+    return _record(DecrementAudit, crossing, choice, added, counts, delta_l,
+                   phi_l_before, phi_l_before + delta_l, delta_k, phi_k_before,
+                   phi_k_after, entries)

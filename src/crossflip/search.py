@@ -89,6 +89,7 @@ from .matching import (
     FlipTrace,
     Matching,
     _LiveCrossings,
+    _record,
     check_live,
     is_noncrossing,
     quad_reconnections,
@@ -699,14 +700,9 @@ def _run(instance_id: str, ps: PointSet, initial: Matching, pick,
         if with_phi_lines:
             phi_l += phi_lines_delta(ps, crossing, added)
         length_before, length = length, live.length()
-        records.append(FlipRecord(
-            crossing, choice, added, length_before, length,
-            crossings_after=len(live),
-            phi_l_before=phi_l_before,
-            phi_l_after=phi_l,
-            phi_k_before=phi_k_before,
-            phi_k_after=phi_k,
-        ))
+        records.append(_record(FlipRecord, crossing, choice, added, length_before,
+                               length, len(live), phi_l_before, phi_l,
+                               phi_k_before, phi_k))
     return FlipTrace(instance_id, initial, tuple(records),
                      Matching(tuple(sorted(live.pairs))), complete=not live)
 

@@ -28,7 +28,16 @@ side-vector prefilter of ``crossflip.matching`` replaced, and
 ``reference_crossed_by`` that prefilter, whose survivors get the full pair
 test, which the exact batch test ``geometry.crossed_by`` replaced.
 ``reference_total_length`` is the ``math.hypot`` loop that the C-level sum
-of ``matching.total_length`` replaced, bit for bit.
+of ``matching.total_length`` replaced, bit for bit. ``reference_flip`` is
+the stateless flip before a ``Matching`` remembered its length and its last
+checked quad: both lengths summed in full and the record built by the
+dataclass ``__init__``, where ``matching.flip`` now sums only the successor
+and builds the record by ``matching._record``.
+``reference_crossed_by_either`` is the two ``crossed_by`` passes, one per
+added segment, that the one pass of ``geometry.crossed_by_either`` in
+``matching.crossings_after_flip`` replaced, and ``reference_lane_columns``
+the five lane arrays of ``geometry._SegmentLanes`` packed from one
+``_values`` call per segment, which its column comprehensions replaced.
 ``reference_max_damage_pick`` is the per-run key dict and ``max`` that the
 max-damage heap, and then the ranked
 keys of the live index, of ``crossflip.search`` replaced, and
@@ -91,6 +100,7 @@ from struct import pack
 from crossflip import (
     DecrementAudit,
     FlipChoice,
+    FlipRecord,
     GenerationError,
     LineType,
     Matching,
@@ -136,6 +146,34 @@ def reference_total_length(ps: PointSet, m: Matching) -> float:
         (ax, ay), (bx, by) = ps[a], ps[b]
         total += math.hypot(bx - ax, by - ay)
     return total
+
+
+def reference_flip(ps: PointSet, m: Matching, crossing, choice):
+    """The successor matching and the record of a flip of a live crossing,
+    as the stateless flip gave them before a ``Matching`` remembered its
+    length and its last checked quad: the added segments by the comparator
+    sort, both lengths by the ``math.hypot`` loop and the record by the
+    dataclass ``__init__``."""
+    added = reference_reconnection_pairs(ps, crossing, choice)
+    new = Matching(tuple(sorted(set(m.pairs) - set(crossing) | set(added))))
+    return new, FlipRecord(crossing, choice, added, reference_total_length(ps, m),
+                           reference_total_length(ps, new))
+
+
+def reference_crossed_by_either(ps: PointSet, s, u, segments) -> list:
+    """The crossings of s or u with ``segments`` by one ``crossed_by`` pass
+    per segment, in the order of the crossing segment, against s first."""
+    hits = set(crossed_by(ps, s, segments)), set(crossed_by(ps, u, segments))
+    return [crossing_pair(x, t) for t in segments
+            for x, hit in zip((s, u), hits) if t in hit]
+
+
+def reference_lane_columns(ps: PointSet, segments) -> list:
+    """The five lane arrays of a ``_SegmentLanes`` table of ``segments``,
+    packed from one ``_values`` call per segment."""
+    values = _SegmentLanes(ps, segments)._values
+    return [bytearray(pack(f"<{len(segments)}Q", *column))
+            for column in zip(*map(values, segments))]
 
 
 def reference_find_crossings(ps: PointSet, m: Matching) -> list:

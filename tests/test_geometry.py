@@ -21,7 +21,9 @@ from crossflip.potentials import x_ranks
 
 from oracles import (
     direction,
+    reference_crossed_by_either,
     reference_first_collinear_pair,
+    reference_lane_columns,
     reference_general_position,
     reference_segments_properly_cross,
     reference_line_masks,
@@ -271,6 +273,38 @@ def test_side_masks_match_reference_loop(pts):
     budget's edges."""
     ps = PointSet(tuple(pts))
     assert potentials._line_masks(ps) == reference_line_masks(ps)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_sets_of(coords), small_sets, _sets_of(edge)))
+@example([Point(COORD_LIMIT, COORD_LIMIT)] * 4)
+def test_lane_columns_match_one_values_call_per_segment(pts):
+    """The five lane arrays of a ``_SegmentLanes`` table, built column by
+    column, against those packed from one ``_values`` call per segment, bit
+    for bit: every segment of the set with its endpoints in either order, on
+    the sets of the mask test above."""
+    ps = PointSet(tuple(pts))
+    segments = list(combinations(range(len(ps)), 2))
+    for segs in (segments, [s[::-1] for s in segments]):
+        assert geometry._SegmentLanes(ps, segs).lanes == reference_lane_columns(ps, segs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_sets_of(coords), small_sets, _sets_of(edge)),
+       st.randoms(use_true_random=False))
+@example([Point(0, 0), Point(2, 2), Point(1, 1), Point(1, 3)], None)  # touching
+def test_crossed_by_either_is_crossed_by_of_both(pts, rng):
+    """One pass for two segments against the ``crossed_by`` pass of each:
+    the same crossings, each as its two segments, the lower first, in the
+    order of the crossing segment. The two are disjoint segments of the
+    set, drawn at random, and the segments they meet are all of the set's,
+    so every kind of degenerate pair comes up on the 7x7 grid."""
+    ps = PointSet(tuple(pts))
+    segments = list(combinations(range(len(ps)), 2))
+    pairs = [(s, u) for s, u in product(segments, repeat=2) if not set(s) & set(u)]
+    for s, u in pairs if rng is None else rng.sample(pairs, min(len(pairs), 6)):
+        assert (geometry.crossed_by_either(ps, s, u, segments)
+                == reference_crossed_by_either(ps, s, u, segments))
 
 
 @settings(max_examples=150, deadline=None)

@@ -18,11 +18,13 @@ from crossflip import (
     Strategy,
     apply_flip,
     crossings_after_flip,
+    decrement_audit,
     find_crossings,
     flip,
     gen_random,
     gen_two_line,
     is_noncrossing,
+    phi_lines,
     replay,
     run_strategy,
     seg,
@@ -238,7 +240,7 @@ def test_stateless_flip_paths_refuse_a_non_int_endpoint(crossing, path):
     part of the matching on every stateless flip path, as in a run: ``flip``
     once returned a ``Matching`` holding (0, True), and a float endpoint
     raised TypeError."""
-    from crossflip import FlipRecord, decrement_audit
+    from crossflip import FlipRecord
 
     raw = gen_random(6, seed=3, bbox=(0, 200))
     ps, m = shear_to_distinct_x(raw.points), raw.matching
@@ -738,3 +740,129 @@ def test_sorted_ints_split_and_merge_blocks_like_a_sorted_list(
     assert any(b < a for a, b in zip(counts, counts[1:]))  # merges
     with pytest.raises(IndexError):
         got[len(want)]
+
+
+def _fuzz_flips(seed: int, flips: int):
+    """(ps, m, crossing, choice, phi_l) for each flip of the acceptance fuzz
+    recipe from ``seed``: n uniform in [2, 10], a sheared ``gen_random`` set
+    in [0, 512]^2, three random starts per set and random crossings and
+    choices until non-crossing, with phi_L tracked by the audits. Each flip
+    is made by ``flip`` and audited after it, so the audit finds the quad
+    the flip left on m, and the next flip the length it left on m2."""
+    rng = random.Random(seed)
+    done = 0
+    while done < flips:
+        n = rng.randint(2, 10)
+        ps = shear_to_distinct_x(gen_random(n, seed=rng.getrandbits(32),
+                                            bbox=(0, 512)).points)
+        for _ in range(3):
+            order = list(range(2 * n))
+            rng.shuffle(order)
+            m = Matching.from_pairs(zip(order[0::2], order[1::2]))
+            phi_l = phi_lines(ps, m)
+            crossings = find_crossings(ps, m)
+            while crossings and done < flips:
+                crossing, choice = rng.choice(crossings), rng.choice(CHOICES)
+                m2, rec = flip(ps, m, crossing, choice)
+                audit = decrement_audit(ps, m, crossing, choice, phi_l_before=phi_l)
+                yield ps, m, crossing, choice, phi_l, m2, rec, audit
+                crossings = crossings_after_flip(ps, m2, crossings, crossing, rec.added)
+                phi_l, m = audit.phi_l_after, m2
+                done += 1
+
+
+def test_remembered_flips_and_audits_equal_cold_calls():
+    """Along a seeded run of the fuzz recipe, where each flip's audit reuses
+    the quad the flip left on its matching and each flip the length the
+    one before left: every successor, record and audit equals the one from
+    cold calls on fresh, equal but not identical point sets, matchings and
+    crossings, which find nothing remembered, and the successor and record
+    equal the replaced flip's, both lengths summed in full."""
+    count = 0
+    for ps, m, crossing, choice, phi_l, m2, rec, audit in _fuzz_flips(27, 1500):
+        cold_ps = PointSet(tuple(ps.points))
+        cold_crossing = tuple(tuple(s) for s in crossing)
+        assert cold_ps is not ps and cold_crossing is not crossing
+        cold = flip(cold_ps, Matching(m.pairs), cold_crossing, choice)
+        assert (m2, rec) == cold == oracles.reference_flip(ps, m, crossing, choice)
+        assert (rec.length_before.hex(), rec.length_after.hex()) == (
+            cold[1].length_before.hex(), cold[1].length_after.hex())
+        assert audit == decrement_audit(cold_ps, Matching(m.pairs), cold_crossing,
+                                        choice, phi_l_before=phi_l)
+        count += 1
+    assert count == 1500
+
+
+def test_one_matching_audited_under_two_point_sets():
+    """One matching flipped and audited in turn under a point set and its
+    mirror image, whose quads run the other way round, and under the set
+    scaled by 2, whose lengths double: each call gets its own set's length,
+    quad and audit, as a cold call does, however the calls interleave."""
+    raw = gen_random(6, seed=3, bbox=(0, 200))
+    ps = shear_to_distinct_x(raw.points)
+    mirror = shear_to_distinct_x(PointSet.from_coords((-x, y) for x, y in ps))
+    double = PointSet.from_coords((2 * x, 2 * y) for x, y in ps)
+    m = raw.matching
+    crossing = find_crossings(ps, m)[0]
+    assert crossing in find_crossings(mirror, m) and crossing in find_crossings(double, m)
+    sets = (ps, mirror, double, mirror, ps, double, ps)
+    for choice in CHOICES:
+        for here in sets:
+            cold = PointSet(tuple(here.points))
+            assert flip(here, m, crossing, choice) == flip(
+                cold, Matching(m.pairs), crossing, choice)
+            assert decrement_audit(here, m, crossing, choice) == decrement_audit(
+                cold, Matching(m.pairs), crossing, choice)
+            assert total_length(here, m) == total_length(cold, Matching(m.pairs))
+    assert total_length(double, m) == 2 * total_length(ps, m)
+    assert (check_live(ps, m, crossing)[1], check_live(mirror, m, crossing)[3]) == (
+        check_live(mirror, m, crossing)[3], check_live(ps, m, crossing)[1])
+
+
+def test_remembered_quad_is_matched_by_identity():
+    """A matching remembers the quad of the crossing object it last passed,
+    and only of a tuple: an equal crossing with a bool endpoint is still
+    refused after its int twin passed, and a list crossing that passed is
+    checked again after it is changed in place."""
+    raw = gen_random(6, seed=3, bbox=(0, 200))
+    ps, m = shear_to_distinct_x(raw.points), raw.matching
+    choice = FlipChoice.RECONNECT_A
+    crossing = ((0, 7), (1, 9))
+    flip(ps, m, crossing, choice)
+    decrement_audit(ps, m, crossing, choice)
+    twin = ((0, 7), (True, 9))
+    assert twin == crossing
+    for step in (flip, apply_flip):
+        with pytest.raises(FlipError, match="not part of the matching"):
+            step(ps, m, twin, choice)
+    as_list = [(0, 7), (1, 9)]
+    flip(ps, m, as_list, choice)
+    as_list[1] = (2, 3)
+    with pytest.raises(FlipError, match="do not cross"):
+        decrement_audit(ps, m, as_list, choice)
+
+
+def test_private_record_constructor_builds_the_dataclass_record():
+    """``_record`` fills a record's instance dict at once: the record
+    equals, hashes and reprs as the dataclass ``__init__``'s, and still
+    refuses assignment; an audit, which holds a dict, equals and reprs as
+    its ``__init__``'s."""
+    from crossflip import DecrementAudit, FlipRecord, LineType
+    from crossflip.matching import _record
+
+    values = (((0, 7), (1, 9)), FlipChoice.RECONNECT_B, ((0, 1), (7, 9)),
+              2.5, 1.5, 3, 40, 36, 12, 10)
+    for given in (values, values[:5] + (None,) * 5):
+        fast, slow = _record(FlipRecord, *given), FlipRecord(*given)
+        assert fast == slow and hash(fast) == hash(slow) and repr(fast) == repr(slow)
+        assert vars(fast) == vars(slow)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            fast.length_after = 0.0
+    counts = dict.fromkeys(LineType, 1)
+    given = (((0, 7), (1, 9)), FlipChoice.RECONNECT_A, ((0, 1), (7, 9)),
+             counts, -4, 40, 36, 0, 12, 12, None)
+    fast, slow = _record(DecrementAudit, *given), DecrementAudit(*given)
+    assert fast == slow and repr(fast) == repr(slow)
+    assert fast.to_json_dict() == slow.to_json_dict()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        fast.delta_phi_l = 0
