@@ -232,59 +232,35 @@ def segments_properly_cross(ps: PointSet, s: Segment, t: Segment) -> bool:
     )
 
 
-def crossed_by(ps: PointSet, s: Segment, segments: Iterable[Segment]) -> list[Segment]:
-    """The segments of ``segments`` that properly cross s, in their order:
-    ``segments_properly_cross`` of s and each, in one pass.
-
-    Each segment given takes two cross products, one per endpoint against
-    line s. A segment whose endpoints lie strictly on opposite sides of it
-    crosses s exactly when s's endpoints lie strictly on opposite sides of
-    its own line, two more cross products; so the answer is exact on
-    degenerate sets too. A segment sharing an endpoint with s lies on line s
-    there and never counts.
-    """
-    pts = ps.points
-    (ax, ay), (bx, by) = pts[s[0]], pts[s[1]]
-    dx, dy = bx - ax, by - ay
-    # orient(p_a, p_b, p_r) has the sign of dx * y_r - dy * x_r - line
-    line = dx * ay - dy * ax
-    out = []
-    for t in segments:
-        c, d = t
-        (cx, cy), (tx, ty) = pts[c], pts[d]
-        p = dx * cy - dy * cx
-        q = dx * ty - dy * tx
-        if p > line > q or p < line < q:
-            tx -= cx
-            ty -= cy
-            # orient(p_c, p_d, p_a) and orient(p_c, p_d, p_b)
-            p = tx * (ay - cy) - ty * (ax - cx)
-            q = tx * (by - cy) - ty * (bx - cx)
-            if p > 0 > q or p < 0 < q:
-                out.append(t)
-    return out
-
-
 def crossed_by_either(
     ps: PointSet, s: Segment, u: Segment, segments: Iterable[Segment]
 ) -> list[tuple[Segment, Segment]]:
-    """The crossings of s or u with the segments of ``segments``, each as
-    its two segments, the lower first, in the order of the crossing
-    segment: ``crossed_by`` of both in one pass, which reads each segment's
-    endpoints once for the two tests."""
+    """The crossings of s or of u with the segments of ``segments``, each
+    as its two segments, the lower first, in the order of the crossing
+    segment, s's before u's: ``segments_properly_cross`` of each of s and u
+    with each segment, in one pass that reads each segment's endpoints once.
+
+    Each test takes two cross products, one per endpoint of the segment
+    against the line of s (or u). A segment whose endpoints lie strictly on
+    opposite sides of it crosses s exactly when s's endpoints lie strictly
+    on opposite sides of its own line, two more cross products; so the
+    answer is exact on degenerate sets too. A segment sharing an endpoint
+    with s lies on line s there and never counts.
+    """
     pts = ps.points
     (ax, ay), (bx, by) = pts[s[0]], pts[s[1]]
     (ex, ey), (fx, fy) = pts[u[0]], pts[u[1]]
     dx, dy, gx, gy = bx - ax, by - ay, fx - ex, fy - ey
+    # orient(p_a, p_b, p_r) has the sign of dx * y_r - dy * x_r - line
     line, uline = dx * ay - dy * ax, gx * ey - gy * ex
     out = []
     for t in segments:
         c, d = t
         (cx, cy), (tx, ty) = pts[c], pts[d]
-        # crossed_by's two tests, against s and then against u
         p = dx * cy - dy * cx
         q = dx * ty - dy * tx
         if p > line > q or p < line < q:
+            # orient(p_c, p_d, p_a) and orient(p_c, p_d, p_b)
             hx, hy = tx - cx, ty - cy
             p = hx * (ay - cy) - hy * (ax - cx)
             q = hx * (by - cy) - hy * (bx - cx)

@@ -11,10 +11,25 @@ added segments. Total segment length is tracked as a float-valued monitor,
 order; it strictly decreases across every flip, but it never drives control
 flow.
 
-Crossings of one matching are found by ``geometry.crossed_by``, one exact
-pass per segment over the segments after it: two inline determinants per
-pair, and two more for a pair that straddles; at an audit's small n, a lane
-table built per call costs more than it saves. Along a run of flips
+A ``Matching`` remembers two things for one point set (``_memo_for``): its
+``total_length``, so ``flip`` sums only the successor, whose sum is the next
+flip's ``length_before``, and the quad of the last crossing it passed
+``check_live`` with, so ``decrement_audit`` after ``flip`` of the same
+crossing object reads the quad back instead of testing the crossing again.
+The point set is matched by identity, and the crossing too, once it passed
+the check. A matching, a point set and a tuple crossing are immutable, so
+the memo cannot go stale, and it never refers to another matching, so a run
+of flips does not keep its history alive. Records built per step
+(``FlipRecord`` here, ``potentials.DecrementAudit``) go through one private
+constructor, ``_record``, which fills the instance dict at once.
+
+Crossings of one matching are found by ``geometry.crossed_by_either``, one
+exact pass over the segments for two segments at a time: ``find_crossings``
+passes two consecutive segments and the segments from the second on, and
+``crossings_after_flip`` the two added segments and the new matching. A
+test takes two inline determinants per pair, and two more for a pair that
+straddles; at an audit's small n, a lane table built per call costs more
+than it saves. Along a run of flips
 (``search._run``, the one run loop), ``_LiveCrossings`` is the run's one
 copy of its matching, and bookkeeping only: it keeps the segments in slots,
 each point's mate, the crossings as two bitset rows per lower endpoint (a
@@ -45,7 +60,6 @@ from .geometry import (
     PointSet,
     Segment,
     _SegmentLanes,
-    crossed_by,
     crossed_by_either,
     crossing_quad,
     seg,
@@ -118,15 +132,16 @@ class FlipChoice(Enum):
     RECONNECT_B = "B"
 
 
-def crossing_pair(e1: Segment, e2: Segment) -> CrossingPair:
-    return (e1, e2) if e1 < e2 else (e2, e1)
-
-
 def find_crossings(ps: PointSet, m: Matching) -> list[CrossingPair]:
-    """All properly crossing segment pairs of m, canonically sorted."""
+    """All properly crossing segment pairs of m, canonically sorted: the
+    segments two at a time, each two tested in one pass against the
+    segments from the second of them on."""
     pairs = m.pairs
-    return [(s, t) for i, s in enumerate(pairs)
-            for t in crossed_by(ps, s, pairs[i + 1:])]
+    out = []
+    for i in range(0, len(pairs) - 1, 2):
+        out += crossed_by_either(ps, pairs[i], pairs[i + 1], pairs[i + 1:])
+    out.sort()
+    return out
 
 
 def is_noncrossing(ps: PointSet, m: Matching) -> bool:
@@ -444,9 +459,8 @@ def check_live(
     its quad (``_memo_for``), so an audit after the flip of the same crossing
     object reads the quad back instead of testing again. A crossing is
     matched by identity, and only one that passed is remembered."""
-    memo = None
-    if type(pairs) is Matching:
-        memo = _memo_for(ps, pairs)
+    memo = _memo_for(ps, pairs) if type(pairs) is Matching else None
+    if memo:
         if memo[3] and memo[2] is crossing:
             return memo[3]
         pairs = pairs.pairs

@@ -198,8 +198,7 @@ def phi_vertical_delta(ranks, removed, added) -> int:
     """The change of ``phi_vertical`` when a flip replaces the segments
     ``removed`` by ``added``: their rank spans under ``ranks = x_ranks(ps)``,
     read off the four endpoints alone."""
-    (a, b), (c, d) = removed
-    (e, f), (g, h) = added
+    (a, b), (c, d), (e, f), (g, h) = *removed, *added
     return (abs(ranks[e] - ranks[f]) + abs(ranks[g] - ranks[h])
             - abs(ranks[a] - ranks[b]) - abs(ranks[c] - ranks[d]))
 
@@ -226,8 +225,7 @@ def _quad_line_masks(ps: PointSet, masks, order) -> tuple[int, int, int]:
     and x30 (l1), L2 lines in x01 and x23 (l2), and a line meeting the quad
     is in one of x01, x12 and x23 (hit); the L3 lines are the rest of hit.
     """
-    q0, q1, q2, q3 = order
-    m0, m1, m2, m3 = masks[q0], masks[q1], masks[q2], masks[q3]
+    m0, m1, m2, m3 = map(masks.__getitem__, order)
     x01, x12, x23, x30 = m0 ^ m1, m1 ^ m2, m2 ^ m3, m3 ^ m0
     l1, l2 = x12 & x30, x01 & x23
     if l1 & l2:

@@ -26,23 +26,24 @@ the predicate under test. ``reference_find_crossings`` and
 ``reference_crossings_after_flip`` are the full pair tests that the
 side-vector prefilter of ``crossflip.matching`` replaced, and
 ``reference_crossed_by`` that prefilter, whose survivors get the full pair
-test, which the exact batch test ``geometry.crossed_by`` replaced.
+test, which the exact batch test ``geometry.crossed_by``, and then
+``geometry.crossed_by_either``, replaced.
 ``reference_total_length`` is the ``math.hypot`` loop that the C-level sum
 of ``matching.total_length`` replaced, bit for bit. ``reference_flip`` is
 the stateless flip before a ``Matching`` remembered its length and its last
 checked quad: both lengths summed in full and the record built by the
 dataclass ``__init__``, where ``matching.flip`` now sums only the successor
 and builds the record by ``matching._record``.
-``reference_crossed_by_either`` is the two ``crossed_by`` passes, one per
-added segment, that the one pass of ``geometry.crossed_by_either`` in
-``matching.crossings_after_flip`` replaced, and ``reference_lane_columns``
+``reference_crossed_by_either`` is one pass per segment, as
+``geometry.crossed_by`` made them, that the one pass for two segments of
+``geometry.crossed_by_either`` replaced, and ``reference_lane_columns``
 the five lane arrays of ``geometry._SegmentLanes`` packed from one
 ``_values`` call per segment, which its column comprehensions replaced.
 ``reference_max_damage_pick`` is the per-run key dict and ``max`` that the
 max-damage heap, and then the ranked
 keys of the live index, of ``crossflip.search`` replaced, and
 ``reference_live_crossings`` the list of
-crossing tuples, kept by ``insort`` and ``crossed_by``, that the int keys,
+crossing tuples, kept by ``insort`` and a batch test, that the int keys,
 blocked sorted list and lane crossing test of ``matching._LiveCrossings``
 replaced, and ``reference_point_lane_crossers`` that test on 2n point
 lanes, which the n segment-slot lanes replaced.
@@ -117,11 +118,16 @@ from crossflip import (
     seg,
 )
 from crossflip import io
-from crossflip.geometry import COORD_LIMIT, _SegmentLanes, crossed_by, first_collinear_pair
-from crossflip.matching import FlipError, ReplayError, _flipped, crossing_pair
+from crossflip.geometry import COORD_LIMIT, _SegmentLanes, first_collinear_pair
+from crossflip.matching import FlipError, ReplayError, _flipped
 from crossflip.potentials import LineAudit, phi_vertical_delta
 
 CHOICES = (FlipChoice.RECONNECT_A, FlipChoice.RECONNECT_B)
+
+
+def crossing_pair(e1, e2) -> tuple:
+    """A crossing of segments e1 and e2 in canonical order, the lower first."""
+    return (e1, e2) if e1 < e2 else (e2, e1)
 
 
 def reference_segments_properly_cross(ps: PointSet, s, t) -> bool:
@@ -161,9 +167,12 @@ def reference_flip(ps: PointSet, m: Matching, crossing, choice):
 
 
 def reference_crossed_by_either(ps: PointSet, s, u, segments) -> list:
-    """The crossings of s or u with ``segments`` by one ``crossed_by`` pass
-    per segment, in the order of the crossing segment, against s first."""
-    hits = set(crossed_by(ps, s, segments)), set(crossed_by(ps, u, segments))
+    """The crossings of s or u with ``segments`` by one
+    ``reference_crossed_by`` pass per segment, in the order of the crossing
+    segment, against s first; a segment sharing an endpoint with s or u
+    never crosses it."""
+    hits = [set(reference_crossed_by(ps, x, [t for t in segments if not set(x) & set(t)]))
+            for x in (s, u)]
     return [crossing_pair(x, t) for t in segments
             for x, hit in zip((s, u), hits) if t in hit]
 
@@ -260,7 +269,7 @@ class reference_live_crossings:
     runner kept them before the lane index: ``sorted``, crossing tuples in
     canonical order kept by ``insort`` and ``del``, and ``of``, each
     segment's set of crossings; the added segments are retested by
-    ``geometry.crossed_by``."""
+    ``reference_crossed_by``."""
 
     def __init__(self, ps: PointSet, m: Matching):
         self.ps = ps
@@ -278,7 +287,8 @@ class reference_live_crossings:
                 del live[bisect_left(live, c)]
                 of[c[1] if c[0] == s else c[0]].discard(c)
         new = [crossing_pair(s, t) for s in added
-               for t in crossed_by(self.ps, s, new_matching.pairs)]
+               for t in reference_crossed_by(self.ps, s, [
+                   t for t in new_matching.pairs if not set(s) & set(t)])]
         for c in new:
             insort(live, c)
             of[c[0]].add(c)

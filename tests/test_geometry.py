@@ -293,9 +293,9 @@ def test_lane_columns_match_one_values_call_per_segment(pts):
 @given(st.one_of(_sets_of(coords), small_sets, _sets_of(edge)),
        st.randoms(use_true_random=False))
 @example([Point(0, 0), Point(2, 2), Point(1, 1), Point(1, 3)], None)  # touching
-def test_crossed_by_either_is_crossed_by_of_both(pts, rng):
-    """One pass for two segments against the ``crossed_by`` pass of each:
-    the same crossings, each as its two segments, the lower first, in the
+def test_crossed_by_either_is_a_pass_per_segment(pts, rng):
+    """One pass for two segments against a reference pass for each: the
+    same crossings, each as its two segments, the lower first, in the
     order of the crossing segment. The two are disjoint segments of the
     set, drawn at random, and the segments they meet are all of the set's,
     so every kind of degenerate pair comes up on the 7x7 grid."""

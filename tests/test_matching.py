@@ -34,12 +34,11 @@ from crossflip import (
     trace_from_moves,
 )
 from crossflip import matching
-from crossflip.geometry import COORD_LIMIT, crossed_by
+from crossflip.geometry import COORD_LIMIT, crossed_by_either
 from crossflip.matching import (
     _LiveCrossings,
     check_live,
     crossing_count,
-    crossing_pair,
     crossing_quad,
     quad_reconnections,
     replay_states,
@@ -55,6 +54,7 @@ import oracles
 from oracles import (
     CHOICES,
     crossing_count_brute,
+    crossing_pair,
     reference_crossed_by,
     reference_ccw_quad_order,
     reference_choice_yielding,
@@ -441,10 +441,15 @@ def test_crossing_lists_match_full_pair_tests_along_flip_walks(ps, rng):
         crossings = want
 
 
-def _assert_batch_test_matches_pair_tests(ps, s, segments):
+def _assert_batch_test_matches_pair_tests(ps, s, u, segments):
+    """The batch test of s and u against the pair tests, on segments
+    disjoint from s: the crossings in the order of the crossing segment,
+    s's before u's."""
     want = [t for t in segments if segments_properly_cross(ps, s, t)]
-    assert crossed_by(ps, s, segments) == want
     assert reference_crossed_by(ps, s, segments) == want
+    assert crossed_by_either(ps, s, u, segments) == [
+        crossing_pair(x, t) for t in segments for x in (s, u)
+        if not set(x) & set(t) and segments_properly_cross(ps, x, t)]
 
 
 # coordinates at the budget's edges give lane determinants up to 2**43
@@ -510,15 +515,15 @@ def test_live_crossing_index_matches_full_pair_tests_along_flip_walks(
     is gone and the added segments' rows hold the crossings the reference
     gains, and the run length equals ``total_length`` bit for bit. A tiny
     heap slack makes the heap rebuild, and after every flip it holds at
-    most ``slack`` keys per live crossing. ``crossed_by`` agrees with
-    ``segments_properly_cross`` pair by pair."""
+    most ``slack`` keys per live crossing. ``crossed_by_either`` agrees
+    with ``segments_properly_cross`` pair by pair."""
     labels = list(range(len(ps)))
     rng.shuffle(labels)
     m = Matching.from_pairs(zip(labels[0::2], labels[1::2]))
     segments = list(combinations(range(len(ps)), 2))
-    for s in m.pairs:  # every segment of the set disjoint from s
+    for k, s in enumerate(m.pairs):  # every segment of the set disjoint from s
         _assert_batch_test_matches_pair_tests(
-            ps, s, [t for t in segments if not set(s) & set(t)])
+            ps, s, m.pairs[k - 1], [t for t in segments if not set(s) & set(t)])
     with mock.patch.object(matching, "_HEAP_SLACK", slack):
         live = _LiveCrossings(ps, m, rank)
     reference = reference_live_crossings(ps, m)
@@ -545,7 +550,7 @@ def test_live_crossing_index_matches_full_pair_tests_along_flip_walks(
             assert all(live.down[c] >> a & 1 for c in _bits(live.up[a]))
             assert not live.up[b] and not live.down[b]
             _assert_batch_test_matches_pair_tests(
-                ps, (a, b), [t for t in m.pairs if t != (a, b)])
+                ps, (a, b), m.pairs[-1], [t for t in m.pairs if t != (a, b)])
         if not crossings:
             break
         crossing = rng.choice(crossings)

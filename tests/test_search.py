@@ -263,10 +263,10 @@ def test_deadline_checked_between_pushes(monkeypatch):
 
 
 def _pair_test_clock_readings(monkeypatch, clock):
-    """The clock reading at every ``crossed_by`` call, the batch crossing
-    test, wherever a crossflip module looks the name up."""
+    """The clock reading at every ``crossed_by_either`` call, the batch
+    crossing test, wherever a crossflip module looks the name up."""
     readings = []
-    real = geometry.crossed_by
+    real = geometry.crossed_by_either
 
     def counted(*args):
         readings.append(clock.now)
@@ -274,8 +274,8 @@ def _pair_test_clock_readings(monkeypatch, clock):
 
     for name, module in list(sys.modules.items()):
         if (name.split(".")[0] == "crossflip"
-                and getattr(module, "crossed_by", None) is real):
-            monkeypatch.setattr(module, "crossed_by", counted)
+                and getattr(module, "crossed_by_either", None) is real):
+            monkeypatch.setattr(module, "crossed_by_either", counted)
     return readings
 
 

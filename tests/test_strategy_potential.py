@@ -322,9 +322,9 @@ def test_strategy_steps_compute_one_quad_each(monkeypatch, text, steps):
 def test_strategy_runs_make_no_scalar_batch_crossing_test(monkeypatch):
     """Strategy runs and scripted traces find crossings on the lanes of
     their ``_LiveCrossings`` index alone, its build included:
-    ``geometry.crossed_by``, the scalar batch test, is never called."""
+    ``geometry.crossed_by_either``, the scalar batch test, is never called."""
     inst = _sheared(40, 4109)
-    calls = _calls_of(monkeypatch, "crossed_by")
+    calls = _calls_of(monkeypatch, "crossed_by_either")
     traces = [run_strategy(inst, parse_strategy(text)) for text in X_GREEDY]
     traces += [run_strategy(inst, parse_strategy(text), restrict_choice=restrict)
                for text, restrict in FREE]
