@@ -159,22 +159,18 @@ class _SegmentLanes:
                       for column in (ax, ay, bx, by, q)]
         self.read()
 
-    def _values(self, s: Segment) -> tuple[int, int, int, int, int]:
-        """Segment s's value in each of the five arrays."""
+    def write(self, k: int, s: Segment) -> None:
+        """Lane k from segment s, as the constructor fills each lane;
+        ``read`` makes it count."""
         a, b = s
         ax, ay, bx, by = self.xs[a], self.ys[a], self.xs[b], self.ys[b]
-        return ax, ay, bx, by, _BIAS - (bx - ax) * ay + (by - ay) * ax
-
-    def write(self, k: int, s: Segment) -> None:
-        """Lane k from segment s; ``read`` makes it count."""
         k *= 8
         lax, lay, lbx, lby, lq = self.lanes
-        ax, ay, bx, by, q = self._values(s)
         _LANE.pack_into(lax, k, ax)
         _LANE.pack_into(lay, k, ay)
         _LANE.pack_into(lbx, k, bx)
         _LANE.pack_into(lby, k, by)
-        _LANE.pack_into(lq, k, q)
+        _LANE.pack_into(lq, k, _BIAS - (bx - ax) * ay + (by - ay) * ax)
 
     def read(self) -> None:
         self.ax, self.ay, self.bx, self.by, self.q = (

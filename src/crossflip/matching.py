@@ -11,15 +11,15 @@ added segments. Total segment length is tracked as a float-valued monitor,
 order; it strictly decreases across every flip, but it never drives control
 flow.
 
-A ``Matching`` remembers two things for one point set (``_memo_for``): its
-``total_length``, so ``flip`` sums only the successor, whose sum is the next
-flip's ``length_before``, and the quad of the last crossing it passed
-``check_live`` with, so ``decrement_audit`` after ``flip`` of the same
-crossing object reads the quad back instead of testing the crossing again.
-The point set is matched by identity, and the crossing too, once it passed
-the check. A matching, a point set and a tuple crossing are immutable, so
-the memo cannot go stale, and it never refers to another matching, so a run
-of flips does not keep its history alive. Records built per step
+A ``Matching`` remembers two things, each with the point set it was found
+for: its ``total_length``, so ``flip`` sums only the successor, whose sum is
+the next flip's ``length_before``, and the quad of the last crossing it
+passed ``check_live`` with, so ``decrement_audit`` after ``flip`` of the
+same crossing object reads the quad back instead of testing the crossing
+again. The point set is matched by identity, and the crossing too, once it
+passed the check. A matching, a point set and a tuple crossing are
+immutable, so neither memo can go stale, and neither refers to another
+matching, so a run of flips does not keep its history alive. Records built per step
 (``FlipRecord`` here, ``potentials.DecrementAudit``) go through one private
 constructor, ``_record``, which fills the instance dict at once.
 
@@ -92,8 +92,9 @@ class Matching:
 
     pairs: tuple[Segment, ...]
 
-    #: what the matching remembers for one point set: see ``_memo_for``
-    _memo = None
+    #: (ps, length) and (ps, crossing, quad) as last found for a point set
+    #: ps: see ``total_length`` and ``check_live``
+    _length = _quad = None
 
     @classmethod
     def from_pairs(cls, pairs) -> "Matching":
@@ -137,11 +138,9 @@ def find_crossings(ps: PointSet, m: Matching) -> list[CrossingPair]:
     segments two at a time, each two tested in one pass against the
     segments from the second of them on."""
     pairs = m.pairs
-    out = []
-    for i in range(0, len(pairs) - 1, 2):
-        out += crossed_by_either(ps, pairs[i], pairs[i + 1], pairs[i + 1:])
-    out.sort()
-    return out
+    return sorted(chain.from_iterable(
+        crossed_by_either(ps, pairs[i], pairs[i + 1], pairs[i + 1:])
+        for i in range(0, len(pairs) - 1, 2)))
 
 
 def is_noncrossing(ps: PointSet, m: Matching) -> bool:
@@ -354,31 +353,18 @@ def crossing_count(ps: PointSet, m: Matching) -> int:
     return sum(lanes.crossers(a, b).bit_count() for a, b in m.pairs) // 2
 
 
-def _memo_for(ps: PointSet, m: Matching) -> list:
-    """The list [ps, length, crossing, quad] that m remembers for ps: its
-    ``total_length`` and the last crossing it passed ``check_live`` with,
-    with that crossing's quad, each None until found. A memo for another
-    point set is replaced, so m remembers for one set at a time. Both
-    objects are immutable, so the memo cannot go stale, and it holds no
-    other matching."""
-    memo = m._memo
-    if memo is None or memo[0] is not ps:
-        memo = [ps, None, None, None]
-        object.__setattr__(m, "_memo", memo)
-    return memo
-
-
 def total_length(ps: PointSet, m: Matching) -> float:
     """Euclidean length of the matching; a monitor, never a control value.
 
     The segment lengths are summed in C, in the matching's order from 0.0,
     so the float is the one a Python loop adding them up would give. The
-    sum is remembered on m for ps, so a run of ``flip`` calls sums each
-    matching once."""
-    memo = _memo_for(ps, m)
-    if memo[1] is None:
+    sum is remembered on m for ps, the last point set it was found for, so
+    a run of ``flip`` calls sums each matching once."""
+    memo = m._length
+    if memo is None or memo[0] is not ps:
         pts = ps.points
-        memo[1] = reduce(add, [math.dist(pts[a], pts[b]) for a, b in m.pairs], 0.0)
+        memo = ps, reduce(add, [math.dist(pts[a], pts[b]) for a, b in m.pairs], 0.0)
+        object.__setattr__(m, "_length", memo)
     return memo[1]
 
 
@@ -455,25 +441,25 @@ def check_live(
     that is not an int, such as (True, 9) for (1, 9), is not part of the
     matching either.
 
-    A ``Matching`` remembers the last tuple crossing it passed for ps, and
-    its quad (``_memo_for``), so an audit after the flip of the same crossing
-    object reads the quad back instead of testing again. A crossing is
-    matched by identity, and only one that passed is remembered."""
-    memo = _memo_for(ps, pairs) if type(pairs) is Matching else None
-    if memo:
-        if memo[3] and memo[2] is crossing:
-            return memo[3]
-        pairs = pairs.pairs
+    A ``Matching`` remembers the last tuple crossing it passed, the point
+    set it passed for and its quad, so an audit after the flip of the same
+    crossing object reads the quad back instead of testing again. The set
+    and the crossing are matched by identity, and only a crossing that
+    passed is remembered."""
+    if type(pairs) is Matching:
+        memo = pairs._quad
+        if memo is None or memo[0] is not ps or memo[1] is not crossing:
+            memo = ps, crossing, check_live(ps, pairs.pairs, crossing)
+            if type(crossing) is tuple:
+                object.__setattr__(pairs, "_quad", memo)
+        return memo[2]
     e1, e2 = crossing
     if (e1 not in pairs or e2 not in pairs
             or not type(e1[0]) is type(e1[1]) is type(e2[0]) is type(e2[1]) is int):
         raise FlipError(f"crossing {crossing} is not part of the matching")
     if e1 == e2 or not segments_properly_cross(ps, e1, e2):
         raise FlipError(f"segments {e1} and {e2} do not cross")
-    quad = crossing_quad(ps, crossing)
-    if memo is not None and type(crossing) is tuple:
-        memo[2:] = crossing, quad
-    return quad
+    return crossing_quad(ps, crossing)
 
 
 def _flipped(

@@ -34,7 +34,10 @@ anchor) falls to the side opposite the offset, so a point's PLUS bit is
 orient(a, b, p) > 0 and its MINUS bit orient(a, b, p) >= 0. Both are
 read off one ``geometry._SegmentLanes`` table of all anchor pairs, as the
 top bits of the point's ``sides`` and of ``sides + ones``, the two
-readouts of its ``straddle`` test. The infinitesimal offset is thus exact,
+readouts of its ``straddle`` test. On a set certified to be in general
+position (``geometry._general_position``), the second readout is the
+first with the point's own anchor pairs added, the only lines it lies on.
+The infinitesimal offset is thus exact,
 no epsilon ever appears, and segment (u, v) crosses exactly the lines of
 ``mask[u] ^ mask[v]``.
 """
@@ -44,10 +47,10 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from enum import Enum, IntEnum
-from itertools import combinations
+from itertools import combinations, repeat
 from typing import NamedTuple
 
-from .geometry import PointSet, Segment, _SegmentLanes, _top_bits
+from .geometry import PointSet, Segment, _general_position, _SegmentLanes, _top_bits
 from .matching import (
     CrossingPair,
     FlipChoice,
@@ -103,10 +106,6 @@ class LineType(Enum):
     L3 = "L3"
     NO_INTERSECT = "none"
 
-    # members are singletons, so identity hashing is exact, and runs in C
-    # where Enum's hashes each member's name in Python
-    __hash__ = object.__hash__
-
 
 #: L1, L2, L3 and NO_INTERSECT, the keys of an audit's line type counts
 _LINE_TYPES = tuple(LineType)
@@ -116,12 +115,28 @@ _LINE_TYPES = tuple(LineType)
 def _line_masks(ps: PointSet) -> tuple[int, ...]:
     """Per point, the bits of the perturbed lines it has adjusted sign + for:
     PLUS bit k where orient > 0 against anchor pair k, MINUS bit K + k where
-    orient >= 0."""
+    orient >= 0. On a set certified to be in general position, only the
+    anchors of a line lie on it, so a point's MINUS bits are its PLUS bits
+    and those of the anchor pairs holding it, and one readout does."""
     table = _SegmentLanes(ps, list(combinations(range(len(ps)), 2)))
     count, ones = table.count, table.ones
-    return tuple(
-        _top_bits(d, count) | _top_bits(d + ones, count) << count
-        for d in map(table.sides, table.xs, table.ys))
+    sides = map(table.sides, table.xs, table.ys)
+    if ps in _general_position:
+        return tuple(plus | (plus | held) << count for plus, held in zip(
+            map(_top_bits, sides, repeat(count)), _held_pairs(len(ps))))
+    return tuple(_top_bits(d, count) | _top_bits(d + ones, count) << count
+                 for d in sides)
+
+
+@functools.lru_cache(maxsize=32)
+def _held_pairs(m: int) -> tuple[int, ...]:
+    """Per point of an m-point set, the bits of the anchor pairs holding it,
+    numbered in lexicographic order."""
+    held = [0] * m
+    for k, (a, b) in enumerate(combinations(range(m), 2)):
+        held[a] |= 1 << k
+        held[b] |= 1 << k
+    return tuple(held)
 
 
 def _lines_by_bit(ps: PointSet) -> list[PerturbedLine]:

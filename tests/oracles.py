@@ -38,7 +38,7 @@ and builds the record by ``matching._record``.
 ``geometry.crossed_by`` made them, that the one pass for two segments of
 ``geometry.crossed_by_either`` replaced, and ``reference_lane_columns``
 the five lane arrays of ``geometry._SegmentLanes`` packed from one
-``_values`` call per segment, which its column comprehensions replaced.
+tuple of values per segment, which its column comprehensions replaced.
 ``reference_max_damage_pick`` is the per-run key dict and ``max`` that the
 max-damage heap, and then the ranked
 keys of the live index, of ``crossflip.search`` replaced, and
@@ -179,10 +179,14 @@ def reference_crossed_by_either(ps: PointSet, s, u, segments) -> list:
 
 def reference_lane_columns(ps: PointSet, segments) -> list:
     """The five lane arrays of a ``_SegmentLanes`` table of ``segments``,
-    packed from one ``_values`` call per segment."""
-    values = _SegmentLanes(ps, segments)._values
-    return [bytearray(pack(f"<{len(segments)}Q", *column))
-            for column in zip(*map(values, segments))]
+    packed from one tuple of values per segment: the shifted coordinates of
+    its two endpoints and the bias minus its line's constant."""
+    xs = [x + COORD_LIMIT for x, _ in ps.points]
+    ys = [y + COORD_LIMIT for _, y in ps.points]
+    rows = [(xs[a], ys[a], xs[b], ys[b],
+             (1 << 63) - 1 - (xs[b] - xs[a]) * ys[a] + (ys[b] - ys[a]) * xs[a])
+            for a, b in segments]
+    return [bytearray(pack(f"<{len(segments)}Q", *column)) for column in zip(*rows)]
 
 
 def reference_find_crossings(ps: PointSet, m: Matching) -> list:

@@ -278,15 +278,21 @@ def test_side_masks_match_reference_loop(pts):
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(_sets_of(coords), small_sets, _sets_of(edge)))
 @example([Point(COORD_LIMIT, COORD_LIMIT)] * 4)
-def test_lane_columns_match_one_values_call_per_segment(pts):
+def test_lane_columns_match_one_row_per_segment(pts):
     """The five lane arrays of a ``_SegmentLanes`` table, built column by
-    column, against those packed from one ``_values`` call per segment, bit
+    column, against those packed from one row of values per segment, bit
     for bit: every segment of the set with its endpoints in either order, on
-    the sets of the mask test above."""
+    the sets of the mask test above; and a table whose lanes are rewritten
+    by ``write``, in reverse, holds the same arrays."""
     ps = PointSet(tuple(pts))
     segments = list(combinations(range(len(ps)), 2))
     for segs in (segments, [s[::-1] for s in segments]):
-        assert geometry._SegmentLanes(ps, segs).lanes == reference_lane_columns(ps, segs)
+        want = reference_lane_columns(ps, segs)
+        assert geometry._SegmentLanes(ps, segs).lanes == want
+        table = geometry._SegmentLanes(ps, segs[::-1])
+        for k, s in enumerate(segs):
+            table.write(k, s)
+        assert table.lanes == want
 
 
 @settings(max_examples=150, deadline=None)
