@@ -19,9 +19,10 @@ same crossing object reads the quad back instead of testing the crossing
 again. The point set is matched by identity, and the crossing too, once it
 passed the check. A matching, a point set and a tuple crossing are
 immutable, so neither memo can go stale, and neither refers to another
-matching, so a run of flips does not keep its history alive. Records built per step
-(``FlipRecord`` here, ``potentials.DecrementAudit``) go through one private
-constructor, ``_record``, which fills the instance dict at once.
+matching, so a run of flips does not keep its history alive. Records built
+per step (``FlipRecord`` here, ``potentials.DecrementAudit``) go through
+one private constructor, ``_record``, which fills the instance dict at
+once.
 
 Crossings of one matching are found by ``geometry.crossed_by_either``, one
 exact pass over the segments for two segments at a time: ``find_crossings``

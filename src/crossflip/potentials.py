@@ -17,13 +17,21 @@ shortest run. Both it and its change under a flip read the one x-order,
 Both potentials thus have a four-endpoint delta, ``phi_lines_delta`` from
 four line masks and ``phi_vertical_delta`` from four x-ranks. Strategy runs
 track each potential by its delta. ``decrement_audit`` takes the quad from
-the one checked flip step, ``check_live``, and reads its four masks for the
-split check and the per-type line counts, then eight more, the endpoints of
-the removed and added segments, for the gained-line check and the
-popcounts of ``phi_lines_delta``: an independent check that the added
-segments gain no line. Line types have one rule, ``_quad_line_masks``: the
-counts are popcounts of its masks, and the per-line types of
-``detail=True`` are read off the same masks bit by bit.
+the one checked flip step, ``check_live`` on the matching, which remembers
+the quad of the last crossing object it passed for a point set: an audit
+after ``flip`` of the same crossing reads the quad the flip found instead
+of testing the crossing again. The matching, the point set and a tuple
+crossing are immutable, so the remembered quad cannot go stale. The audit
+reads the line masks and the x-ranks once each, the quad's four masks for
+the split check and the per-type line counts, then eight more, the
+endpoints of the removed and added segments, for the gained-line check and
+the popcounts of ``phi_lines_delta``: an independent check that the added
+segments gain no line. It recounts phi_vertical by one comprehension over
+the segments' x-ranks, as it takes no tracked value of it. Line types have
+one rule, ``_quad_line_masks``: the counts are popcounts of its masks, and
+the per-line types of ``detail=True`` are read off the same masks bit by
+bit. The audit is built by ``matching._record``, which fills its instance
+dict at once.
 
 Perturbed lines are bits of one int per point, built by one function,
 ``_line_masks``. With K = C(2n, 2) anchor pairs numbered in lexicographic

@@ -44,6 +44,10 @@ of a start and, in the BFS, of a discovered state, whose crossing test it
 is. Any other row, and every reconnection mask, is built by a frame's
 generator as it reaches the successor that reads it, so the work between
 two clock reads of a DFS is one successor's, not one state's whole list.
+A limit hit raises ``SearchLimitsExceeded`` with a certified bound: in the
+BFS the deepest level generated completely, and in the DFS, of one start or
+of an enumeration, the larger of (depth + f) over finished states and the
+deepest state the gate admitted, whose stack path is a run that long.
 
 Strategy runs and scripted traces share one run loop (``_run``), which
 asks a pick function for each move. Its one copy of the matching is a

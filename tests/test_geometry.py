@@ -275,6 +275,22 @@ def test_side_masks_match_reference_loop(pts):
     assert potentials._line_masks(ps) == reference_line_masks(ps)
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_certified_sets_read_their_masks_off_one_readout(n):
+    """On sets certified to be in general position, the random and convex
+    generators' and their shears, ``_line_masks`` adds a point's own anchor
+    pairs to its PLUS bits for its MINUS bits instead of a second readout:
+    the masks are still those of the per-(anchor, point) loop, bit for bit.
+    A sheared set of the 64 x 64 box has determinants far from the
+    coordinate budget's, and the convex set is degenerate nowhere."""
+    from crossflip import gen_convex, gen_random
+
+    raw = gen_random(n, seed=n, bbox=(0, 64)).points
+    for ps in (raw, shear_to_distinct_x(raw), gen_convex(n).points):
+        assert ps in geometry._general_position
+        assert potentials._line_masks(ps) == reference_line_masks(ps)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(_sets_of(coords), small_sets, _sets_of(edge)))
 @example([Point(COORD_LIMIT, COORD_LIMIT)] * 4)

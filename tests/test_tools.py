@@ -2,12 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "src_size.py"
 STEP_COST = TOOL.with_name("step_cost.py")
 TRACE_DIGEST = TOOL.with_name("trace_digest.py")
 BUDGET_PROBE = TOOL.with_name("budget_probe.py")
+AB_PASS = TOOL.with_name("ab_pass.py")
 PACKAGE = TOOL.parents[1] / "src" / "crossflip"
 
 
@@ -128,3 +130,24 @@ def test_trace_digest_small_matches_the_pinned_outputs():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (
         "817a3e77db82021155a9ee64ad5f057fee07891d6e4cd4b62bfeb6e9871bdc5c\n")
+
+
+def test_ab_pass_prints_one_json_line():
+    """The in-process A/B of two source trees on a benchmark workload, with
+    the package's own tree on both sides and smoke-size inputs: three pairs
+    of checked passes, both medians, the median paired ratio and the count
+    of pairs the change won, in one JSON line and well under 5 s."""
+    started = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, str(AB_PASS), str(PACKAGE.parent), str(PACKAGE.parent),
+         "audit-fuzz", "--pairs", "3", "--smoke"],
+        capture_output=True, text=True, timeout=60)
+    elapsed = time.perf_counter() - started
+    assert proc.returncode == 0, proc.stderr
+    (line,) = proc.stdout.splitlines()
+    out = json.loads(line)
+    assert (out["workload"], out["pairs"], out["failures"]) == ("audit-fuzz", 3, [])
+    assert out["parent_median_s"] > 0 and out["change_median_s"] > 0
+    assert 0 < out["median_ratio"] < float("inf") and 0 <= out["faster"] <= 3
+    assert out["parent_iqr_s"] >= 0
+    assert elapsed < 5
