@@ -149,12 +149,12 @@ class _SegmentLanes:
         self.xs = [x + COORD_LIMIT for x, _ in ps.points]
         self.ys = [y + COORD_LIMIT for _, y in ps.points]
         self.count = count = len(segments)
-        self.ones = ((1 << 64 * count) - 1) // ((1 << 64) - 1)  # 1 per lane
+        self.ones = int.from_bytes(_LANE.pack(1) * count, "little")  # 1 per lane
         xs, ys = self.xs, self.ys
         ax, ay = [xs[a] for a, _ in segments], [ys[a] for a, _ in segments]
         bx, by = [xs[b] for _, b in segments], [ys[b] for _, b in segments]
-        q = [_BIAS - (x2 - x1) * y1 + (y2 - y1) * x1
-             for x1, y1, x2, y2 in zip(ax, ay, bx, by)]
+        # the bias minus the line's constant, (x2 - x1) * y1 - (y2 - y1) * x1
+        q = [_BIAS + x1 * y2 - x2 * y1 for x1, y1, x2, y2 in zip(ax, ay, bx, by)]
         self.lanes = [bytearray(pack(f"<{count}Q", *column))
                       for column in (ax, ay, bx, by, q)]
         self.read()
@@ -170,7 +170,7 @@ class _SegmentLanes:
         _LANE.pack_into(lay, k, ay)
         _LANE.pack_into(lbx, k, bx)
         _LANE.pack_into(lby, k, by)
-        _LANE.pack_into(lq, k, _BIAS - (bx - ax) * ay + (by - ay) * ax)
+        _LANE.pack_into(lq, k, _BIAS + ax * by - bx * ay)
 
     def read(self) -> None:
         self.ax, self.ay, self.bx, self.by, self.q = (
