@@ -21,8 +21,8 @@ from .geometry import (
     CoordinateOverflowError,
     Point,
     PointSet,
+    _certify,
     _collinear_with_pair,
-    _general_position,
     orient,
     seg,
     segments_properly_cross,
@@ -188,7 +188,7 @@ def gen_convex(n: int) -> Instance:
         orient(ps[k], ps[(k + 1) % m], ps[(k + 2) % m]) > 0 for k in range(m)
     ):
         raise GenerationError(f"convex n={n}: points not strictly convex")
-    _general_position.add(ps)
+    _certify(ps)
     matching = Matching.from_pairs([(0, n)] + [(i, 2 * n - i) for i in range(1, n)])
     return Instance(ps, matching, f"convex(n={n})")
 
@@ -247,7 +247,7 @@ def gen_random(n: int, seed: int, bbox: tuple[int, int] = (0, 512)) -> Instance:
         [(order[2 * i], order[2 * i + 1]) for i in range(n)]
     )
     ps = PointSet(tuple(pts))
-    _general_position.add(ps)  # every accepted point passed the triple test
+    _certify(ps)  # every accepted point passed the triple test
     return Instance(
         ps,
         matching,

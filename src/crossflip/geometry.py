@@ -5,24 +5,28 @@ All predicates are computed in integer arithmetic, so there is no epsilon
 tuning and no inconsistent answer anywhere downstream.
 
 Batched tests run on one segment-lane table (``_SegmentLanes``): a
-determinant per 64-bit lane of a big int, biased so that its sign is the
-lane's top bit. It gives the perturbed-line masks of ``potentials``, the
-crossing index of strategy runs in ``matching`` and the exact search
-kernel's rows.
+determinant per 48-bit lane of a big int, biased so that its sign is the
+lane's top bit. Its columns are plain ints, and a table moves a lane to
+another segment by adding that lane's change to each column. It gives the
+perturbed-line masks of ``potentials``, the crossing index of strategy runs
+in ``matching`` and the exact search kernel's rows. ``proper_crossing_quad``
+is the pair test that also orders the crossing's quad, off the same four
+determinants, for the one checked flip step.
 """
 
 from __future__ import annotations
 
-import weakref
+from array import array
 from dataclasses import dataclass
 from itertools import compress, count
 from operator import ne
-from struct import Struct, pack
+from struct import pack
 from typing import Iterable, NamedTuple, Sequence
 
 #: Coordinate budget. With |x|, |y| <= 2**20 every 3x3 orientation
-#: determinant is bounded by 8 * 2**40 < 2**63, so the predicates stay exact
-#: even in fixed-width 64-bit arithmetic.
+#: determinant is bounded by 8 * 2**40 = 2**43, so the predicates stay exact
+#: even in fixed-width 64-bit arithmetic, and a determinant plus a bias of
+#: 2**47 - 1 fits a 48-bit lane of ``_SegmentLanes``.
 COORD_LIMIT = 2**20
 
 
@@ -59,9 +63,18 @@ class PointSet:
     The hash and ``has_distinct_x`` are computed once, at construction, so a
     cache lookup keyed by the set does not rehash its 2n points; equality
     still compares the points.
+
+    ``_certified`` is True once the set is known to be in general position:
+    the random generator's output, whose rejection test covered every
+    triple, the convex generator's, whose increasing x and counterclockwise
+    turns order every triple, the shears of such sets, and a set that
+    passed ``validate_general_position``'s scan. It marks the object
+    itself, so an equal set is scanned once on its own.
     """
 
     points: tuple[Point, ...]
+
+    _certified = False
 
     def __post_init__(self) -> None:
         if type(self.points) is not tuple:
@@ -116,67 +129,81 @@ def orient(p: Point, q: Point, r: Point) -> int:
     return (d > 0) - (d < 0)
 
 
-#: per byte, b"1" when its top bit is set and b"0" otherwise
-_TOP_BIT = bytes(48 + (i >> 7) for i in range(256))
-
 #: a lane holding a determinant d plus _BIAS has its top bit set when d > 0,
 #: and with one more, when d >= 0: |d| <= 2**43 (COORD_LIMIT), so the lane
-#: stays in [0, 2**64) and never carries into the next
-_BIAS = (1 << 63) - 1
-_LANE = Struct("<Q")
+#: stays in [0, 2**48) and never carries into the next
+_WIDTH = 48
+_BIAS = (1 << _WIDTH - 1) - 1
+_BYTES = _WIDTH // 8
+
+#: per byte, b"1" when its top bit is set and b"0" otherwise
+_TOP_BIT = bytes(48 + (i >> 7) for i in range(256))
+#: per byte, 1 when its top bit is set and 0 otherwise
+_TOP_FLAG = bytes(i >> 7 for i in range(256))
 
 
 def _top_bits(lanes: int, count: int) -> int:
     """Bit k set when lane k of the ``count`` lanes has its top bit set."""
     # big-endian top bytes run from the last lane down, highest bit first,
     # as int(text, 2) reads them
-    return int(lanes.to_bytes(8 * count, "big")[::8].translate(_TOP_BIT), 2)
+    return int(lanes.to_bytes(_BYTES * count, "big")[::_BYTES].translate(_TOP_BIT), 2)
+
+
+def _column(values: Sequence[int]) -> int:
+    """One lane per value, each in [0, 2**48): packed as 64-bit words, whose
+    top two bytes are then dropped, all in C."""
+    words = array("H", pack(f"<{len(values)}Q", *values))
+    del words[3::4]
+    return int.from_bytes(words, "little")
 
 
 class _SegmentLanes:
-    """Segments over the points of ``ps`` in 64-bit lanes, segment k in
+    """Segments over the points of ``ps`` in 48-bit lanes, segment k in
     lane k: a point or a segment is tested against all of them at once.
 
-    Five bytearrays hold each segment's first and second endpoint's x and
-    y, shifted by COORD_LIMIT to be nonnegative, and the bias minus its
-    line's constant; ``write`` rewrites one lane and ``read`` reads each
-    array back as one int. The straddle test is ``segments_properly_cross``
-    for segments sharing no endpoint, and false for those that share one,
-    on any point set.
+    Seven int columns hold each segment's first and second endpoint's x and
+    y, shifted by COORD_LIMIT to be nonnegative, the bias minus its line's
+    constant, and its x and y extents. ``move`` puts other segments in some
+    lanes by adding each column's change there, which is exact because a
+    column is the sum of its lanes' values, each shifted to its lane. The
+    straddle test is ``segments_properly_cross`` for segments sharing no
+    endpoint, and false for those that share one, on any point set.
     """
 
     def __init__(self, ps: PointSet, segments: Sequence[Segment]):
-        self.xs = [x + COORD_LIMIT for x, _ in ps.points]
-        self.ys = [y + COORD_LIMIT for _, y in ps.points]
+        self.xs = xs = [x + COORD_LIMIT for x, _ in ps.points]
+        self.ys = ys = [y + COORD_LIMIT for _, y in ps.points]
         self.count = count = len(segments)
-        self.ones = int.from_bytes(_LANE.pack(1) * count, "little")  # 1 per lane
-        xs, ys = self.xs, self.ys
+        self.ones = int.from_bytes(b"\1".ljust(_BYTES, b"\0") * count, "little")
         ax, ay = [xs[a] for a, _ in segments], [ys[a] for a, _ in segments]
         bx, by = [xs[b] for _, b in segments], [ys[b] for _, b in segments]
         # the bias minus the line's constant, (x2 - x1) * y1 - (y2 - y1) * x1
         q = [_BIAS + x1 * y2 - x2 * y1 for x1, y1, x2, y2 in zip(ax, ay, bx, by)]
-        self.lanes = [bytearray(pack(f"<{count}Q", *column))
-                      for column in (ax, ay, bx, by, q)]
-        self.read()
-
-    def write(self, k: int, s: Segment) -> None:
-        """Lane k from segment s, as the constructor fills each lane;
-        ``read`` makes it count."""
-        a, b = s
-        ax, ay, bx, by = self.xs[a], self.ys[a], self.xs[b], self.ys[b]
-        k *= 8
-        lax, lay, lbx, lby, lq = self.lanes
-        _LANE.pack_into(lax, k, ax)
-        _LANE.pack_into(lay, k, ay)
-        _LANE.pack_into(lbx, k, bx)
-        _LANE.pack_into(lby, k, by)
-        _LANE.pack_into(lq, k, _BIAS + ax * by - bx * ay)
-
-    def read(self) -> None:
-        self.ax, self.ay, self.bx, self.by, self.q = (
-            int.from_bytes(lane, "little") for lane in self.lanes)
+        self.ax, self.ay, self.bx, self.by, self.q = map(_column, (ax, ay, bx, by, q))
         self.dx = self.bx - self.ax
         self.dy = self.by - self.ay
+
+    def move(self, slots: Sequence[int], old: Sequence[Segment],
+             new: Sequence[Segment]) -> None:
+        """Lane ``slots[i]`` from segment ``old[i]``, which it holds, to
+        segment ``new[i]``, for distinct slots: each column gains the change
+        of its value at each moved lane, shifted to that lane."""
+        xs, ys = self.xs, self.ys
+        ax = ay = bx = by = q = 0
+        for k, (a, b), (c, d) in zip(slots, old, new):
+            k *= _WIDTH
+            ax += xs[c] - xs[a] << k
+            ay += ys[c] - ys[a] << k
+            bx += xs[d] - xs[b] << k
+            by += ys[d] - ys[b] << k
+            q += xs[c] * ys[d] - xs[d] * ys[c] - xs[a] * ys[b] + xs[b] * ys[a] << k
+        self.ax += ax
+        self.ay += ay
+        self.bx += bx
+        self.by += by
+        self.q += q
+        self.dx += bx - ax
+        self.dy += by - ay
 
     def sides(self, x: int, y: int) -> int:
         """Lane k holds orient(first_k, second_k, p) + _BIAS, for the point
@@ -190,10 +217,14 @@ class _SegmentLanes:
         xa, ya, xb, yb = self.xs[a], self.ys[a], self.xs[b], self.ys[b]
         dx, dy, ones = xb - xa, yb - ya, self.ones
         bias = (_BIAS - dx * ya + dy * xa) * ones
-        # orient(a, b, ·) at each segment's first and second endpoint, biased
+        # orient(a, b, ·) at each segment's first and second endpoint, biased;
+        # the second less the first is (b - a) x (second - first), which is
+        # also orient(first, second, a) less orient(first, second, b)
         first = dx * self.ay - dy * self.ax + bias
-        second = dx * self.by - dy * self.bx + bias
-        to_a, to_b = self.sides(xa, ya), self.sides(xb, yb)
+        turn = dx * self.dy - dy * self.dx
+        second = first + turn
+        to_a = self.sides(xa, ya)
+        to_b = to_a - turn
         # two determinants have strictly opposite signs when their lanes'
         # top bits differ both for > 0 and for >= 0; twice
         return ((first ^ second) & (first + ones ^ second + ones)
@@ -202,6 +233,14 @@ class _SegmentLanes:
     def crossers(self, a: int, b: int) -> int:
         """Bit k set when segment k properly crosses segment (a, b)."""
         return _top_bits(self.straddle(a, b), self.count)
+
+    def crossing_flags(self, a: int, b: int, start: int = 0) -> bytes:
+        """Per lane k >= start, in order, 1 when segment k properly crosses
+        segment (a, b) and 0 otherwise: the straddle test's top bytes, each
+        mapped to its top bit, since a lane's other bits reach into its top
+        byte."""
+        return self.straddle(a, b).to_bytes(_BYTES * self.count, "little")[
+            _BYTES * start + _BYTES - 1::_BYTES].translate(_TOP_FLAG)
 
 
 def segments_properly_cross(ps: PointSet, s: Segment, t: Segment) -> bool:
@@ -315,12 +354,9 @@ def _collinear_with_pair(p: Point, others: Sequence[Point], scale: int) -> bool:
                 for x, y in others}) < len(others)
 
 
-#: Point sets known to be in general position: the random generator's
-#: output, whose rejection test covered every triple, the convex
-#: generator's, whose increasing x and counterclockwise turns order every
-#: triple, and the shears of such sets. Membership compares points, so an
-#: equal set is certified as well.
-_general_position = weakref.WeakSet()
+def _certify(ps: PointSet) -> None:
+    """Mark ``ps`` as known to be in general position (``_certified``)."""
+    object.__setattr__(ps, "_certified", True)
 
 
 def validate_general_position(ps: PointSet) -> tuple[int, ...] | None:
@@ -329,10 +365,11 @@ def validate_general_position(ps: PointSet) -> tuple[int, ...] | None:
     Otherwise the first offending index pair (duplicate points) or triple
     (collinear points), scanning index combinations in lexicographic order.
     Duplicates are reported before collinearities. O(m^2) for m points, or
-    O(m) for a set certified by ``generators.gen_random`` or
-    ``generators.gen_convex``, or sheared from one.
+    O(1) for a set certified by ``generators.gen_random`` or
+    ``generators.gen_convex``, sheared from one, or that passed this scan
+    before.
     """
-    if ps in _general_position:
+    if ps._certified:
         return None
     pts = ps.points
     if (dup := _first_repeat(pts)) is not None:
@@ -340,6 +377,7 @@ def validate_general_position(ps: PointSet) -> tuple[int, ...] | None:
     for i, p in enumerate(pts):
         if (pair := first_collinear_pair(p, pts[i + 1:])) is not None:
             return (i, i + 1 + pair[0], i + 1 + pair[1])
+    _certify(ps)
     return None
 
 
@@ -359,8 +397,8 @@ def shear_to_distinct_x(ps: PointSet) -> PointSet:
         return ps
     c = 1 + 2 * max(abs(p.y) for p in ps)
     image = PointSet(tuple(Point(p.x * c + p.y, p.y) for p in ps))
-    if ps in _general_position:
-        _general_position.add(image)
+    if ps._certified:
+        _certify(image)
     return image
 
 
@@ -385,3 +423,29 @@ def crossing_quad(
         x, y = y, x
     return a, x, b, y
 
+
+
+def proper_crossing_quad(
+    ps: PointSet, s: Segment, t: Segment
+) -> tuple[int, int, int, int] | None:
+    """The ``crossing_quad`` of segments s and t when they properly cross,
+    and None otherwise, from the four determinants of the straddle test
+    alone: with the lower segment (a, b) and the other (x, y), the test's
+    orient(a, b, x) is -orient(a, x, b), the quad's one orientation test.
+    Segments sharing an endpoint, or equal ones, never cross."""
+    (a, b), (x, y) = s, t
+    if a > b:
+        a, b = b, a
+    if x > y:
+        x, y = y, x
+    if (x, y) < (a, b):
+        a, b, x, y = x, y, a, b
+    pts = ps.points
+    (ax, ay), (bx, by), (xx, xy), (yx, yy) = pts[a], pts[b], pts[x], pts[y]
+    ex, ey, fx, fy = bx - ax, by - ay, yx - xx, yy - xy
+    to_x = ex * (xy - ay) - ey * (xx - ax)  # orient(a, b, x)
+    if (to_x * (ex * (yy - ay) - ey * (yx - ax)) >= 0
+            or ((fx * (ay - xy) - fy * (ax - xx))
+                * (fx * (by - xy) - fy * (bx - xx)) >= 0)):
+        return None
+    return (a, y, b, x) if to_x > 0 else (a, x, b, y)

@@ -109,11 +109,20 @@ def load_instance(path) -> Instance:
     return instance_from_json_dict(doc)
 
 
+#: A flip row as ``csv`` writes it: a segment (a, b) is "a-b", the other
+#: fields as ``str`` writes them, None first as "None"
+_FLIP_ROW = "%d,%d-%d,%d-%d,%d-%d,%d-%d,%s,%s,%s,%s,%s\r\n"
+
+
 def write_trace(inst: Instance, trace: FlipTrace, path) -> None:
     """CSV with one pseudo-row for the initial matching and one row per flip.
 
-    Rows are plain tuples: ``csv`` writes None as an empty field, an int by
-    ``str`` and a float by ``repr``, and a segment (a, b) is "a-b"."""
+    The header and row 0 go through ``csv``, which writes None as an empty
+    field and an int or a float by ``str``. Each flip row is one
+    ``_FLIP_ROW`` format, and every "None" in them is then blanked at once:
+    no other field, an int, a float, a segment or a choice, spells it. Row
+    0's crossing count is the one ``crossing_count`` remembers on the
+    initial matching, so a run from it already found it."""
     ps = inst.points
     phi_l = phi_k = None
     if trace.records:
@@ -123,12 +132,11 @@ def write_trace(inst: Instance, trace: FlipTrace, path) -> None:
         writer.writerow(TRACE_COLUMNS)
         writer.writerow((0, "", "", "", "", "", crossing_count(ps, trace.initial),
                          total_length(ps, trace.initial), phi_l, phi_k))
-        writer.writerows(
-            (i, "%d-%d" % rec.crossing[0], "%d-%d" % rec.crossing[1],
-             "%d-%d" % rec.added[0], "%d-%d" % rec.added[1], rec.choice.value,
-             rec.crossings_after, rec.length_after, rec.phi_l_after, rec.phi_k_after)
-            for i, rec in enumerate(trace.records, start=1)
-        )
+        fh.write("".join(
+            _FLIP_ROW % (i, *rec.crossing[0], *rec.crossing[1], *rec.added[0],
+                         *rec.added[1], rec.choice.value, rec.crossings_after,
+                         rec.length_after, rec.phi_l_after, rec.phi_k_after)
+            for i, rec in enumerate(trace.records, start=1)).replace("None", ""))
 
 
 @dataclass(frozen=True)
@@ -219,9 +227,9 @@ def read_trace(path) -> list[TraceRow]:
                     choice = _CHOICES.get(raw[5])
                     if choice is None:
                         raise ValueError(f"{raw[5]!r} is not a valid FlipChoice")
-                rows.append(TraceRow(step, removed, added, choice, _opt_int(raw[6]),
-                                     _length(raw[7]), _opt_int(raw[8]),
-                                     _opt_int(raw[9])))
+                rows.append(_record(TraceRow, step, removed, added, choice,
+                                    _opt_int(raw[6]), _length(raw[7]),
+                                    _opt_int(raw[8]), _opt_int(raw[9])))
     except TraceFormatError:
         raise
     except (OSError, ValueError, csv.Error) as exc:

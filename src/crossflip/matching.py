@@ -5,20 +5,22 @@ two crossing segments and reconnects their four endpoints one of the two
 non-crossing ways. Every flip path (``flip`` and ``apply_flip``, replay, the
 run loop, ``potentials.decrement_audit``) takes one checked step,
 ``check_live``: it refuses a stale or non-crossing pair and returns the
-crossing's ``crossing_quad``, off which ``quad_reconnections`` reads the
-added segments. Total segment length is tracked as a float-valued monitor,
-``total_length``, a sum in C of ``math.dist`` per segment in the matching's
-order; it strictly decreases across every flip, but it never drives control
-flow.
+crossing's ``crossing_quad``, read off the four determinants of its
+straddle test (``geometry.proper_crossing_quad``), off which
+``quad_reconnections`` reads the added segments. Total segment length is
+tracked as a float-valued monitor, ``total_length``, a sum in C of
+``math.dist`` per segment in the matching's order; it strictly decreases
+across every flip, but it never drives control flow.
 
-A ``Matching`` remembers two things, each with the point set it was found
+A ``Matching`` remembers three things, each with the point set it was found
 for: its ``total_length``, so ``flip`` sums only the successor, whose sum is
-the next flip's ``length_before``, and the quad of the last crossing it
+the next flip's ``length_before``, its ``crossing_count``, so a trace's row 0
+costs nothing after a run from it, and the quad of the last crossing it
 passed ``check_live`` with, so ``decrement_audit`` after ``flip`` of the
 same crossing object reads the quad back instead of testing the crossing
 again. The point set is matched by identity, and the crossing too, once it
 passed the check. A matching, a point set and a tuple crossing are
-immutable, so neither memo can go stale, and neither refers to another
+immutable, so no memo can go stale, and none refers to another
 matching, so a run of flips does not keep its history alive. Records built
 per step (``FlipRecord`` here, ``potentials.DecrementAudit``) go through
 one private constructor, ``_record``, which fills the instance dict at
@@ -40,10 +42,12 @@ off prefix popcounts of the rows, and gives the first crossing, canonically
 or, with a rank function of a crossing's four endpoints, by rank from a
 lazily pruned heap of int keys. Its crossing tests run on a
 ``geometry._SegmentLanes`` table, lane k for slot k's segment, so a flip
-retests only its two added segments, by a few big-int expressions over n
-64-bit lanes, and sets or clears one bit in a partner's row per crossing it
-adds or removes; no step loops over the matching in Python. ``crossing_count``
-counts on such a table without building the index.
+moves its two slots' lanes by adding column deltas, retests only its two
+added segments, by a few big-int expressions over n 48-bit lanes, and sets
+or clears one bit in a partner's row per crossing it adds or removes; no
+step loops over the matching in Python. ``crossing_count`` counts on such a
+table without building the index, and a ``Matching`` remembers its count,
+which an index of it fills in as it starts.
 """
 
 from __future__ import annotations
@@ -62,9 +66,8 @@ from .geometry import (
     Segment,
     _SegmentLanes,
     crossed_by_either,
-    crossing_quad,
+    proper_crossing_quad,
     seg,
-    segments_properly_cross,
 )
 
 #: Two crossing segments in canonical order (lexicographically smaller first).
@@ -93,9 +96,10 @@ class Matching:
 
     pairs: tuple[Segment, ...]
 
-    #: (ps, length) and (ps, crossing, quad) as last found for a point set
-    #: ps: see ``total_length`` and ``check_live``
-    _length = _quad = None
+    #: (ps, length), (ps, crossing count) and (ps, crossing, quad) as last
+    #: found for a point set ps: see ``total_length``, ``crossing_count``
+    #: and ``check_live``
+    _length = _crossings = _quad = None
 
     @classmethod
     def from_pairs(cls, pairs) -> "Matching":
@@ -181,8 +185,11 @@ class _LiveCrossings:
     order is the order of (a, c). ``mate[p]`` is p's partner. ``up[a]`` has
     bit c set for each segment (c, d) crossing (a, b) with c > a, and
     ``down[a]`` bit c for each with c < a; both rows are 0 at an upper
-    endpoint. ``count`` is the number of live crossings, and ``lengths[r]``
-    the length of the segment with lower endpoint r, 0.0 at upper endpoints.
+    endpoint. ``count`` is the number of live crossings, ``codes`` the set
+    of the live segments' codes a*M + b, and ``lengths[r]`` the length of
+    the segment with lower endpoint r, 0.0 at upper endpoints. The start's
+    crossing count is remembered on its ``Matching`` for the point set, as
+    ``crossing_count`` remembers it.
 
     The index is a sequence of its crossings in canonical order: ``live[k]``
     bisects the prefix popcounts of the ``up`` rows for a, then reads c off
@@ -191,9 +198,10 @@ class _LiveCrossings:
     bit of the first nonzero ``up`` row. When a ``rank`` function is given,
     ``first()`` is the first by (rank(a, b, c, d), crossing) instead: the top
     of a heap of the int keys ((((rank*M + a)*M + b)*M + c)*M + d), one
-    pushed as each crossing appears, and popped, once ``mate`` shows one of
-    its segments gone, when it reaches the top. The heap is cut back to its
-    live keys when it holds more than ``_HEAP_SLACK`` keys per live crossing.
+    pushed as each crossing appears, and popped, once ``codes`` misses one
+    of its segments, when it reaches the top: a key's two segments are its
+    two low base-M**2 digits. The heap is cut back to its live keys when it
+    holds more than ``_HEAP_SLACK`` keys per live crossing.
 
     The n segments sit in n slots, ``pairs[k]`` in slot k and ``slot[r]``
     the slot of the segment with lower endpoint r; at the start they run in
@@ -202,15 +210,16 @@ class _LiveCrossings:
     are, by ``two_line_permutation``, and ``check_live`` tests a segment by
     ``in``, which reads ``mate``. Crossings are tested on a
     ``geometry._SegmentLanes`` table, lane k for slot k's segment: a flip
-    rewrites its two slots' lanes, and an added segment's crossers are the
-    lanes its straddle test sets. So a flip costs O(n) big-int work, in C,
+    moves its two slots' lanes by column deltas, and an added segment's
+    crossers are the lanes its straddle test sets. So a flip costs O(n)
+    big-int work, in C,
     plus two bit operations per crossing it removes or adds, and a heap
     push per crossing it adds to a ranked index."""
 
     def __init__(self, ps: PointSet, m: Matching, rank=None):
         self.points = ps.points
         self.size = size = len(ps)
-        self.square, self.cube = size ** 2, size ** 3
+        self.square = size ** 2
         self.rank = rank
         self.slack = _HEAP_SLACK
         self.heap = [] if rank else None
@@ -218,6 +227,7 @@ class _LiveCrossings:
         self.slot = [0] * size
         self.mate = [0] * size
         self.lengths = [0.0] * size
+        self.codes = set()
         for k, s in enumerate(m.pairs):
             self._take(k, s)
         self.lanes = _SegmentLanes(ps, m.pairs)
@@ -226,10 +236,15 @@ class _LiveCrossings:
         self.count = 0
         for k, (a, b) in enumerate(m.pairs):
             self._add(a, b, k + 1)
+        object.__setattr__(m, "_crossings", (ps, self.count))
 
     def _take(self, k: int, s: Segment) -> None:
-        """Slot k, its lower endpoint, the mates and the length for s."""
+        """Slot k, its lower endpoint, the mates, the segment codes and the
+        length for s."""
         a, b = s
+        old = self.pairs[k]
+        self.codes.discard(old[0] * self.size + old[1])
+        self.codes.add(a * self.size + b)
         self.pairs[k] = s
         self.slot[a] = k
         self.mate[a], self.mate[b] = b, a
@@ -239,10 +254,7 @@ class _LiveCrossings:
 
     def _crossers(self, a: int, b: int, start: int = 0):
         """The segments in slots k >= start that cross (a, b), by slot."""
-        bits = self.lanes.straddle(a, b)
-        pairs = self.pairs
-        return compress(pairs[start:],
-                        bits.to_bytes(8 * len(pairs), "little")[8 * start + 7::8])
+        return compress(self.pairs[start:], self.lanes.crossing_flags(a, b, start))
 
     def _add(self, a: int, b: int, start: int = 0) -> None:
         """Record the crossings of (a, b) with the segments in slots >= start."""
@@ -304,10 +316,9 @@ class _LiveCrossings:
 
     def _is_live(self, key: int) -> bool:
         """Whether both segments of the crossing with int key ``key`` are
-        still segments of the matching: each end has its mate."""
-        size, mate = self.size, self.mate
-        return (mate[key // self.cube % size] == key // self.square % size
-                and mate[key // size % size] == key % size)
+        still segments of the matching: both their codes are live."""
+        square, codes = self.square, self.codes
+        return key // square % square in codes and key % square in codes
 
     def crossing(self, key: int) -> CrossingPair:
         """The crossing with int key ``key``."""
@@ -332,26 +343,34 @@ class _LiveCrossings:
                     rows[low.bit_length() - 1] ^= bit
                     row ^= low
             up[a] = down[a] = 0
-        slot, lanes = self.slot, self.lanes
+        slot = self.slot
         free = slot[removed[0][0]], slot[removed[1][0]]
         for k, s in zip(free, added):
             self._take(k, s)
-            lanes.write(k, s)
-        lanes.read()
+        self.lanes.move(free, removed, added)
         for a, b in added:
             self._add(a, b)
         heap = self.heap
         if heap and len(heap) > self.slack * self.count:
-            heap[:] = set(filter(self._is_live, heap))  # each live key once
+            square, codes = self.square, self.codes
+            # each live key once
+            heap[:] = {key for key in heap
+                       if key // square % square in codes and key % square in codes}
             heapify(heap)
 
 
 def crossing_count(ps: PointSet, m: Matching) -> int:
     """``len(find_crossings(ps, m))``: the crossers of every segment on one
     lane table, counted by their top bits. Each crossing is counted from
-    both of its segments, so the sum is halved."""
-    lanes = _SegmentLanes(ps, m.pairs)
-    return sum(lanes.crossers(a, b).bit_count() for a, b in m.pairs) // 2
+    both of its segments, so the sum is halved. The count is remembered on
+    m for ps, the last point set it was found for, as a ``_LiveCrossings``
+    index of m remembers the count it starts with."""
+    memo = m._crossings
+    if memo is None or memo[0] is not ps:
+        lanes = _SegmentLanes(ps, m.pairs)
+        memo = ps, sum(lanes.crossers(a, b).bit_count() for a, b in m.pairs) // 2
+        object.__setattr__(m, "_crossings", memo)
+    return memo[1]
 
 
 def total_length(ps: PointSet, m: Matching) -> float:
@@ -440,7 +459,8 @@ def check_live(
     segments (a run passes its ``_LiveCrossings`` index, whose ``in`` reads
     the mates). A segment equal to one of ``pairs`` but with an endpoint
     that is not an int, such as (True, 9) for (1, 9), is not part of the
-    matching either.
+    matching either. The pair test and the quad are one set of four
+    determinants, ``geometry.proper_crossing_quad``.
 
     A ``Matching`` remembers the last tuple crossing it passed, the point
     set it passed for and its quad, so an audit after the flip of the same
@@ -458,9 +478,9 @@ def check_live(
     if (e1 not in pairs or e2 not in pairs
             or not type(e1[0]) is type(e1[1]) is type(e2[0]) is type(e2[1]) is int):
         raise FlipError(f"crossing {crossing} is not part of the matching")
-    if e1 == e2 or not segments_properly_cross(ps, e1, e2):
+    if (quad := proper_crossing_quad(ps, e1, e2)) is None:
         raise FlipError(f"segments {e1} and {e2} do not cross")
-    return crossing_quad(ps, crossing)
+    return quad
 
 
 def _flipped(

@@ -43,7 +43,7 @@ orient(a, b, p) > 0 and its MINUS bit orient(a, b, p) >= 0. Both are
 read off one ``geometry._SegmentLanes`` table of all anchor pairs, as the
 top bits of the point's ``sides`` and of ``sides + ones``, the two
 readouts of its ``straddle`` test. On a set certified to be in general
-position (``geometry._general_position``), the second readout is the
+position (``geometry.PointSet._certified``), the second readout is the
 first with the point's own anchor pairs added, the only lines it lies on.
 The infinitesimal offset is thus exact,
 no epsilon ever appears, and segment (u, v) crosses exactly the lines of
@@ -58,7 +58,7 @@ from enum import Enum, IntEnum
 from itertools import combinations, repeat
 from typing import NamedTuple
 
-from .geometry import PointSet, Segment, _general_position, _SegmentLanes, _top_bits
+from .geometry import PointSet, Segment, _SegmentLanes, _top_bits
 from .matching import (
     CrossingPair,
     FlipChoice,
@@ -129,7 +129,7 @@ def _line_masks(ps: PointSet) -> tuple[int, ...]:
     table = _SegmentLanes(ps, list(combinations(range(len(ps)), 2)))
     count, ones = table.count, table.ones
     sides = map(table.sides, table.xs, table.ys)
-    if ps in _general_position:
+    if ps._certified:
         return tuple(plus | (plus | held) << count for plus, held in zip(
             map(_top_bits, sides, repeat(count)), _held_pairs(len(ps))))
     return tuple(_top_bits(d, count) | _top_bits(d + ones, count) << count

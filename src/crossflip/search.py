@@ -57,9 +57,10 @@ length: a move's one checked step, ``check_live`` against the index, whose
 ``in`` reads the mates, gives the crossing's quad, its added segments are
 read off the quad, it flips the index alone, and the final ``Matching`` is
 built once, at the end. So a step costs O(n) big-int work in C, over the n
-64-bit lanes of the index's segment-lane table, lane k for slot k's
-segment, plus one bit operation in a partner's row per crossing it removes
-or adds, and no Python pass over the matching. Both potentials move by
+48-bit lanes of the index's segment-lane table, lane k for slot k's
+segment, two of which a flip moves by column deltas, plus one bit
+operation in a partner's row per crossing it removes or adds, and no
+Python pass over the matching. Both potentials move by
 their four-endpoint deltas, ``phi_vertical_delta`` and ``phi_lines_delta``.
 Greedy-x and the first-crossing picks take the index's canonically first
 crossing, the lowest bit of its first nonzero row; a seeded draw takes

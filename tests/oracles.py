@@ -37,8 +37,13 @@ and builds the record by ``matching._record``.
 ``reference_crossed_by_either`` is one pass per segment, as
 ``geometry.crossed_by`` made them, that the one pass for two segments of
 ``geometry.crossed_by_either`` replaced, and ``reference_lane_columns``
-the five lane arrays of ``geometry._SegmentLanes`` packed from one
-tuple of values per segment, which its column comprehensions replaced.
+the seven int columns of ``geometry._SegmentLanes`` summed lane by lane
+from one tuple of values per segment, which its C-level packing replaced.
+``reference_segment_lanes`` is the 64-bit table of five bytearrays, each
+lane rewritten by ``write`` and every array read back by ``read``, that
+the 48-bit int columns of ``geometry._SegmentLanes``, moved by column
+deltas, replaced, with ``reference_top_bits`` its readout; the key-index
+oracle keeps its crossings on it.
 ``reference_max_damage_pick`` is the per-run key dict and ``max`` that the
 max-damage heap, and then the ranked
 keys of the live index, of ``crossflip.search`` replaced, and
@@ -96,7 +101,7 @@ from collections import defaultdict, deque
 from fractions import Fraction
 from itertools import chain, combinations, compress
 from operator import add, or_, xor
-from struct import pack
+from struct import Struct, pack
 
 from crossflip import (
     DecrementAudit,
@@ -118,7 +123,7 @@ from crossflip import (
     seg,
 )
 from crossflip import io
-from crossflip.geometry import COORD_LIMIT, _SegmentLanes, first_collinear_pair
+from crossflip.geometry import COORD_LIMIT, first_collinear_pair
 from crossflip.matching import FlipError, ReplayError, _flipped
 from crossflip.potentials import LineAudit, phi_vertical_delta
 
@@ -177,16 +182,89 @@ def reference_crossed_by_either(ps: PointSet, s, u, segments) -> list:
             for x, hit in zip((s, u), hits) if t in hit]
 
 
-def reference_lane_columns(ps: PointSet, segments) -> list:
-    """The five lane arrays of a ``_SegmentLanes`` table of ``segments``,
-    packed from one tuple of values per segment: the shifted coordinates of
-    its two endpoints and the bias minus its line's constant."""
+def reference_lane_columns(ps: PointSet, segments) -> list[int]:
+    """The seven int columns of a ``_SegmentLanes`` table of ``segments``,
+    summed lane by lane from one tuple of values per segment: the shifted
+    coordinates of its two endpoints, the bias minus its line's constant,
+    and its x and y extents, each in its 48-bit lane."""
     xs = [x + COORD_LIMIT for x, _ in ps.points]
     ys = [y + COORD_LIMIT for _, y in ps.points]
     rows = [(xs[a], ys[a], xs[b], ys[b],
-             (1 << 63) - 1 - (xs[b] - xs[a]) * ys[a] + (ys[b] - ys[a]) * xs[a])
+             (1 << 47) - 1 - (xs[b] - xs[a]) * ys[a] + (ys[b] - ys[a]) * xs[a],
+             xs[b] - xs[a], ys[b] - ys[a])
             for a, b in segments]
-    return [bytearray(pack(f"<{len(segments)}Q", *column)) for column in zip(*rows)]
+    return [sum(value << 48 * k for k, value in enumerate(column))
+            for column in zip(*rows)]
+
+
+#: per byte, b"1" when its top bit is set and b"0" otherwise
+_TOP_BIT = bytes(48 + (i >> 7) for i in range(256))
+_LANE = Struct("<Q")
+
+
+def reference_top_bits(lanes: int, count: int) -> int:
+    """Bit k set when 64-bit lane k of the ``count`` lanes has its top bit
+    set."""
+    return int(lanes.to_bytes(8 * count, "big")[::8].translate(_TOP_BIT), 2)
+
+
+class reference_segment_lanes:
+    """The 64-bit segment-lane table that the 48-bit int columns of
+    ``geometry._SegmentLanes`` replaced: segment k in 64-bit lane k, biased
+    by 2**63 - 1. Five bytearrays hold each segment's first and second
+    endpoint's x and y, shifted by COORD_LIMIT to be nonnegative, and the
+    bias minus its line's constant; ``write`` rewrites one lane and
+    ``read`` reads each array back as one int."""
+
+    bias = (1 << 63) - 1
+
+    def __init__(self, ps: PointSet, segments):
+        self.xs = [x + COORD_LIMIT for x, _ in ps.points]
+        self.ys = [y + COORD_LIMIT for _, y in ps.points]
+        self.count = count = len(segments)
+        self.ones = int.from_bytes(_LANE.pack(1) * count, "little")  # 1 per lane
+        xs, ys = self.xs, self.ys
+        ax, ay = [xs[a] for a, _ in segments], [ys[a] for a, _ in segments]
+        bx, by = [xs[b] for _, b in segments], [ys[b] for _, b in segments]
+        q = [self.bias + x1 * y2 - x2 * y1 for x1, y1, x2, y2 in zip(ax, ay, bx, by)]
+        self.lanes = [bytearray(pack(f"<{count}Q", *column))
+                      for column in (ax, ay, bx, by, q)]
+        self.read()
+
+    def write(self, k: int, s) -> None:
+        """Lane k from segment s, as the constructor fills each lane;
+        ``read`` makes it count."""
+        a, b = s
+        ax, ay, bx, by = self.xs[a], self.ys[a], self.xs[b], self.ys[b]
+        k *= 8
+        lax, lay, lbx, lby, lq = self.lanes
+        _LANE.pack_into(lax, k, ax)
+        _LANE.pack_into(lay, k, ay)
+        _LANE.pack_into(lbx, k, bx)
+        _LANE.pack_into(lby, k, by)
+        _LANE.pack_into(lq, k, self.bias + ax * by - bx * ay)
+
+    def read(self) -> None:
+        self.ax, self.ay, self.bx, self.by, self.q = (
+            int.from_bytes(lane, "little") for lane in self.lanes)
+        self.dx = self.bx - self.ax
+        self.dy = self.by - self.ay
+
+    def sides(self, x: int, y: int) -> int:
+        return self.dx * y - self.dy * x + self.q
+
+    def straddle(self, a: int, b: int) -> int:
+        xa, ya, xb, yb = self.xs[a], self.ys[a], self.xs[b], self.ys[b]
+        dx, dy, ones = xb - xa, yb - ya, self.ones
+        bias = (self.bias - dx * ya + dy * xa) * ones
+        first = dx * self.ay - dy * self.ax + bias
+        second = dx * self.by - dy * self.bx + bias
+        to_a, to_b = self.sides(xa, ya), self.sides(xb, yb)
+        return ((first ^ second) & (first + ones ^ second + ones)
+                & (to_a ^ to_b) & (to_a + ones ^ to_b + ones))
+
+    def crossers(self, a: int, b: int) -> int:
+        return reference_top_bits(self.straddle(a, b), self.count)
 
 
 def reference_find_crossings(ps: PointSet, m: Matching) -> list:
@@ -395,7 +473,7 @@ class reference_keyed_crossings:
         self.lengths = [0.0] * size
         for k, s in enumerate(m.pairs):
             self._take(k, s)
-        self.lanes = _SegmentLanes(ps, m.pairs)
+        self.lanes = reference_segment_lanes(ps, m.pairs)
         self.of: list[set[int]] = [set() for _ in range(size)]
         keys = []
         for k, (a, b) in enumerate(m.pairs):

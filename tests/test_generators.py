@@ -226,7 +226,7 @@ def test_random_general_position_many_seeds():
                 continue
             generated += 1
             for ps in (inst.points, shear_to_distinct_x(inst.points)):
-                assert ps in geometry._general_position
+                assert ps._certified
                 assert validate_general_position(ps) is None
                 assert reference_general_position(ps) is None
         assert generated >= 20
@@ -257,7 +257,7 @@ def test_generated_set_is_not_rescanned(monkeypatch):
     assert calls["draws"] >= 40
     for n in (1, 2, 3, 12, 1024):
         inst = gen_convex(n)
-        assert inst.points in geometry._general_position
+        assert inst.points._certified
         assert shear_to_distinct_x(inst.points) is inst.points
         Instance(inst.points, inst.matching, inst.provenance)
         if n <= 12:
@@ -296,7 +296,7 @@ def test_convex_refuses_a_set_it_cannot_certify(monkeypatch, mutate, why):
     monkeypatch.setattr(PointSet, "from_coords", mutated)
     with pytest.raises(GenerationError, match=f"convex n=6: {why}"):
         gen_convex(6)
-    assert made[0] not in geometry._general_position
+    assert not made[0]._certified
 
 
 def test_random_tiny_bbox_exhausts_budget():

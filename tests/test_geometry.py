@@ -1,3 +1,5 @@
+import gc
+import random
 from itertools import combinations, product
 
 import pytest
@@ -21,12 +23,15 @@ from crossflip.potentials import x_ranks
 
 from oracles import (
     direction,
+    reference_ccw_quad_order,
     reference_crossed_by_either,
     reference_first_collinear_pair,
     reference_lane_columns,
     reference_general_position,
+    reference_segment_lanes,
     reference_segments_properly_cross,
     reference_line_masks,
+    reference_top_bits,
 )
 
 SQUARE = PointSet.from_coords([(0, 0), (2, 0), (2, 2), (0, 2)])
@@ -252,7 +257,7 @@ def _sets_of(coordinate):
 
 
 # coordinates at the budget's edges give determinants up to 2**43, the
-# largest a 64-bit lane has to hold
+# largest a 48-bit lane has to hold
 edge = st.one_of(
     st.sampled_from([-COORD_LIMIT, -COORD_LIMIT + 1, 0, COORD_LIMIT - 1,
                      COORD_LIMIT]),
@@ -287,7 +292,7 @@ def test_certified_sets_read_their_masks_off_one_readout(n):
 
     raw = gen_random(n, seed=n, bbox=(0, 64)).points
     for ps in (raw, shear_to_distinct_x(raw), gen_convex(n).points):
-        assert ps in geometry._general_position
+        assert ps._certified
         assert potentials._line_masks(ps) == reference_line_masks(ps)
 
 
@@ -295,20 +300,94 @@ def test_certified_sets_read_their_masks_off_one_readout(n):
 @given(st.one_of(_sets_of(coords), small_sets, _sets_of(edge)))
 @example([Point(COORD_LIMIT, COORD_LIMIT)] * 4)
 def test_lane_columns_match_one_row_per_segment(pts):
-    """The five lane arrays of a ``_SegmentLanes`` table, built column by
-    column, against those packed from one row of values per segment, bit
-    for bit: every segment of the set with its endpoints in either order, on
-    the sets of the mask test above; and a table whose lanes are rewritten
-    by ``write``, in reverse, holds the same arrays."""
+    """The seven int columns of a ``_SegmentLanes`` table, packed column by
+    column in C, against those summed lane by lane from one row of values
+    per segment, bit for bit: every segment of the set with its endpoints
+    in either order, on the sets of the mask test above; and a table of the
+    segments in reverse whose lanes ``move`` one at a time to them holds
+    the same columns."""
     ps = PointSet(tuple(pts))
     segments = list(combinations(range(len(ps)), 2))
     for segs in (segments, [s[::-1] for s in segments]):
         want = reference_lane_columns(ps, segs)
-        assert geometry._SegmentLanes(ps, segs).lanes == want
+        assert _columns(geometry._SegmentLanes(ps, segs)) == want
         table = geometry._SegmentLanes(ps, segs[::-1])
         for k, s in enumerate(segs):
-            table.write(k, s)
-        assert table.lanes == want
+            table.move([k], [segs[-1 - k]], [s])
+        assert _columns(table) == want
+
+
+def _columns(table) -> list[int]:
+    return [table.ax, table.ay, table.bx, table.by, table.q, table.dx, table.dy]
+
+
+def _lane_values(lanes: int, count: int, width: int) -> list[int]:
+    """The ``count`` lanes of ``width`` bits, each less the table's bias."""
+    mask = (1 << width) - 1
+    return [(lanes >> width * k & mask) - (mask >> 1) for k in range(count)]
+
+
+#: the four corners of the coordinate budget, whose determinants reach 2**43
+_CORNERS = [Point(-COORD_LIMIT, -COORD_LIMIT), Point(COORD_LIMIT, COORD_LIMIT),
+            Point(COORD_LIMIT, -COORD_LIMIT), Point(-COORD_LIMIT, COORD_LIMIT)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_sets_of(coords), small_sets, _sets_of(edge)))
+@example(_CORNERS)
+@example(_CORNERS + [Point(0, -COORD_LIMIT), Point(0, COORD_LIMIT),
+                     Point(-COORD_LIMIT, 1), Point(COORD_LIMIT, -1)])
+@example([Point(COORD_LIMIT, COORD_LIMIT)] * 4)
+def test_lane_table_matches_the_64_bit_oracle(pts):
+    """The 48-bit table against the 64-bit table it replaced, on every
+    segment of the set, with its endpoints in either order: each point's
+    ``sides`` holds the same determinants lane by lane, and ``_top_bits``
+    reads the same signs off them, with and without ``ones`` added; each
+    segment's ``straddle`` test sets the same lanes' top bits,
+    ``crossers`` gives the same bits, and ``crossing_flags`` spells them
+    out from any start lane. Random, 7x7-grid (collinear and repeated
+    points) and budget-edge sets, and the budget's corners, where |d|
+    reaches 2**43."""
+    ps = PointSet(tuple(pts))
+    segments = list(combinations(range(len(ps)), 2))
+    segs = segments + [s[::-1] for s in segments]
+    table = geometry._SegmentLanes(ps, segs)
+    oracle = reference_segment_lanes(ps, segs)
+    count = len(segs)
+    for x, y in zip(table.xs, table.ys):
+        got, want = table.sides(x, y), oracle.sides(x, y)
+        assert _lane_values(got, count, 48) == _lane_values(want, count, 64)
+        for shift in (0, 1):
+            assert (geometry._top_bits(got + shift * table.ones, count)
+                    == reference_top_bits(want + shift * oracle.ones, count))
+    for a, b in segs:
+        bits = oracle.crossers(a, b)
+        assert geometry._top_bits(table.straddle(a, b), count) == bits
+        assert table.crossers(a, b) == bits
+        start = (a * b) % count
+        assert table.crossing_flags(a, b, start) == bytes(
+            bits >> k & 1 for k in range(start, count))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(_sets_of(coords), small_sets, _sets_of(edge)),
+       st.randoms(use_true_random=False))
+@example(_CORNERS, random.Random(0))
+def test_moved_lane_table_equals_a_fresh_one(pts, rng):
+    """A table after a random sequence of ``move`` calls, each putting new
+    segments in one or two distinct lanes, has the columns of a table built
+    afresh from the segments its lanes then hold."""
+    ps = PointSet(tuple(pts))
+    segments = list(combinations(range(len(ps)), 2))
+    held = [rng.choice(segments) for _ in range(rng.randint(1, 8))]
+    table = geometry._SegmentLanes(ps, held)
+    for _ in range(12):
+        slots = rng.sample(range(len(held)), min(len(held), rng.randint(1, 2)))
+        new = [rng.choice(segments)[::rng.choice((1, -1))] for _ in slots]
+        table.move(slots, [held[k] for k in slots], new)
+        for k, s in zip(slots, new):
+            held[k] = s
+        assert _columns(table) == _columns(geometry._SegmentLanes(ps, held))
 
 
 @settings(max_examples=150, deadline=None)
@@ -354,18 +433,58 @@ def test_segments_properly_cross_matches_four_orient_reference(pts):
         assert segments_properly_cross(ps, s[::-1], t) is want
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_sets_of(coords), small_sets, _sets_of(edge)))
+@example(_CORNERS)
+@example([Point(0, 0), Point(2, 2), Point(1, 1), Point(1, 3)])  # touching
+def test_proper_crossing_quad_is_the_pair_test_and_the_ccw_quad(pts):
+    """``proper_crossing_quad`` against the four-``orient`` pair test and
+    the comparator sort of the quad: None exactly when the two segments do
+    not properly cross, equal segments and those sharing an endpoint
+    included, and otherwise the four endpoints in ccw order from the
+    lowest, for the segments in either order with their endpoints in
+    either order, on the sets of the pair test above."""
+    ps = PointSet(tuple(pts))
+    segments = list(combinations(range(len(ps)), 2))
+    for s, t in product(segments, repeat=2):
+        crosses = not set(s) & set(t) and reference_segments_properly_cross(ps, s, t)
+        want = reference_ccw_quad_order(ps, (*s, *t)) if crosses else None
+        for u, v in ((s, t), (t[::-1], s), (s[::-1], t[::-1])):
+            assert geometry.proper_crossing_quad(ps, u, v) == want
+
+
+def test_certification_survives_the_collection_of_an_equal_set(monkeypatch):
+    """Certification marks the set object itself: a certified set stays
+    certified after an equal certified set is collected, and its validation
+    scans nothing."""
+    from crossflip import gen_convex
+
+    a = gen_convex(3).points
+    b = gen_convex(3).points
+    assert a == b and a is not b
+    del a
+    gc.collect()
+    assert b._certified
+    scans = []
+    monkeypatch.setattr(geometry, "first_collinear_pair",
+                        lambda *args: scans.append(args))
+    assert validate_general_position(b) is None and scans == []
+
+
 def test_uncertified_sets_are_scanned_and_their_shears_stay_uncertified():
     degenerate = PointSet.from_coords([(0, 0), (1, 1), (2, 2), (0, 5)])
     sheared = shear_to_distinct_x(degenerate)
     assert sheared != degenerate
     for ps in (degenerate, sheared):
-        assert ps not in geometry._general_position
+        assert not ps._certified
         assert validate_general_position(ps) == (0, 1, 2)
         assert reference_general_position(ps) == (0, 1, 2)
-    # in general position but never certified: the shear certifies nothing
+    # in general position but never certified: the shear certifies nothing,
+    # until a scan of the set passes
     plain = PointSet.from_coords([(0, 0), (0, 3), (2, 1), (5, 4)])
+    assert not shear_to_distinct_x(plain)._certified
     assert validate_general_position(plain) is None
-    assert shear_to_distinct_x(plain) not in geometry._general_position
+    assert plain._certified and shear_to_distinct_x(plain)._certified
 
 
 @settings(max_examples=300)

@@ -34,12 +34,11 @@ from crossflip import (
     trace_from_moves,
 )
 from crossflip import matching
-from crossflip.geometry import COORD_LIMIT, crossed_by_either
+from crossflip.geometry import COORD_LIMIT, crossed_by_either, crossing_quad
 from crossflip.matching import (
     _LiveCrossings,
     check_live,
     crossing_count,
-    crossing_quad,
     quad_reconnections,
     replay_states,
 )
@@ -712,6 +711,28 @@ def test_crossing_count_matches_the_pair_loop(ps, rng):
         if not crossings:
             break
         m, _ = flip(ps, m, rng.choice(crossings), rng.choice(CHOICES))
+
+
+def test_crossing_count_is_remembered_per_point_set(monkeypatch):
+    """A run's index leaves its start's crossing count on the start
+    matching, for the run's point set, so ``crossing_count`` of the trace's
+    initial matching, which ``write_trace`` writes in row 0, builds no lane
+    table; an equal point set that is another object is counted afresh,
+    once."""
+    from crossflip import Instance, parse_strategy
+
+    raw = gen_random(30, seed=4)
+    inst = Instance(shear_to_distinct_x(raw.points), raw.matching, raw.provenance)
+    trace = run_strategy(inst, parse_strategy("greedy-x"))
+    assert trace.initial is inst.matching
+    real, built = matching._SegmentLanes, []
+    monkeypatch.setattr(matching, "_SegmentLanes",
+                        lambda *args: built.append(args) or real(*args))
+    want = crossing_count_brute(inst.points, inst.matching)
+    assert crossing_count(inst.points, trace.initial) == want and built == []
+    twin = PointSet(inst.points.points)
+    assert crossing_count(twin, trace.initial) == want and len(built) == 1
+    assert crossing_count(twin, trace.initial) == want and len(built) == 1
 
 
 @pytest.mark.parametrize("load", [1, 2, 3])

@@ -292,27 +292,30 @@ def _calls_of(monkeypatch, name: str) -> list:
 
 @pytest.mark.parametrize("text", ["greedy-x", "adversary:max-damage"])
 def test_strategy_steps_make_one_pair_test_each(monkeypatch, text):
-    """A step's only ``segments_properly_cross`` call is the flip's own
-    liveness check: the crossings it gains come from one lane test per
-    added segment, and the ones it loses from the per-segment index."""
+    """A step's only pair test, a ``proper_crossing_quad`` call, is the
+    flip's own liveness check, and ``segments_properly_cross`` is never
+    called: the crossings it gains come from one lane test per added
+    segment, and the ones it loses from the per-segment index."""
     inst = _sheared(60, 4108)
-    calls = _calls_of(monkeypatch, "segments_properly_cross")
+    calls = _calls_of(monkeypatch, "proper_crossing_quad")
+    pair_tests = _calls_of(monkeypatch, "segments_properly_cross")
     trace = run_strategy(inst, parse_strategy(text))
     assert trace.complete and len(trace) > 50
-    assert len(calls) == len(trace)
+    assert len(calls) == len(trace) and pair_tests == []
 
 
 @pytest.mark.parametrize("text, steps", [
     ("greedy-x", 37), ("adversary:max-damage", 53), ("first", 44),
     ("adversary:first", None), ("adversary:random:5", None)])
 def test_strategy_steps_compute_one_quad_each(monkeypatch, text, steps):
-    """A step's only ``crossing_quad`` call is the run loop's one checked
-    step: an x-greedy pick reads its choice off that quad, not off one of
-    its own."""
+    """A step's only quad is the one ``proper_crossing_quad`` call of the
+    run loop's one checked step, and ``crossing_quad`` is never called: an
+    x-greedy pick reads its choice off that quad, not off one of its own."""
     inst = _sheared(30, 3)
-    calls = _calls_of(monkeypatch, "crossing_quad")
+    calls = _calls_of(monkeypatch, "proper_crossing_quad")
+    quads = _calls_of(monkeypatch, "crossing_quad")
     trace = run_strategy(inst, parse_strategy(text))
-    assert trace.complete and len(calls) == len(trace)
+    assert trace.complete and len(calls) == len(trace) and quads == []
     assert steps is None or len(trace) == steps
     if text != "first":
         _assert_x_greedy_moves(inst, trace, text == "adversary:max-damage",

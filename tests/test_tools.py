@@ -1,5 +1,7 @@
+import importlib.util
 import json
 import os
+import statistics
 import subprocess
 import sys
 import time
@@ -135,8 +137,9 @@ def test_trace_digest_small_matches_the_pinned_outputs():
 def test_ab_pass_prints_one_json_line():
     """The in-process A/B of two source trees on a benchmark workload, with
     the package's own tree on both sides and smoke-size inputs: three pairs
-    of checked passes, both medians, the median paired ratio and the count
-    of pairs the change won, in one JSON line and well under 5 s."""
+    of checked passes, both medians, the median paired ratio with its
+    bootstrap 95% interval and the count of pairs the change won, in one
+    JSON line and well under 5 s."""
     started = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, str(AB_PASS), str(PACKAGE.parent), str(PACKAGE.parent),
@@ -149,5 +152,22 @@ def test_ab_pass_prints_one_json_line():
     assert (out["workload"], out["pairs"], out["failures"]) == ("audit-fuzz", 3, [])
     assert out["parent_median_s"] > 0 and out["change_median_s"] > 0
     assert 0 < out["median_ratio"] < float("inf") and 0 <= out["faster"] <= 3
+    low, high = out["ratio_ci95"]
+    assert 0 < low <= out["median_ratio"] <= high < float("inf")
     assert out["parent_iqr_s"] >= 0
     assert elapsed < 5
+
+
+def test_ab_pass_bootstrap_interval_is_seeded_and_holds_the_median():
+    """The bootstrap interval of the median paired ratio is the same on
+    every call, lies within the ratios and holds their median, and is one
+    point when every ratio is."""
+    spec = importlib.util.spec_from_file_location("ab_pass", AB_PASS)
+    ab_pass = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ab_pass)
+    ratios = [0.91, 0.85, 1.02, 0.88, 0.95, 0.9, 1.1, 0.87]
+    low, high = ab_pass.bootstrap_ci95(ratios)
+    assert [low, high] == ab_pass.bootstrap_ci95(ratios)
+    assert min(ratios) <= low <= statistics.median(ratios) <= high <= max(ratios)
+    assert low < high
+    assert ab_pass.bootstrap_ci95([0.9] * 5) == [0.9, 0.9]

@@ -16,10 +16,13 @@ change first in odd ones. Every pass runs on a fresh load of its tree, so
 it fills the per-point-set caches as a new process does, and its outputs
 are checked after timing stops. The output is one JSON line:
 ``parent_median_s`` and ``change_median_s`` (median pass times),
-``median_ratio`` (the median over pairs of change / parent), ``faster``
-(the pairs in which the change was faster), ``parent_iqr_s`` (the
-interquartile range of the parent's passes) and ``failures`` (wrong
-outputs on either side). The exit code is 1 when any output was wrong.
+``median_ratio`` (the median over pairs of change / parent),
+``ratio_ci95`` (a bootstrap 95% interval of that median: the 2.5th and
+97.5th percentiles of the medians of 2000 resamples of the pairs' ratios,
+drawn with replacement from a generator seeded with 0), ``faster`` (the
+pairs in which the change was faster), ``parent_iqr_s`` (the interquartile
+range of the parent's passes) and ``failures`` (wrong outputs on either
+side). The exit code is 1 when any output was wrong.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import gc
 import importlib
 import importlib.util
 import json
+import random
 import statistics
 import sys
 import tempfile
@@ -69,6 +73,18 @@ def timed_pass(src: Path, name: str, workload_name: str, seed: int, size: str,
     return elapsed, out["failures"] + workload.check(cf, inputs, out, False)
 
 
+def bootstrap_ci95(ratios: list[float], resamples: int = 2000,
+                   seed: int = 0) -> list[float]:
+    """A seeded bootstrap 95% interval of the median of ``ratios``: the
+    2.5th and 97.5th percentiles of the medians of ``resamples`` resamples
+    of them, each drawn with replacement."""
+    rng = random.Random(seed)
+    medians = [statistics.median(rng.choices(ratios, k=len(ratios)))
+               for _ in range(resamples)]
+    cuts = statistics.quantiles(medians, n=40, method="inclusive")
+    return [cuts[0], cuts[-1]]
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent", type=Path, metavar="PARENT_SRC")
@@ -99,6 +115,7 @@ def main(argv=None) -> int:
         "parent_median_s": statistics.median(parent),
         "change_median_s": statistics.median(change),
         "median_ratio": statistics.median(ratios),
+        "ratio_ci95": bootstrap_ci95(ratios),
         "faster": sum(r < 1 for r in ratios),
         "parent_iqr_s": quartiles[2] - quartiles[0],
         "failures": failures[:20],
