@@ -16,7 +16,6 @@ determinants, for the one checked flip step.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from itertools import compress, count
 from operator import ne
@@ -152,8 +151,9 @@ def _top_bits(lanes: int, count: int) -> int:
 def _column(values: Sequence[int]) -> int:
     """One lane per value, each in [0, 2**48): packed as 64-bit words, whose
     top two bytes are then dropped, all in C."""
-    words = array("H", pack(f"<{len(values)}Q", *values))
-    del words[3::4]
+    words = bytearray(pack(f"<{len(values)}Q", *values))
+    del words[6::8]  # each word's seventh byte, then its eighth
+    del words[6::7]
     return int.from_bytes(words, "little")
 
 
@@ -161,9 +161,9 @@ class _SegmentLanes:
     """Segments over the points of ``ps`` in 48-bit lanes, segment k in
     lane k: a point or a segment is tested against all of them at once.
 
-    Seven int columns hold each segment's first and second endpoint's x and
-    y, shifted by COORD_LIMIT to be nonnegative, the bias minus its line's
-    constant, and its x and y extents. ``move`` puts other segments in some
+    Five int columns hold each segment's first endpoint's x and y,
+    shifted by COORD_LIMIT to be nonnegative, its x and y extents, and the
+    bias minus its line's constant. ``move`` puts other segments in some
     lanes by adding each column's change there, which is exact because a
     column is the sum of its lanes' values, each shifted to its lane. The
     straddle test is ``segments_properly_cross`` for segments sharing no
@@ -179,9 +179,10 @@ class _SegmentLanes:
         bx, by = [xs[b] for _, b in segments], [ys[b] for _, b in segments]
         # the bias minus the line's constant, (x2 - x1) * y1 - (y2 - y1) * x1
         q = [_BIAS + x1 * y2 - x2 * y1 for x1, y1, x2, y2 in zip(ax, ay, bx, by)]
-        self.ax, self.ay, self.bx, self.by, self.q = map(_column, (ax, ay, bx, by, q))
-        self.dx = self.bx - self.ax
-        self.dy = self.by - self.ay
+        self.ax, self.ay, self.q = map(_column, (ax, ay, q))
+        # an extent may be negative, so its column is a difference
+        self.dx = _column(bx) - self.ax
+        self.dy = _column(by) - self.ay
 
     def move(self, slots: Sequence[int], old: Sequence[Segment],
              new: Sequence[Segment]) -> None:
@@ -189,21 +190,19 @@ class _SegmentLanes:
         segment ``new[i]``, for distinct slots: each column gains the change
         of its value at each moved lane, shifted to that lane."""
         xs, ys = self.xs, self.ys
-        ax = ay = bx = by = q = 0
+        ax = ay = dx = dy = q = 0
         for k, (a, b), (c, d) in zip(slots, old, new):
             k *= _WIDTH
             ax += xs[c] - xs[a] << k
             ay += ys[c] - ys[a] << k
-            bx += xs[d] - xs[b] << k
-            by += ys[d] - ys[b] << k
+            dx += xs[d] - xs[c] - xs[b] + xs[a] << k
+            dy += ys[d] - ys[c] - ys[b] + ys[a] << k
             q += xs[c] * ys[d] - xs[d] * ys[c] - xs[a] * ys[b] + xs[b] * ys[a] << k
         self.ax += ax
         self.ay += ay
-        self.bx += bx
-        self.by += by
+        self.dx += dx
+        self.dy += dy
         self.q += q
-        self.dx += bx - ax
-        self.dy += by - ay
 
     def sides(self, x: int, y: int) -> int:
         """Lane k holds orient(first_k, second_k, p) + _BIAS, for the point

@@ -37,7 +37,7 @@ and builds the record by ``matching._record``.
 ``reference_crossed_by_either`` is one pass per segment, as
 ``geometry.crossed_by`` made them, that the one pass for two segments of
 ``geometry.crossed_by_either`` replaced, and ``reference_lane_columns``
-the seven int columns of ``geometry._SegmentLanes`` summed lane by lane
+the five int columns of ``geometry._SegmentLanes`` summed lane by lane
 from one tuple of values per segment, which its C-level packing replaced.
 ``reference_segment_lanes`` is the 64-bit table of five bytearrays, each
 lane rewritten by ``write`` and every array read back by ``read``, that
@@ -183,15 +183,14 @@ def reference_crossed_by_either(ps: PointSet, s, u, segments) -> list:
 
 
 def reference_lane_columns(ps: PointSet, segments) -> list[int]:
-    """The seven int columns of a ``_SegmentLanes`` table of ``segments``,
+    """The five int columns of a ``_SegmentLanes`` table of ``segments``,
     summed lane by lane from one tuple of values per segment: the shifted
-    coordinates of its two endpoints, the bias minus its line's constant,
-    and its x and y extents, each in its 48-bit lane."""
+    coordinates of its first endpoint, its x and y extents, and the bias
+    minus its line's constant, each in its 48-bit lane."""
     xs = [x + COORD_LIMIT for x, _ in ps.points]
     ys = [y + COORD_LIMIT for _, y in ps.points]
-    rows = [(xs[a], ys[a], xs[b], ys[b],
-             (1 << 47) - 1 - (xs[b] - xs[a]) * ys[a] + (ys[b] - ys[a]) * xs[a],
-             xs[b] - xs[a], ys[b] - ys[a])
+    rows = [(xs[a], ys[a], xs[b] - xs[a], ys[b] - ys[a],
+             (1 << 47) - 1 - (xs[b] - xs[a]) * ys[a] + (ys[b] - ys[a]) * xs[a])
             for a, b in segments]
     return [sum(value << 48 * k for k, value in enumerate(column))
             for column in zip(*rows)]

@@ -300,7 +300,7 @@ def test_certified_sets_read_their_masks_off_one_readout(n):
 @given(st.one_of(_sets_of(coords), small_sets, _sets_of(edge)))
 @example([Point(COORD_LIMIT, COORD_LIMIT)] * 4)
 def test_lane_columns_match_one_row_per_segment(pts):
-    """The seven int columns of a ``_SegmentLanes`` table, packed column by
+    """The five int columns of a ``_SegmentLanes`` table, packed column by
     column in C, against those summed lane by lane from one row of values
     per segment, bit for bit: every segment of the set with its endpoints
     in either order, on the sets of the mask test above; and a table of the
@@ -318,7 +318,7 @@ def test_lane_columns_match_one_row_per_segment(pts):
 
 
 def _columns(table) -> list[int]:
-    return [table.ax, table.ay, table.bx, table.by, table.q, table.dx, table.dy]
+    return [table.ax, table.ay, table.dx, table.dy, table.q]
 
 
 def _lane_values(lanes: int, count: int, width: int) -> list[int]:
