@@ -185,9 +185,10 @@ class _LiveCrossings:
     order is the order of (a, c). ``mate[p]`` is p's partner. ``up[a]`` has
     bit c set for each segment (c, d) crossing (a, b) with c > a, and
     ``down[a]`` bit c for each with c < a; both rows are 0 at an upper
-    endpoint. ``count`` is the number of live crossings, ``codes`` the set
-    of the live segments' codes a*M + b, and ``lengths[r]`` the length of
-    the segment with lower endpoint r, 0.0 at upper endpoints. The start's
+    endpoint. ``count`` is the number of live crossings, ``lengths[r]`` the
+    length of the segment with lower endpoint r, 0.0 at upper endpoints,
+    and in a ranked index ``codes`` the set of the live segments' codes
+    a*M + b. The start's
     crossing count is remembered on its ``Matching`` for the point set, as
     ``crossing_count`` remembers it.
 
@@ -223,11 +224,11 @@ class _LiveCrossings:
         self.rank = rank
         self.slack = _HEAP_SLACK
         self.heap = [] if rank else None
+        self.codes = set() if rank else None
         self.pairs = list(m.pairs)
         self.slot = [0] * size
         self.mate = [0] * size
         self.lengths = [0.0] * size
-        self.codes = set()
         for k, s in enumerate(m.pairs):
             self._take(k, s)
         self.lanes = _SegmentLanes(ps, m.pairs)
@@ -239,12 +240,13 @@ class _LiveCrossings:
         object.__setattr__(m, "_crossings", (ps, self.count))
 
     def _take(self, k: int, s: Segment) -> None:
-        """Slot k, its lower endpoint, the mates, the segment codes and the
-        length for s."""
+        """Slot k, its lower endpoint, the mates, the length and, in a ranked
+        index, the segment codes for s."""
         a, b = s
-        old = self.pairs[k]
-        self.codes.discard(old[0] * self.size + old[1])
-        self.codes.add(a * self.size + b)
+        if (codes := self.codes) is not None:
+            old = self.pairs[k]
+            codes.discard(old[0] * self.size + old[1])
+            codes.add(a * self.size + b)
         self.pairs[k] = s
         self.slot[a] = k
         self.mate[a], self.mate[b] = b, a
