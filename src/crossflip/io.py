@@ -227,9 +227,9 @@ def read_trace(path) -> list[TraceRow]:
                     choice = _CHOICES.get(raw[5])
                     if choice is None:
                         raise ValueError(f"{raw[5]!r} is not a valid FlipChoice")
-                rows.append(_record(TraceRow, step, removed, added, choice,
-                                    _opt_int(raw[6]), _length(raw[7]),
-                                    _opt_int(raw[8]), _opt_int(raw[9])))
+                rows.append(TraceRow(step, removed, added, choice, _opt_int(raw[6]),
+                                     _length(raw[7]), _opt_int(raw[8]),
+                                     _opt_int(raw[9])))
     except TraceFormatError:
         raise
     except (OSError, ValueError, csv.Error) as exc:
