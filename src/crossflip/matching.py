@@ -185,12 +185,10 @@ class _LiveCrossings:
     order is the order of (a, c). ``mate[p]`` is p's partner. ``up[a]`` has
     bit c set for each segment (c, d) crossing (a, b) with c > a, and
     ``down[a]`` bit c for each with c < a; both rows are 0 at an upper
-    endpoint. ``count`` is the number of live crossings, ``lengths[r]`` the
-    length of the segment with lower endpoint r, 0.0 at upper endpoints,
-    and in a ranked index ``codes`` the set of the live segments' codes
-    a*M + b. The start's
-    crossing count is remembered on its ``Matching`` for the point set, as
-    ``crossing_count`` remembers it.
+    endpoint. ``count`` is the number of live crossings, and ``lengths[r]``
+    the length of the segment with lower endpoint r, 0.0 at upper endpoints.
+    The start's crossing count is remembered on its ``Matching`` for the
+    point set, as ``crossing_count`` remembers it.
 
     The index is a sequence of its crossings in canonical order: ``live[k]``
     bisects the prefix popcounts of the ``up`` rows for a, then reads c off
@@ -199,10 +197,9 @@ class _LiveCrossings:
     bit of the first nonzero ``up`` row. When a ``rank`` function is given,
     ``first()`` is the first by (rank(a, b, c, d), crossing) instead: the top
     of a heap of the int keys ((((rank*M + a)*M + b)*M + c)*M + d), one
-    pushed as each crossing appears, and popped, once ``codes`` misses one
-    of its segments, when it reaches the top: a key's two segments are its
-    two low base-M**2 digits. The heap is cut back to its live keys when it
-    holds more than ``_HEAP_SLACK`` keys per live crossing.
+    pushed as each crossing appears, and popped, once ``mate`` shows one of
+    its segments gone, when it reaches the top. The heap is cut back to its
+    live keys when it holds more than ``_HEAP_SLACK`` keys per live crossing.
 
     The n segments sit in n slots, ``pairs[k]`` in slot k and ``slot[r]``
     the slot of the segment with lower endpoint r; at the start they run in
@@ -213,18 +210,16 @@ class _LiveCrossings:
     ``geometry._SegmentLanes`` table, lane k for slot k's segment: a flip
     moves its two slots' lanes by column deltas, and an added segment's
     crossers are the lanes its straddle test sets. So a flip costs O(n)
-    big-int work, in C,
-    plus two bit operations per crossing it removes or adds, and a heap
-    push per crossing it adds to a ranked index."""
+    big-int work, in C, plus two bit operations per crossing it removes or
+    adds, and a heap push per crossing it adds to a ranked index."""
 
     def __init__(self, ps: PointSet, m: Matching, rank=None):
         self.points = ps.points
         self.size = size = len(ps)
-        self.square = size ** 2
+        self.square, self.cube = size ** 2, size ** 3
         self.rank = rank
         self.slack = _HEAP_SLACK
         self.heap = [] if rank else None
-        self.codes = set() if rank else None
         self.pairs = list(m.pairs)
         self.slot = [0] * size
         self.mate = [0] * size
@@ -240,13 +235,8 @@ class _LiveCrossings:
         object.__setattr__(m, "_crossings", (ps, self.count))
 
     def _take(self, k: int, s: Segment) -> None:
-        """Slot k, its lower endpoint, the mates, the length and, in a ranked
-        index, the segment codes for s."""
+        """Slot k, its lower endpoint, the mates and the length for s."""
         a, b = s
-        if (codes := self.codes) is not None:
-            old = self.pairs[k]
-            codes.discard(old[0] * self.size + old[1])
-            codes.add(a * self.size + b)
         self.pairs[k] = s
         self.slot[a] = k
         self.mate[a], self.mate[b] = b, a
@@ -318,9 +308,10 @@ class _LiveCrossings:
 
     def _is_live(self, key: int) -> bool:
         """Whether both segments of the crossing with int key ``key`` are
-        still segments of the matching: both their codes are live."""
-        square, codes = self.square, self.codes
-        return key // square % square in codes and key % square in codes
+        still segments of the matching: each end has its mate."""
+        size, mate = self.size, self.mate
+        return (mate[key // self.cube % size] == key // self.square % size
+                and mate[key // size % size] == key % size)
 
     def crossing(self, key: int) -> CrossingPair:
         """The crossing with int key ``key``."""
@@ -354,10 +345,7 @@ class _LiveCrossings:
             self._add(a, b)
         heap = self.heap
         if heap and len(heap) > self.slack * self.count:
-            square, codes = self.square, self.codes
-            # each live key once
-            heap[:] = {key for key in heap
-                       if key // square % square in codes and key % square in codes}
+            heap[:] = set(filter(self._is_live, heap))  # each live key once
             heapify(heap)
 
 

@@ -73,14 +73,13 @@ def timed_pass(src: Path, name: str, workload_name: str, seed: int, size: str,
     return elapsed, out["failures"] + workload.check(cf, inputs, out, False)
 
 
-def bootstrap_ci95(ratios: list[float], resamples: int = 2000,
-                   seed: int = 0) -> list[float]:
+def bootstrap_ci95(ratios: list[float]) -> list[float]:
     """A seeded bootstrap 95% interval of the median of ``ratios``: the
-    2.5th and 97.5th percentiles of the medians of ``resamples`` resamples
-    of them, each drawn with replacement."""
-    rng = random.Random(seed)
+    2.5th and 97.5th percentiles of the medians of 2000 resamples of them,
+    each drawn with replacement from a generator seeded with 0."""
+    rng = random.Random(0)
     medians = [statistics.median(rng.choices(ratios, k=len(ratios)))
-               for _ in range(resamples)]
+               for _ in range(2000)]
     cuts = statistics.quantiles(medians, n=40, method="inclusive")
     return [cuts[0], cuts[-1]]
 
