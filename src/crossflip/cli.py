@@ -187,6 +187,7 @@ def cmd_search(args) -> int:
         report["witness_trace"][tag] = str(path)
 
     try:
+        # ``which`` names the search under way, for a limit hit's report
         for which, solve in (("f", longest_flip_sequence),
                              ("h", shortest_flip_sequence)):
             if args.which not in (which, "both"):
@@ -195,6 +196,7 @@ def cmd_search(args) -> int:
             report["states_expanded"] += stats["states_expanded"]
             witness(which, trace)
         if args.extremal:
+            which = "extremal"
             est = extremal_estimates(
                 inst.points, limits, cap=args.enum_cap,
                 instance_id=inst.provenance,
@@ -206,6 +208,7 @@ def cmd_search(args) -> int:
             witness("k_hat", est.k_witness)
     except SearchLimitsExceeded as exc:
         report["limits_hit"] = True
+        report["limit_hit_in"] = which
         # the partial count of the call that hit the limit
         report["states_expanded"] += exc.states_expanded
         if exc.best_bound is not None:
@@ -214,6 +217,7 @@ def cmd_search(args) -> int:
         code = EXIT_LIMITS
     except EnumerationCapExceeded as exc:
         report["limits_hit"] = True
+        report["limit_hit_in"] = which
         print(f"enumeration cap: {exc}", file=sys.stderr)
         code = EXIT_LIMITS
     write_report(report, out)

@@ -23,11 +23,17 @@ that needs it is asked for, and ``successors`` lists them for one matching
 post-order DFS (``_Search``) gives f = 1 + max and h = 1 + min over
 successors; each frame keeps its state's ``children`` generator, so it
 builds a successor only when it takes it up, and an on-stack revisit is
-fatal. ``shortest_flip_sequence`` keeps a BFS over the same ints, whose
+fatal. The memo interns its values: a finished state stores the one tuple
+its (f, h) has in ``_Search.values``, so rev8's 2,027,025 memo entries share
+66 tuples, and the memo's cost is its int keys and its table.
+``shortest_flip_sequence`` keeps a BFS over the same ints, whose
 early exit beats a full DAG pass on one instance. Enumeration walks every
 matching's int key and pairs in canonical order with an explicit stack that
-emits its last two levels directly (``_matchings``); ``extremal_estimates``
-reads the keys and ``enumerate_all_matchings`` wraps the pairs.
+emits its last two levels directly (``_matchings``); every pair is one of
+C(2n, 2) segment tuples built once (``_segments``), shared by all the
+matchings and ``per_matching`` keys. ``extremal_estimates`` reads the keys,
+and the memo before it solves one, and ``enumerate_all_matchings`` wraps
+the pairs.
 
 Witnesses are pinned: the f witness takes the first successor in canonical
 order attaining the max; the h witness is the lexicographically first
@@ -157,6 +163,11 @@ def _segment_offsets(m: int) -> list[int]:
     return [a * (2 * m - a - 1) // 2 - a - 1 for a in range(m)]
 
 
+def _segments(m: int) -> list[tuple[int, int]]:
+    """Every segment (a, b), a < b, of m points, indexed by kernel id."""
+    return [(a, b) for a in range(m) for b in range(a + 1, m)]
+
+
 def _crossing(segs: list, pair: int) -> CrossingPair:
     """The two segments whose bits make up ``pair``, lower id first."""
     lo = pair & -pair
@@ -180,15 +191,17 @@ class _FlipGraph(dict):
     def __init__(self, ps: PointSet):
         self.ps = ps
         m = len(ps)
-        self.segs = segs = [(a, b) for a in range(m) for b in range(a + 1, m)]
+        self.segs = segs = _segments(m)
         self.offset = _segment_offsets(m)
         self.lanes = _SegmentLanes(ps, segs)
 
     def __missing__(self, key: int) -> int | tuple[int, int]:
         if key & key - 1:
-            quad = crossing_quad(self.ps, _crossing(self.segs, key))
-            value = tuple(key | 1 << self.offset[a] + b | 1 << self.offset[c] + d
-                          for (a, b), (c, d) in quad_reconnections(quad))
+            ((a, b), (c, d)), ((e, f), (g, h)) = quad_reconnections(
+                crossing_quad(self.ps, _crossing(self.segs, key)))
+            offset = self.offset
+            value = (key | 1 << offset[a] + b | 1 << offset[c] + d,
+                     key | 1 << offset[e] + f | 1 << offset[g] + h)
         else:
             a, b = self.segs[key.bit_length() - 1]
             # -2 * key keeps the ids above the segment's
@@ -248,7 +261,9 @@ class _Search:
     """One public search call on the int kernel of one point set: its
     limits, its one deadline and state count, the one limit gate
     (``admit``) and the row builder (``crossed``) that alone compare them,
-    and the DAG pass memo."""
+    and the DAG pass memo, whose values are interned: one tuple per
+    distinct (f, h), kept in ``values``, so the memo holds no tuple per
+    state."""
 
     def __init__(self, ps: PointSet, limits: SearchLimits | None):
         self.limits = limits = limits or SearchLimits()
@@ -256,6 +271,8 @@ class _Search:
         self.graph = _FlipGraph(ps)
         #: state -> (f, h)
         self.memo: dict[int, tuple[int, int]] = {}
+        #: each distinct (f, h) to its one tuple
+        self.values: dict[tuple[int, int], tuple[int, int]] = {}
         self.expanded = 0
         #: largest (depth + f) over finished DFS states: a lower bound on the
         #: longest run of the start whose DFS reached them
@@ -281,8 +298,9 @@ class _Search:
         BFS discovery at edge distance ``depth`` from the start: a clock
         read, the state cap and the depth cap, then the state is counted.
         A hit raises with ``bound`` as ``_exceeded`` does."""
-        self.on_time(bound)
         limits = self.limits
+        if time.monotonic() > self.deadline:
+            raise self._exceeded(f"time budget {limits.time_budget}s exhausted", bound)
         if self.expanded >= limits.max_states:
             raise self._exceeded(f"state cap {limits.max_states} hit", bound)
         if depth >= limits.max_depth:
@@ -310,7 +328,7 @@ class _Search:
         its state's ``children`` generator and takes its successors up one
         at a time, so a successor, with the rows and masks it reads, is
         built only when the frame reaches it."""
-        memo, children = self.memo, self.graph.children
+        memo, values, children = self.memo, self.values, self.graph.children
         if start in memo:
             return memo[start]
         self.on_time()
@@ -336,7 +354,7 @@ class _Search:
                 key = frame[0]
                 on_stack.discard(key)
                 value = (best_f + 1, best_h + 1) if best_f >= 0 else (0, 0)
-                memo[key] = value
+                memo[key] = value = values.setdefault(value, value)
                 # len(stack) is now the edge distance from start to key
                 if len(stack) + value[0] > self.best_lower:
                     self.best_lower = len(stack) + value[0]
@@ -460,28 +478,29 @@ def _matchings(ps: PointSet, cap: int):
         raise EnumerationCapExceeded(
             f"n={ps.n} exceeds enumeration cap {cap}; (2n-1)!! growth")
     m = len(ps)
-    offset = _segment_offsets(m)
+    offset, segs = _segment_offsets(m), _segments(m)
 
     def walk():
         # a partial matching: its key, its pairs and its free points; the
-        # partners are pushed in reverse, so the lowest pops first
+        # partners are pushed in reverse, so the lowest pops first. Every
+        # pair is segs[id], one shared tuple per segment id
         stack = [(0, (), tuple(range(m)))]
         while stack:
             key, pairs, free = stack.pop()
             if len(free) == 4:
                 a, b, c, d = free
-                yield (key | 1 << offset[a] + b | 1 << offset[c] + d,
-                       pairs + ((a, b), (c, d)))
-                yield (key | 1 << offset[a] + c | 1 << offset[b] + d,
-                       pairs + ((a, c), (b, d)))
-                yield (key | 1 << offset[a] + d | 1 << offset[b] + c,
-                       pairs + ((a, d), (b, c)))
+                ab, ac, ad = offset[a] + b, offset[a] + c, offset[a] + d
+                bc, bd, cd = offset[b] + c, offset[b] + d, offset[c] + d
+                yield key | 1 << ab | 1 << cd, pairs + (segs[ab], segs[cd])
+                yield key | 1 << ac | 1 << bd, pairs + (segs[ac], segs[bd])
+                yield key | 1 << ad | 1 << bc, pairs + (segs[ad], segs[bc])
                 continue
             if len(free) == 2:
-                yield key | 1 << offset[free[0]] + free[1], pairs + (free,)
+                s = offset[free[0]] + free[1]
+                yield key | 1 << s, pairs + (segs[s],)
                 continue
             a, rest = free[0], free[1:]
-            stack += [(key | 1 << offset[a] + b, pairs + ((a, b),),
+            stack += [(key | 1 << offset[a] + b, pairs + (segs[offset[a] + b],),
                        rest[:i] + rest[i + 1:])
                       for i, b in reversed(list(enumerate(rest)))]
 
@@ -530,7 +549,7 @@ def extremal_estimates(
     count = 0
     for key, pairs in matchings:
         count += 1
-        f_h = search.solve(key)
+        f_h = search.memo.get(key) or search.solve(key)
         if f_h[0] > g_hat:
             g_hat, g_pairs, g_key = f_h[0], pairs, key
         if f_h[1] > k_hat:

@@ -178,6 +178,25 @@ def test_search_limits_hit(tmp_path, rev5):
     assert doc["states_expanded"] >= 2
 
 
+@pytest.mark.parametrize("argv, hit_in, value", [
+    (("--which", "f", "--max-states", 2), "f", "f"),
+    (("--which", "h", "--max-states", 2), "h", "h"),
+    (("--which", "h", "--extremal", "--max-states", 500), "extremal", "g_hat"),
+])
+def test_search_report_names_the_search_that_hit_the_limit(tmp_path, rev5, argv,
+                                                           hit_in, value):
+    """``limit_hit_in`` names the search whose limit hit ``best_lower_bound``
+    bounds; that search's value is missing from the report, and a search
+    that finished before it keeps its own."""
+    report = tmp_path / "r.json"
+    assert run_cli("search", rev5, *argv, "-o", report) == 4
+    doc = json.loads(report.read_text())
+    assert doc["limits_hit"] is True and doc["limit_hit_in"] == hit_in
+    assert value not in doc and doc["best_lower_bound"] >= 0
+    if hit_in == "extremal":
+        assert doc["h"] == 2 and doc["best_lower_bound"] == 7
+
+
 def test_search_extremal(tmp_path):
     inst = tmp_path / "r2.json"
     assert run_cli("gen", "random", "--n", 2, "--seed", 3,

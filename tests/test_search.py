@@ -330,6 +330,47 @@ def test_dropped_flip_graph_is_freed_by_reference_counting():
         gc.enable()
 
 
+def test_dropped_search_is_freed_by_reference_counting():
+    """A search holds no reference back to itself through its memo, its
+    interned values or its kernel: with the cycle collector off, a dropped
+    ``_Search`` is freed at once, its kernel with it."""
+    inst = gen_two_line(reverse_perm(5))
+    gc.disable()
+    try:
+        dfs = search._Search(inst.points, None)
+        assert dfs.solve(dfs.graph.encode(inst.matching)) == (10, 2)
+        assert dfs.memo and dfs.values
+        dropped, graph = weakref.ref(dfs), weakref.ref(dfs.graph)
+        del dfs
+        assert dropped() is None and graph() is None
+    finally:
+        gc.enable()
+
+
+def test_memo_holds_one_object_per_distinct_value():
+    """The DFS memo interns its (f, h) values: after f(rev6) its thousands of
+    entries share one tuple per distinct value, the tuple ``values`` keeps."""
+    inst = gen_two_line(reverse_perm(6))
+    dfs = search._Search(inst.points, None)
+    assert dfs.solve(dfs.graph.encode(inst.matching))[0] == 15
+    held = list(dfs.memo.values())
+    assert len(held) > 1000
+    assert len({id(v) for v in held}) == len(set(held)) == len(dfs.values)
+    assert all(dfs.values[v] is v for v in held)
+
+
+def test_matchings_share_one_tuple_per_segment():
+    """Every pair the enumeration yields, and so every ``per_matching`` key,
+    is one of at most C(2n, 2) shared segment tuples."""
+    ps = gen_random(5, seed=2).points
+    segments = math.comb(10, 2)
+    pairs = [p for _key, p in search._matchings(ps, cap=5)]
+    assert len(pairs) == 945
+    assert len({id(s) for p in pairs for s in p}) <= segments
+    per = extremal_estimates(ps, cap=5, collect_per_matching=True).per_matching
+    assert len({id(s) for p in per for s in p}) <= segments
+
+
 def test_state_cap_hit_reports_the_deepest_push():
     """A state pushed at edge distance d from its start ends a run of d
     flips, so a longest-run limit hit certifies f >= d for the deepest push,
