@@ -31,9 +31,8 @@ early exit beats a full DAG pass on one instance. Enumeration walks every
 matching's int key and pairs in canonical order with an explicit stack that
 emits its last two levels directly (``_matchings``); every pair is one of
 C(2n, 2) segment tuples built once (``_segments``), shared by all the
-matchings and ``per_matching`` keys. ``extremal_estimates`` reads the keys,
-and the memo before it solves one, and ``enumerate_all_matchings`` wraps
-the pairs.
+matchings and ``per_matching`` keys. ``extremal_estimates`` reads the keys
+and ``enumerate_all_matchings`` wraps the pairs.
 
 Witnesses are pinned: the f witness takes the first successor in canonical
 order attaining the max; the h witness is the lexicographically first
@@ -298,9 +297,8 @@ class _Search:
         BFS discovery at edge distance ``depth`` from the start: a clock
         read, the state cap and the depth cap, then the state is counted.
         A hit raises with ``bound`` as ``_exceeded`` does."""
+        self.on_time(bound)
         limits = self.limits
-        if time.monotonic() > self.deadline:
-            raise self._exceeded(f"time budget {limits.time_budget}s exhausted", bound)
         if self.expanded >= limits.max_states:
             raise self._exceeded(f"state cap {limits.max_states} hit", bound)
         if depth >= limits.max_depth:
@@ -549,7 +547,7 @@ def extremal_estimates(
     count = 0
     for key, pairs in matchings:
         count += 1
-        f_h = search.memo.get(key) or search.solve(key)
+        f_h = search.solve(key)
         if f_h[0] > g_hat:
             g_hat, g_pairs, g_key = f_h[0], pairs, key
         if f_h[1] > k_hat:

@@ -112,40 +112,35 @@ def test_budget_probe_prints_one_json_line():
 
 
 def _probe(*argv):
-    """One budget probe run, its JSON line and its wall time."""
+    """One budget probe run and its JSON line."""
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
-    started = time.perf_counter()
     proc = subprocess.run([sys.executable, str(BUDGET_PROBE), *map(str, argv)],
                           capture_output=True, text=True, timeout=60, env=env)
-    elapsed = time.perf_counter() - started
     assert proc.returncode == 0, proc.stderr
     (line,) = proc.stdout.splitlines()
-    return json.loads(line), elapsed
+    return json.loads(line)
 
 
 def test_budget_probe_finishes_f_of_rev4():
     """The rev family: f(rev4) = C(4, 2) finishes within the budget, with
     its states and peak resident set."""
-    out, elapsed = _probe("4", "0", "f", "30", "--family", "rev")
+    out = _probe("4", "0", "f", "30", "--family", "rev")
     assert (out["family"], out["outcome"], out["value"]) == ("rev", "done", 6)
     assert out["states"] > 0 and out["best_bound"] is None
-    assert 0 < out["seconds"] < elapsed < 2 and out["peak_rss_mb"] > 0
+    assert out["seconds"] > 0 and out["peak_rss_mb"] > 0
 
 
 def test_budget_probe_enumerates_every_matching():
     """An extremal enumeration at n = 3 reports [g_hat, k_hat] and the
-    states of ``extremal_estimates`` on the same set; above the enumeration
-    cap it refuses at once."""
+    states of ``extremal_estimates`` on the same set."""
     from crossflip import extremal_estimates, gen_random
 
     want = extremal_estimates(gen_random(3, seed=1).points, cap=3)
-    out, elapsed = _probe("3", "1", "extremal", "30", "--enum-cap", "3")
-    assert (out["family"], out["enum_cap"], out["outcome"]) == ("random", 3, "done")
+    out = _probe("3", "1", "extremal", "30")
+    assert (out["family"], out["outcome"]) == ("random", "done")
     assert out["value"] == [want.g_hat, want.k_hat]
     assert out["states"] == want.states_expanded > 0
-    assert elapsed < 2 and out["peak_rss_mb"] > 0
-    out, _ = _probe("3", "1", "extremal", "30", "--enum-cap", "2")
-    assert (out["outcome"], out["value"], out["states"]) == ("enum_cap", None, None)
+    assert out["seconds"] > 0 and out["peak_rss_mb"] > 0
 
 
 def test_trace_digest_matches_the_pinned_outputs():

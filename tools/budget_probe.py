@@ -1,7 +1,7 @@
 """How a budgeted exact search stops, or what a finished one costs, without a profiler.
 
     python tools/budget_probe.py N SEED {f,h,extremal} BUDGET
-                                 [--family {random,rev}] [--enum-cap C] [--cap-mb M]
+                                 [--family {random,rev}] [--cap-mb M]
 
 caps this process's address space at M MB (default 1024) with
 ``resource.setrlimit(RLIMIT_AS)``, builds the instance, ``gen_random(N,
@@ -9,11 +9,11 @@ seed=SEED)`` or, with ``--family rev``, ``gen_two_line(reverse_perm(N))``
 (rev takes no seed: pass 0), and runs one exact search on it with
 ``SearchLimits(time_budget=BUDGET)``: ``longest_flip_sequence`` for f,
 ``shortest_flip_sequence`` for h, and for extremal ``extremal_estimates``
-over every matching of the point set under the enumeration cap C (default
-5). It prints one JSON line: ``outcome`` (``limit`` when the search raised
-``SearchLimitsExceeded``, ``enum_cap`` when N exceeds the enumeration cap,
-``done`` when it finished, ``MemoryError`` when it ran out of the capped
-memory), ``seconds`` from the call to its end, ``states`` (states
+over every matching of the point set (its enumeration cap set to N). It
+prints one JSON line: ``outcome`` (``limit`` when the search raised
+``SearchLimitsExceeded``, ``done`` when it finished, ``MemoryError`` when
+it ran out of the capped memory), ``seconds`` from the call to its end,
+``states`` (states
 expanded), ``best_bound`` (the certified bound of a limit hit), ``value``
 (f or h, or [g_hat, k_hat], of a finished search) and ``peak_rss_mb`` (the
 process's peak resident set). It exits 1 on a ``MemoryError``, 2 on a bad
@@ -22,7 +22,7 @@ the search's own. Needs the ``crossflip`` package importable, e.g. with
 ``PYTHONPATH=src``.
 
     python tools/budget_probe.py 8 0 f 120 --family rev
-    python tools/budget_probe.py 8 0 extremal 120 --enum-cap 8
+    python tools/budget_probe.py 8 0 extremal 120
 
 time f(rev8) and the enumeration of every matching of ``gen_random(8,
 seed=0)``.
@@ -38,8 +38,8 @@ import time
 
 from crossflip import (SearchLimits, SearchLimitsExceeded, gen_random, gen_two_line,
                        reverse_perm)
-from crossflip.search import (EnumerationCapExceeded, extremal_estimates,
-                              longest_flip_sequence, shortest_flip_sequence)
+from crossflip.search import (extremal_estimates, longest_flip_sequence,
+                              shortest_flip_sequence)
 
 
 def main(argv=None) -> int:
@@ -49,7 +49,6 @@ def main(argv=None) -> int:
     ap.add_argument("which", choices=("f", "h", "extremal"))
     ap.add_argument("budget", type=float)
     ap.add_argument("--family", choices=("random", "rev"), default="random")
-    ap.add_argument("--enum-cap", type=int, default=5)
     ap.add_argument("--cap-mb", type=int, default=1024)
     args = ap.parse_args(argv)
     if args.family == "rev" and args.seed:
@@ -66,7 +65,7 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         if args.which == "extremal":
-            est = extremal_estimates(inst.points, limits, cap=args.enum_cap)
+            est = extremal_estimates(inst.points, limits, cap=args.n)
             out.update(value=[est.g_hat, est.k_hat], states=est.states_expanded)
         else:
             run = longest_flip_sequence if args.which == "f" else shortest_flip_sequence
@@ -75,14 +74,12 @@ def main(argv=None) -> int:
     except SearchLimitsExceeded as exc:
         out.update(outcome="limit", states=exc.states_expanded,
                    best_bound=exc.best_bound)
-    except EnumerationCapExceeded:
-        out["outcome"] = "enum_cap"
     except MemoryError:
         out.update(outcome="MemoryError", states=stats.get("states_expanded"))
     seconds = time.perf_counter() - start
     print(json.dumps({
         "n": args.n, "seed": args.seed, "which": args.which, "family": args.family,
-        "enum_cap": args.enum_cap, "budget": args.budget, "cap_mb": args.cap_mb, **out,
+        "budget": args.budget, "cap_mb": args.cap_mb, **out,
         "seconds": seconds,
         # ru_maxrss is in KiB on Linux
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
